@@ -281,7 +281,8 @@ def cut_and_play(game, opts=None, watcher=None):
         problem, index_map = build_nash_lcp(game, outer.regions(), tols)
         try:
             sol = solve_lcp(problem, method=opts.lcp_method, tols=tols, deadline=deadline)
-        except BudgetExhausted:
+        except BudgetExhausted as exc:
+            stats.lcp_nodes += exc.nodes
             if deadline is not None and time.monotonic() > deadline:
                 return finish(EqStatus.TIME_LIMIT)
             return finish(EqStatus.NUMERICAL_FAILURE)

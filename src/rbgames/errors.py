@@ -8,12 +8,14 @@ class NumericalFailure(RuntimeError):
 class BudgetExhausted(RuntimeError):
     """A node/time budget ran out before the search finished.
 
-    ``incumbent`` carries the best feasible object found so far, if any.
+    ``incumbent`` carries the best feasible object found so far, if any;
+    ``nodes`` counts the search nodes spent before the budget ran out.
     """
 
-    def __init__(self, message, incumbent=None):
+    def __init__(self, message, incumbent=None, nodes=0):
         super().__init__(message)
         self.incumbent = incumbent
+        self.nodes = nodes
 
 
 class EmptyUnion(ValueError):

@@ -4,7 +4,19 @@ Two solvers.  Branching fixes complementarity pairs one index at a time
 (z_j = 0 or w_j = 0), solving a bounded LP relaxation per node; it is
 complete, so an exhausted tree certifies that no solution exists.
 Lemke pivoting with the all-ones covering vector is faster on clean
-instances but ray termination proves nothing.
+instances but ray termination proves nothing.  Both check the deadline
+as they go (every node, every pivot) and raise BudgetExhausted once it
+has passed.
+
+Branching screens each child node before its LP relaxation.  All nodes
+share one system [-M | I] (z, w) = q, z, w >= 0, in which a fixing is
+an upper bound of 0 on z_j or w_j, and one cost for which the slack
+basis is dual feasible.  A child refactors its parent's basis under its
+own bounds and runs a bounded dual simplex; dual feasibility carries
+down the tree, so no primal phase is ever needed.  A child the dual
+simplex proves infeasible is dropped without its LP; every other child
+is solved cold as before, so the screen changes no verdict, vertex or
+node count, only the time spent on dead ends.
 """
 
 import time
@@ -14,8 +26,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetExhausted, NumericalFailure
-from .lp import LinearProgram, LPStatus, solve_lp
+from .lp import _AT_LB, _BASIC, LinearProgram, LPStatus, _Simplex, solve_lp
 from .numerics import DEFAULT_TOLS
+
+_LEMKE_BLOCK = 32  # tableau rows per elimination step in Lemke
 
 FIX_FREE = 0
 FIX_Z_ZERO = 1
@@ -135,15 +149,71 @@ def _pattern_solve(problem, basic, tol=1e-9):
     return LCPSolution(z=z, w=w, method=LCPMethod.BRANCHING)
 
 
+class _NodeScreen:
+    """Warm dual-simplex infeasibility test for branching nodes.
+
+    A basis snapshot is a pair (basis indices, column statuses) of small
+    integer vectors; no tableau outlives a node.  A child's bounds only
+    tighten its parent's, so the parent's dual-feasible basis is a valid
+    start for the child's dual simplex.
+    """
+
+    def __init__(self, problem):
+        M, q = problem.M, problem.q
+        n = self.n = problem.order
+        self.A = np.hstack([-M, np.eye(n)])
+        self.q = q
+        self.lb = np.zeros(2 * n)
+        # reduced costs of z at the slack basis are cost_z + M^T 1 >= 1
+        self.cost = np.concatenate([1.0 + np.maximum(0.0, -M.sum(axis=0)), np.ones(n)])
+        # ten times the node LP's feasibility tolerance: the screen only
+        # claims what the node LP would also find
+        self.feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(q))))
+        self.max_pivots = 100 + 2 * n
+
+    def root(self):
+        """Snapshot of the unfixed system's dual-simplex basis, or None."""
+        n = self.n
+        status = np.concatenate([np.full(n, _AT_LB, np.int8), np.full(n, _BASIC, np.int8)])
+        infeasible, warm = self.check((np.arange(n, 2 * n), status), np.full(n, FIX_FREE, dtype=np.int64))
+        return None if infeasible else warm
+
+    def check(self, warm, fixings):
+        """(proven infeasible, snapshot for the children) of one node.
+
+        A singular basis or an overrun pivot budget proves nothing and
+        hands the parent's snapshot on unchanged.
+        """
+        n = self.n
+        ub = np.full(2 * n, np.inf)
+        ub[:n][fixings == FIX_Z_ZERO] = 0.0
+        ub[n:][fixings == FIX_W_ZERO] = 0.0
+        try:
+            sx = _Simplex.from_basis(self.A, self.q, self.lb, ub, *warm)
+            status = sx.run_dual(self.cost, self.feas_tol, self.max_pivots)
+        except NumericalFailure:
+            return False, warm
+        if status is LPStatus.INFEASIBLE:
+            return True, None
+        if status is None:
+            return False, warm
+        return False, (sx.basis, sx.status)
+
+
 def _branching(problem, eps, node_limit, deadline):
     n = problem.order
     nodes = 0
-    stack = [np.zeros(n, dtype=np.int64)]
+    screen = None  # built when the first node branches
+    stack = [(np.zeros(n, dtype=np.int64), None)]
     while stack:
         if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
-            raise BudgetExhausted("LCP branching budget exhausted")
-        fixings = stack.pop()
+            raise BudgetExhausted("LCP branching budget exhausted", nodes=nodes)
+        fixings, warm = stack.pop()
         nodes += 1
+        if warm is not None:
+            infeasible, warm = screen.check(warm, fixings)
+            if infeasible:
+                continue
         sol = solve_lcp_with_fixings(problem, fixings)
         if sol is None:
             continue
@@ -161,21 +231,24 @@ def _branching(problem, eps, node_limit, deadline):
         if polished is not None:
             polished.nodes = nodes
             return polished
+        if screen is None:
+            screen = _NodeScreen(problem)
+            warm = screen.root()
         # explore the side the relaxation already leans toward first
         hi = fixings.copy()
         hi[j] = FIX_W_ZERO
         lo = fixings.copy()
         lo[j] = FIX_Z_ZERO
         if sol.z[j] > sol.w[j]:
-            stack.append(lo)
-            stack.append(hi)
+            stack.append((lo, warm))
+            stack.append((hi, warm))
         else:
-            stack.append(hi)
-            stack.append(lo)
+            stack.append((hi, warm))
+            stack.append((lo, warm))
     return NoSolution(certified=True, nodes=nodes)
 
 
-def _lemke(problem, eps, max_iter):
+def _lemke(problem, eps, max_iter, deadline=None):
     n = problem.order
     M, q = problem.M, problem.q
     if np.all(q >= -eps):
@@ -189,13 +262,19 @@ def _lemke(problem, eps, max_iter):
     entering = 2 * n  # z0
 
     for it in range(max_iter):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhausted("Lemke ran past the deadline", nodes=it)
         piv = T[r, entering]
         if abs(piv) < piv_tol:
             return NoSolution(certified=False, nodes=it)
         T[r] /= piv
-        for i in range(n):
-            if i != r and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[r]
+        # rank-1 elimination of the entering column from every other row,
+        # a block of rows at a time: one full-size temporary per pivot
+        # would raise peak memory by the tableau's size at large orders
+        col = T[:, entering].copy()
+        col[r] = 0.0
+        for lo in range(0, n, _LEMKE_BLOCK):
+            T[lo:lo + _LEMKE_BLOCK] -= np.outer(col[lo:lo + _LEMKE_BLOCK], T[r])
         leaving = basis[r]
         basis[r] = entering
         if leaving == 2 * n:
@@ -215,7 +294,7 @@ def _lemke(problem, eps, max_iter):
         z0_rows = [i for i in ties if basis[i] == 2 * n]
         r = int(z0_rows[0]) if z0_rows else int(ties[0])
     else:
-        raise BudgetExhausted("Lemke iteration cap hit")
+        raise BudgetExhausted("Lemke iteration cap hit", nodes=max_iter)
 
     z = np.zeros(n)
     rhs = T[:, -1]
@@ -244,7 +323,7 @@ def solve_lcp(problem, method=LCPMethod.BRANCHING, tols=DEFAULT_TOLS,
     eps = tols.complementarity
     if method is LCPMethod.BRANCHING:
         try:
-            probe = _lemke(problem, eps, 200 + 30 * problem.order)
+            probe = _lemke(problem, eps, 200 + 30 * problem.order, deadline)
         except BudgetExhausted:
             probe = None
         if isinstance(probe, LCPSolution) and _within_residuals(probe, eps, problem.order):
@@ -252,7 +331,7 @@ def solve_lcp(problem, method=LCPMethod.BRANCHING, tols=DEFAULT_TOLS,
             return probe
         out = _branching(problem, eps, node_limit, deadline)
     elif method is LCPMethod.LEMKE:
-        out = _lemke(problem, eps, max_iter or (200 + 30 * problem.order))
+        out = _lemke(problem, eps, max_iter or (200 + 30 * problem.order), deadline)
     else:
         raise ValueError(f"unknown LCP method: {method}")
     if isinstance(out, LCPSolution) and not _within_residuals(out, eps, problem.order):

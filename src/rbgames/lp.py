@@ -7,6 +7,10 @@ ratio test instead of being expanded into rows.  Dantzig pricing runs
 first; after a pivot budget the solver falls back to Bland's rule, and
 if that also stalls it raises NumericalFailure rather than returning a
 wrong answer.
+
+The same tableau engine also runs a bounded dual simplex from a given
+basis (``_Simplex.from_basis`` then ``run_dual``), for callers that
+re-solve a problem one tightened bound away from a solved one.
 """
 
 from dataclasses import dataclass
@@ -118,6 +122,21 @@ class _Simplex:
         self.T = np.zeros((self.m, self.N))
         self.pivots = 0
 
+    @classmethod
+    def from_basis(cls, Acols, b, lb, ub, basis, status):
+        """State at a given basis, freshly factored under the bounds lb, ub.
+
+        Nonbasic columns sit at the bound their ``status`` names (0 when
+        free); the basic values follow from the equality rows.
+        """
+        sx = cls(Acols, b, lb, ub)
+        sx.basis = basis.copy()
+        sx.status = status.copy()
+        sx.x[status == _AT_LB] = lb[status == _AT_LB]
+        sx.x[status == _AT_UB] = ub[status == _AT_UB]
+        sx.refresh()
+        return sx
+
     def refresh(self):
         """Recompute tableau and basic values from the current basis."""
         if self.m == 0:
@@ -150,11 +169,7 @@ class _Simplex:
             if self.pivots >= hard:
                 raise NumericalFailure(f"simplex stalled after {self.pivots} pivots")
             bland = self.pivots >= soft
-            if m:
-                d = c - c[self.basis] @ self.T
-                d[self.basis] = 0.0
-            else:
-                d = c.copy()
+            d = self._reduced(c) if m else c.copy()
             elig = movable & (
                 ((self.status == _AT_LB) & (d < -tol))
                 | ((self.status == _AT_UB) & (d > tol))
@@ -214,6 +229,84 @@ class _Simplex:
             self.pivots += 1
             if self.pivots % _REFRESH_EVERY == 0:
                 self.refresh()
+
+    def run_dual(self, c, feas_tol, max_pivots, tol=1e-9):
+        """Dual simplex for objective c from a dual-feasible basis.
+
+        Returns Optimal once every basic value lies within feas_tol of
+        its bounds, or None when ``max_pivots`` run out first.  Infeasible
+        comes only from a freshly factored basis whose most violated row
+        admits no entering column, and only when that row's multipliers
+        show the right-hand side would have to move by more than feas_tol
+        (in the 1-norm) before any point within the bounds met the rows.
+        """
+        if self.m == 0:
+            return LPStatus.OPTIMAL
+        movable = self.ub - self.lb > 0
+        d = self._reduced(c)
+        fresh = True
+        start = self.pivots
+        while True:
+            xb = self.x[self.basis]
+            below = self.lb[self.basis] - xb
+            above = xb - self.ub[self.basis]
+            viol = np.maximum(below, above)
+            r = int(np.argmax(viol))
+            if viol[r] <= feas_tol:
+                return LPStatus.OPTIMAL
+            if self.pivots - start >= max_pivots:
+                return None
+            # s = +1: the leaving value must rise to its lower bound
+            s = 1.0 if below[r] >= above[r] else -1.0
+            alpha = s * self.T[r]
+            elig = movable & (
+                ((self.status == _AT_LB) & (alpha < -tol))
+                | ((self.status == _AT_UB) & (alpha > tol))
+                | ((self.status == _FREE) & (np.abs(alpha) > tol))
+            )
+            if not elig.any():
+                if not fresh:
+                    self.refresh()
+                    d = self._reduced(c)
+                    fresh = True
+                    continue
+                unit = np.zeros(self.m)
+                unit[r] = 1.0
+                try:
+                    y = np.linalg.solve(self.A[:, self.basis].T, unit)
+                except np.linalg.LinAlgError:
+                    raise NumericalFailure("singular basis in dual simplex")
+                if viol[r] > feas_tol * max(1.0, float(np.max(np.abs(y)))):
+                    return LPStatus.INFEASIBLE
+                return None
+            idx = np.nonzero(elig)[0]
+            ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+            ties = idx[ratios <= ratios.min() + 1e-12]
+            e = int(ties[np.argmax(np.abs(alpha[ties]))])
+
+            leave = int(self.basis[r])
+            target = self.lb[leave] if s > 0 else self.ub[leave]
+            step = (self.x[leave] - target) / self.T[r, e]
+            self.x[e] += step
+            self.x[self.basis] -= step * self.T[:, e]
+            self.x[leave] = target
+            self.status[leave] = _AT_LB if s > 0 else _AT_UB
+            d -= (d[e] / self.T[r, e]) * self.T[r]
+            d[e] = 0.0
+            self.status[e] = _BASIC
+            self.basis[r] = e
+            self.pivot(r, e)
+            self.pivots += 1
+            fresh = False
+            if self.pivots % _REFRESH_EVERY == 0:
+                self.refresh()
+                d = self._reduced(c)
+                fresh = True
+
+    def _reduced(self, c):
+        d = c - c[self.basis] @ self.T
+        d[self.basis] = 0.0
+        return d
 
     def pivot(self, r, e):
         piv = self.T[r, e]

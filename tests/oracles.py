@@ -115,3 +115,53 @@ def is_pure_equilibrium(game, points, eps=0.0):
         if cur - best > eps:
             return False
     return True
+
+
+def lemke_row_loop(M, q, max_iter):
+    """Lemke's method eliminating one tableau row at a time in Python.
+
+    The straightforward form of the solver's complementary pivoting,
+    kept as a reference for its vectorized elimination.  Returns
+    ("solution", z, pivots), ("ray", None, pivots) or ("cap", None,
+    max_iter), with the solver's tie-breaking and tolerances.
+    """
+    n = len(q)
+    if np.all(q >= -1e-9):
+        return "solution", np.zeros(n), 0
+    piv_tol = 1e-10
+    T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q.reshape(-1, 1)])
+    basis = list(range(n))
+    r = int(np.argmin(q))
+    entering = 2 * n
+    for it in range(max_iter):
+        piv = T[r, entering]
+        if abs(piv) < piv_tol:
+            return "ray", None, it
+        T[r] /= piv
+        for i in range(n):
+            if i != r and T[i, entering] != 0.0:
+                T[i] -= T[i, entering] * T[r]
+        leaving = basis[r]
+        basis[r] = entering
+        if leaving == 2 * n:
+            break
+        entering = leaving + n if leaving < n else leaving - n
+        col = T[:, entering]
+        rhs = T[:, -1]
+        ratios = np.full(n, np.inf)
+        pos = col > piv_tol
+        ratios[pos] = rhs[pos] / col[pos]
+        if not np.isfinite(ratios.min()):
+            return "ray", None, it
+        best = ratios.min()
+        ties = np.nonzero(ratios <= best + 1e-9)[0]
+        z0_rows = [i for i in ties if basis[i] == 2 * n]
+        r = int(z0_rows[0]) if z0_rows else int(ties[0])
+    else:
+        return "cap", None, max_iter
+    z = np.zeros(n)
+    rhs = T[:, -1]
+    for i, var in enumerate(basis):
+        if n <= var < 2 * n:
+            z[var - n] = max(rhs[i], 0.0)
+    return "solution", z, it + 1

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+
+import rbgames.cutplay as cutplay_module
 
 from rbgames import (
     Algorithm,
@@ -11,8 +15,10 @@ from rbgames import (
     cut_and_play,
     deviation_check,
     lattice_points,
+    random_knapsack_game,
     solve_game,
 )
+from rbgames.errors import BudgetExhausted
 from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game
 from rbgames.poly import hull_contains, convex_hull
@@ -80,6 +86,53 @@ def test_time_limit_is_respected():
     game = canonical_knapsack_game().game()
     result = cut_and_play(game, SolverOptions(time_limit=1e-4))
     assert result.status is EqStatus.TIME_LIMIT
+
+
+def test_time_limit_holds_while_lemke_pivots():
+    # round 8 of this game hands Lemke an LCP of order ~359; the limit
+    # falls while it pivots
+    game = random_knapsack_game(1, 2, 8).game()
+    start = time.monotonic()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=4.0))
+    assert result.status is EqStatus.TIME_LIMIT
+    assert time.monotonic() - start <= 4.5
+
+
+def _recording_solve_lcp(monkeypatch, **overrides):
+    """Route cut_and_play's LCP solves through a recorder of their node counts."""
+    real = cutplay_module.solve_lcp
+    nodes = {"returned": 0, "raised": []}
+
+    def recorded(*args, **kwargs):
+        kwargs.update(overrides)
+        try:
+            out = real(*args, **kwargs)
+        except BudgetExhausted as exc:
+            nodes["raised"].append(exc.nodes)
+            raise
+        nodes["returned"] += out.nodes
+        return out
+
+    monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
+    return nodes
+
+
+def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
+    nodes = _recording_solve_lcp(monkeypatch)
+    game = random_knapsack_game(2, 2, 4).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=2.0))
+    assert result.status is EqStatus.TIME_LIMIT
+    assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0]
+
+
+def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
+    nodes = _recording_solve_lcp(monkeypatch, node_limit=25)
+    game = random_knapsack_game(2, 2, 4).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert nodes["raised"] == [25]
+    assert result.stats.lcp_nodes == nodes["returned"] + 25
 
 
 def test_iteration_cap_reports_numerical_failure():

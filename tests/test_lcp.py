@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from rbgames import (
     solve_lcp_with_fixings,
 )
 
-from oracles import brute_force_lcp
+from rbgames.errors import BudgetExhausted
+
+from oracles import brute_force_lcp, lemke_row_loop
 
 _RES_TOL = 1e-7
 
@@ -147,3 +151,119 @@ def test_branching_respects_node_limit():
     # the same instance resolves once the budget is realistic
     out = _branching(problem, 1e-7, 20000, None)
     assert isinstance(out, (LCPSolution, NoSolution))
+
+
+def test_vectorized_lemke_matches_the_row_loop_reference():
+    from rbgames.lcp import _lemke
+
+    rng = seeded_rng(61)
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 41))
+        if trial % 2:
+            B = rng.normal(size=(n, n))
+            M = B @ B.T + np.eye(n)
+        else:
+            M = np.round(rng.normal(size=(n, n)) * 2, 1)
+        q = np.round(rng.normal(size=n) * 3, 1)
+        max_iter = 200 + 30 * n
+        kind, z_ref, pivots = lemke_row_loop(M, q, max_iter)
+        try:
+            out = _lemke(LCP(M=M, q=q), 1e-9, max_iter)
+        except BudgetExhausted:
+            assert kind == "cap", trial
+            continue
+        outcomes.add(kind)
+        assert out.nodes == pivots, trial
+        if kind == "solution":
+            assert isinstance(out, LCPSolution), trial
+            assert np.array_equal(out.z, z_ref), trial
+        else:
+            assert isinstance(out, NoSolution), trial
+    assert outcomes == {"solution", "ray"}
+
+
+def test_lemke_honors_the_deadline():
+    rng = seeded_rng(7)
+    M = np.round(rng.normal(size=(30, 30)) * 2, 1)
+    problem = LCP(M=M, q=-np.ones(30))
+    for method in (LCPMethod.LEMKE, LCPMethod.BRANCHING):
+        with pytest.raises(BudgetExhausted):
+            solve_lcp(problem, method=method, deadline=time.monotonic() - 1.0)
+
+
+def _random_lcp(rng, n, degenerate):
+    M = np.round(rng.normal(size=(n, n)) * 2, 0)
+    q = np.round(rng.normal(size=n) * 2, 0)
+    if degenerate:
+        # zero rows and columns in M, zeros in q
+        M[rng.random(n) < 0.25] = 0.0
+        M[:, rng.random(n) < 0.25] = 0.0
+        q[rng.random(n) < 0.3] = 0.0
+    return LCP(M=M, q=q)
+
+
+def test_screen_verdicts_match_the_node_lp():
+    from rbgames.lcp import _NodeScreen
+
+    rng = seeded_rng(29)
+    verdicts = {True: 0, False: 0}
+    for trial in range(160):
+        n = int(rng.integers(1, 9))
+        problem = _random_lcp(rng, n, degenerate=trial % 2 == 1)
+        screen = _NodeScreen(problem)
+        free = np.full(n, FIX_FREE, dtype=np.int64)
+        root = screen.root()
+        assert (root is None) == (solve_lcp_with_fixings(problem, free) is None), trial
+        if root is None:
+            continue
+        for _ in range(4):
+            # a random walk down the tree, keeping the parent's basis
+            fixings, warm = free.copy(), root
+            while np.any(fixings == FIX_FREE):
+                j = int(rng.choice(np.nonzero(fixings == FIX_FREE)[0]))
+                children = [FIX_Z_ZERO, FIX_W_ZERO]
+                rng.shuffle(children)
+                survivor = None
+                for side in children:
+                    child = fixings.copy()
+                    child[j] = side
+                    infeasible, child_warm = screen.check(warm, child)
+                    assert infeasible == (solve_lcp_with_fixings(problem, child) is None), (trial, child)
+                    verdicts[infeasible] += 1
+                    if not infeasible and survivor is None:
+                        survivor = child, child_warm
+                if survivor is None:
+                    break
+                fixings, warm = survivor
+    assert verdicts[True] >= 100
+    assert verdicts[False] >= 100
+
+
+def test_screen_changes_no_branching_outcome(monkeypatch):
+    import rbgames.lcp as lcp_module
+
+    rng = seeded_rng(31)
+    problems = [_random_lcp(rng, int(rng.integers(3, 11)), degenerate=k % 3 == 2) for k in range(90)]
+    real = lcp_module.solve_lcp_with_fixings
+    node_lps = [0]
+
+    def counted(*args, **kwargs):
+        node_lps[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lcp_module, "solve_lcp_with_fixings", counted)
+    screened = [solve_lcp(p, method=LCPMethod.BRANCHING) for p in problems]
+    screened_lps = node_lps[0]
+    node_lps[0] = 0
+    monkeypatch.setattr(lcp_module._NodeScreen, "check", lambda self, warm, fixings: (False, warm))
+    plain = [solve_lcp(p, method=LCPMethod.BRANCHING) for p in problems]
+    for k, (a, b) in enumerate(zip(screened, plain)):
+        assert type(a) is type(b), k
+        assert a.nodes == b.nodes, k
+        if isinstance(a, LCPSolution):
+            assert np.array_equal(a.z, b.z), k
+        else:
+            assert a.certified == b.certified, k
+    # the screen must have spared some node LPs for the comparison to mean anything
+    assert screened_lps < node_lps[0]
