@@ -39,7 +39,6 @@ from .game import (
     StrategyProfile,
     build_nash_lcp,
     deviation_check,
-    encode_region,
     opponents_vector,
     profile_payoffs,
     support_from_points,
@@ -74,7 +73,7 @@ from .model import (
     save_result,
 )
 from .numerics import DEFAULT_TOLS, SparseMatrix, Tolerances, approx_eq, seeded_rng, spmv
-from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, hull_contains
+from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, encode_region, hull_contains
 
 __version__ = "0.1.0"
 

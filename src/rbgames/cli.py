@@ -45,7 +45,6 @@ def build_parser():
         help="deviation tolerance for accepting an equilibrium (default: 3e-4)",
     )
     parser.add_argument("--timelimit", type=float, default=None, help="wall clock limit in seconds")
-    parser.add_argument("--threads", type=int, default=1, help="worker count hint (engine is sequential)")
     parser.add_argument(
         "--lcp",
         choices=[LCPMethod.BRANCHING.value, LCPMethod.LEMKE.value],
@@ -53,7 +52,6 @@ def build_parser():
         help="complementarity solver (default: branching)",
     )
     parser.add_argument("--output", default=None, help="write the result document to this path")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized choices")
     parser.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
     return parser
 
@@ -93,9 +91,6 @@ def main(argv=None):
     if args.tolerance <= 0:
         print("error: --tolerance must be positive", file=sys.stderr)
         return 1
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     if args.timelimit is not None and args.timelimit <= 0:
         print("error: --timelimit must be positive", file=sys.stderr)
         return 1
@@ -112,9 +107,7 @@ def main(argv=None):
         algorithm=args.algorithm,
         deviation_eps=args.tolerance,
         time_limit=args.timelimit,
-        workers=args.threads,
         lcp_method=LCPMethod(args.lcp),
-        seed=args.seed,
         tols=Tolerances(deviation=args.tolerance),
     )
     names = [p.name for p in inst.players]

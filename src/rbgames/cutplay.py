@@ -5,8 +5,10 @@ union of polyhedral pieces, starting from the LP relaxation.  Each
 round solves the stacked KKT complementarity system of the convexified
 game, then asks a separation oracle whether every player's strategy
 point really lies in its hull.  Points that do not are cut off (cover
-or Gomory cuts) or branched away; certified members trigger the final
-best-response check.
+or Gomory cuts) or branched away.  A Member verdict carries its
+certificate, the player's strategy (a feasible integral point or weights
+over pure strategies); once every player is a member, those strategies
+face the final best-response check.
 """
 
 import math
@@ -26,7 +28,7 @@ from .ip import parametrized_objective, solve_ip
 from .lcp import LCPMethod, NoSolution, solve_lcp
 from .lp import LPStatus
 from .numerics import DEFAULT_TOLS, Tolerances
-from .poly import ExtendedHull, convex_hull, decompose
+from .poly import convex_hull
 
 _INT_TOL = 1e-6
 _ORACLE_CAP = 1 << 16
@@ -39,20 +41,13 @@ class Algorithm:
 
 @dataclass(eq=False)
 class SolverOptions:
-    """Knobs shared by both algorithms.
-
-    ``seed`` is accepted for reproducibility of callers that generate
-    instances; the solvers themselves are deterministic and break every
-    tie by lowest index.
-    """
+    """Knobs shared by both algorithms; the solvers are deterministic."""
 
     algorithm: str = Algorithm.CUT_AND_PLAY
     deviation_eps: float = DEFAULT_TOLS.deviation
     time_limit: float = None
-    workers: int = 1
     lcp_method: LCPMethod = LCPMethod.BRANCHING
     max_iterations: int = 100
-    seed: int = 0
     tols: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -62,15 +57,19 @@ class SolverOptions:
             raise ValueError("deviation_eps must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(eq=False)
 class Member:
-    pass
+    """The point is in the player's hull; ``strategy`` certifies it.
+
+    ``pure`` marks a feasible integral point, which is its own support.
+    """
+
+    strategy: PlayerStrategy
+    pure: bool = False
 
 
 @dataclass(eq=False)
@@ -97,10 +96,7 @@ class PlayerState:
 
     def region(self):
         if self._region is None:
-            if len(self.pieces) == 1:
-                self._region = self.pieces[0]
-            else:
-                self._region = convex_hull(self.pieces, self.tols)
+            self._region = self.pieces[0] if len(self.pieces) == 1 else convex_hull(self.pieces)
         return self._region
 
     def pure_points(self):
@@ -127,24 +123,17 @@ class PlayerState:
         self.cut_pool.extend(new_cuts)
         rows = np.array([pi for pi, _ in new_cuts])
         rhs = np.array([pi0 for _, pi0 in new_cuts])
-        survivors = []
-        for piece in self.pieces:
-            child = piece.with_rows(rows, rhs)
-            if not child.is_empty():
-                survivors.append(child)
-        if not survivors:
-            raise InfeasibleGame(f"player {self.program.name}: region emptied by cuts")
-        self.pieces = survivors
-        self._region = None
+        self._replace_pieces([piece.with_rows(rows, rhs) for piece in self.pieces], "cuts")
 
     def apply_branch(self, j, floor_val):
-        survivors = []
-        for piece in self.pieces:
-            for child in (piece.with_bound(j, hi=floor_val), piece.with_bound(j, lo=floor_val + 1)):
-                if child is not None and not child.is_empty():
-                    survivors.append(child)
+        children = [child for piece in self.pieces
+                    for child in (piece.with_bound(j, hi=floor_val), piece.with_bound(j, lo=floor_val + 1))]
+        self._replace_pieces(children, "branching")
+
+    def _replace_pieces(self, children, cause):
+        survivors = [child for child in children if child is not None and not child.is_empty()]
         if not survivors:
-            raise InfeasibleGame(f"player {self.program.name}: region emptied by branching")
+            raise InfeasibleGame(f"player {self.program.name}: region emptied by {cause}")
         self.pieces = survivors
         self._region = None
 
@@ -163,31 +152,26 @@ class OuterApproximation:
 def separation_oracle(state, sigma, cost=None, tols=DEFAULT_TOLS):
     """Decide Member / Cuts / Branch for a strategy point.
 
-    Member is only returned with a certificate: the point is integral
-    and feasible, or it is a convex combination of enumerated pure
-    strategies.  Otherwise prefer cuts (cover, then Gomory with the
-    supplied supporting cost); branching on the most fractional integer
-    coordinate is the fallback.
+    Member carries its certificate: the point snapped to integers when
+    that is feasible (a pure strategy), or else the point with weights
+    over enumerated pure strategies that reproduce it.  Otherwise prefer
+    cuts (cover, then Gomory with the supplied supporting cost);
+    branching on the most fractional integer coordinate is the fallback.
     """
     p = state.program
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = np.array(sigma, dtype=float)
     ints = np.array(p.integers, dtype=np.int64)
 
-    if ints.size:
-        frac = np.abs(sigma[ints] - np.round(sigma[ints]))
-        if frac.max() <= _INT_TOL:
-            snapped = sigma.copy()
-            snapped[ints] = np.round(snapped[ints])
-            if p.relaxation().contains(snapped, tols.feasibility):
-                return Member()
-    else:
-        if p.relaxation().contains(sigma, tols.feasibility):
-            return Member()
+    snapped = sigma.copy()
+    snapped[ints] = np.round(snapped[ints])
+    integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
+    if integral and p.relaxation().contains(snapped, tols.feasibility):
+        return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
     pure = state.pure_points()
-    if pure is not None and pure.size:
-        if support_from_points(pure, sigma, tols) is not None:
-            return Member()
+    support = support_from_points(pure, sigma, tols) if pure is not None and pure.size else None
+    if support is not None:
+        return Member(PlayerStrategy(sigma, support))
 
     A, b = state.base_rows()
     binary = np.zeros(p.nvars, dtype=bool)
@@ -206,7 +190,7 @@ def separation_oracle(state, sigma, cost=None, tols=DEFAULT_TOLS):
     # branch on the most fractional coordinate whose split still divides
     # some piece; a split that every piece already satisfies one side of
     # would leave the region unchanged and stall the refinement loop
-    frac = np.abs(sigma[ints] - np.round(sigma[ints]))
+    frac = np.abs(sigma - snapped)[ints]
     for k in np.argsort(-frac, kind="stable"):
         if frac[k] <= _INT_TOL:
             break
@@ -278,7 +262,7 @@ def cut_and_play(game, opts=None, watcher=None):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
             return finish(EqStatus.TIME_LIMIT)
-        problem, index_map = build_nash_lcp(game, outer.regions(), tols)
+        problem, index_map = build_nash_lcp(game, outer.regions())
         try:
             sol = solve_lcp(problem, method=opts.lcp_method, tols=tols, deadline=deadline)
         except BudgetExhausted as exc:
@@ -299,7 +283,7 @@ def cut_and_play(game, opts=None, watcher=None):
             actions.append(separation_oracle(state, sigmas[i], cost, tols))
 
         if all(isinstance(a, Member) for a in actions):
-            return _certify(game, outer, sigmas, opts, stats, deadline, finish)
+            return _certify(game, actions, opts, deadline, finish)
 
         for state, action in zip(outer.states, actions):
             if isinstance(action, Cuts):
@@ -314,45 +298,16 @@ def cut_and_play(game, opts=None, watcher=None):
     return finish(EqStatus.NUMERICAL_FAILURE)
 
 
-def _certify(game, outer, sigmas, opts, stats, deadline, finish):
-    """All oracle calls said Member: round, deviation-check, and report."""
-    tols = opts.tols
-    strategies = []
-    all_pure = True
-    for i, (p, state) in enumerate(zip(game.players, outer.states)):
-        sigma = sigmas[i].copy()
-        ints = np.array(p.integers, dtype=np.int64)
-        pure_point = True
-        if ints.size:
-            frac = np.abs(sigma[ints] - np.round(sigma[ints]))
-            if frac.max() <= _INT_TOL:
-                sigma[ints] = np.round(sigma[ints])
-            else:
-                pure_point = False
-        if pure_point and not p.relaxation().contains(sigma, tols.feasibility):
-            pure_point = False
-        if pure_point:
-            strategies.append(PlayerStrategy(barycenter=sigma, support=[(1.0, sigma.copy())]))
-        else:
-            all_pure = False
-            support = None
-            pure = state.pure_points()
-            if pure is not None and pure.size:
-                support = support_from_points(pure, sigma, tols)
-            if support is None:
-                region = state.region()
-                hull = region if isinstance(region, ExtendedHull) else convex_hull([region], tols)
-                support = decompose(hull, sigma, tols)
-            strategies.append(PlayerStrategy(barycenter=sigma, support=support))
-
-    profile = StrategyProfile(strategies)
+def _certify(game, members, opts, deadline, finish):
+    """Every oracle call said Member: deviation-check their strategies."""
+    profile = StrategyProfile([m.strategy for m in members])
     try:
         devs = deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline)
     except BudgetExhausted:
         return finish(EqStatus.TIME_LIMIT)
     if devs:
         return finish(EqStatus.NUMERICAL_FAILURE)
-    status = EqStatus.PNE if all_pure else EqStatus.MNE
+    status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE
     return finish(status, profile=profile, payoffs=profile_payoffs(game, profile))
 
 

@@ -8,8 +8,7 @@ all integer-feasible points and strictly separates the queried point.
 
 import numpy as np
 
-from .lp import LinearProgram, LPStatus, solve_lp
-from .lp import _AT_LB, _AT_UB, _BASIC  # noqa: F401  (tableau status codes)
+from .lp import _AT_LB, _AT_UB, _BASIC, LinearProgram, LPStatus, solve_lp
 from .numerics import DEFAULT_TOLS
 
 _FRAC_TOL = 1e-6

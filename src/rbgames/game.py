@@ -3,9 +3,10 @@
 Players are ordered; player i's coupling matrix C has one block of rows
 per opponent, stacked by ascending player index with i skipped.  The
 Nash LCP of the convexified game pairs every variable with its
-stationarity row and every constraint multiplier with its slack, which
-requires regions rewritten over nonnegative shifted variables with all
-other constraints as explicit rows.
+stationarity row and every constraint multiplier with its slack, over
+each region as ``poly.encode_region`` rewrites it.  The certificate of
+a mixed strategy, weights over pure strategies, comes from
+``support_from_points``.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import DEFAULT_TOLS
-from .poly import ExtendedHull, Polyhedron
+from .poly import encode_region
 
 
 class GameModel:
@@ -102,73 +103,6 @@ class EquilibriumResult:
 
 
 @dataclass(eq=False)
-class RegionEncoding:
-    """Region rewritten as { v >= 0 : G v <= h } with x = v[:m] + shift."""
-
-    G: np.ndarray
-    h: np.ndarray
-    shift: np.ndarray
-    nvars: int
-    m: int
-
-
-def encode_region(region, tols=DEFAULT_TOLS):
-    """Rewrite a Polyhedron or ExtendedHull over nonnegative variables.
-
-    For a hull the variable block is (x, one scaled copy per piece,
-    convex multipliers); the first m variables always carry the shifted
-    strategy point.
-    """
-    if isinstance(region, Polyhedron):
-        lo, hi = region.bounding_box()
-        m = region.dim
-        G = np.vstack([region.A, np.eye(m)])
-        h = np.concatenate([region.b - region.A @ lo, hi - lo])
-        return RegionEncoding(G=G, h=h, shift=lo, nvars=m, m=m)
-
-    if not isinstance(region, ExtendedHull):
-        raise TypeError(f"cannot encode region of type {type(region).__name__}")
-    m = region.dim
-    K = len(region.pieces)
-    LB = np.min(np.array([lo for lo, _ in region.boxes]), axis=0)
-    nvars = m + K * m + K
-    copy0 = m
-    theta0 = m + K * m
-    rows, rhs = [], []
-    for k, (piece, (lo, hi)) in enumerate(zip(region.pieces, region.boxes)):
-        cs = slice(copy0 + k * m, copy0 + (k + 1) * m)
-        for i in range(piece.nrows):
-            row = np.zeros(nvars)
-            row[cs] = piece.A[i]
-            row[theta0 + k] = float(piece.A[i] @ lo - piece.b[i])
-            rows.append(row)
-            rhs.append(0.0)
-        for j in range(m):
-            row = np.zeros(nvars)
-            row[copy0 + k * m + j] = 1.0
-            row[theta0 + k] = -(hi[j] - lo[j])
-            rows.append(row)
-            rhs.append(0.0)
-    # linking  x = sum_k x_k  in shifted coordinates, both directions
-    for sign in (1.0, -1.0):
-        base = np.zeros((m, nvars))
-        base[:, :m] = np.eye(m)
-        for k, (lo, _) in enumerate(region.boxes):
-            base[:, copy0 + k * m : copy0 + (k + 1) * m] = -np.eye(m)
-            base[:, theta0 + k] = -lo
-        for j in range(m):
-            rows.append(sign * base[j])
-            rhs.append(sign * -LB[j])
-    row = np.zeros(nvars)
-    row[theta0:] = 1.0
-    rows.append(row.copy())
-    rhs.append(1.0)
-    rows.append(-row)
-    rhs.append(-1.0)
-    return RegionEncoding(G=np.array(rows), h=np.array(rhs), shift=LB, nvars=nvars, m=m)
-
-
-@dataclass(eq=False)
 class LCPIndexMap:
     """Locates each player's strategy block inside the stacked z vector."""
 
@@ -179,7 +113,7 @@ class LCPIndexMap:
         return [np.asarray(z[s], dtype=float) + t for s, t in zip(self.var_slices, self.shifts)]
 
 
-def build_nash_lcp(game, regions, tols=DEFAULT_TOLS):
+def build_nash_lcp(game, regions):
     """Stack every player's KKT system over its region into one LCP.
 
     z concatenates all players' region variables, then all multipliers.
@@ -189,7 +123,7 @@ def build_nash_lcp(game, regions, tols=DEFAULT_TOLS):
     n = game.n_players
     if len(regions) != n:
         raise ValueError("one region per player required")
-    encs = [encode_region(r, tols) for r in regions]
+    encs = [encode_region(r) for r in regions]
     for enc, p in zip(encs, game.players):
         if enc.m != p.nvars:
             raise ValueError("region dimension does not match the player")

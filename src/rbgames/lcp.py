@@ -5,8 +5,8 @@ Two solvers.  Branching fixes complementarity pairs one index at a time
 complete, so an exhausted tree certifies that no solution exists.
 Lemke pivoting with the all-ones covering vector is faster on clean
 instances but ray termination proves nothing.  Both check the deadline
-as they go (every node, every pivot) and raise BudgetExhausted once it
-has passed.
+as they go (branching at every node and at every pivot of a node's LP,
+Lemke at every pivot) and raise BudgetExhausted once it has passed.
 
 Branching screens each child node before its LP relaxation.  All nodes
 share one system [-M | I] (z, w) = q, z, w >= 0, in which a fixing is
@@ -86,12 +86,15 @@ class NoSolution:
     nodes: int = 0
 
 
-def solve_lcp_with_fixings(problem, fixings, tol=1e-9):
+def solve_lcp_with_fixings(problem, fixings, tol=1e-9, deadline=None):
     """LP relaxation of the LCP under per-index fixings.
 
     Minimizes the sum of z_j + w_j over unfixed indexes subject to
     z >= 0, M z + q >= 0 and the fixings.  Returns an LCPSolution-shaped
     point (complementarity not guaranteed) or None when infeasible.
+    That sum is nonnegative (the LP's cost in z is it minus sum_free q_j),
+    so Unbounded can only come from lost precision and raises
+    NumericalFailure.  Raises BudgetExhausted when ``deadline`` passes.
     """
     n = problem.order
     fixings = np.asarray(fixings, dtype=np.int64)
@@ -112,14 +115,11 @@ def solve_lcp_with_fixings(problem, fixings, tol=1e-9):
     ub[fixings == FIX_Z_ZERO] = 0.0
     free = fixings == FIX_FREE
     cost = free.astype(float) + M[free].sum(axis=0)
-    res = solve_lp(LinearProgram(cost, A, b, lb, ub), tol=tol)
+    res = solve_lp(LinearProgram(cost, A, b, lb, ub), tol=tol, deadline=deadline)
     if res.status is LPStatus.INFEASIBLE:
         return None
     if res.status is LPStatus.UNBOUNDED:
-        # the heuristic objective can be unbounded; fall back to feasibility
-        res = solve_lp(LinearProgram(np.zeros(n), A, b, lb, ub), tol=tol)
-        if res.status is not LPStatus.OPTIMAL:
-            return None
+        raise NumericalFailure("node LP unbounded although its objective is bounded below")
     z = res.x
     return LCPSolution(z=z, w=M @ z + q, method=LCPMethod.BRANCHING)
 
@@ -214,7 +214,10 @@ def _branching(problem, eps, node_limit, deadline):
             infeasible, warm = screen.check(warm, fixings)
             if infeasible:
                 continue
-        sol = solve_lcp_with_fixings(problem, fixings)
+        try:
+            sol = solve_lcp_with_fixings(problem, fixings, deadline=deadline)
+        except BudgetExhausted as exc:
+            raise BudgetExhausted("LCP node LP ran past the deadline", nodes=nodes) from exc
         if sol is None:
             continue
         prod = np.abs(sol.z * sol.w)

@@ -13,12 +13,13 @@ basis (``_Simplex.from_basis`` then ``run_dual``), for callers that
 re-solve a problem one tightened bound away from a solved one.
 """
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import BudgetExhausted, NumericalFailure
 
 _PIVOT_TOL = 1e-11
 _REFRESH_EVERY = 64
@@ -159,7 +160,7 @@ class _Simplex:
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis when extracting duals")
 
-    def run(self, c, tol=1e-9):
+    def run(self, c, tol=1e-9, deadline=None):
         """Iterate to optimality for objective c.  Returns an LPStatus."""
         m, N = self.m, self.N
         soft = 400 + 20 * N
@@ -168,6 +169,8 @@ class _Simplex:
         while True:
             if self.pivots >= hard:
                 raise NumericalFailure(f"simplex stalled after {self.pivots} pivots")
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhausted("simplex ran past the deadline")
             bland = self.pivots >= soft
             d = self._reduced(c) if m else c.copy()
             elig = movable & (
@@ -345,13 +348,15 @@ class _Simplex:
         return True
 
 
-def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False):
+def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False, deadline=None):
     """Solve a LinearProgram.
 
     Returns an LPResult with status Optimal, Infeasible or Unbounded.
-    Raises NumericalFailure when the pivot budget runs out.  With
-    ``keep_tableau`` the result gains a ``tableau`` attribute exposing
-    the final simplex state (used by the cut generator).
+    Raises NumericalFailure when the pivot budget runs out, and
+    BudgetExhausted once the ``time.monotonic()`` value ``deadline`` has
+    passed at a pivot.  With ``keep_tableau`` the result gains a
+    ``tableau`` attribute exposing the final simplex state (used by the
+    cut generator).
     """
     n, m = lp.nvars, lp.nrows
     scale = 1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0)
@@ -406,7 +411,7 @@ def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False):
         sx.refresh()
         c1 = np.zeros(sx.N)
         c1[art] = 1.0
-        if sx.run(c1, tol=tol) is not LPStatus.OPTIMAL:
+        if sx.run(c1, tol=tol, deadline=deadline) is not LPStatus.OPTIMAL:
             raise NumericalFailure("phase 1 reported unbounded")
         sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
@@ -428,7 +433,7 @@ def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False):
 
     c2 = np.zeros(sx.N)
     c2[:n] = lp.c
-    status = sx.run(c2, tol=tol)
+    status = sx.run(c2, tol=tol, deadline=deadline)
     sx.refresh()
     if status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)

@@ -1,10 +1,13 @@
 """Polyhedra and lifted convex hulls of unions.
 
 The hull of a union of bounded polyhedra is kept in extended form: one
-scaled copy of each piece plus convex multipliers.  Membership and
-decomposition are feasibility LPs over the lifted variables; no vertex
-or facet enumeration happens anywhere.
+scaled copy of each piece plus convex multipliers, encoded over
+nonnegative shifted variables by ``encode_region``.  That one encoding
+serves the Nash LCP, membership and decomposition; no vertex or facet
+enumeration happens anywhere.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +120,7 @@ class ExtendedHull:
         return f"ExtendedHull(dim={self.dim}, pieces={len(self.pieces)})"
 
 
-def convex_hull(pieces, tols=DEFAULT_TOLS):
+def convex_hull(pieces):
     """Build the hull of a union of pieces (Polyhedron or ExtendedHull).
 
     Empty pieces are dropped; nested hulls are flattened.  Every piece
@@ -145,68 +148,89 @@ def convex_hull(pieces, tols=DEFAULT_TOLS):
     return ExtendedHull(kept, boxes)
 
 
-def _lifted_lp(hull, x, eps):
-    """Feasibility LP for x in hull; variables are (x_k, theta_k) per piece."""
-    n, K = hull.dim, len(hull.pieces)
+@dataclass(eq=False)
+class RegionEncoding:
+    """Region rewritten as { v >= 0 : G v <= h } with x = v[:m] + shift."""
+
+    G: np.ndarray
+    h: np.ndarray
+    shift: np.ndarray
+    nvars: int
+    m: int
+
+
+def encode_region(region):
+    """Rewrite a Polyhedron or ExtendedHull over nonnegative variables.
+
+    For a hull the variable block is (x, one scaled copy y_k per piece,
+    convex multipliers theta_k), where a point x_k of piece k with box
+    corner lo_k enters as y_k = theta_k (x_k - lo_k).  The first m
+    variables always carry the shifted strategy point.
+    """
+    if isinstance(region, Polyhedron):
+        lo, hi = region.bounding_box()
+        m = region.dim
+        G = np.vstack([region.A, np.eye(m)])
+        h = np.concatenate([region.b - region.A @ lo, hi - lo])
+        return RegionEncoding(G=G, h=h, shift=lo, nvars=m, m=m)
+
+    if not isinstance(region, ExtendedHull):
+        raise TypeError(f"cannot encode region of type {type(region).__name__}")
+    m, K = region.dim, len(region.pieces)
+    LB = np.min(np.array([lo for lo, _ in region.boxes]), axis=0)
+    theta0 = m + K * m
+    link0 = sum(p.nrows for p in region.pieces) + K * m
+    G = np.zeros((link0 + 2 * m + 2, theta0 + K))
+    h = np.zeros(link0 + 2 * m + 2)
+    # linking  v[:m] + LB = sum_k (y_k + lo_k theta_k), both directions
+    link = G[link0 : link0 + m]
+    link[:, :m] = np.eye(m)
+    r = 0
+    for k, (piece, (lo, hi)) in enumerate(zip(region.pieces, region.boxes)):
+        ys = slice(m + k * m, m + (k + 1) * m)
+        t = theta0 + k
+        # piece rows scaled by theta_k:  A_k y_k + (A_k lo_k - b_k) theta_k <= 0
+        G[r : r + piece.nrows, ys] = piece.A
+        G[r : r + piece.nrows, t] = [float(a @ lo - b) for a, b in zip(piece.A, piece.b)]
+        r += piece.nrows
+        # box rows:  y_k <= (hi_k - lo_k) theta_k
+        G[r : r + m, ys] = np.eye(m)
+        G[r : r + m, t] = -(hi - lo)
+        r += m
+        link[:, ys] = -np.eye(m)
+        link[:, t] = -lo
+    G[link0 + m : link0 + 2 * m] = -link
+    h[link0 : link0 + m] = -LB
+    h[link0 + m : link0 + 2 * m] = LB
+    # convexity  sum theta = 1, both directions
+    G[-2, theta0:] = 1.0
+    G[-1] = -G[-2]
+    h[-2:] = (1.0, -1.0)
+    return RegionEncoding(G=G, h=h, shift=LB, nvars=theta0 + K, m=m)
+
+
+def _boxed_solve(hull, x, eps):
+    """Feasibility LP over the hull's encoding with v[:m] = x - shift +- eps.
+
+    Returns (encoding, LPResult), or (encoding, None) without an LP when
+    x lies more than eps below every piece's box in some coordinate.
+    """
+    enc = encode_region(hull)
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"point must have dimension {n}")
-    width = K * (n + 1)
-
-    def xk(k):
-        return slice(k * n, (k + 1) * n)
-
-    theta0 = K * n
-    rows, rhs = [], []
-    for k, (piece, (lo, hi)) in enumerate(zip(hull.pieces, hull.boxes)):
-        # piece rows scaled by theta_k:  A_k x_k - b_k theta_k <= 0
-        for i in range(piece.nrows):
-            row = np.zeros(width)
-            row[xk(k)] = piece.A[i]
-            row[theta0 + k] = -piece.b[i]
-            rows.append(row)
-            rhs.append(0.0)
-        # box rows:  lo_k theta_k <= x_k <= hi_k theta_k
-        for j in range(n):
-            row = np.zeros(width)
-            row[k * n + j] = 1.0
-            row[theta0 + k] = -hi[j]
-            rows.append(row)
-            rhs.append(0.0)
-            row = np.zeros(width)
-            row[k * n + j] = -1.0
-            row[theta0 + k] = lo[j]
-            rows.append(row)
-            rhs.append(0.0)
-    # linking: sum_k x_k = x (within eps), convexity: sum theta = 1
-    for j in range(n):
-        row = np.zeros(width)
-        for k in range(K):
-            row[k * n + j] = 1.0
-        rows.append(row.copy())
-        rhs.append(x[j] + eps)
-        rows.append(-row)
-        rhs.append(-(x[j] - eps))
-    row = np.zeros(width)
-    row[theta0:] = 1.0
-    rows.append(row.copy())
-    rhs.append(1.0)
-    rows.append(-row)
-    rhs.append(-1.0)
-
-    lb = np.zeros(width)
-    ub = np.zeros(width)
-    for k, (lo, hi) in enumerate(hull.boxes):
-        lb[xk(k)] = np.minimum(lo, 0.0)
-        ub[xk(k)] = np.maximum(hi, 0.0)
-    ub[theta0:] = 1.0
-    return LinearProgram(np.zeros(width), np.array(rows), np.array(rhs), lb, ub), theta0, n
+    if x.shape != (enc.m,):
+        raise ValueError(f"point must have dimension {enc.m}")
+    if np.any(x - enc.shift + eps < 0.0):
+        return enc, None
+    lb, ub = np.zeros(enc.nvars), np.full(enc.nvars, np.inf)
+    lb[: enc.m] = np.maximum(x - enc.shift - eps, 0.0)
+    ub[: enc.m] = x - enc.shift + eps
+    return enc, solve_lp(LinearProgram(np.zeros(enc.nvars), enc.G, enc.h, lb, ub))
 
 
 def hull_contains(hull, x, eps=DEFAULT_TOLS.feasibility):
-    """Membership of x in the hull, up to eps slack on the linking rows."""
-    lp, _, _ = _lifted_lp(hull, x, eps)
-    return solve_lp(lp).status is LPStatus.OPTIMAL
+    """Membership of x in the hull, up to eps in each coordinate."""
+    _, res = _boxed_solve(hull, x, eps)
+    return res is not None and res.status is LPStatus.OPTIMAL
 
 
 def decompose(hull, x, tols=DEFAULT_TOLS):
@@ -216,16 +240,11 @@ def decompose(hull, x, tols=DEFAULT_TOLS):
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.
     """
-    lp, theta0, n = _lifted_lp(hull, x, tols.feasibility)
-    res = solve_lp(lp)
-    if res.status is not LPStatus.OPTIMAL:
+    enc, res = _boxed_solve(hull, x, tols.feasibility)
+    if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
-    theta = res.x[theta0:]
-    out = []
-    for k, t in enumerate(theta):
-        if t <= tols.zero:
-            continue
-        point = res.x[k * n : (k + 1) * n] / t
-        out.append((float(t), point))
-    total = sum(w for w, _ in out)
-    return [(w / total, p) for w, p in out]
+    m, K = enc.m, len(hull.pieces)
+    y, theta = res.x[m : m + K * m].reshape(K, m), res.x[m + K * m :]
+    keep = np.nonzero(theta > tols.zero)[0]
+    total = float(theta[keep].sum())
+    return [(float(theta[k]) / total, y[k] / theta[k] + hull.boxes[k][0]) for k in keep]

@@ -165,3 +165,48 @@ def lemke_row_loop(M, q, max_iter):
         if n <= var < 2 * n:
             z[var - n] = max(rhs[i], 0.0)
     return "solution", z, it + 1
+
+
+def encode_hull_row_loop(hull):
+    """The lifted-hull encoding assembled one Python row at a time.
+
+    The straightforward form of ``encode_region`` on an ExtendedHull,
+    kept as a reference for its block assembly.  Returns (G, h, shift).
+    """
+    m = hull.dim
+    K = len(hull.pieces)
+    LB = np.min(np.array([lo for lo, _ in hull.boxes]), axis=0)
+    nvars = m + K * m + K
+    copy0 = m
+    theta0 = m + K * m
+    rows, rhs = [], []
+    for k, (piece, (lo, hi)) in enumerate(zip(hull.pieces, hull.boxes)):
+        cs = slice(copy0 + k * m, copy0 + (k + 1) * m)
+        for i in range(piece.nrows):
+            row = np.zeros(nvars)
+            row[cs] = piece.A[i]
+            row[theta0 + k] = float(piece.A[i] @ lo - piece.b[i])
+            rows.append(row)
+            rhs.append(0.0)
+        for j in range(m):
+            row = np.zeros(nvars)
+            row[copy0 + k * m + j] = 1.0
+            row[theta0 + k] = -(hi[j] - lo[j])
+            rows.append(row)
+            rhs.append(0.0)
+    for sign in (1.0, -1.0):
+        base = np.zeros((m, nvars))
+        base[:, :m] = np.eye(m)
+        for k, (lo, _) in enumerate(hull.boxes):
+            base[:, copy0 + k * m : copy0 + (k + 1) * m] = -np.eye(m)
+            base[:, theta0 + k] = -lo
+        for j in range(m):
+            rows.append(sign * base[j])
+            rhs.append(sign * -LB[j])
+    row = np.zeros(nvars)
+    row[theta0:] = 1.0
+    rows.append(row.copy())
+    rhs.append(1.0)
+    rows.append(-row)
+    rhs.append(-1.0)
+    return np.array(rows), np.array(rhs), LB

@@ -163,10 +163,22 @@ def test_separation_oracle_cases():
     game = canonical_knapsack_game().game()
     blue = game.players[0]
     state = PlayerState(blue)
-    # integral and feasible: member with a certificate
-    assert isinstance(separation_oracle(state, np.array([0.0, 1.0])), Member)
+    # integral and feasible: a pure member, its own support
+    action = separation_oracle(state, np.array([0.0, 1.0]))
+    assert isinstance(action, Member) and action.pure
+    assert np.array_equal(action.strategy.barycenter, [0.0, 1.0])
+    assert [(w, p.tolist()) for w, p in action.strategy.support] == [(1.0, [0.0, 1.0])]
     # inside the strategy hull but fractional: member by convex combination
-    assert isinstance(separation_oracle(state, np.array([2.0 / 9.0, 7.0 / 9.0])), Member)
+    sigma = np.array([2.0 / 9.0, 7.0 / 9.0])
+    action = separation_oracle(state, sigma)
+    assert isinstance(action, Member) and not action.pure
+    assert np.array_equal(action.strategy.barycenter, sigma)
+    weights = np.array([w for w, _ in action.strategy.support])
+    atoms = np.array([p for _, p in action.strategy.support])
+    assert np.all(weights > 0) and abs(weights.sum() - 1.0) < 1e-9
+    assert np.array_equal(atoms, np.round(atoms))
+    assert all(blue.relaxation().contains(a) for a in atoms)
+    assert np.allclose(weights @ atoms, sigma, atol=1e-6)
     # relaxation vertex outside the hull: the cover cut separates it
     action = separation_oracle(state, np.array([1.0, 0.5]))
     assert isinstance(action, Cuts)
@@ -235,8 +247,6 @@ def test_options_validation():
         SolverOptions(deviation_eps=0.0)
     with pytest.raises(ValueError):
         SolverOptions(time_limit=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(workers=0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
 

@@ -267,3 +267,55 @@ def test_screen_changes_no_branching_outcome(monkeypatch):
             assert a.certified == b.certified, k
     # the screen must have spared some node LPs for the comparison to mean anything
     assert screened_lps < node_lps[0]
+
+
+def test_node_lps_stay_bounded_when_column_sums_are_negative():
+    # the node objective sum_free (z_j + w_j) is bounded below by
+    # -sum_free q_j however negative its cost on z is, so no node LP may
+    # come back unbounded: each is infeasible or a point with z, w >= 0
+    rng = seeded_rng(53)
+    feasible = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 8))
+        M = np.round(rng.normal(size=(n, n)) * 2, 0) - 1.0
+        M[:, M.sum(axis=0) >= 0] -= 1.0 + np.abs(M).max()
+        assert np.all(M.sum(axis=0) < 0)
+        problem = LCP(M=M, q=np.round(rng.normal(size=n) * 3, 0) + 2.0)
+        tol = 1e-6 * (1.0 + np.abs(problem.q).max())
+        for _ in range(4):
+            fixings = np.full(n, FIX_FREE, dtype=np.int64)
+            for j in rng.permutation(n):
+                sol = solve_lcp_with_fixings(problem, fixings)
+                if sol is None:
+                    break
+                feasible += 1
+                assert sol.z.min() >= -tol and sol.w.min() >= -tol, trial
+                fixings[j] = FIX_Z_ZERO if rng.random() < 0.5 else FIX_W_ZERO
+    assert feasible >= 200
+
+
+def test_node_lps_honor_the_deadline(monkeypatch):
+    import rbgames.lcp as lcp_module
+
+    problem = LCP(M=np.eye(2), q=np.array([-1.0, 2.0]))
+    with pytest.raises(BudgetExhausted):
+        solve_lcp_with_fixings(problem, np.full(2, FIX_FREE), deadline=time.monotonic() - 1.0)
+
+    # every node solves its LP, so branching's node count is the LP count
+    monkeypatch.setattr(lcp_module._NodeScreen, "check", lambda self, warm, fixings: (False, warm))
+    rng = seeded_rng(31)
+    problem = next(p for p in (_random_lcp(rng, 8, degenerate=False) for _ in range(200))
+                   if getattr(solve_lcp(p), "nodes", 0) >= 3)
+    real = lcp_module.solve_lcp_with_fixings
+    calls = [0]
+
+    def expiring(problem, fixings, deadline=None):
+        # the third node LP starts after the deadline has passed
+        calls[0] += 1
+        return real(problem, fixings, deadline=time.monotonic() - 1.0 if calls[0] == 3 else deadline)
+
+    monkeypatch.setattr(lcp_module, "solve_lcp_with_fixings", expiring)
+    with pytest.raises(BudgetExhausted) as info:
+        solve_lcp(problem, deadline=time.monotonic() + 60.0)
+    assert calls[0] == 3
+    assert info.value.nodes == 3

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+import rbgames.poly as poly_module
+
 from rbgames import (
     EmptyUnion,
     Polyhedron,
     convex_hull,
     decompose,
+    encode_region,
     hull_contains,
     seeded_rng,
 )
 
-from oracles import in_convex_hull_of, polyhedron_vertices
+from oracles import encode_hull_row_loop, in_convex_hull_of, polyhedron_vertices
 
 _EPS = 1e-7
 
@@ -154,3 +157,54 @@ def test_hull_requires_bounded_pieces():
     open_piece = _box([0.0], [np.inf])
     with pytest.raises(ValueError):
         convex_hull([open_piece])
+
+
+def test_hull_encoding_matches_the_row_loop_reference():
+    # block assembly must reproduce the row-by-row encoder bit for bit,
+    # signed zeros included, since the Nash LCP is built from it
+    rng = seeded_rng(47)
+    zero_row_pieces = 0
+    for trial in range(150):
+        n = int(rng.integers(1, 5))
+        pieces = []
+        for _ in range(int(rng.integers(1, 5))):
+            lo = np.round(rng.random(n) * 4 - 3, 2)
+            hi = lo + np.round(rng.random(n) * 2 + 0.1, 2)
+            k = int(rng.integers(0, 4))
+            A = rng.normal(size=(k, n))
+            b = A @ ((lo + hi) / 2) + rng.random(k) + 0.1
+            pieces.append(Polyhedron(A, b, lo, hi))
+            zero_row_pieces += k == 0
+        hull = convex_hull(pieces)
+        enc = encode_region(hull)
+        G, h, shift = encode_hull_row_loop(hull)
+        for ours, ref in ((enc.G, G), (enc.h, h), (enc.shift, shift)):
+            assert ours.shape == ref.shape, trial
+            assert ours.tobytes() == ref.tobytes(), trial
+        assert (enc.nvars, enc.m) == (G.shape[1], n)
+    assert zero_row_pieces >= 20
+
+
+def test_membership_and_decomposition_on_shifted_pieces(monkeypatch):
+    left = _box([-3.0, -2.0], [-1.0, 0.0], [[1.0, 1.0]], [-2.0])  # x1 + x2 <= -2
+    right = _box([1.0, -1.0], [2.0, 1.0])
+    hull = convex_hull([left, right])
+    mid = np.array([-0.5, -0.5])  # halfway from (-3, -2) to (2, 1)
+    assert hull_contains(hull, mid)
+    parts = decompose(hull, mid)
+    assert len(parts) == 2
+    assert abs(sum(w for w, _ in parts) - 1.0) < 1e-9
+    assert np.allclose(sum(w * p for w, p in parts), mid, atol=1e-6)
+    for (w, p), piece in zip(parts, (left, right)):
+        assert w > 0 and piece.contains(p, eps=1e-6)
+    # the upper edge runs from (-3, 0) to (1, 1), through (-1, 0.5)
+    assert hull_contains(hull, np.array([-1.0, 0.45]))
+    assert not hull_contains(hull, np.array([-1.0, 0.55]))
+    # within eps of the lowest box in the shifted coordinate
+    assert hull_contains(hull, np.array([-3.0 - 5e-8, -0.5]))
+    # below every box in x1: answered without an LP
+    monkeypatch.setattr(poly_module, "solve_lp", None)
+    below = np.array([-3.5, -0.5])
+    assert not hull_contains(hull, below)
+    with pytest.raises(ValueError):
+        decompose(hull, below)
