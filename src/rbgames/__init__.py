@@ -55,7 +55,6 @@ from .lcp import (
     FIX_W_ZERO,
     FIX_Z_ZERO,
     LCP,
-    LCPMethod,
     LCPSolution,
     NoSolution,
     solve_lcp,
@@ -72,7 +71,16 @@ from .model import (
     save_instance,
     save_result,
 )
-from .numerics import DEFAULT_TOLS, SparseMatrix, Tolerances, approx_eq, seeded_rng, spmv
+from .numerics import (
+    COMPLEMENTARITY_TOL,
+    DEVIATION_EPS,
+    FEAS_TOL,
+    ZERO_TOL,
+    SparseMatrix,
+    approx_eq,
+    seeded_rng,
+    spmv,
+)
 from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, encode_region, hull_contains
 
 __version__ = "0.1.0"
@@ -81,14 +89,16 @@ __all__ = [
     "Algorithm",
     "Branch",
     "BudgetExhausted",
+    "COMPLEMENTARITY_TOL",
     "Cuts",
-    "DEFAULT_TOLS",
+    "DEVIATION_EPS",
     "Deviation",
     "DocumentError",
     "EmptyUnion",
     "EqStatus",
     "EquilibriumResult",
     "ExtendedHull",
+    "FEAS_TOL",
     "GameModel",
     "InfeasibleGame",
     "Instance",
@@ -96,7 +106,6 @@ __all__ = [
     "FIX_W_ZERO",
     "FIX_Z_ZERO",
     "LCP",
-    "LCPMethod",
     "LCPSolution",
     "LPResult",
     "LPStatus",
@@ -113,7 +122,7 @@ __all__ = [
     "SolverOptions",
     "SparseMatrix",
     "StrategyProfile",
-    "Tolerances",
+    "ZERO_TOL",
     "approx_eq",
     "build_nash_lcp",
     "canonical_knapsack_game",

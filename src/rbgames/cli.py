@@ -12,9 +12,8 @@ import sys
 from .cutplay import Algorithm, SolverOptions
 from .errors import DocumentError, NumericalFailure
 from .game import EqStatus
-from .lcp import LCPMethod
 from .model import load_instance, save_result
-from .numerics import Tolerances
+from .numerics import DEVIATION_EPS
 
 _EXIT_BY_STATUS = {
     EqStatus.PNE: 0,
@@ -41,16 +40,10 @@ def build_parser():
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=3e-4,
-        help="deviation tolerance for accepting an equilibrium (default: 3e-4)",
+        default=DEVIATION_EPS,
+        help="deviation tolerance for accepting an equilibrium (default: %(default)g)",
     )
     parser.add_argument("--timelimit", type=float, default=None, help="wall clock limit in seconds")
-    parser.add_argument(
-        "--lcp",
-        choices=[LCPMethod.BRANCHING.value, LCPMethod.LEMKE.value],
-        default=LCPMethod.BRANCHING.value,
-        help="complementarity solver (default: branching)",
-    )
     parser.add_argument("--output", default=None, help="write the result document to this path")
     parser.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
     return parser
@@ -107,8 +100,6 @@ def main(argv=None):
         algorithm=args.algorithm,
         deviation_eps=args.tolerance,
         time_limit=args.timelimit,
-        lcp_method=LCPMethod(args.lcp),
-        tols=Tolerances(deviation=args.tolerance),
     )
     names = [p.name for p in inst.players]
     try:

@@ -13,7 +13,7 @@ face the final best-response check.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    deviation_check, opponents_vector, profile_payoffs,
                    support_from_points)
 from .ip import parametrized_objective, solve_ip
-from .lcp import LCPMethod, NoSolution, solve_lcp
+from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
-from .numerics import DEFAULT_TOLS, Tolerances
+from .numerics import DEVIATION_EPS, FEAS_TOL
 from .poly import convex_hull
 
 _INT_TOL = 1e-6
@@ -41,14 +41,18 @@ class Algorithm:
 
 @dataclass(eq=False)
 class SolverOptions:
-    """Knobs shared by both algorithms; the solvers are deterministic."""
+    """Knobs shared by both algorithms; the solvers are deterministic.
+
+    ``deviation_eps`` is the payoff gain that counts as a profitable
+    deviation, ``time_limit`` the wall clock limit in seconds (None: no
+    limit) and ``max_iterations`` the cap on cut-and-play rounds.  Every
+    other tolerance is a constant of ``numerics``.
+    """
 
     algorithm: str = Algorithm.CUT_AND_PLAY
-    deviation_eps: float = DEFAULT_TOLS.deviation
+    deviation_eps: float = DEVIATION_EPS
     time_limit: float = None
-    lcp_method: LCPMethod = LCPMethod.BRANCHING
     max_iterations: int = 100
-    tols: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.algorithm not in (Algorithm.CUT_AND_PLAY, Algorithm.FULL_ENUMERATION):
@@ -86,9 +90,8 @@ class Branch:
 class PlayerState:
     """Outer approximation of one player's mixed-strategy hull."""
 
-    def __init__(self, program, tols=DEFAULT_TOLS):
+    def __init__(self, program):
         self.program = program
-        self.tols = tols
         self.pieces = [program.relaxation()]
         self.cut_pool = []  # (pi, pi0), all valid for every integer point
         self._region = None
@@ -118,7 +121,7 @@ class PlayerState:
         for pi, pi0 in new_cuts:
             if pure is not None and pure.size:
                 worst = float(np.max(pure @ pi) - pi0)
-                if worst > self.tols.feasibility:
+                if worst > FEAS_TOL:
                     raise NumericalFailure(f"generated cut drops an integer point by {worst:.2e}")
         self.cut_pool.extend(new_cuts)
         rows = np.array([pi for pi, _ in new_cuts])
@@ -141,15 +144,15 @@ class PlayerState:
 class OuterApproximation:
     """Per-player refinement state for one cut-and-play run."""
 
-    def __init__(self, game, tols=DEFAULT_TOLS):
+    def __init__(self, game):
         self.game = game
-        self.states = [PlayerState(p, tols) for p in game.players]
+        self.states = [PlayerState(p) for p in game.players]
 
     def regions(self):
         return [s.region() for s in self.states]
 
 
-def separation_oracle(state, sigma, cost=None, tols=DEFAULT_TOLS):
+def separation_oracle(state, sigma, cost=None):
     """Decide Member / Cuts / Branch for a strategy point.
 
     Member carries its certificate: the point snapped to integers when
@@ -165,11 +168,11 @@ def separation_oracle(state, sigma, cost=None, tols=DEFAULT_TOLS):
     snapped = sigma.copy()
     snapped[ints] = np.round(snapped[ints])
     integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
-    if integral and p.relaxation().contains(snapped, tols.feasibility):
+    if integral and p.relaxation().contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
     pure = state.pure_points()
-    support = support_from_points(pure, sigma, tols) if pure is not None and pure.size else None
+    support = support_from_points(pure, sigma) if pure is not None and pure.size else None
     if support is not None:
         return Member(PlayerStrategy(sigma, support))
 
@@ -177,9 +180,9 @@ def separation_oracle(state, sigma, cost=None, tols=DEFAULT_TOLS):
     binary = np.zeros(p.nvars, dtype=bool)
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
-    found = cutgen.cover_cuts(A, b, sigma, binary, tols.feasibility)
+    found = cutgen.cover_cuts(A, b, sigma, binary)
     if not found and cost is not None and ints.size == p.nvars:
-        found = cutgen.gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma, tols.feasibility)
+        found = cutgen.gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma)
     if found:
         return Cuts(found)
 
@@ -230,6 +233,17 @@ def _result(status, stats, profile=None, payoffs=None):
     return EquilibriumResult(status=status, profile=profile, payoffs=payoffs, stats=stats)
 
 
+def _exhausted(deadline):
+    """Status of a run whose solver raised BudgetExhausted.
+
+    Only a passed deadline is a time limit; a node or pivot budget that
+    runs out before it is a numerical failure.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        return EqStatus.TIME_LIMIT
+    return EqStatus.NUMERICAL_FAILURE
+
+
 def cut_and_play(game, opts=None, watcher=None):
     """Find one equilibrium of the game by outer approximation.
 
@@ -237,7 +251,6 @@ def cut_and_play(game, opts=None, watcher=None):
     hook used by the test suite to audit the outer-ness invariant.
     """
     opts = opts or SolverOptions()
-    tols = opts.tols
     t0 = time.monotonic()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     stats = SolveStats()
@@ -251,25 +264,23 @@ def cut_and_play(game, opts=None, watcher=None):
         try:
             probe = solve_ip(p, np.zeros(p.opp_vars), deadline=deadline)
         except BudgetExhausted:
-            return finish(EqStatus.TIME_LIMIT)
+            return finish(_exhausted(deadline))
         if probe.status is LPStatus.INFEASIBLE:
             return finish(EqStatus.INFEASIBLE)
         if probe.status is LPStatus.UNBOUNDED:
             raise ValueError(f"player {i} ({p.name}) must have a bounded feasible set")
 
-    outer = OuterApproximation(game, tols)
+    outer = OuterApproximation(game)
     for iteration in range(1, opts.max_iterations + 1):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
             return finish(EqStatus.TIME_LIMIT)
         problem, index_map = build_nash_lcp(game, outer.regions())
         try:
-            sol = solve_lcp(problem, method=opts.lcp_method, tols=tols, deadline=deadline)
+            sol = solve_lcp(problem, deadline=deadline)
         except BudgetExhausted as exc:
             stats.lcp_nodes += exc.nodes
-            if deadline is not None and time.monotonic() > deadline:
-                return finish(EqStatus.TIME_LIMIT)
-            return finish(EqStatus.NUMERICAL_FAILURE)
+            return finish(_exhausted(deadline))
         if isinstance(sol, NoSolution):
             if sol.certified:
                 return finish(EqStatus.NO_EQUILIBRIUM_FOUND)
@@ -280,18 +291,21 @@ def cut_and_play(game, opts=None, watcher=None):
         actions = []
         for i, state in enumerate(outer.states):
             cost = parametrized_objective(game.players[i], opponents_vector(game, sigmas, i))
-            actions.append(separation_oracle(state, sigmas[i], cost, tols))
+            actions.append(separation_oracle(state, sigmas[i], cost))
 
         if all(isinstance(a, Member) for a in actions):
             return _certify(game, actions, opts, deadline, finish)
 
-        for state, action in zip(outer.states, actions):
-            if isinstance(action, Cuts):
-                stats.cuts += len(action.cuts)
-                refine_region(state, action)
-            elif isinstance(action, Branch):
-                stats.branches += 1
-                refine_region(state, action)
+        try:
+            for state, action in zip(outer.states, actions):
+                if isinstance(action, Cuts):
+                    stats.cuts += len(action.cuts)
+                    refine_region(state, action)
+                elif isinstance(action, Branch):
+                    stats.branches += 1
+                    refine_region(state, action)
+        except InfeasibleGame:
+            return finish(EqStatus.INFEASIBLE)
         if watcher is not None:
             watcher(outer, iteration)
 
@@ -304,30 +318,27 @@ def _certify(game, members, opts, deadline, finish):
     try:
         devs = deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline)
     except BudgetExhausted:
-        return finish(EqStatus.TIME_LIMIT)
+        return finish(_exhausted(deadline))
+    except InfeasibleGame:
+        return finish(EqStatus.INFEASIBLE)
     if devs:
         return finish(EqStatus.NUMERICAL_FAILURE)
     status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE
     return finish(status, profile=profile, payoffs=profile_payoffs(game, profile))
 
 
-def solve_game(game, opts=None, deadline=None):
+def solve_game(game, opts=None):
     """Dispatch on the selected algorithm; returns a list of results."""
     opts = opts or SolverOptions()
-    if opts.algorithm == Algorithm.FULL_ENUMERATION:
-        t0 = time.monotonic()
-        if deadline is None and opts.time_limit is not None:
-            deadline = t0 + opts.time_limit
-        try:
-            found = full_enumeration(game, deadline=deadline)
-        except BudgetExhausted:
-            return [_result(EqStatus.TIME_LIMIT, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]
-        except InfeasibleGame:
-            return [_result(EqStatus.INFEASIBLE, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]
-        if not found:
-            return [_result(EqStatus.NO_EQUILIBRIUM_FOUND, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]
-        return found
-    try:
+    if opts.algorithm == Algorithm.CUT_AND_PLAY:
         return [cut_and_play(game, opts)]
+    t0 = time.monotonic()
+    deadline = t0 + opts.time_limit if opts.time_limit is not None else None
+    status, found = EqStatus.NO_EQUILIBRIUM_FOUND, []
+    try:
+        found = full_enumeration(game, deadline=deadline)
+    except BudgetExhausted:
+        status = EqStatus.TIME_LIMIT
     except InfeasibleGame:
-        return [_result(EqStatus.INFEASIBLE, SolveStats())]
+        status = EqStatus.INFEASIBLE
+    return found or [_result(status, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]

@@ -9,7 +9,7 @@ all integer-feasible points and strictly separates the queried point.
 import numpy as np
 
 from .lp import _AT_LB, _AT_UB, _BASIC, LinearProgram, LPStatus, solve_lp
-from .numerics import DEFAULT_TOLS
+from .numerics import FEAS_TOL
 
 _FRAC_TOL = 1e-6
 
@@ -18,12 +18,12 @@ def _is_integral(arr, tol=1e-9):
     return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
 
 
-def cover_cuts(A, b, sigma, binary, eps=DEFAULT_TOLS.feasibility):
+def cover_cuts(A, b, sigma, binary):
     """Greedy minimal-cover separation on each eligible knapsack row.
 
     A row is eligible when every variable it touches is binary and its
     coefficients are positive.  Returns (pi, pi0) pairs with pi.sigma >
-    pi0 + eps.
+    pi0 + FEAS_TOL.
     """
     sigma = np.asarray(sigma, dtype=float)
     out = []
@@ -51,14 +51,14 @@ def cover_cuts(A, b, sigma, binary, eps=DEFAULT_TOLS.feasibility):
             if weight - a[j] > b[i]:
                 cover.remove(j)
                 weight -= a[j]
-        if sigma[cover].sum() > len(cover) - 1 + eps:
+        if sigma[cover].sum() > len(cover) - 1 + FEAS_TOL:
             pi = np.zeros(A.shape[1])
             pi[cover] = 1.0
             out.append((pi, float(len(cover) - 1)))
     return out
 
 
-def gomory_cuts(A, b, lb, ub, integers, cost, sigma, eps=DEFAULT_TOLS.feasibility):
+def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
     """Gomory fractional cuts violated by sigma.
 
     Requires a pure-integer system with integral data and bounds; rows
@@ -122,6 +122,6 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, eps=DEFAULT_TOLS.feasibilit
                 pi0 += -gamma * bs[row]
         if not ok:
             continue
-        if float(pi @ sigma) > pi0 + eps:
+        if float(pi @ sigma) > pi0 + FEAS_TOL:
             out.append((pi, float(pi0)))
     return out

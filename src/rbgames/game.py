@@ -18,7 +18,7 @@ from .errors import InfeasibleGame
 from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
-from .numerics import DEFAULT_TOLS
+from .numerics import DEVIATION_EPS, FEAS_TOL, ZERO_TOL
 from .poly import encode_region
 
 
@@ -173,7 +173,7 @@ class Deviation:
     improvement: float
 
 
-def deviation_check(game, profile, eps=DEFAULT_TOLS.deviation, deadline=None):
+def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None):
     """Profitable deviations against a profile of barycenters.
 
     Solves one best-response IP per player; player i is reported iff its
@@ -208,7 +208,7 @@ def profile_payoffs(game, profile):
     return [payoff(p, points[i], opponents_vector(game, points, i)) for i, p in enumerate(game.players)]
 
 
-def support_from_points(points, sigma, tols=DEFAULT_TOLS):
+def support_from_points(points, sigma):
     """Convex weights over a finite point set reproducing sigma.
 
     Returns a list of (weight, point) pairs or None when sigma is not in
@@ -218,7 +218,7 @@ def support_from_points(points, sigma, tols=DEFAULT_TOLS):
     pts = np.asarray(points, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     K, m = pts.shape
-    eps = tols.feasibility
+    eps = FEAS_TOL
     # rows: |P' w - sigma| <= eps and sum w = 1
     A = np.vstack([pts.T, -pts.T, np.ones((1, K)), -np.ones((1, K))])
     b = np.concatenate([sigma + eps, -(sigma - eps), [1.0], [-1.0]])
@@ -232,6 +232,6 @@ def support_from_points(points, sigma, tols=DEFAULT_TOLS):
         trial = w[keep] / w[keep].sum()
         if np.max(np.abs(pts[keep].T @ trial - sigma)) <= 10.0 * eps:
             return [(float(t), pts[k].copy()) for t, k in zip(trial, keep)]
-    keep = np.nonzero(w > tols.zero)[0]
+    keep = np.nonzero(w > ZERO_TOL)[0]
     total = float(w[keep].sum())
     return [(float(w[k] / total), pts[k].copy()) for k in keep]

@@ -112,7 +112,7 @@ def payoff(program, own, opponents):
     return float(parametrized_objective(program, opponents) @ own)
 
 
-def solve_ip(program, opponents=None, node_limit=200000, deadline=None, tol=1e-9):
+def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
     """Best response by branch and bound.
 
     Most-fractional branching with lowest-index ties, best-bound node
@@ -129,7 +129,7 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None, tol=1e-9
     heap = []
     counter = 0
     root = (program.lb.copy(), program.ub.copy())
-    res = solve_lp(LinearProgram(cost, A, b, *root), tol=tol)
+    res = solve_lp(LinearProgram(cost, A, b, *root))
     if res.status is LPStatus.INFEASIBLE:
         return LPResult(LPStatus.INFEASIBLE)
     if res.status is LPStatus.UNBOUNDED:
@@ -175,7 +175,7 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None, tol=1e-9
             child_lo[j], child_hi[j] = max(lo[j], lo_j), min(hi[j], hi_j)
             if child_lo[j] > child_hi[j]:
                 continue
-            child = solve_lp(LinearProgram(cost, A, b, child_lo, child_hi), tol=tol)
+            child = solve_lp(LinearProgram(cost, A, b, child_lo, child_hi))
             nodes += 1
             if child.status is LPStatus.INFEASIBLE:
                 continue

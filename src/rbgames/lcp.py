@@ -1,12 +1,14 @@
 """Linear complementarity:  0 <= z  perp  M z + q >= 0.
 
-Two solvers.  Branching fixes complementarity pairs one index at a time
-(z_j = 0 or w_j = 0), solving a bounded LP relaxation per node; it is
-complete, so an exhausted tree certifies that no solution exists.
-Lemke pivoting with the all-ones covering vector is faster on clean
-instances but ray termination proves nothing.  Both check the deadline
-as they go (branching at every node and at every pivot of a node's LP,
-Lemke at every pivot) and raise BudgetExhausted once it has passed.
+One path: a Lemke probe, then branching.  Lemke pivoting with the
+all-ones covering vector is tried first because it is far cheaper when
+it lands, but ray termination proves nothing.  Where it fails, branching
+fixes complementarity pairs one index at a time (z_j = 0 or w_j = 0),
+solving a bounded LP relaxation per node; it is complete, so an
+exhausted tree certifies that no solution exists.  Both check the
+deadline as they go (Lemke at every pivot, branching at every node and
+at every pivot of a node's LP) and raise BudgetExhausted once it has
+passed.
 
 Branching screens each child node before its LP relaxation.  All nodes
 share one system [-M | I] (z, w) = q, z, w >= 0, in which a fixing is
@@ -21,24 +23,18 @@ node count, only the time spent on dead ends.
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import BudgetExhausted, NumericalFailure
 from .lp import _AT_LB, _BASIC, LinearProgram, LPStatus, _Simplex, solve_lp
-from .numerics import DEFAULT_TOLS
+from .numerics import COMPLEMENTARITY_TOL
 
 _LEMKE_BLOCK = 32  # tableau rows per elimination step in Lemke
 
 FIX_FREE = 0
 FIX_Z_ZERO = 1
 FIX_W_ZERO = 2
-
-
-class LCPMethod(Enum):
-    BRANCHING = "branching"
-    LEMKE = "lemke"
 
 
 @dataclass(eq=False)
@@ -65,7 +61,6 @@ class LCP:
 class LCPSolution:
     z: np.ndarray
     w: np.ndarray
-    method: LCPMethod
     nodes: int = 0
 
     def residuals(self):
@@ -86,7 +81,7 @@ class NoSolution:
     nodes: int = 0
 
 
-def solve_lcp_with_fixings(problem, fixings, tol=1e-9, deadline=None):
+def solve_lcp_with_fixings(problem, fixings, deadline=None):
     """LP relaxation of the LCP under per-index fixings.
 
     Minimizes the sum of z_j + w_j over unfixed indexes subject to
@@ -115,13 +110,13 @@ def solve_lcp_with_fixings(problem, fixings, tol=1e-9, deadline=None):
     ub[fixings == FIX_Z_ZERO] = 0.0
     free = fixings == FIX_FREE
     cost = free.astype(float) + M[free].sum(axis=0)
-    res = solve_lp(LinearProgram(cost, A, b, lb, ub), tol=tol, deadline=deadline)
+    res = solve_lp(LinearProgram(cost, A, b, lb, ub), deadline=deadline)
     if res.status is LPStatus.INFEASIBLE:
         return None
     if res.status is LPStatus.UNBOUNDED:
         raise NumericalFailure("node LP unbounded although its objective is bounded below")
     z = res.x
-    return LCPSolution(z=z, w=M @ z + q, method=LCPMethod.BRANCHING)
+    return LCPSolution(z=z, w=M @ z + q)
 
 
 def _pattern_solve(problem, basic, tol=1e-9):
@@ -146,7 +141,7 @@ def _pattern_solve(problem, basic, tol=1e-9):
     if np.any(w < -tol):
         return None
     w[idx] = 0.0
-    return LCPSolution(z=z, w=w, method=LCPMethod.BRANCHING)
+    return LCPSolution(z=z, w=w)
 
 
 class _NodeScreen:
@@ -256,7 +251,7 @@ def _lemke(problem, eps, max_iter, deadline=None):
     M, q = problem.M, problem.q
     if np.all(q >= -eps):
         z = np.zeros(n)
-        return LCPSolution(z=z, w=q.copy(), method=LCPMethod.LEMKE, nodes=0)
+        return LCPSolution(z=z, w=q.copy(), nodes=0)
     # tableau over columns [w | z | z0], basis starts as w
     piv_tol = 1e-10
     T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q.reshape(-1, 1)])
@@ -304,7 +299,7 @@ def _lemke(problem, eps, max_iter, deadline=None):
     for i, var in enumerate(basis):
         if n <= var < 2 * n:
             z[var - n] = max(rhs[i], 0.0)
-    return LCPSolution(z=z, w=M @ z + q, method=LCPMethod.LEMKE, nodes=it + 1)
+    return LCPSolution(z=z, w=M @ z + q, nodes=it + 1)
 
 
 def _within_residuals(out, eps, order):
@@ -313,32 +308,24 @@ def _within_residuals(out, eps, order):
     return zmin >= -eps and wmin >= -eps and gap <= eps * max(norm, order)
 
 
-def solve_lcp(problem, method=LCPMethod.BRANCHING, tols=DEFAULT_TOLS,
-              node_limit=100000, deadline=None, max_iter=None):
+def solve_lcp(problem, node_limit=100000, deadline=None):
     """Solve the LCP; returns LCPSolution or NoSolution.
 
-    Branching exhausts the complementarity tree, so its NoSolution is a
-    certificate of emptiness; complementary pivoting is tried first as a
-    root heuristic because it is far cheaper when it lands.  Lemke's own
-    NoSolution (ray termination) is inconclusive.  Raises
-    BudgetExhausted when limits run out.
+    A Lemke probe runs first; where it ends on a ray, runs out of pivots
+    or misses the residual tolerance, branching takes over, and its
+    NoSolution is a certificate of emptiness.  ``nodes`` counts branching
+    nodes, 0 when the probe lands.  Raises BudgetExhausted when the node
+    limit or the deadline runs out.
     """
-    eps = tols.complementarity
-    if method is LCPMethod.BRANCHING:
-        try:
-            probe = _lemke(problem, eps, 200 + 30 * problem.order, deadline)
-        except BudgetExhausted:
-            probe = None
-        if isinstance(probe, LCPSolution) and _within_residuals(probe, eps, problem.order):
-            probe.nodes = 0
-            return probe
-        out = _branching(problem, eps, node_limit, deadline)
-    elif method is LCPMethod.LEMKE:
-        out = _lemke(problem, eps, max_iter or (200 + 30 * problem.order), deadline)
-    else:
-        raise ValueError(f"unknown LCP method: {method}")
+    eps = COMPLEMENTARITY_TOL
+    try:
+        probe = _lemke(problem, eps, 200 + 30 * problem.order, deadline)
+    except BudgetExhausted:
+        probe = None
+    if isinstance(probe, LCPSolution) and _within_residuals(probe, eps, problem.order):
+        probe.nodes = 0
+        return probe
+    out = _branching(problem, eps, node_limit, deadline)
     if isinstance(out, LCPSolution) and not _within_residuals(out, eps, problem.order):
-        if method is LCPMethod.LEMKE:
-            return NoSolution(certified=False, nodes=out.nodes)
         raise NumericalFailure("LCP residuals out of tolerance")
     return out

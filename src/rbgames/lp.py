@@ -348,7 +348,7 @@ class _Simplex:
         return True
 
 
-def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False, deadline=None):
+def solve_lp(lp, keep_tableau=False, deadline=None):
     """Solve a LinearProgram.
 
     Returns an LPResult with status Optimal, Infeasible or Unbounded.
@@ -359,9 +359,7 @@ def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False, deadline=None):
     cut generator).
     """
     n, m = lp.nvars, lp.nrows
-    scale = 1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0)
-    if feas_tol is None:
-        feas_tol = 1e-8 * scale
+    feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0))
 
     # columns: n structurals, then m slacks
     Acols = np.hstack([lp.A, np.eye(m)]) if m else np.zeros((0, n))
@@ -411,7 +409,7 @@ def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False, deadline=None):
         sx.refresh()
         c1 = np.zeros(sx.N)
         c1[art] = 1.0
-        if sx.run(c1, tol=tol, deadline=deadline) is not LPStatus.OPTIMAL:
+        if sx.run(c1, deadline=deadline) is not LPStatus.OPTIMAL:
             raise NumericalFailure("phase 1 reported unbounded")
         sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
@@ -433,7 +431,7 @@ def solve_lp(lp, tol=1e-9, feas_tol=None, keep_tableau=False, deadline=None):
 
     c2 = np.zeros(sx.N)
     c2[:n] = lp.c
-    status = sx.run(c2, tol=tol, deadline=deadline)
+    status = sx.run(c2, deadline=deadline)
     sx.refresh()
     if status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)

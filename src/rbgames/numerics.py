@@ -5,36 +5,16 @@ matrices are plain numpy arrays; the only custom carrier is a canonical
 triplet sparse matrix used for objective couplings and constraint rows.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds used throughout the solvers.
-
-    feasibility : constraint violation allowed when testing membership
-    complementarity : per-pair slack allowed in z'(Mz+q)
-    deviation : payoff improvement that counts as a profitable deviation
-    zero : magnitude below which a value is treated as exactly zero
-    """
-
-    feasibility: float = 1e-7
-    complementarity: float = 1e-7
-    deviation: float = 3e-4
-    zero: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("feasibility", "complementarity", "deviation", "zero"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name} must be positive")
+# Numeric thresholds used throughout the solvers.
+FEAS_TOL = 1e-7  # constraint violation allowed when testing membership
+COMPLEMENTARITY_TOL = 1e-7  # per-pair slack allowed in z'(Mz+q)
+ZERO_TOL = 1e-9  # magnitude below which a weight is treated as exactly zero
+DEVIATION_EPS = 3e-4  # default payoff gain that counts as a profitable deviation
 
 
-DEFAULT_TOLS = Tolerances()
-
-
-def approx_eq(a, b, eps=DEFAULT_TOLS.feasibility):
+def approx_eq(a, b, eps=FEAS_TOL):
     """True when |a - b| <= eps elementwise (works on scalars and arrays)."""
     return bool(np.all(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) <= eps))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyUnion
 from .lp import LinearProgram, LPStatus, solve_lp
-from .numerics import DEFAULT_TOLS
+from .numerics import FEAS_TOL, ZERO_TOL
 
 
 class Polyhedron:
@@ -45,7 +45,7 @@ class Polyhedron:
     def nrows(self):
         return self.A.shape[0]
 
-    def contains(self, x, eps=DEFAULT_TOLS.feasibility):
+    def contains(self, x, eps=FEAS_TOL):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"point must have dimension {self.dim}")
@@ -73,9 +73,9 @@ class Polyhedron:
             return None
         return Polyhedron(self.A, self.b, lb, ub)
 
-    def is_empty(self, feas_tol=None):
+    def is_empty(self):
         n = self.dim
-        res = solve_lp(LinearProgram(np.zeros(n), self.A, self.b, self.lb, self.ub), feas_tol=feas_tol)
+        res = solve_lp(LinearProgram(np.zeros(n), self.A, self.b, self.lb, self.ub))
         return res.status is LPStatus.INFEASIBLE
 
     def bounding_box(self):
@@ -227,24 +227,24 @@ def _boxed_solve(hull, x, eps):
     return enc, solve_lp(LinearProgram(np.zeros(enc.nvars), enc.G, enc.h, lb, ub))
 
 
-def hull_contains(hull, x, eps=DEFAULT_TOLS.feasibility):
+def hull_contains(hull, x, eps=FEAS_TOL):
     """Membership of x in the hull, up to eps in each coordinate."""
     _, res = _boxed_solve(hull, x, eps)
     return res is not None and res.status is LPStatus.OPTIMAL
 
 
-def decompose(hull, x, tols=DEFAULT_TOLS):
+def decompose(hull, x):
     """Write x as a convex combination of points of the pieces.
 
     Returns a list of (weight, point) pairs, one per piece with weight
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.
     """
-    enc, res = _boxed_solve(hull, x, tols.feasibility)
+    enc, res = _boxed_solve(hull, x, FEAS_TOL)
     if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
     m, K = enc.m, len(hull.pieces)
     y, theta = res.x[m : m + K * m].reshape(K, m), res.x[m + K * m :]
-    keep = np.nonzero(theta > tols.zero)[0]
+    keep = np.nonzero(theta > ZERO_TOL)[0]
     total = float(theta[keep].sum())
     return [(float(theta[k]) / total, y[k] / theta[k] + hull.boxes[k][0]) for k in keep]

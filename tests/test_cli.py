@@ -132,16 +132,16 @@ def test_help_exits_zero(capsys):
 
 
 def test_lemke_option(canonical_path, capsys):
+    # one LCP path: the flag that selected a solver is gone
     code = main(["--instance", canonical_path, "--lcp", "lemke"])
     capsys.readouterr()
-    assert code == 0
+    assert code == 1
 
 
 def test_parser_defaults():
     args = build_parser().parse_args(["--instance", "x.json"])
     assert args.algorithm == "cutandplay"
     assert args.tolerance == 3e-4
-    assert args.lcp == "branching"
     assert not args.quiet
 
 

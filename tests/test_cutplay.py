@@ -9,7 +9,6 @@ from rbgames import (
     Algorithm,
     EqStatus,
     GameModel,
-    LCPMethod,
     PlayerProgram,
     SolverOptions,
     cut_and_play,
@@ -18,7 +17,7 @@ from rbgames import (
     random_knapsack_game,
     solve_game,
 )
-from rbgames.errors import BudgetExhausted
+from rbgames.errors import BudgetExhausted, InfeasibleGame
 from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game
 from rbgames.poly import hull_contains, convex_hull
@@ -48,13 +47,6 @@ def test_known_game_converges_to_a_true_equilibrium():
     assert deviation_check(game, result.profile, eps=opts.deviation_eps) == []
     assert result.stats.iterations >= 1
     assert result.stats.wall_ms >= 0.0
-
-
-def test_lemke_backend_agrees():
-    game = canonical_knapsack_game().game()
-    result = cut_and_play(game, SolverOptions(lcp_method=LCPMethod.LEMKE))
-    assert result.status in (EqStatus.PNE, EqStatus.MNE)
-    _match_known(result, 1e-5)
 
 
 def test_single_player_game_reduces_to_its_ip():
@@ -133,6 +125,29 @@ def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
     assert result.status is EqStatus.NUMERICAL_FAILURE
     assert nodes["raised"] == [25]
     assert result.stats.lcp_nodes == nodes["returned"] + 25
+
+
+def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch):
+    # a branch-and-bound node limit, not the clock: no time limit is set
+    def exhausted(*args, **kwargs):
+        raise BudgetExhausted("node limit hit")
+
+    game = canonical_knapsack_game().game()
+    for name in ("solve_ip", "deviation_check"):  # the player probe, then certification
+        with monkeypatch.context() as patch:
+            patch.setattr(cutplay_module, name, exhausted)
+            assert cut_and_play(game, SolverOptions()).status is EqStatus.NUMERICAL_FAILURE, name
+
+
+def test_region_emptied_mid_run_keeps_its_stats(monkeypatch):
+    def emptied(state, action):
+        raise InfeasibleGame("region emptied by cuts")
+
+    monkeypatch.setattr(cutplay_module, "refine_region", emptied)
+    [result] = solve_game(canonical_knapsack_game().game(), SolverOptions())
+    assert result.status is EqStatus.INFEASIBLE
+    assert result.stats.iterations >= 1
+    assert result.stats.wall_ms > 0.0
 
 
 def test_iteration_cap_reports_numerical_failure():

@@ -4,7 +4,6 @@ import pytest
 from rbgames import (
     GameModel,
     InfeasibleGame,
-    LCPMethod,
     LCPSolution,
     PlayerProgram,
     PlayerStrategy,
@@ -121,7 +120,7 @@ def test_encode_region_shifts_bounds():
 
 def _kkt_profile(game, regions):
     lcp, index_map = build_nash_lcp(game, regions)
-    sol = solve_lcp(lcp, method=LCPMethod.BRANCHING)
+    sol = solve_lcp(lcp)
     assert isinstance(sol, LCPSolution)
     return index_map.extract(sol.z)
 

@@ -8,7 +8,6 @@ from rbgames import (
     FIX_W_ZERO,
     FIX_Z_ZERO,
     LCP,
-    LCPMethod,
     LCPSolution,
     NoSolution,
     seeded_rng,
@@ -17,6 +16,7 @@ from rbgames import (
 )
 
 from rbgames.errors import BudgetExhausted
+from rbgames.lcp import _branching, _lemke
 
 from oracles import brute_force_lcp, lemke_row_loop
 
@@ -49,14 +49,14 @@ def test_zero_solution_when_q_is_nonnegative():
 def test_certified_empty():
     # w = -1 < 0 is forced and z cannot lift it: no solution exists
     problem = LCP(M=np.array([[0.0]]), q=np.array([-1.0]))
-    out = solve_lcp(problem, method=LCPMethod.BRANCHING)
+    out = solve_lcp(problem)
     assert isinstance(out, NoSolution)
     assert out.certified
 
 
 def test_lemke_failure_is_not_certified():
     problem = LCP(M=np.array([[0.0]]), q=np.array([-1.0]))
-    out = solve_lcp(problem, method=LCPMethod.LEMKE)
+    out = _lemke(problem, 1e-7, 200 + 30 * problem.order)
     assert isinstance(out, NoSolution)
     assert not out.certified
 
@@ -95,7 +95,7 @@ def test_small_instances_match_pattern_oracle():
         q = np.round(rng.normal(size=n) * 2, 1)
         problem = LCP(M=M, q=q)
         ref = brute_force_lcp(M, q)
-        out = solve_lcp(problem, method=LCPMethod.BRANCHING, node_limit=20000)
+        out = solve_lcp(problem, node_limit=20000)
         if ref:
             # a nondegenerate basis solution exists, so the solver must
             # produce some solution (not necessarily the same one)
@@ -121,8 +121,9 @@ def test_positive_definite_instances_and_method_agreement():
         M = B @ B.T + n * np.eye(n)
         q = np.round(rng.normal(size=n) * 3, 2)
         problem = LCP(M=M, q=q)
-        a = solve_lcp(problem, method=LCPMethod.BRANCHING)
-        b = solve_lcp(problem, method=LCPMethod.LEMKE)
+        # solve_lcp would return the Lemke probe's own answer here
+        a = _branching(problem, 1e-7, 100000, None)
+        b = _lemke(problem, 1e-7, 200 + 30 * n)
         assert isinstance(a, LCPSolution), trial
         assert isinstance(b, LCPSolution), trial
         _check(problem, a)
@@ -132,9 +133,6 @@ def test_positive_definite_instances_and_method_agreement():
 
 
 def test_branching_respects_node_limit():
-    from rbgames.errors import BudgetExhausted
-    from rbgames.lcp import _branching
-
     rng = seeded_rng(40)
     raised = False
     problem = None
@@ -154,8 +152,6 @@ def test_branching_respects_node_limit():
 
 
 def test_vectorized_lemke_matches_the_row_loop_reference():
-    from rbgames.lcp import _lemke
-
     rng = seeded_rng(61)
     outcomes = set()
     for trial in range(400):
@@ -187,9 +183,10 @@ def test_lemke_honors_the_deadline():
     rng = seeded_rng(7)
     M = np.round(rng.normal(size=(30, 30)) * 2, 1)
     problem = LCP(M=M, q=-np.ones(30))
-    for method in (LCPMethod.LEMKE, LCPMethod.BRANCHING):
-        with pytest.raises(BudgetExhausted):
-            solve_lcp(problem, method=method, deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExhausted):
+        _lemke(problem, 1e-7, 200 + 30 * 30, deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExhausted):
+        solve_lcp(problem, deadline=time.monotonic() - 1.0)
 
 
 def _random_lcp(rng, n, degenerate):
@@ -253,11 +250,11 @@ def test_screen_changes_no_branching_outcome(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lcp_module, "solve_lcp_with_fixings", counted)
-    screened = [solve_lcp(p, method=LCPMethod.BRANCHING) for p in problems]
+    screened = [solve_lcp(p) for p in problems]
     screened_lps = node_lps[0]
     node_lps[0] = 0
     monkeypatch.setattr(lcp_module._NodeScreen, "check", lambda self, warm, fixings: (False, warm))
-    plain = [solve_lcp(p, method=LCPMethod.BRANCHING) for p in problems]
+    plain = [solve_lcp(p) for p in problems]
     for k, (a, b) in enumerate(zip(screened, plain)):
         assert type(a) is type(b), k
         assert a.nodes == b.nodes, k

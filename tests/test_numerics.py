@@ -1,21 +1,32 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from rbgames import DEFAULT_TOLS, SparseMatrix, Tolerances, approx_eq, seeded_rng, spmv
+from rbgames import (
+    COMPLEMENTARITY_TOL,
+    DEVIATION_EPS,
+    FEAS_TOL,
+    ZERO_TOL,
+    SolverOptions,
+    SparseMatrix,
+    approx_eq,
+    deviation_check,
+    seeded_rng,
+    spmv,
+)
+from rbgames.cli import build_parser
 
 
 def test_default_tolerances():
-    assert DEFAULT_TOLS.feasibility == 1e-7
-    assert DEFAULT_TOLS.complementarity == 1e-7
-    assert DEFAULT_TOLS.deviation == 3e-4
-    assert DEFAULT_TOLS.zero == 1e-9
-
-
-def test_tolerances_require_positive_values():
-    with pytest.raises(ValueError):
-        Tolerances(feasibility=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(deviation=-1e-4)
+    assert FEAS_TOL == 1e-7
+    assert COMPLEMENTARITY_TOL == 1e-7
+    assert DEVIATION_EPS == 3e-4
+    assert ZERO_TOL == 1e-9
+    # one deviation default for the library, the check and the CLI
+    assert SolverOptions().deviation_eps == DEVIATION_EPS
+    assert inspect.signature(deviation_check).parameters["eps"].default == DEVIATION_EPS
+    assert build_parser().parse_args(["--instance", "x.json"]).tolerance == DEVIATION_EPS
 
 
 def test_approx_eq():
