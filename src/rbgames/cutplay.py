@@ -249,6 +249,7 @@ def cut_and_play(game, opts=None, watcher=None):
 
     ``watcher(outer, iteration)`` runs after every refinement round, a
     hook used by the test suite to audit the outer-ness invariant.
+    Every exit, a solver failure included, returns its SolveStats.
     """
     opts = opts or SolverOptions()
     t0 = time.monotonic()
@@ -259,12 +260,20 @@ def cut_and_play(game, opts=None, watcher=None):
         stats.wall_ms = (time.monotonic() - t0) * 1000.0
         return _result(status, stats, profile, payoffs)
 
+    try:
+        return _rounds(game, opts, deadline, stats, finish, watcher)
+    except BudgetExhausted:
+        return finish(_exhausted(deadline))
+    except InfeasibleGame:
+        return finish(EqStatus.INFEASIBLE)
+    except NumericalFailure:
+        return finish(EqStatus.NUMERICAL_FAILURE)
+
+
+def _rounds(game, opts, deadline, stats, finish, watcher):
     # a player with an empty strategy set means no equilibrium of any kind
     for i, p in enumerate(game.players):
-        try:
-            probe = solve_ip(p, np.zeros(p.opp_vars), deadline=deadline)
-        except BudgetExhausted:
-            return finish(_exhausted(deadline))
+        probe = solve_ip(p, np.zeros(p.opp_vars), deadline=deadline)
         if probe.status is LPStatus.INFEASIBLE:
             return finish(EqStatus.INFEASIBLE)
         if probe.status is LPStatus.UNBOUNDED:
@@ -280,12 +289,12 @@ def cut_and_play(game, opts=None, watcher=None):
             sol = solve_lcp(problem, deadline=deadline)
         except BudgetExhausted as exc:
             stats.lcp_nodes += exc.nodes
-            return finish(_exhausted(deadline))
-        if isinstance(sol, NoSolution):
-            if sol.certified:
-                return finish(EqStatus.NO_EQUILIBRIUM_FOUND)
-            return finish(EqStatus.NUMERICAL_FAILURE)
+            raise
         stats.lcp_nodes += sol.nodes
+        del problem  # the next round's LCP is built without this one alive
+        if isinstance(sol, NoSolution):
+            # each round's game has an equilibrium, so its LCP a solution
+            return finish(EqStatus.NUMERICAL_FAILURE)
 
         sigmas = index_map.extract(sol.z)
         actions = []
@@ -296,16 +305,13 @@ def cut_and_play(game, opts=None, watcher=None):
         if all(isinstance(a, Member) for a in actions):
             return _certify(game, actions, opts, deadline, finish)
 
-        try:
-            for state, action in zip(outer.states, actions):
-                if isinstance(action, Cuts):
-                    stats.cuts += len(action.cuts)
-                    refine_region(state, action)
-                elif isinstance(action, Branch):
-                    stats.branches += 1
-                    refine_region(state, action)
-        except InfeasibleGame:
-            return finish(EqStatus.INFEASIBLE)
+        for state, action in zip(outer.states, actions):
+            if isinstance(action, Cuts):
+                stats.cuts += len(action.cuts)
+                refine_region(state, action)
+            elif isinstance(action, Branch):
+                stats.branches += 1
+                refine_region(state, action)
         if watcher is not None:
             watcher(outer, iteration)
 
@@ -315,13 +321,7 @@ def cut_and_play(game, opts=None, watcher=None):
 def _certify(game, members, opts, deadline, finish):
     """Every oracle call said Member: deviation-check their strategies."""
     profile = StrategyProfile([m.strategy for m in members])
-    try:
-        devs = deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline)
-    except BudgetExhausted:
-        return finish(_exhausted(deadline))
-    except InfeasibleGame:
-        return finish(EqStatus.INFEASIBLE)
-    if devs:
+    if deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline):
         return finish(EqStatus.NUMERICAL_FAILURE)
     status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE
     return finish(status, profile=profile, payoffs=profile_payoffs(game, profile))
@@ -338,7 +338,7 @@ def solve_game(game, opts=None):
     try:
         found = full_enumeration(game, deadline=deadline)
     except BudgetExhausted:
-        status = EqStatus.TIME_LIMIT
+        status = _exhausted(deadline)
     except InfeasibleGame:
         status = EqStatus.INFEASIBLE
     return found or [_result(status, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]

@@ -21,20 +21,22 @@ def _is_integral(arr, tol=1e-9):
 def cover_cuts(A, b, sigma, binary):
     """Greedy minimal-cover separation on each eligible knapsack row.
 
-    A row is eligible when every variable it touches is binary and its
-    coefficients are positive.  Returns (pi, pi0) pairs with pi.sigma >
+    A row is eligible when its data is integral to 1e-9, every variable
+    it touches is binary and its coefficients are positive; it is used
+    rounded to those integers.  Returns (pi, pi0) pairs with pi.sigma >
     pi0 + FEAS_TOL.
     """
     sigma = np.asarray(sigma, dtype=float)
     out = []
     for i in range(A.shape[0]):
-        a = A[i]
+        if not (_is_integral(A[i]) and _is_integral(b[i : i + 1])):
+            continue
+        # sums of raw floats could miscount a cover by one ulp
+        a, bi = np.round(A[i]), float(np.round(b[i]))
         sup = np.nonzero(a)[0]
-        if sup.size < 2:
+        if sup.size < 2 or not np.all(binary[sup]) or np.any(a[sup] < 0):
             continue
-        if not np.all(binary[sup]) or np.any(a[sup] < 0) or not _is_integral(a[sup]) or not _is_integral(b[i : i + 1]):
-            continue
-        if a[sup].sum() <= b[i]:
+        if a[sup].sum() <= bi:
             continue
         # take items by descending sigma until the weights overflow b
         order = sup[np.argsort(-sigma[sup], kind="stable")]
@@ -42,13 +44,13 @@ def cover_cuts(A, b, sigma, binary):
         for j in order:
             cover.append(int(j))
             weight += a[j]
-            if weight > b[i]:
+            if weight > bi:
                 break
-        if weight <= b[i]:
+        if weight <= bi:
             continue
         # minimalize: drop items while the rest still overflows
         for j in sorted(cover, key=lambda t: sigma[t]):
-            if weight - a[j] > b[i]:
+            if weight - a[j] > bi:
                 cover.remove(j)
                 weight -= a[j]
         if sigma[cover].sum() > len(cover) - 1 + FEAS_TOL:
@@ -62,10 +64,11 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
     """Gomory fractional cuts violated by sigma.
 
     Requires a pure-integer system with integral data and bounds; rows
-    that fail this are dropped from the subsystem before solving, which
-    keeps the generated cuts valid for all integer points.  The LP is
-    solved with the supplied cost (sigma's supporting objective), and
-    cuts come from fractional basic rows of its optimal tableau.
+    that fail this are dropped from the subsystem before solving and the
+    rest are rounded, which keeps the generated cuts valid for all
+    integer points.  The LP is solved with the supplied cost (sigma's
+    supporting objective), and cuts come from fractional basic rows of
+    its optimal tableau.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
@@ -76,7 +79,7 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
     keep = [i for i in range(A.shape[0]) if _is_integral(A[i]) and _is_integral(b[i : i + 1])]
     if not keep:
         return []
-    As, bs = A[keep], b[keep]
+    As, bs = np.round(A[keep]), np.round(b[keep])
     res = solve_lp(LinearProgram(np.asarray(cost, dtype=float), As, bs, lb, ub), keep_tableau=True)
     if res.status is not LPStatus.OPTIMAL:
         return []

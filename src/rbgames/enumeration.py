@@ -16,12 +16,13 @@ from .errors import BudgetExhausted, InfeasibleGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy, SolveStats,
                    StrategyProfile, opponents_vector, payoff, profile_payoffs)
 from .ip import parametrized_objective
+from .numerics import FEAS_TOL
 
 PROFILE_CAP = 1 << 20
 _VERIFY_TOL = 1e-9
 
 
-def lattice_points(program, cap=PROFILE_CAP, tol=1e-7):
+def lattice_points(program, cap=PROFILE_CAP):
     """All integer-feasible points of a purely integer program.
 
     Returns an (K, m) array, or None when some variable is continuous
@@ -41,7 +42,7 @@ def lattice_points(program, cap=PROFILE_CAP, tol=1e-7):
     grid = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, m).astype(float)
     A = program._dense_A
     if A.size:
-        keep = np.all(A @ grid.T <= program.b[:, None] + tol, axis=0)
+        keep = np.all(A @ grid.T <= program.b[:, None] + FEAS_TOL, axis=0)
         grid = grid[keep]
     return grid
 

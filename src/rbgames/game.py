@@ -2,11 +2,11 @@
 
 Players are ordered; player i's coupling matrix C has one block of rows
 per opponent, stacked by ascending player index with i skipped.  The
-Nash LCP of the convexified game pairs every variable with its
-stationarity row and every constraint multiplier with its slack, over
-each region as ``poly.encode_region`` rewrites it.  The certificate of
-a mixed strategy, weights over pure strategies, comes from
-``support_from_points``.
+Nash LCP of the convexified game pairs every variable of each region's
+encoding (``poly.encode_region``) with its stationarity row and each
+equality row with a split multiplier; it is built copositive-plus, so
+Lemke's method solves it.  The certificate of a mixed strategy, weights
+over pure strategies, comes from ``support_from_points``.
 """
 
 from dataclasses import dataclass, field
@@ -15,11 +15,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleGame
-from .ip import parametrized_objective, payoff, solve_ip
+from .ip import payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import DEVIATION_EPS, FEAS_TOL, ZERO_TOL
 from .poly import encode_region
+
+_ALPHA_MARGIN = 1e-3  # alpha is twice the least value that makes P nonnegative, plus this
 
 
 class GameModel:
@@ -104,21 +106,32 @@ class EquilibriumResult:
 
 @dataclass(eq=False)
 class LCPIndexMap:
-    """Locates each player's strategy block inside the stacked z vector."""
+    """Maps each player's block of the stacked z vector to its strategy."""
 
     var_slices: list
-    shifts: list
+    maps: list  # the encodings' L matrices: x_i = L_i z[var_slices[i]]
 
     def extract(self, z):
-        return [np.asarray(z[s], dtype=float) + t for s, t in zip(self.var_slices, self.shifts)]
+        return [L @ np.asarray(z[s], dtype=float) for s, L in zip(self.var_slices, self.maps)]
 
 
 def build_nash_lcp(game, regions):
     """Stack every player's KKT system over its region into one LCP.
 
-    z concatenates all players' region variables, then all multipliers.
-    A solution's strategy blocks are simultaneous LP minimizers of each
-    player's parametrized objective over its region.
+    With each region encoded as { v_i >= 0 : E_i v_i = e_i }, x_i = L_i v_i
+    (``poly.encode_region``), z = (v, mu+, mu-) and
+
+        M = [[P, -E', E'], [E, 0, 0], [-E, 0, 0]],  q = [L'c; -e; e],
+
+    where the split multiplier mu+ - mu- prices E v = e and block (i, j)
+    of P is L_i' C_ij' L_j plus alpha k_i k_j'.  Because k_i'v_i is
+    constant on region i, the alpha term only shifts player i's
+    multipliers and leaves every best response as it was; alpha is sized
+    so that P is entrywise positive.  Then z'Mz = v'Pv > 0 for v >= 0,
+    v != 0, so M is copositive-plus, and as the LCP is feasible, Lemke's
+    method ends at a solution.  A solution's strategy blocks are
+    simultaneous LP minimizers of each player's parametrized objective
+    over its region.
     """
     n = game.n_players
     if len(regions) != n:
@@ -127,42 +140,36 @@ def build_nash_lcp(game, regions):
     for enc, p in zip(encs, game.players):
         if enc.m != p.nvars:
             raise ValueError("region dimension does not match the player")
-    nv = sum(e.nvars for e in encs)
-    nl = sum(e.h.size for e in encs)
-    order = nv + nl
-    M = np.zeros((order, order))
-    q = np.zeros(order)
-    voff = np.concatenate([[0], np.cumsum([e.nvars for e in encs])])
-    loff = nv + np.concatenate([[0], np.cumsum([e.h.size for e in encs])])
-
-    shifts_opp = []
-    for i in range(n):
-        shifts_opp.append(np.concatenate([encs[j].shift for j in range(n) if j != i]) if n > 1 else np.zeros(0))
-
-    for i, (enc, p) in enumerate(zip(encs, game.players)):
-        vs = slice(voff[i], voff[i] + enc.nvars)
-        xs = slice(voff[i], voff[i] + enc.m)
-        ls = slice(loff[i], loff[i] + enc.h.size)
-        # stationarity: cost + C' x_opp + G' lambda, paired with v >= 0
-        q[xs] = parametrized_objective(p, shifts_opp[i])
+    voff = np.concatenate([[0], np.cumsum([enc.nvars for enc in encs])])
+    eoff = np.concatenate([[0], np.cumsum([enc.e.size for enc in encs])])
+    nv, ne = int(voff[-1]), int(eoff[-1])
+    blocks = [slice(voff[i], voff[i + 1]) for i in range(n)]
+    M = np.zeros((nv + 2 * ne, nv + 2 * ne))
+    q = np.zeros(nv + 2 * ne)
+    P = M[:nv, :nv]
+    for i, (enc, p, vs) in enumerate(zip(encs, game.players, blocks)):
         Ct = p.C.to_dense().T
         col = 0
-        for j in range(n):
+        for j, other in enumerate(encs):
             if j == i:
                 continue
-            mj = game.players[j].nvars
-            xj = slice(voff[j], voff[j] + mj)
-            M[xs, xj] += Ct[:, col : col + mj]
-            col += mj
-        M[vs, ls] = enc.G.T
-        # multiplier rows: h - G v >= 0, paired with lambda >= 0
-        M[ls, vs] = -enc.G
-        q[ls] = enc.h
-
-    index_map = LCPIndexMap(
-        var_slices=[slice(voff[i], voff[i] + encs[i].m) for i in range(n)],
-        shifts=[encs[i].shift for i in range(n)],
-    )
+            P[vs, blocks[j]] = enc.L.T @ Ct[:, col : col + other.m] @ other.L
+            col += other.m
+        q[vs] = enc.L.T @ p.c
+        for sign, off in ((1.0, nv), (-1.0, nv + ne)):
+            es = slice(off + eoff[i], off + eoff[i + 1])
+            M[vs, es] = -sign * enc.E.T
+            M[es, vs] = sign * enc.E
+            q[es] = -sign * enc.e
+    k = np.concatenate([enc.k for enc in encs])
+    # alpha > max -P_ab / (k_a k_b) makes P entrywise positive; one
+    # player's rows at a time, as a temporary of P's size would add to
+    # the peak memory
+    worst = max(float(np.max(-P[vs] / np.outer(k[vs], k))) for vs in blocks)
+    alpha = 2.0 * max(0.0, worst) + _ALPHA_MARGIN
+    for vs in blocks:
+        P[vs] += np.outer(alpha * k[vs], k)
+    index_map = LCPIndexMap(var_slices=blocks, maps=[enc.L for enc in encs])
     return LCP(M=M, q=q), index_map
 
 

@@ -1,24 +1,24 @@
 """Linear complementarity:  0 <= z  perp  M z + q >= 0.
 
-One path: a Lemke probe, then branching.  Lemke pivoting with the
-all-ones covering vector is tried first because it is far cheaper when
-it lands, but ray termination proves nothing.  Where it fails, branching
-fixes complementarity pairs one index at a time (z_j = 0 or w_j = 0),
-solving a bounded LP relaxation per node; it is complete, so an
-exhausted tree certifies that no solution exists.  Both check the
-deadline as they go (Lemke at every pivot, branching at every node and
-at every pivot of a node's LP) and raise BudgetExhausted once it has
-passed.
+One path: Lemke's method with the all-ones covering vector and a
+lexicographic ratio test.  On a feasible LCP whose M is copositive-plus,
+which every Nash LCP of ``game.build_nash_lcp`` is, that method ends at a
+solution (Lemke 1965; Cottle, Pang & Stone, *The Linear Complementarity
+Problem*, 1992, ch. 4).  On other LCPs it may end on a secondary ray,
+which proves nothing.  A ray and the pivot cap both give NoSolution.
 
-Branching screens each child node before its LP relaxation.  All nodes
-share one system [-M | I] (z, w) = q, z, w >= 0, in which a fixing is
-an upper bound of 0 on z_j or w_j, and one cost for which the slack
-basis is dual feasible.  A child refactors its parent's basis under its
-own bounds and runs a bounded dual simplex; dual feasibility carries
-down the tree, so no primal phase is ever needed.  A child the dual
-simplex proves infeasible is dropped without its LP; every other child
-is solved cold as before, so the screen changes no verdict, vertex or
-node count, only the time spent on dead ends.
+The solver keeps an explicit inverse, not of the whole basis B but of
+its one block that is not an identity (``_Basis``): it starts empty,
+takes one rank-1 update per pivot and is never refactored.  Accuracy
+comes from refinement against B itself, whose columns are unit vectors,
+columns of -M and the covering vector, so a residual costs products
+with M's columns only: every entering column gets one refinement step,
+and so do the basic values every 16 pivots and at the end.  Nothing
+factors a matrix of the LCP's order.  The deadline is checked at every
+pivot.
+
+``solve_lcp_with_fixings``, the LP relaxation of the LCP under
+per-index fixings, is a separate helper; ``solve_lcp`` does not use it.
 """
 
 import time
@@ -27,10 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted, NumericalFailure
-from .lp import _AT_LB, _BASIC, LinearProgram, LPStatus, _Simplex, solve_lp
+from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import COMPLEMENTARITY_TOL
 
-_LEMKE_BLOCK = 32  # tableau rows per elimination step in Lemke
+# a rank-1 update of the basis inverse goes in blocks of this many
+# entries: a full-size outer product would double its memory
+_BLOCK_ENTRIES = 1 << 16
+_GROW = 32  # rows added to the buffers of the basis when full
+_REFINE_EVERY = 16  # pivots between refinements of the basic values
+_PIVOT_TOL = 1e-9  # relative to the largest entry of the entering column
+_TIE_TOL = 1e-9
 
 FIX_FREE = 0
 FIX_Z_ZERO = 1
@@ -72,12 +78,8 @@ class LCPSolution:
 
 @dataclass(eq=False)
 class NoSolution:
-    """Outcome of an unsuccessful search; ``certified`` means the whole
+    """Lemke ended on a ray or at its pivot cap after ``nodes`` pivots."""
 
-    complementarity tree was exhausted, proving the LCP has no solution.
-    """
-
-    certified: bool
     nodes: int = 0
 
 
@@ -119,213 +121,227 @@ def solve_lcp_with_fixings(problem, fixings, deadline=None):
     return LCPSolution(z=z, w=M @ z + q)
 
 
-def _pattern_solve(problem, basic, tol=1e-9):
-    """Exact solution attempt for a guessed complementarity pattern.
+class _Basis:
+    """A basis of Lemke's system  w - M z - z0 1 = q, and its inverse.
 
-    ``basic`` marks the indexes where w is pinned to zero; the rest get
-    z = 0.  One linear solve either yields a verified solution or None.
-    """
-    M, q = problem.M, problem.q
-    n = problem.order
-    z = np.zeros(n)
-    idx = np.nonzero(basic)[0]
-    if idx.size:
-        try:
-            zb = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(zb)) or np.any(zb < -tol):
-            return None
-        z[idx] = np.clip(zb, 0.0, None)
-    w = M @ z + q
-    if np.any(w < -tol):
-        return None
-    w[idx] = 0.0
-    return LCPSolution(z=z, w=w)
-
-
-class _NodeScreen:
-    """Warm dual-simplex infeasibility test for branching nodes.
-
-    A basis snapshot is a pair (basis indices, column statuses) of small
-    integer vectors; no tableau outlives a node.  A child's bounds only
-    tighten its parent's, so the parent's dual-feasible basis is a valid
-    start for the child's dual simplex.
+    Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  A basic w_j
+    is the unit column e_j, so B is the identity outside one square block:
+    the k rows R whose w is nonbasic, met by the k other basic columns C
+    (z's and z0; z0 enters first and keeps slot 0 of C until it leaves).
+    The explicit inverse kept is that block's, Y = B[R, C]; it starts
+    empty, and k stays well below the order n on the Nash LCPs.  B^{-1} a
+    is Y^{-1} a[R] on C and a - B[:, C] d_C on the basic w.  Each pivot
+    updates Y^{-1} by a rank-1 step, bordered when a w leaves for a z and
+    cut down when a z leaves for a w.  Y^{-1} and B[:, C] live in buffers
+    that grow by _GROW rows when full.
     """
 
     def __init__(self, problem):
-        M, q = problem.M, problem.q
+        self.M, self.q = problem.M, problem.q
         n = self.n = problem.order
-        self.A = np.hstack([-M, np.eye(n)])
-        self.q = q
-        self.lb = np.zeros(2 * n)
-        # reduced costs of z at the slack basis are cost_z + M^T 1 >= 1
-        self.cost = np.concatenate([1.0 + np.maximum(0.0, -M.sum(axis=0)), np.ones(n)])
-        # ten times the node LP's feasibility tolerance: the screen only
-        # claims what the node LP would also find
-        self.feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(q))))
-        self.max_pivots = 100 + 2 * n
+        self.k = 0
+        self.rows = np.zeros(n, dtype=np.int64)  # R, in the order of Y's rows
+        self.vars = np.zeros(n, dtype=np.int64)  # C, in the order of Y's columns
+        self.xc = np.zeros(n)  # values of C
+        self.xw = self.q.copy()  # values of the basic w, 0 on R
+        self._inv = np.zeros((0, 0))  # Y^{-1}: rows follow C, columns R
+        self._cols = np.zeros((0, n))  # B[:, C], one row per variable of C
 
-    def root(self):
-        """Snapshot of the unfixed system's dual-simplex basis, or None."""
+    @property
+    def inv(self):
+        return self._inv[: self.k, : self.k]
+
+    @property
+    def cols(self):
+        return self._cols[: self.k]
+
+    def column(self, var):
         n = self.n
-        status = np.concatenate([np.full(n, _AT_LB, np.int8), np.full(n, _BASIC, np.int8)])
-        infeasible, warm = self.check((np.arange(n, 2 * n), status), np.full(n, FIX_FREE, dtype=np.int64))
-        return None if infeasible else warm
+        if var < n:
+            a = np.zeros(n)
+            a[var] = 1.0
+            return a
+        return -self.M[:, var - n] if var < 2 * n else -np.ones(n)
 
-    def check(self, warm, fixings):
-        """(proven infeasible, snapshot for the children) of one node.
+    def solve(self, a):
+        """B^{-1} a as (on C, on every w), refined once against B."""
+        inv, cols, R = self.inv, self.cols, self.rows[: self.k]
+        aR = a[R]
+        dc = inv @ aR
+        g = dc @ cols
+        fix = inv @ (aR - g[R])
+        dc += fix
+        dw = a - g - fix @ cols
+        dw[R] = 0.0
+        return dc, dw
 
-        A singular basis or an overrun pivot budget proves nothing and
-        hands the parent's snapshot on unchanged.
-        """
-        n = self.n
-        ub = np.full(2 * n, np.inf)
-        ub[:n][fixings == FIX_Z_ZERO] = 0.0
-        ub[n:][fixings == FIX_W_ZERO] = 0.0
-        try:
-            sx = _Simplex.from_basis(self.A, self.q, self.lb, ub, *warm)
-            status = sx.run_dual(self.cost, self.feas_tol, self.max_pivots)
-        except NumericalFailure:
-            return False, warm
-        if status is LPStatus.INFEASIBLE:
-            return True, None
-        if status is None:
-            return False, warm
-        return False, (sx.basis, sx.status)
+    def refine(self):
+        """Recompute the basic values B^{-1} q, with one refinement step."""
+        self.xc[: self.k], self.xw = self.solve(self.q)
 
-
-def _branching(problem, eps, node_limit, deadline):
-    n = problem.order
-    nodes = 0
-    screen = None  # built when the first node branches
-    stack = [(np.zeros(n, dtype=np.int64), None)]
-    while stack:
-        if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
-            raise BudgetExhausted("LCP branching budget exhausted", nodes=nodes)
-        fixings, warm = stack.pop()
-        nodes += 1
-        if warm is not None:
-            infeasible, warm = screen.check(warm, fixings)
-            if infeasible:
-                continue
-        try:
-            sol = solve_lcp_with_fixings(problem, fixings, deadline=deadline)
-        except BudgetExhausted as exc:
-            raise BudgetExhausted("LCP node LP ran past the deadline", nodes=nodes) from exc
-        if sol is None:
-            continue
-        prod = np.abs(sol.z * sol.w)
-        free = fixings == FIX_FREE
-        prod[~free] = 0.0
-        j = int(np.argmax(prod))
-        if prod[j] <= eps:
-            sol.nodes = nodes
-            return sol
-        # guess the pattern the relaxation is pointing at; one linear
-        # solve often settles the node without deeper branching
-        basic = (fixings == FIX_W_ZERO) | (free & (sol.z > np.maximum(sol.w, eps)))
-        polished = _pattern_solve(problem, basic)
-        if polished is not None:
-            polished.nodes = nodes
-            return polished
-        if screen is None:
-            screen = _NodeScreen(problem)
-            warm = screen.root()
-        # explore the side the relaxation already leans toward first
-        hi = fixings.copy()
-        hi[j] = FIX_W_ZERO
-        lo = fixings.copy()
-        lo[j] = FIX_Z_ZERO
-        if sol.z[j] > sol.w[j]:
-            stack.append((lo, warm))
-            stack.append((hi, warm))
+    def inverse_row(self, i):
+        """Row of B^{-1} for C[i] when i < k, else for the basic w_(i - k)."""
+        out = np.zeros(self.n)
+        R = self.rows[: self.k]
+        if i < self.k:
+            out[R] = self.inv[i]
         else:
-            stack.append((hi, warm))
-            stack.append((lo, warm))
-    return NoSolution(certified=True, nodes=nodes)
+            out[i - self.k] = 1.0
+            out[R] -= self.cols[:, i - self.k] @ self.inv
+        return out
+
+    def pivot(self, var, a, dc, dw, slot, row):
+        """Enter var, with column a and B^{-1} a = (dc, dw).
+
+        C[slot] leaves, or the basic w_row when slot < 0.
+        """
+        k = self.k
+        step = self.xc[slot] / dc[slot] if slot >= 0 else self.xw[row] / dw[row]
+        self.xc[:k] -= step * dc
+        self.xw -= step * dw
+        inv = self.inv
+        if var < self.n:
+            at = int(np.nonzero(self.rows[:k] == var)[0][0])
+            if slot >= 0:
+                # Y loses the row of var and the column of C[slot]; the
+                # last row and column fill the gaps
+                _rank1(inv, dc / dc[slot], inv[slot].copy())
+                last = k - 1
+                inv[slot] = inv[last]
+                inv[:last, at] = inv[:last, last]
+                self.rows[at] = self.rows[last]
+                self.vars[slot], self.xc[slot] = self.vars[last], self.xc[last]
+                self._cols[slot] = self._cols[last]
+                self.k = last
+            else:
+                # row `row` of B takes the place of row var in Y
+                change = self.cols[:, row] @ inv
+                change[at] -= 1.0
+                _rank1(inv, -dc / dw[row], change)
+                self.rows[at] = row
+            self.xw[var] = step
+        elif slot >= 0:
+            inv[slot] /= dc[slot]
+            dc = dc.copy()
+            dc[slot] = 0.0
+            _rank1(inv, dc, inv[slot])
+            self.vars[slot], self.xc[slot] = var, step
+            self._cols[slot] = a
+        else:
+            # Y gains row `row` and the column of var, bordered by the
+            # Schur complement dw[row]
+            if k == self._inv.shape[0]:
+                grown = np.zeros((k + _GROW, k + _GROW))
+                grown[:k, :k] = inv
+                self._inv, inv = grown, grown[:k, :k]
+                self._cols = np.vstack([self._cols, np.zeros((_GROW, self.n))])
+            s = dw[row]
+            change = self.cols[:, row] @ inv
+            _rank1(inv, -dc / s, change)
+            big = self._inv
+            big[:k, k] = -dc / s
+            big[k, :k] = -change / s
+            big[k, k] = 1.0 / s
+            self.rows[k], self.vars[k], self.xc[k] = row, var, step
+            self._cols[k] = a
+            self.k = k + 1
+        if slot < 0:
+            self.xw[row] = 0.0
 
 
-def _lemke(problem, eps, max_iter, deadline=None):
-    n = problem.order
-    M, q = problem.M, problem.q
-    if np.all(q >= -eps):
-        z = np.zeros(n)
-        return LCPSolution(z=z, w=q.copy(), nodes=0)
-    # tableau over columns [w | z | z0], basis starts as w
-    piv_tol = 1e-10
-    T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q.reshape(-1, 1)])
-    basis = list(range(n))
-    r = int(np.argmin(q))
-    entering = 2 * n  # z0
+def _rank1(A, u, v):
+    """A -= outer(u, v) in place, a block of rows at a time.
 
-    for it in range(max_iter):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted("Lemke ran past the deadline", nodes=it)
-        piv = T[r, entering]
-        if abs(piv) < piv_tol:
-            return NoSolution(certified=False, nodes=it)
-        T[r] /= piv
-        # rank-1 elimination of the entering column from every other row,
-        # a block of rows at a time: one full-size temporary per pivot
-        # would raise peak memory by the tableau's size at large orders
-        col = T[:, entering].copy()
-        col[r] = 0.0
-        for lo in range(0, n, _LEMKE_BLOCK):
-            T[lo:lo + _LEMKE_BLOCK] -= np.outer(col[lo:lo + _LEMKE_BLOCK], T[r])
-        leaving = basis[r]
-        basis[r] = entering
-        if leaving == 2 * n:
-            break
-        # complement of the leaving variable enters next
-        entering = leaving + n if leaving < n else leaving - n
-        col = T[:, entering]
-        rhs = T[:, -1]
-        ratios = np.full(n, np.inf)
-        pos = col > piv_tol
-        ratios[pos] = rhs[pos] / col[pos]
-        if not np.isfinite(ratios.min()):
-            return NoSolution(certified=False, nodes=it)  # ray termination
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-9)[0]
-        # drive z0 out as soon as it blocks; otherwise lowest row index
-        z0_rows = [i for i in ties if basis[i] == 2 * n]
-        r = int(z0_rows[0]) if z0_rows else int(ties[0])
-    else:
-        raise BudgetExhausted("Lemke iteration cap hit", nodes=max_iter)
-
-    z = np.zeros(n)
-    rhs = T[:, -1]
-    for i, var in enumerate(basis):
-        if n <= var < 2 * n:
-            z[var - n] = max(rhs[i], 0.0)
-    return LCPSolution(z=z, w=M @ z + q, nodes=it + 1)
-
-
-def _within_residuals(out, eps, order):
-    zmin, wmin, gap = out.residuals()
-    norm = 1.0 + float(np.max(np.abs(out.z), initial=0.0)) * float(np.max(np.abs(out.w), initial=0.0))
-    return zmin >= -eps and wmin >= -eps and gap <= eps * max(norm, order)
-
-
-def solve_lcp(problem, node_limit=100000, deadline=None):
-    """Solve the LCP; returns LCPSolution or NoSolution.
-
-    A Lemke probe runs first; where it ends on a ray, runs out of pivots
-    or misses the residual tolerance, branching takes over, and its
-    NoSolution is a certificate of emptiness.  ``nodes`` counts branching
-    nodes, 0 when the probe lands.  Raises BudgetExhausted when the node
-    limit or the deadline runs out.
+    A full-size outer product would double the memory of a large A.
     """
+    if A.size <= _BLOCK_ENTRIES:
+        A -= np.outer(u, v)
+        return
+    block = _BLOCK_ENTRIES // v.size
+    for lo in range(0, A.shape[0], block):
+        A[lo : lo + block] -= np.outer(u[lo : lo + block], v)
+
+
+def solve_lcp(problem, deadline=None):
+    """Solve the LCP by lexicographic Lemke; LCPSolution or NoSolution.
+
+    ``nodes`` counts Lemke pivots.  NoSolution comes from a secondary ray
+    or the cap of 200 + 30 n pivots.  Raises BudgetExhausted, carrying
+    the pivots spent, once the ``time.monotonic()`` value ``deadline``
+    has passed, and NumericalFailure when the end point misses the
+    residual tolerance.
+    """
+    n = problem.order
+    if np.all(problem.q >= 0.0):
+        return LCPSolution(z=np.zeros(n), w=problem.q.copy())
+    basis = _Basis(problem)
+    # z0 enters and w leaves from the last row holding min q, which leaves
+    # every row of [x | B^{-1}] lexicographically positive
+    var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
+    a = basis.column(var)
+    dc, dw = np.zeros(0), a.copy()
+    cap = 200 + 30 * n
+    for pivots in range(1, cap + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
+        leaving = int(basis.vars[slot]) if slot >= 0 else row
+        basis.pivot(var, a, dc, dw, slot, row)
+        if leaving == 2 * n:
+            basis.refine()
+            return _solution(problem, basis, pivots)
+        if pivots % _REFINE_EVERY == 0:
+            basis.refine()
+        # the complement of the leaving variable enters
+        var = leaving + n if leaving < n else leaving - n
+        a = basis.column(var)
+        dc, dw = basis.solve(a)
+        slot, row = _leaving(basis, dc, dw)
+        if slot < 0 and row < 0:
+            return NoSolution(nodes=pivots)
+    return NoSolution(nodes=cap)
+
+
+def _leaving(basis, dc, dw):
+    """(slot, -1) or (-1, row) of the lexicographic minimum ratio; (-1, -1) on a ray.
+
+    Ties in x_i / d_i go to z0 when it is among them, else to the least
+    row of B^{-1} / d_i in lexicographic order, which is unique because
+    B^{-1} is nonsingular.
+    """
+    k = basis.k
+    d = np.concatenate((dc, dw))
+    cand = (d > _PIVOT_TOL * np.abs(d).max()).nonzero()[0]
+    if not cand.size:
+        return -1, -1
+    ratios = np.maximum(np.concatenate((basis.xc[:k], basis.xw))[cand], 0.0) / d[cand]
+    least = ratios.min()
+    cand = cand[ratios <= least + _TIE_TOL * (1.0 + least)]
+    if cand.size > 1:
+        if cand[0] == 0:  # z0's slot
+            return 0, -1
+        lex = np.array([basis.inverse_row(i) for i in cand]) / d[cand, None]
+        keep = np.ones(cand.size, dtype=bool)
+        # columns on which all tied rows agree decide nothing
+        for col in lex[:, np.ptp(lex, axis=0) > _TIE_TOL].T:
+            least = col[keep].min()
+            keep &= col <= least + _TIE_TOL * (1.0 + abs(least))
+            if np.count_nonzero(keep) == 1:
+                break
+        cand = cand[keep]
+    i = int(cand[0])
+    return (i, -1) if i < k else (-1, i - k)
+
+
+def _solution(problem, basis, pivots):
+    n = problem.order
+    z = np.zeros(n)
+    var, x = basis.vars[: basis.k], basis.xc[: basis.k]
+    is_z = (var >= n) & (var < 2 * n)
+    z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
+    out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots)
+    zmin, wmin, gap = out.residuals()
     eps = COMPLEMENTARITY_TOL
-    try:
-        probe = _lemke(problem, eps, 200 + 30 * problem.order, deadline)
-    except BudgetExhausted:
-        probe = None
-    if isinstance(probe, LCPSolution) and _within_residuals(probe, eps, problem.order):
-        probe.nodes = 0
-        return probe
-    out = _branching(problem, eps, node_limit, deadline)
-    if isinstance(out, LCPSolution) and not _within_residuals(out, eps, problem.order):
+    norm = 1.0 + float(np.max(np.abs(out.z), initial=0.0)) * float(np.max(np.abs(out.w), initial=0.0))
+    if zmin < -eps or wmin < -eps or gap > eps * max(norm, n):
         raise NumericalFailure("LCP residuals out of tolerance")
     return out

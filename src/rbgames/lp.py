@@ -7,10 +7,6 @@ ratio test instead of being expanded into rows.  Dantzig pricing runs
 first; after a pivot budget the solver falls back to Bland's rule, and
 if that also stalls it raises NumericalFailure rather than returning a
 wrong answer.
-
-The same tableau engine also runs a bounded dual simplex from a given
-basis (``_Simplex.from_basis`` then ``run_dual``), for callers that
-re-solve a problem one tightened bound away from a solved one.
 """
 
 import time
@@ -22,6 +18,7 @@ import numpy as np
 from .errors import BudgetExhausted, NumericalFailure
 
 _PIVOT_TOL = 1e-11
+_PRICE_TOL = 1e-9  # least reduced cost that makes a column eligible
 _REFRESH_EVERY = 64
 
 # nonbasic/basic markers
@@ -123,21 +120,6 @@ class _Simplex:
         self.T = np.zeros((self.m, self.N))
         self.pivots = 0
 
-    @classmethod
-    def from_basis(cls, Acols, b, lb, ub, basis, status):
-        """State at a given basis, freshly factored under the bounds lb, ub.
-
-        Nonbasic columns sit at the bound their ``status`` names (0 when
-        free); the basic values follow from the equality rows.
-        """
-        sx = cls(Acols, b, lb, ub)
-        sx.basis = basis.copy()
-        sx.status = status.copy()
-        sx.x[status == _AT_LB] = lb[status == _AT_LB]
-        sx.x[status == _AT_UB] = ub[status == _AT_UB]
-        sx.refresh()
-        return sx
-
     def refresh(self):
         """Recompute tableau and basic values from the current basis."""
         if self.m == 0:
@@ -160,7 +142,7 @@ class _Simplex:
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis when extracting duals")
 
-    def run(self, c, tol=1e-9, deadline=None):
+    def run(self, c, deadline=None):
         """Iterate to optimality for objective c.  Returns an LPStatus."""
         m, N = self.m, self.N
         soft = 400 + 20 * N
@@ -174,9 +156,9 @@ class _Simplex:
             bland = self.pivots >= soft
             d = self._reduced(c) if m else c.copy()
             elig = movable & (
-                ((self.status == _AT_LB) & (d < -tol))
-                | ((self.status == _AT_UB) & (d > tol))
-                | ((self.status == _FREE) & (np.abs(d) > tol))
+                ((self.status == _AT_LB) & (d < -_PRICE_TOL))
+                | ((self.status == _AT_UB) & (d > _PRICE_TOL))
+                | ((self.status == _FREE) & (np.abs(d) > _PRICE_TOL))
             )
             if not elig.any():
                 return LPStatus.OPTIMAL
@@ -232,79 +214,6 @@ class _Simplex:
             self.pivots += 1
             if self.pivots % _REFRESH_EVERY == 0:
                 self.refresh()
-
-    def run_dual(self, c, feas_tol, max_pivots, tol=1e-9):
-        """Dual simplex for objective c from a dual-feasible basis.
-
-        Returns Optimal once every basic value lies within feas_tol of
-        its bounds, or None when ``max_pivots`` run out first.  Infeasible
-        comes only from a freshly factored basis whose most violated row
-        admits no entering column, and only when that row's multipliers
-        show the right-hand side would have to move by more than feas_tol
-        (in the 1-norm) before any point within the bounds met the rows.
-        """
-        if self.m == 0:
-            return LPStatus.OPTIMAL
-        movable = self.ub - self.lb > 0
-        d = self._reduced(c)
-        fresh = True
-        start = self.pivots
-        while True:
-            xb = self.x[self.basis]
-            below = self.lb[self.basis] - xb
-            above = xb - self.ub[self.basis]
-            viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
-            if viol[r] <= feas_tol:
-                return LPStatus.OPTIMAL
-            if self.pivots - start >= max_pivots:
-                return None
-            # s = +1: the leaving value must rise to its lower bound
-            s = 1.0 if below[r] >= above[r] else -1.0
-            alpha = s * self.T[r]
-            elig = movable & (
-                ((self.status == _AT_LB) & (alpha < -tol))
-                | ((self.status == _AT_UB) & (alpha > tol))
-                | ((self.status == _FREE) & (np.abs(alpha) > tol))
-            )
-            if not elig.any():
-                if not fresh:
-                    self.refresh()
-                    d = self._reduced(c)
-                    fresh = True
-                    continue
-                unit = np.zeros(self.m)
-                unit[r] = 1.0
-                try:
-                    y = np.linalg.solve(self.A[:, self.basis].T, unit)
-                except np.linalg.LinAlgError:
-                    raise NumericalFailure("singular basis in dual simplex")
-                if viol[r] > feas_tol * max(1.0, float(np.max(np.abs(y)))):
-                    return LPStatus.INFEASIBLE
-                return None
-            idx = np.nonzero(elig)[0]
-            ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-            ties = idx[ratios <= ratios.min() + 1e-12]
-            e = int(ties[np.argmax(np.abs(alpha[ties]))])
-
-            leave = int(self.basis[r])
-            target = self.lb[leave] if s > 0 else self.ub[leave]
-            step = (self.x[leave] - target) / self.T[r, e]
-            self.x[e] += step
-            self.x[self.basis] -= step * self.T[:, e]
-            self.x[leave] = target
-            self.status[leave] = _AT_LB if s > 0 else _AT_UB
-            d -= (d[e] / self.T[r, e]) * self.T[r]
-            d[e] = 0.0
-            self.status[e] = _BASIC
-            self.basis[r] = e
-            self.pivot(r, e)
-            self.pivots += 1
-            fresh = False
-            if self.pivots % _REFRESH_EVERY == 0:
-                self.refresh()
-                d = self._reduced(c)
-                fresh = True
 
     def _reduced(self, c):
         d = c - c[self.basis] @ self.T

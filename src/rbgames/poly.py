@@ -1,10 +1,12 @@
 """Polyhedra and lifted convex hulls of unions.
 
 The hull of a union of bounded polyhedra is kept in extended form: one
-scaled copy of each piece plus convex multipliers, encoded over
-nonnegative shifted variables by ``encode_region``.  That one encoding
-serves the Nash LCP, membership and decomposition; no vertex or facet
-enumeration happens anywhere.
+scaled copy of each piece plus its convex multiplier theta_k.
+``encode_region`` writes it homogeneously, as equality rows over
+nonnegative variables with the strategy a linear image of them, and a
+single polyhedron as its one-piece case.  That one encoding serves the
+Nash LCP, membership and decomposition; no vertex or facet enumeration
+happens anywhere.
 """
 
 from dataclasses import dataclass
@@ -150,67 +152,87 @@ def convex_hull(pieces):
 
 @dataclass(eq=False)
 class RegionEncoding:
-    """Region rewritten as { v >= 0 : G v <= h } with x = v[:m] + shift."""
+    """Region rewritten as { v >= 0 : E v = e } with strategy x = L v.
 
-    G: np.ndarray
-    h: np.ndarray
-    shift: np.ndarray
-    nvars: int
-    m: int
+    ``blocks`` holds each piece's column slice, whose last column is the
+    piece's multiplier theta_k.  ``k = E' nu`` is positive, so k'v = nu'e
+    is the same at every point of the region.
+    """
+
+    E: np.ndarray
+    e: np.ndarray
+    L: np.ndarray
+    k: np.ndarray
+    blocks: list
+
+    @property
+    def nvars(self):
+        return self.E.shape[1]
+
+    @property
+    def m(self):
+        return self.L.shape[0]
 
 
 def encode_region(region):
-    """Rewrite a Polyhedron or ExtendedHull over nonnegative variables.
+    """Rewrite a Polyhedron or ExtendedHull homogeneously over v >= 0.
 
-    For a hull the variable block is (x, one scaled copy y_k per piece,
-    convex multipliers theta_k), where a point x_k of piece k with box
-    corner lo_k enters as y_k = theta_k (x_k - lo_k).  The first m
-    variables always carry the shifted strategy point.
+    Piece k with rows A_k x <= b_k and box lo_k <= x <= hi_k gets the
+    columns (y_k, ybar_k, s_k, theta_k) and the rows
+    A_k y_k + s_k = (b_k - A_k lo_k) theta_k and
+    y_k + ybar_k = (hi_k - lo_k) theta_k; one last row sets
+    sum_k theta_k = 1, and x = sum_k (y_k + lo_k theta_k).  A Polyhedron
+    is the one-piece case.  Coordinates with hi = lo get no y or ybar
+    column and no box row, and rows that the box already implies get
+    none either: neither changes the set, both shrink the Nash LCP.
     """
     if isinstance(region, Polyhedron):
-        lo, hi = region.bounding_box()
-        m = region.dim
-        G = np.vstack([region.A, np.eye(m)])
-        h = np.concatenate([region.b - region.A @ lo, hi - lo])
-        return RegionEncoding(G=G, h=h, shift=lo, nvars=m, m=m)
-
-    if not isinstance(region, ExtendedHull):
+        pieces, boxes = [region], [region.bounding_box()]
+    elif isinstance(region, ExtendedHull):
+        pieces, boxes = region.pieces, region.boxes
+    else:
         raise TypeError(f"cannot encode region of type {type(region).__name__}")
-    m, K = region.dim, len(region.pieces)
-    LB = np.min(np.array([lo for lo, _ in region.boxes]), axis=0)
-    theta0 = m + K * m
-    link0 = sum(p.nrows for p in region.pieces) + K * m
-    G = np.zeros((link0 + 2 * m + 2, theta0 + K))
-    h = np.zeros(link0 + 2 * m + 2)
-    # linking  v[:m] + LB = sum_k (y_k + lo_k theta_k), both directions
-    link = G[link0 : link0 + m]
-    link[:, :m] = np.eye(m)
-    r = 0
-    for k, (piece, (lo, hi)) in enumerate(zip(region.pieces, region.boxes)):
-        ys = slice(m + k * m, m + (k + 1) * m)
-        t = theta0 + k
-        # piece rows scaled by theta_k:  A_k y_k + (A_k lo_k - b_k) theta_k <= 0
-        G[r : r + piece.nrows, ys] = piece.A
-        G[r : r + piece.nrows, t] = [float(a @ lo - b) for a, b in zip(piece.A, piece.b)]
-        r += piece.nrows
-        # box rows:  y_k <= (hi_k - lo_k) theta_k
-        G[r : r + m, ys] = np.eye(m)
-        G[r : r + m, t] = -(hi - lo)
-        r += m
-        link[:, ys] = -np.eye(m)
-        link[:, t] = -lo
-    G[link0 + m : link0 + 2 * m] = -link
-    h[link0 : link0 + m] = -LB
-    h[link0 + m : link0 + 2 * m] = LB
-    # convexity  sum theta = 1, both directions
-    G[-2, theta0:] = 1.0
-    G[-1] = -G[-2]
-    h[-2:] = (1.0, -1.0)
-    return RegionEncoding(G=G, h=h, shift=LB, nvars=theta0 + K, m=m)
+    m = pieces[0].dim
+    parts = []
+    for piece, (lo, hi) in zip(pieces, boxes):
+        free = np.nonzero(hi > lo)[0]
+        implied = np.maximum(piece.A * lo, piece.A * hi).sum(axis=1) <= piece.b
+        A = piece.A[~implied]
+        parts.append((A[:, free], piece.b[~implied] - A @ lo, free, lo, hi))
+    nrows = sum(A.shape[0] + free.size for A, _, free, _, _ in parts) + 1
+    ncols = sum(2 * free.size + A.shape[0] + 1 for A, _, free, _, _ in parts)
+    E = np.zeros((nrows, ncols))
+    L = np.zeros((m, ncols))
+    nu = np.ones(nrows)
+    blocks = []
+    r = c = 0
+    for A, rhs, free, lo, hi in parts:
+        rows, f = A.shape[0], free.size
+        ys, t = slice(c, c + f), c + 2 * f + rows
+        E[r : r + rows, ys] = A
+        E[r : r + rows, c + 2 * f : t] = np.eye(rows)
+        E[r : r + rows, t] = -rhs
+        E[r + rows : r + rows + f, ys] = np.eye(f)
+        E[r + rows : r + rows + f, c + f : c + 2 * f] = np.eye(f)
+        E[r + rows : r + rows + f, t] = -(hi - lo)[free]
+        L[free, ys] = np.eye(f)
+        L[:, t] = lo
+        # small weights on the piece rows keep every column of E' nu
+        # positive; the normalization row outweighs each theta column
+        eps = 0.5 / (1.0 + float(np.max(np.abs(A), initial=0.0)) * rows)
+        nu[r : r + rows] = eps
+        nu[-1] += eps * float(np.abs(rhs).sum()) + float((hi - lo).sum())
+        blocks.append(slice(c, t + 1))
+        r += rows + f
+        c = t + 1
+    E[-1, [b.stop - 1 for b in blocks]] = 1.0
+    e = np.zeros(nrows)
+    e[-1] = 1.0
+    return RegionEncoding(E=E, e=e, L=L, k=E.T @ nu, blocks=blocks)
 
 
-def _boxed_solve(hull, x, eps):
-    """Feasibility LP over the hull's encoding with v[:m] = x - shift +- eps.
+def _member_solve(hull, x, eps):
+    """Feasibility LP over the hull's encoding with |L v - x| <= eps.
 
     Returns (encoding, LPResult), or (encoding, None) without an LP when
     x lies more than eps below every piece's box in some coordinate.
@@ -219,17 +241,17 @@ def _boxed_solve(hull, x, eps):
     x = np.asarray(x, dtype=float)
     if x.shape != (enc.m,):
         raise ValueError(f"point must have dimension {enc.m}")
-    if np.any(x - enc.shift + eps < 0.0):
+    if np.any(x + eps < np.min([lo for lo, _ in hull.boxes], axis=0)):
         return enc, None
-    lb, ub = np.zeros(enc.nvars), np.full(enc.nvars, np.inf)
-    lb[: enc.m] = np.maximum(x - enc.shift - eps, 0.0)
-    ub[: enc.m] = x - enc.shift + eps
-    return enc, solve_lp(LinearProgram(np.zeros(enc.nvars), enc.G, enc.h, lb, ub))
+    A = np.vstack([enc.E, -enc.E, enc.L, -enc.L])
+    b = np.concatenate([enc.e, -enc.e, x + eps, eps - x])
+    n = enc.nvars
+    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)))
 
 
 def hull_contains(hull, x, eps=FEAS_TOL):
     """Membership of x in the hull, up to eps in each coordinate."""
-    _, res = _boxed_solve(hull, x, eps)
+    _, res = _member_solve(hull, x, eps)
     return res is not None and res.status is LPStatus.OPTIMAL
 
 
@@ -240,11 +262,11 @@ def decompose(hull, x):
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.
     """
-    enc, res = _boxed_solve(hull, x, FEAS_TOL)
+    enc, res = _member_solve(hull, x, FEAS_TOL)
     if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
-    m, K = enc.m, len(hull.pieces)
-    y, theta = res.x[m : m + K * m].reshape(K, m), res.x[m + K * m :]
+    v = res.x
+    theta = np.array([v[b.stop - 1] for b in enc.blocks])
     keep = np.nonzero(theta > ZERO_TOL)[0]
     total = float(theta[keep].sum())
-    return [(float(theta[k]) / total, y[k] / theta[k] + hull.boxes[k][0]) for k in keep]
+    return [(float(theta[k]) / total, enc.L[:, enc.blocks[k]] @ v[enc.blocks[k]] / theta[k]) for k in keep]

@@ -76,6 +76,14 @@ def in_convex_hull_of(points, x, eps=1e-8):
     return res.status == 0
 
 
+def encoding_holds(enc, x):
+    """(member, v): some v >= 0 has E v = e and L v = x, by a scipy LP."""
+    A_eq = np.vstack([enc.E, enc.L])
+    b_eq = np.concatenate([enc.e, np.asarray(x, dtype=float)])
+    res = linprog(np.zeros(enc.nvars), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * enc.nvars, method="highs")
+    return res.status == 0, res.x
+
+
 def brute_force_lcp(M, q, tol=1e-9):
     """All LCP solutions found by enumerating complementarity patterns."""
     n = len(q)
@@ -118,95 +126,48 @@ def is_pure_equilibrium(game, points, eps=0.0):
 
 
 def lemke_row_loop(M, q, max_iter):
-    """Lemke's method eliminating one tableau row at a time in Python.
+    """Lexicographic Lemke on a full tableau, one Python row at a time.
 
-    The straightforward form of the solver's complementary pivoting,
-    kept as a reference for its vectorized elimination.  Returns
-    ("solution", z, pivots), ("ray", None, pivots) or ("cap", None,
-    max_iter), with the solver's tie-breaking and tolerances.
+    The textbook form of the solver's pivoting: tableau [I | -M | -1 | q],
+    whose first n columns hold the basis inverse, with the solver's
+    tie rules and tolerances.  Returns ("solution", z, pivots), ("ray",
+    None, pivots) or ("cap", None, max_iter).
     """
     n = len(q)
-    if np.all(q >= -1e-9):
+    if np.all(q >= 0.0):
         return "solution", np.zeros(n), 0
-    piv_tol = 1e-10
     T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q.reshape(-1, 1)])
     basis = list(range(n))
-    r = int(np.argmin(q))
     entering = 2 * n
-    for it in range(max_iter):
-        piv = T[r, entering]
-        if abs(piv) < piv_tol:
-            return "ray", None, it
-        T[r] /= piv
+    r = z0_row = max(i for i in range(n) if q[i] == q.min())
+    for pivots in range(1, max_iter + 1):
+        T[r] /= T[r, entering]
         for i in range(n):
-            if i != r and T[i, entering] != 0.0:
+            if i != r:
                 T[i] -= T[i, entering] * T[r]
-        leaving = basis[r]
-        basis[r] = entering
+        leaving, basis[r] = basis[r], entering
         if leaving == 2 * n:
-            break
+            z = np.zeros(n)
+            for i, var in enumerate(basis):
+                if n <= var < 2 * n:
+                    z[var - n] = max(T[i, -1], 0.0)
+            return "solution", z, pivots
         entering = leaving + n if leaving < n else leaving - n
         col = T[:, entering]
-        rhs = T[:, -1]
-        ratios = np.full(n, np.inf)
-        pos = col > piv_tol
-        ratios[pos] = rhs[pos] / col[pos]
-        if not np.isfinite(ratios.min()):
-            return "ray", None, it
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-9)[0]
-        z0_rows = [i for i in ties if basis[i] == 2 * n]
-        r = int(z0_rows[0]) if z0_rows else int(ties[0])
-    else:
-        return "cap", None, max_iter
-    z = np.zeros(n)
-    rhs = T[:, -1]
-    for i, var in enumerate(basis):
-        if n <= var < 2 * n:
-            z[var - n] = max(rhs[i], 0.0)
-    return "solution", z, it + 1
-
-
-def encode_hull_row_loop(hull):
-    """The lifted-hull encoding assembled one Python row at a time.
-
-    The straightforward form of ``encode_region`` on an ExtendedHull,
-    kept as a reference for its block assembly.  Returns (G, h, shift).
-    """
-    m = hull.dim
-    K = len(hull.pieces)
-    LB = np.min(np.array([lo for lo, _ in hull.boxes]), axis=0)
-    nvars = m + K * m + K
-    copy0 = m
-    theta0 = m + K * m
-    rows, rhs = [], []
-    for k, (piece, (lo, hi)) in enumerate(zip(hull.pieces, hull.boxes)):
-        cs = slice(copy0 + k * m, copy0 + (k + 1) * m)
-        for i in range(piece.nrows):
-            row = np.zeros(nvars)
-            row[cs] = piece.A[i]
-            row[theta0 + k] = float(piece.A[i] @ lo - piece.b[i])
-            rows.append(row)
-            rhs.append(0.0)
-        for j in range(m):
-            row = np.zeros(nvars)
-            row[copy0 + k * m + j] = 1.0
-            row[theta0 + k] = -(hi[j] - lo[j])
-            rows.append(row)
-            rhs.append(0.0)
-    for sign in (1.0, -1.0):
-        base = np.zeros((m, nvars))
-        base[:, :m] = np.eye(m)
-        for k, (lo, _) in enumerate(hull.boxes):
-            base[:, copy0 + k * m : copy0 + (k + 1) * m] = -np.eye(m)
-            base[:, theta0 + k] = -lo
-        for j in range(m):
-            rows.append(sign * base[j])
-            rhs.append(sign * -LB[j])
-    row = np.zeros(nvars)
-    row[theta0:] = 1.0
-    rows.append(row.copy())
-    rhs.append(1.0)
-    rows.append(-row)
-    rhs.append(-1.0)
-    return np.array(rows), np.array(rhs), LB
+        rows = [i for i in range(n) if col[i] > 1e-9 * np.max(np.abs(col))]
+        if not rows:
+            return "ray", None, pivots
+        ratio = {i: max(T[i, -1], 0.0) / col[i] for i in rows}
+        least = min(ratio.values())
+        rows = [i for i in rows if ratio[i] <= least + 1e-9 * (1.0 + least)]
+        if len(rows) > 1 and z0_row in rows:
+            r = z0_row
+            continue
+        for j in range(n):
+            if len(rows) == 1:
+                break
+            lex = {i: T[i, j] / col[i] for i in rows}
+            least = min(lex.values())
+            rows = [i for i in rows if lex[i] <= least + 1e-9 * (1.0 + abs(least))]
+        r = rows[0]
+    return "cap", None, max_iter

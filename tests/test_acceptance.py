@@ -28,6 +28,7 @@ from rbgames import (
     save_instance,
     seeded_rng,
     solve_ip,
+    solve_lcp,
 )
 from rbgames.cli import main as cli_main
 from rbgames.generators import (
@@ -36,10 +37,9 @@ from rbgames.generators import (
     nondegenerate_seeds,
     random_knapsack_game,
 )
-from rbgames.lcp import _branching, _lemke
 from rbgames.lp import LPStatus
 
-from oracles import in_convex_hull_of, polyhedron_vertices
+from oracles import brute_force_lcp, in_convex_hull_of, polyhedron_vertices
 
 _EXACT = [
     np.array([0.0, 1.0, 1.0, 0.0]),
@@ -171,18 +171,18 @@ def test_criterion_4b_lcp_residuals_and_method_agreement():
         n = int(rng.integers(1, 9))
         B = rng.normal(size=(n, n))
         problem = LCP(M=B @ B.T + n * np.eye(n), q=np.round(rng.normal(size=n) * 3, 2))
-        # solve_lcp would return the Lemke probe's own answer here
-        a = _branching(problem, 1e-7, 100000, None)
+        a = solve_lcp(problem)
         if not isinstance(a, LCPSolution):
             bad += 1
             continue
         zmin, wmin, gap = a.residuals()
         if zmin < -1e-7 or wmin < -1e-7 or gap > n * 1e-7:
             bad += 1
-        b = _lemke(problem, 1e-7, 200 + 30 * n)
-        if isinstance(b, LCPSolution):
+        # a strictly monotone LCP has one solution, on a nonsingular basis
+        refs = brute_force_lcp(problem.M, problem.q)
+        if len(refs) == 1:
             both += 1
-            if float(np.max(np.abs(a.z - b.z))) > 1e-6:
+            if float(np.max(np.abs(a.z - refs[0][0]))) > 1e-6:
                 disagreements += 1
     ok = bad == 0 and disagreements == 0 and both >= 150
     _verdict("4b", ok, f"200 instances, {bad} residual failures, {disagreements} disagreements over {both} joint successes")

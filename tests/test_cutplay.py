@@ -1,9 +1,12 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rbgames.cutplay as cutplay_module
+import rbgames.lcp as lcp_module
+import rbgames.poly as poly_module
 
 from rbgames import (
     Algorithm,
@@ -17,7 +20,7 @@ from rbgames import (
     random_knapsack_game,
     solve_game,
 )
-from rbgames.errors import BudgetExhausted, InfeasibleGame
+from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
 from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game
 from rbgames.poly import hull_contains, convex_hull
@@ -81,22 +84,30 @@ def test_time_limit_is_respected():
 
 
 def test_time_limit_holds_while_lemke_pivots():
-    # round 8 of this game hands Lemke an LCP of order ~359; the limit
-    # falls while it pivots
-    game = random_knapsack_game(1, 2, 8).game()
+    # Lemke takes 94% of this game's 4.5 s (2-core host); its last rounds
+    # solve LCPs of order 550-850, and the limit falls while it pivots
+    game = random_knapsack_game(9, 2, 10).game()
     start = time.monotonic()
-    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=4.0))
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=1.0))
     assert result.status is EqStatus.TIME_LIMIT
-    assert time.monotonic() - start <= 4.5
+    assert time.monotonic() - start <= 1.5
 
 
-def _recording_solve_lcp(monkeypatch, **overrides):
-    """Route cut_and_play's LCP solves through a recorder of their node counts."""
+@pytest.mark.parametrize("seed", [0, 2])
+def test_small_ladder_games_end_in_an_equilibrium(seed):
+    # every round's LCP has a solution, so Lemke never stalls these games
+    game = random_knapsack_game(seed, 2, 4).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=5.0))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+
+
+def _recording_solve_lcp(monkeypatch):
+    """Route cut_and_play's LCP solves through a recorder of their pivot counts."""
     real = cutplay_module.solve_lcp
     nodes = {"returned": 0, "raised": []}
 
     def recorded(*args, **kwargs):
-        kwargs.update(overrides)
         try:
             out = real(*args, **kwargs)
         except BudgetExhausted as exc:
@@ -110,21 +121,59 @@ def _recording_solve_lcp(monkeypatch, **overrides):
 
 
 def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
+    # Lemke's 300th deadline check across the run sleeps past the limit,
+    # so the deadline falls while it pivots
     nodes = _recording_solve_lcp(monkeypatch)
+    checks = [0]
+
+    def monotonic():
+        checks[0] += 1
+        if checks[0] == 300:
+            time.sleep(1.0)
+        return time.monotonic()
+
+    monkeypatch.setattr(lcp_module, "time", SimpleNamespace(monotonic=monotonic))
     game = random_knapsack_game(2, 2, 4).game()
-    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=2.0))
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
-    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0]
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 299
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
-    nodes = _recording_solve_lcp(monkeypatch, node_limit=25)
+    # the 40th ratio test of the run finds no blocking row: a ray
+    nodes = _recording_solve_lcp(monkeypatch)
+    real = lcp_module._leaving
+    tests = [0]
+
+    def ray_on_the_40th(*args):
+        tests[0] += 1
+        return (-1, -1) if tests[0] == 40 else real(*args)
+
+    monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_40th)
     game = random_knapsack_game(2, 2, 4).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.NUMERICAL_FAILURE
-    assert nodes["raised"] == [25]
-    assert result.stats.lcp_nodes == nodes["returned"] + 25
+    assert result.stats.lcp_nodes == nodes["returned"] == 40
+
+
+def _raise_numerical_failure(*args, **kwargs):
+    raise NumericalFailure("lost precision")
+
+
+@pytest.mark.parametrize("owner, name", [
+    (PlayerState, "apply_cuts"),
+    (cutplay_module, "separation_oracle"),
+    (poly_module, "solve_lp"),
+], ids=["apply_cuts", "separation_oracle", "solve_lp"])
+def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name):
+    # the cut pool, the oracle and the LPs of the refinement step
+    monkeypatch.setattr(owner, name, _raise_numerical_failure)
+    result = cut_and_play(canonical_knapsack_game().game(), SolverOptions())
+    assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert result.stats.iterations >= 1
+    assert result.stats.lcp_nodes > 0
+    assert result.stats.wall_ms > 0.0
 
 
 def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch):
@@ -137,6 +186,15 @@ def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(cutplay_module, name, exhausted)
             assert cut_and_play(game, SolverOptions()).status is EqStatus.NUMERICAL_FAILURE, name
+
+
+def test_enumeration_profile_cap_without_a_time_limit_is_a_numerical_failure():
+    # 2^11 points per player, 2^22 profiles: past the enumeration cap
+    wide = [PlayerProgram(name=name, c=-np.ones(11), C=np.zeros((11, 11)), A=np.zeros((0, 11)),
+                          b=np.zeros(0), integers=tuple(range(11)), lb=np.zeros(11), ub=np.ones(11))
+            for name in ("a", "b")]
+    [result] = solve_game(GameModel(wide), SolverOptions(algorithm=Algorithm.FULL_ENUMERATION))
+    assert result.status is EqStatus.NUMERICAL_FAILURE
 
 
 def test_region_emptied_mid_run_keeps_its_stats(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 from rbgames import lattice_points, seeded_rng
@@ -35,6 +37,25 @@ def test_cover_cut_skips_noninteger_rows():
     # continuous variables disqualify the row as well
     A = np.array([[3.0, 4.0]])
     assert cover_cuts(A, b, np.array([1.0, 0.5]), binary=np.array([True, False])) == []
+
+
+def test_cover_cut_rounds_a_nearly_integral_row():
+    # a pooled Gomory row one ulp off integral: summed raw, {x0, x3, x4}
+    # weighs 5.9999999999999998 > 5.999999999999999 and would yield
+    # x0 + x3 + x4 <= 2, which cuts off the feasible point (1, 0, 0, 1, 1, 0)
+    A = np.array([[2.0, 2.0, 1.0, 2.0, 1.9999999999999998, 2.0]])
+    b = np.array([5.999999999999999])
+    sigma = np.array([0.9, 0.2, 0.3, 0.9, 0.9, 0.1])
+    points = np.array(list(itertools.product([0.0, 1.0], repeat=6)))
+    feasible = points[points @ np.round(A[0]) <= 6.0]
+    assert any(np.array_equal(p, [1, 0, 0, 1, 1, 0]) for p in feasible)
+    binary = np.ones(6, dtype=bool)
+    for pi, pi0 in cover_cuts(A, b, sigma, binary):
+        assert np.all(feasible @ pi <= pi0 + 1e-9), (pi, pi0)
+    # the rounded row still yields its true cover, x0 + x2 + x3 + x4 <= 3
+    [(pi, pi0)] = cover_cuts(A, b, np.array([1.0, 0.0, 0.9, 1.0, 1.0, 0.0]), binary)
+    assert np.array_equal(pi, [1, 0, 1, 1, 1, 0]) and pi0 == 3.0
+    assert np.all(feasible @ pi <= pi0)
 
 
 def test_gomory_cut_separates_the_fractional_vertex():

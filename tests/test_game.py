@@ -22,6 +22,8 @@ from rbgames.generators import canonical_knapsack_game, infeasible_game, random_
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
 from rbgames.poly import Polyhedron
 
+from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices
+
 
 def _scalar_player(name, value, n_opp):
     return PlayerProgram(
@@ -105,17 +107,38 @@ def test_support_from_points_contract():
 
 
 def test_encode_region_shifts_bounds():
+    # a shifted box with a knapsack row: the encoding's strategies are
+    # exactly the convex hull of the polyhedron's vertices
     region = Polyhedron(np.array([[3.0, 4.0]]), np.array([5.0]),
                         np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
     enc = encode_region(region)
-    # v = x - lb lives in the nonnegative orthant; row and upper bounds in G v <= h
     assert enc.m == 2
-    assert np.allclose(enc.shift, [-1.0, 0.0])
-    x = np.array([0.5, 0.5])
-    v = x - enc.shift
-    assert np.all(enc.G @ v <= enc.h + 1e-12)
-    bad = np.array([1.0, 1.0])  # violates the knapsack row
-    assert np.any(enc.G @ (bad - enc.shift) > enc.h + 1e-9)
+    verts = polyhedron_vertices(region)
+    rng = seeded_rng(5)
+    inside = 0
+    for x in np.vstack([verts, rng.random((80, 2)) * 3.0 - np.array([1.5, 1.0])]):
+        member, v = encoding_holds(enc, x)
+        assert member == in_convex_hull_of(verts, x), x
+        if member:
+            inside += 1
+            # k > 0 and k'v is the same at every point of the region
+            assert abs(float(enc.k @ v) - float(enc.k @ encoding_holds(enc, verts[0])[1])) < 1e-9
+    assert inside >= 12 and np.all(enc.k > 0)
+    assert not encoding_holds(enc, np.array([1.0, 1.0]))[0]  # violates the knapsack row
+
+
+def test_nash_lcp_is_copositive_plus():
+    # P is entrywise positive, so z'Mz = v'Pv >= 0 on every z >= 0
+    rng = seeded_rng(8)
+    for seed in (0, 1, 2):
+        game = random_knapsack_game(seed, 2, 4).game()
+        regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+        lcp, index_map = build_nash_lcp(game, regions)
+        nv = index_map.var_slices[-1].stop
+        assert np.all(lcp.M[:nv, :nv] > 0.0), seed
+        for _ in range(200):
+            z = rng.random(lcp.order) * (rng.random(lcp.order) < 0.5)
+            assert z @ lcp.M @ z >= -1e-9 * (1.0 + z @ np.abs(lcp.M) @ z), seed
 
 
 def _kkt_profile(game, regions):

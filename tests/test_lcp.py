@@ -16,7 +16,6 @@ from rbgames import (
 )
 
 from rbgames.errors import BudgetExhausted
-from rbgames.lcp import _branching, _lemke
 
 from oracles import brute_force_lcp, lemke_row_loop
 
@@ -47,18 +46,29 @@ def test_zero_solution_when_q_is_nonnegative():
 
 
 def test_certified_empty():
-    # w = -1 < 0 is forced and z cannot lift it: no solution exists
+    # w = -1 < 0 is forced and z cannot lift it: no solution exists.  M = 0
+    # is copositive-plus, and there Lemke's ray proves emptiness
     problem = LCP(M=np.array([[0.0]]), q=np.array([-1.0]))
+    assert not brute_force_lcp(problem.M, problem.q)
     out = solve_lcp(problem)
     assert isinstance(out, NoSolution)
-    assert out.certified
+    assert out.nodes == 1
 
 
 def test_lemke_failure_is_not_certified():
-    problem = LCP(M=np.array([[0.0]]), q=np.array([-1.0]))
-    out = _lemke(problem, 1e-7, 200 + 30 * problem.order)
-    assert isinstance(out, NoSolution)
-    assert not out.certified
+    # on an M that is not copositive-plus a ray proves nothing: some of
+    # these LCPs have a solution that Lemke's path never reaches
+    rng = seeded_rng(19)
+    missed = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 5))
+        problem = LCP(M=np.round(rng.normal(size=(n, n)) * 2, 1), q=np.round(rng.normal(size=n) * 2, 1))
+        out = solve_lcp(problem)
+        if isinstance(out, NoSolution) and brute_force_lcp(problem.M, problem.q):
+            missed += 1
+        elif isinstance(out, LCPSolution):
+            _check(problem, out)
+    assert missed >= 15
 
 
 def test_fixings_lp():
@@ -85,32 +95,36 @@ def test_validation():
         LCP(M=np.full((1, 1), np.nan), q=np.zeros(1))
 
 
+def _copositive_plus(rng, n):
+    # a low-rank positive semidefinite part plus a skew-symmetric one:
+    # z'Mz = |B'z|^2 >= 0, and z'Mz = 0 forces (M + M')z = 0
+    B = np.round(rng.normal(size=(n, int(rng.integers(0, n + 1)))), 1)
+    S = np.round(rng.normal(size=(n, n)), 1)
+    return B @ B.T + S - S.T
+
+
 def test_small_instances_match_pattern_oracle():
     rng = seeded_rng(17)
     solvable = 0
     empty = 0
-    for trial in range(120):
-        n = int(rng.integers(1, 5))
-        M = np.round(rng.normal(size=(n, n)) * 2, 1)
+    for trial in range(160):
+        n = int(rng.integers(1, 6))
+        M = _copositive_plus(rng, n)
         q = np.round(rng.normal(size=n) * 2, 1)
         problem = LCP(M=M, q=q)
-        ref = brute_force_lcp(M, q)
-        out = solve_lcp(problem, node_limit=20000)
-        if ref:
-            # a nondegenerate basis solution exists, so the solver must
-            # produce some solution (not necessarily the same one)
+        out = solve_lcp(problem)
+        if brute_force_lcp(M, q):
+            # Lemke is complete on a feasible copositive-plus LCP
             assert isinstance(out, LCPSolution), trial
             _check(problem, out)
             solvable += 1
         elif isinstance(out, NoSolution):
-            # pattern enumeration only misses singular-basis solutions,
-            # so emptiness claims must be certified
-            assert out.certified
             empty += 1
         else:
+            # pattern enumeration misses solutions on singular bases only
             _check(problem, out)
-    assert solvable >= 60
-    assert empty >= 5
+    assert solvable >= 100
+    assert empty >= 15
 
 
 def test_positive_definite_instances_and_method_agreement():
@@ -121,59 +135,46 @@ def test_positive_definite_instances_and_method_agreement():
         M = B @ B.T + n * np.eye(n)
         q = np.round(rng.normal(size=n) * 3, 2)
         problem = LCP(M=M, q=q)
-        # solve_lcp would return the Lemke probe's own answer here
-        a = _branching(problem, 1e-7, 100000, None)
-        b = _lemke(problem, 1e-7, 200 + 30 * n)
-        assert isinstance(a, LCPSolution), trial
-        assert isinstance(b, LCPSolution), trial
-        _check(problem, a)
-        _check(problem, b)
+        out = solve_lcp(problem)
+        assert isinstance(out, LCPSolution), trial
+        _check(problem, out)
         # strictly monotone LCPs have a unique solution
-        assert np.allclose(a.z, b.z, atol=1e-6), trial
+        [(z, _)] = brute_force_lcp(M, q)
+        assert np.allclose(out.z, z, atol=1e-6), trial
 
 
-def test_branching_respects_node_limit():
-    rng = seeded_rng(40)
-    raised = False
-    problem = None
-    for trial in range(10):
-        M = np.round(rng.normal(size=(6, 6)), 1)
-        q = np.round(rng.normal(size=6), 1)
-        problem = LCP(M=M, q=q)
-        try:
-            _branching(problem, 1e-7, 2, None)
-        except BudgetExhausted:
-            raised = True
-            break
-    assert raised
-    # the same instance resolves once the budget is realistic
-    out = _branching(problem, 1e-7, 20000, None)
-    assert isinstance(out, (LCPSolution, NoSolution))
+def test_lemke_respects_its_pivot_cap():
+    # on M = I + 2 (strict lower triangle), q = -1 this Lemke takes 2^n
+    # pivots; n = 9 needs 512, past the cap of 200 + 30 n = 470
+    for n in range(2, 10):
+        M = np.eye(n) + 2.0 * np.tril(np.ones((n, n)), -1)
+        problem = LCP(M=M, q=-np.ones(n))
+        out = solve_lcp(problem)
+        if n < 9:
+            assert isinstance(out, LCPSolution) and out.nodes == 2 ** n, n
+            [(z, _)] = brute_force_lcp(M, problem.q)
+            assert np.allclose(out.z, z, atol=1e-9), n
+        else:
+            assert isinstance(out, NoSolution) and out.nodes == 200 + 30 * n
 
 
 def test_vectorized_lemke_matches_the_row_loop_reference():
     rng = seeded_rng(61)
     outcomes = set()
-    for trial in range(400):
-        n = int(rng.integers(2, 41))
+    for trial in range(300):
+        n = int(rng.integers(2, 31))
         if trial % 2:
-            B = rng.normal(size=(n, n))
-            M = B @ B.T + np.eye(n)
+            M = _copositive_plus(rng, n)
         else:
             M = np.round(rng.normal(size=(n, n)) * 2, 1)
         q = np.round(rng.normal(size=n) * 3, 1)
-        max_iter = 200 + 30 * n
-        kind, z_ref, pivots = lemke_row_loop(M, q, max_iter)
-        try:
-            out = _lemke(LCP(M=M, q=q), 1e-9, max_iter)
-        except BudgetExhausted:
-            assert kind == "cap", trial
-            continue
+        kind, z_ref, pivots = lemke_row_loop(M, q, 200 + 30 * n)
+        out = solve_lcp(LCP(M=M, q=q))
         outcomes.add(kind)
         assert out.nodes == pivots, trial
         if kind == "solution":
             assert isinstance(out, LCPSolution), trial
-            assert np.array_equal(out.z, z_ref), trial
+            assert np.allclose(out.z, z_ref, atol=1e-8), trial
         else:
             assert isinstance(out, NoSolution), trial
     assert outcomes == {"solution", "ray"}
@@ -181,89 +182,10 @@ def test_vectorized_lemke_matches_the_row_loop_reference():
 
 def test_lemke_honors_the_deadline():
     rng = seeded_rng(7)
-    M = np.round(rng.normal(size=(30, 30)) * 2, 1)
-    problem = LCP(M=M, q=-np.ones(30))
-    with pytest.raises(BudgetExhausted):
-        _lemke(problem, 1e-7, 200 + 30 * 30, deadline=time.monotonic() - 1.0)
-    with pytest.raises(BudgetExhausted):
+    problem = LCP(M=_copositive_plus(rng, 30), q=-np.ones(30))
+    with pytest.raises(BudgetExhausted) as info:
         solve_lcp(problem, deadline=time.monotonic() - 1.0)
-
-
-def _random_lcp(rng, n, degenerate):
-    M = np.round(rng.normal(size=(n, n)) * 2, 0)
-    q = np.round(rng.normal(size=n) * 2, 0)
-    if degenerate:
-        # zero rows and columns in M, zeros in q
-        M[rng.random(n) < 0.25] = 0.0
-        M[:, rng.random(n) < 0.25] = 0.0
-        q[rng.random(n) < 0.3] = 0.0
-    return LCP(M=M, q=q)
-
-
-def test_screen_verdicts_match_the_node_lp():
-    from rbgames.lcp import _NodeScreen
-
-    rng = seeded_rng(29)
-    verdicts = {True: 0, False: 0}
-    for trial in range(160):
-        n = int(rng.integers(1, 9))
-        problem = _random_lcp(rng, n, degenerate=trial % 2 == 1)
-        screen = _NodeScreen(problem)
-        free = np.full(n, FIX_FREE, dtype=np.int64)
-        root = screen.root()
-        assert (root is None) == (solve_lcp_with_fixings(problem, free) is None), trial
-        if root is None:
-            continue
-        for _ in range(4):
-            # a random walk down the tree, keeping the parent's basis
-            fixings, warm = free.copy(), root
-            while np.any(fixings == FIX_FREE):
-                j = int(rng.choice(np.nonzero(fixings == FIX_FREE)[0]))
-                children = [FIX_Z_ZERO, FIX_W_ZERO]
-                rng.shuffle(children)
-                survivor = None
-                for side in children:
-                    child = fixings.copy()
-                    child[j] = side
-                    infeasible, child_warm = screen.check(warm, child)
-                    assert infeasible == (solve_lcp_with_fixings(problem, child) is None), (trial, child)
-                    verdicts[infeasible] += 1
-                    if not infeasible and survivor is None:
-                        survivor = child, child_warm
-                if survivor is None:
-                    break
-                fixings, warm = survivor
-    assert verdicts[True] >= 100
-    assert verdicts[False] >= 100
-
-
-def test_screen_changes_no_branching_outcome(monkeypatch):
-    import rbgames.lcp as lcp_module
-
-    rng = seeded_rng(31)
-    problems = [_random_lcp(rng, int(rng.integers(3, 11)), degenerate=k % 3 == 2) for k in range(90)]
-    real = lcp_module.solve_lcp_with_fixings
-    node_lps = [0]
-
-    def counted(*args, **kwargs):
-        node_lps[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lcp_module, "solve_lcp_with_fixings", counted)
-    screened = [solve_lcp(p) for p in problems]
-    screened_lps = node_lps[0]
-    node_lps[0] = 0
-    monkeypatch.setattr(lcp_module._NodeScreen, "check", lambda self, warm, fixings: (False, warm))
-    plain = [solve_lcp(p) for p in problems]
-    for k, (a, b) in enumerate(zip(screened, plain)):
-        assert type(a) is type(b), k
-        assert a.nodes == b.nodes, k
-        if isinstance(a, LCPSolution):
-            assert np.array_equal(a.z, b.z), k
-        else:
-            assert a.certified == b.certified, k
-    # the screen must have spared some node LPs for the comparison to mean anything
-    assert screened_lps < node_lps[0]
+    assert info.value.nodes == 0
 
 
 def test_node_lps_stay_bounded_when_column_sums_are_negative():
@@ -291,28 +213,7 @@ def test_node_lps_stay_bounded_when_column_sums_are_negative():
     assert feasible >= 200
 
 
-def test_node_lps_honor_the_deadline(monkeypatch):
-    import rbgames.lcp as lcp_module
-
+def test_node_lps_honor_the_deadline():
     problem = LCP(M=np.eye(2), q=np.array([-1.0, 2.0]))
     with pytest.raises(BudgetExhausted):
         solve_lcp_with_fixings(problem, np.full(2, FIX_FREE), deadline=time.monotonic() - 1.0)
-
-    # every node solves its LP, so branching's node count is the LP count
-    monkeypatch.setattr(lcp_module._NodeScreen, "check", lambda self, warm, fixings: (False, warm))
-    rng = seeded_rng(31)
-    problem = next(p for p in (_random_lcp(rng, 8, degenerate=False) for _ in range(200))
-                   if getattr(solve_lcp(p), "nodes", 0) >= 3)
-    real = lcp_module.solve_lcp_with_fixings
-    calls = [0]
-
-    def expiring(problem, fixings, deadline=None):
-        # the third node LP starts after the deadline has passed
-        calls[0] += 1
-        return real(problem, fixings, deadline=time.monotonic() - 1.0 if calls[0] == 3 else deadline)
-
-    monkeypatch.setattr(lcp_module, "solve_lcp_with_fixings", expiring)
-    with pytest.raises(BudgetExhausted) as info:
-        solve_lcp(problem, deadline=time.monotonic() + 60.0)
-    assert calls[0] == 3
-    assert info.value.nodes == 3

@@ -13,7 +13,7 @@ from rbgames import (
     seeded_rng,
 )
 
-from oracles import encode_hull_row_loop, in_convex_hull_of, polyhedron_vertices
+from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices
 
 _EPS = 1e-7
 
@@ -159,30 +159,33 @@ def test_hull_requires_bounded_pieces():
         convex_hull([open_piece])
 
 
-def test_hull_encoding_matches_the_row_loop_reference():
-    # block assembly must reproduce the row-by-row encoder bit for bit,
-    # signed zeros included, since the Nash LCP is built from it
+def test_hull_encoding_matches_vertex_enumeration():
+    # the strategies x = L v of the homogeneous encoding are exactly the
+    # convex hull of the pieces' vertices, zero-row pieces included
     rng = seeded_rng(47)
-    zero_row_pieces = 0
-    for trial in range(150):
-        n = int(rng.integers(1, 5))
+    zero_row_pieces = members = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 4))
         pieces = []
-        for _ in range(int(rng.integers(1, 5))):
+        for _ in range(int(rng.integers(1, 4))):
             lo = np.round(rng.random(n) * 4 - 3, 2)
             hi = lo + np.round(rng.random(n) * 2 + 0.1, 2)
-            k = int(rng.integers(0, 4))
-            A = rng.normal(size=(k, n))
-            b = A @ ((lo + hi) / 2) + rng.random(k) + 0.1
+            k = int(rng.integers(0, 3))
+            A = np.round(rng.normal(size=(k, n)), 1)
+            b = A @ ((lo + hi) / 2) + np.round(rng.random(k) + 0.1, 1)
             pieces.append(Polyhedron(A, b, lo, hi))
             zero_row_pieces += k == 0
         hull = convex_hull(pieces)
         enc = encode_region(hull)
-        G, h, shift = encode_hull_row_loop(hull)
-        for ours, ref in ((enc.G, G), (enc.h, h), (enc.shift, shift)):
-            assert ours.shape == ref.shape, trial
-            assert ours.tobytes() == ref.tobytes(), trial
-        assert (enc.nvars, enc.m) == (G.shape[1], n)
-    assert zero_row_pieces >= 20
+        assert enc.m == n and np.all(enc.k > 0), trial
+        verts = np.vstack([polyhedron_vertices(p) for p in hull.pieces])
+        lo = verts.min(axis=0) - 0.5
+        span = verts.max(axis=0) + 0.5 - lo
+        for x in np.vstack([verts, lo + rng.random((6, n)) * span]):
+            member = encoding_holds(enc, x)[0]
+            assert member == in_convex_hull_of(verts, x), (trial, x)
+            members += member
+    assert zero_row_pieces >= 20 and members >= 200
 
 
 def test_membership_and_decomposition_on_shifted_pieces(monkeypatch):
