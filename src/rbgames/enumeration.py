@@ -2,12 +2,20 @@
 
 Pure profiles are scanned with an exact (zero-tolerance) deviation
 check.  For two-player games the mixed equilibria of the induced
-normal-form game are recovered by support enumeration: for every pair
-of supports, solve the indifference system and keep solutions that
-verify as equilibria.
+normal-form game are recovered by support enumeration (Avis, Rosenberg,
+Savani & von Stengel, 2010), batched.  Support pairs (I, J) are scanned
+in (size, lexicographic) order of I, then of J, at most ``_BATCH`` pairs
+at a time.  Each pair's indifference system is written in the full
+(K1+1) x (K2+1) frame, zero outside I and J, so its minimum-norm
+least-squares solution is the pair's own, and one stacked
+pseudo-inverse solves the whole batch.  Player 1's tests (a consistent
+solution, nonnegative weights, no cheaper row) run on the batch first;
+only the pairs that pass them solve player 2's system.  The survivors
+are then replayed in scan order.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -20,6 +28,8 @@ from .numerics import FEAS_TOL
 
 PROFILE_CAP = 1 << 20
 _VERIFY_TOL = 1e-9
+_BATCH = 512  # support pairs per stacked solve
+_BATCH_FLOATS = 1 << 16  # and at most this many floats in a batch's frames
 
 
 def lattice_points(program, cap=PROFILE_CAP):
@@ -74,13 +84,17 @@ def _key(points):
     return tuple(round(float(v), 9) + 0.0 for pt in points for v in pt)
 
 
-def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
-    """Every pure equilibrium, plus every mixed one when n = 2.
+def _stats(t0, scanned):
+    return SolveStats(iterations=scanned, wall_ms=(time.monotonic() - t0) * 1000.0)
 
-    Raises BudgetExhausted when the profile count exceeds the cap and
-    InfeasibleGame when some player has no pure strategy.
-    """
-    t0 = time.monotonic()
+
+def _check_deadline(deadline, what):
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExhausted(f"{what} timed out")
+
+
+def _lattices(game, profile_cap, deadline):
+    """Every player's lattice points; raises as ``full_enumeration`` documents."""
     sets = []
     for i, p in enumerate(game.players):
         if tuple(p.integers) != tuple(range(p.nvars)):
@@ -91,35 +105,30 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
         if pts.shape[0] == 0:
             raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
         sets.append(pts)
-    total = 1
-    for pts in sets:
-        total *= pts.shape[0]
-        if total > profile_cap:
-            raise BudgetExhausted(f"profile count exceeds {profile_cap}")
+        _check_deadline(deadline, "full enumeration")
+    if math.prod(pts.shape[0] for pts in sets) > profile_cap:
+        raise BudgetExhausted(f"profile count exceeds {profile_cap}")
+    return sets
 
-    def stats(scanned):
-        return SolveStats(iterations=scanned, wall_ms=(time.monotonic() - t0) * 1000.0)
 
-    results = []
-    seen = set()
-    n = game.n_players
+def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
+    """Every pure equilibrium, plus every mixed one when n = 2.
 
-    if n == 2:
+    Raises BudgetExhausted when the profile count exceeds the cap or the
+    deadline passes, and InfeasibleGame when some player has no pure
+    strategy.
+    """
+    t0 = time.monotonic()
+    sets = _lattices(game, profile_cap, deadline)
+    if game.n_players == 2:
         S1, S2 = sets
-        cost1, cost2 = _cost_matrices(game, S1, S2)
-        best1 = cost1.min(axis=0)
-        best2 = cost2.min(axis=1)
-        for k1, k2 in np.argwhere((cost1 <= best1[None, :]) & (cost2 <= best2[:, None])):
-            pts = [S1[k1], S2[k2]]
-            seen.add(_key(pts))
-            results.append(_pure_result(game, pts, stats(total)))
-        results.extend(_mixed_two_player(game, S1, S2, cost1, cost2, seen, stats, deadline))
-        return results
+        return _two_player(game, S1, S2, *_cost_matrices(game, S1, S2), t0, deadline)
 
+    total = math.prod(pts.shape[0] for pts in sets)
+    results = []
     for combo in itertools.product(*[range(pts.shape[0]) for pts in sets]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted("full enumeration timed out")
-        pts = [sets[i][combo[i]] for i in range(n)]
+        _check_deadline(deadline, "full enumeration")
+        pts = [sets[i][k] for i, k in enumerate(combo)]
         ok = True
         for i, p in enumerate(game.players):
             opp = opponents_vector(game, pts, i)
@@ -129,43 +138,50 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
                 ok = False
                 break
         if ok:
-            seen.add(_key(pts))
-            results.append(_pure_result(game, pts, stats(total)))
+            results.append(_pure_result(game, pts, _stats(t0, total)))
     return results
 
 
-def _mixed_two_player(game, S1, S2, cost1, cost2, seen, stats, deadline):
-    """Support enumeration over the induced bimatrix game."""
+def _two_player(game, S1, S2, cost1, cost2, t0, deadline):
+    """Pure, then mixed, equilibria of the induced bimatrix game."""
+    _check_deadline(deadline, "full enumeration")
+    results = []
+    seen = set()
+    best1 = cost1.min(axis=0)
+    best2 = cost2.min(axis=1)
+    for k1, k2 in np.argwhere((cost1 <= best1[None, :]) & (cost2 <= best2[:, None])):
+        pts = [S1[k1], S2[k2]]
+        seen.add(_key(pts))
+        results.append(_pure_result(game, pts, _stats(t0, cost1.size)))
+    results.extend(_mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline))
+    return results
+
+
+def _mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline):
+    """Batched two-stage support enumeration, replayed in scan order.
+
+    ``iterations`` of a found equilibrium counts the mixed support pairs
+    scanned up to and including its own.
+    """
     K1, K2 = cost1.shape
+    batch = max(1, min(_BATCH, _BATCH_FLOATS // ((K1 + 1) * (K2 + 1))))
     out = []
     scanned = 0
-    for I in _supports(K1):
-        for J in _supports(K2):
-            if len(I) == 1 and len(J) == 1:
-                continue  # pure pairs are handled by the exact scan
-            if deadline is not None and scanned % 256 == 0 and time.monotonic() > deadline:
-                raise BudgetExhausted("support enumeration timed out")
-            scanned += 1
-            y = _indifference(cost1[np.ix_(I, J)])
-            if y is None:
-                continue
-            x = _indifference(cost2[np.ix_(I, J)].T)
-            if x is None:
-                continue
-            # off-support strategies must not beat the support value
-            v1 = float(cost1[np.ix_(I, J)][0] @ y)
-            v2 = float(cost2[np.ix_(I, J)].T[0] @ x)
-            if np.any(cost1[:, J] @ y < v1 - _VERIFY_TOL):
-                continue
-            if np.any(cost2.T[:, I] @ x < v2 - _VERIFY_TOL):
-                continue
-            pts = [x @ S1[list(I)], y @ S2[list(J)]]
+    for I, J in _pair_batches(K1, K2, batch):
+        _check_deadline(deadline, "support enumeration")
+        y, ok = _indifference(cost1, I, J)
+        stage1 = np.flatnonzero(ok)
+        x, ok = _indifference(cost2.T, J[stage1], I[stage1])
+        for k, xk in zip(stage1[ok], x[ok]):
+            i, j = np.flatnonzero(I[k]), np.flatnonzero(J[k])
+            xi, yj = xk[i], y[k, j]
+            pts = [xi @ S1[i], yj @ S2[j]]
             key = _key(pts)
             if key in seen:
                 continue
             seen.add(key)
-            sup1 = [(float(w), S1[i].copy()) for w, i in zip(x, I) if w > 1e-9]
-            sup2 = [(float(w), S2[j].copy()) for w, j in zip(y, J) if w > 1e-9]
+            sup1 = [(float(w), S1[a].copy()) for w, a in zip(xi, i) if w > 1e-9]
+            sup2 = [(float(w), S2[b].copy()) for w, b in zip(yj, j) if w > 1e-9]
             profile = StrategyProfile(
                 [PlayerStrategy(pts[0], sup1), PlayerStrategy(pts[1], sup2)]
             )
@@ -174,45 +190,79 @@ def _mixed_two_player(game, S1, S2, cost1, cost2, seen, stats, deadline):
                     status=EqStatus.MNE,
                     profile=profile,
                     payoffs=profile_payoffs(game, profile),
-                    stats=stats(scanned),
+                    stats=_stats(t0, scanned + int(k) + 1),
                 )
             )
+        scanned += I.shape[0]
     return out
 
 
-def _supports(K):
-    for size in range(1, K + 1):
-        yield from itertools.combinations(range(K), size)
+def _support_masks(K, chunk):
+    """Masks of the nonempty subsets of range(K), ``chunk`` rows at a time.
 
-
-def _indifference(block):
-    """Opponent weights making every row of ``block`` equally costly.
-
-    block[s, t] is the cost of own support strategy s against opponent
-    support strategy t.  Solves for nonnegative weights summing to one;
-    returns None when no verified solution exists.
+    Subsets come in (size, lexicographic) order.
     """
-    a, b = block.shape
-    # unknowns: b weights and the common value v
-    A = np.zeros((a + 1, b + 1))
-    A[:a, :b] = block
-    A[:a, b] = -1.0
-    A[a, :b] = 1.0
-    rhs = np.zeros(a + 1)
-    rhs[a] = 1.0
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None
-    if np.max(np.abs(A @ sol - rhs)) > _VERIFY_TOL:
-        return None
-    y = sol[:b]
-    if np.any(y < -_VERIFY_TOL):
-        return None
-    y = np.clip(y, 0.0, None)
-    s = y.sum()
-    if s <= 0:
-        return None
-    return y / s
+    supports = itertools.chain.from_iterable(itertools.combinations(range(K), size) for size in range(1, K + 1))
+    while block := list(itertools.islice(supports, chunk)):
+        masks = np.zeros((len(block), K), dtype=bool)
+        for row, support in zip(masks, block):
+            row[list(support)] = True
+        yield masks
+
+
+def _pair_batches(K1, K2, batch):
+    """(I, J) masks of the mixed support pairs, ``batch`` pairs at a time.
+
+    Pairs come in scan order: I major, J minor.  Pure pairs are left to
+    the exact scan.
+    """
+    n2 = 2**K2 - 1
+    if n2 <= batch:
+        every = np.concatenate(list(_support_masks(K2, n2)))
+        blocks = ((rows, every) for rows in _support_masks(K1, batch // n2))
+    else:
+        blocks = ((row, cols) for row in _support_masks(K1, 1) for cols in _support_masks(K2, batch))
+    for rows, cols in blocks:
+        I = np.repeat(rows, cols.shape[0], axis=0)
+        J = np.tile(cols, (rows.shape[0], 1))
+        mixed = (I.sum(axis=1) > 1) | (J.sum(axis=1) > 1)
+        if mixed.any():
+            yield I[mixed], J[mixed]
+
+
+def _indifference(cost, own, opp):
+    """Opponent weights that make each own support indifferent, batched.
+
+    cost[s, t] is the cost of own strategy s against opponent strategy
+    t; row k of the masks ``own`` and ``opp`` is one support pair.  Its
+    system asks for weights on opp[k] summing to one that make every
+    own[k] row equally costly, solved by least squares in the full
+    frame with ``lstsq``'s default cutoff for the pair's own shape.
+    Returns (weights, ok): ok[k] holds when that solution is consistent
+    and nonnegative and no own strategy costs less against it.
+    """
+    n, a = own.shape
+    b = opp.shape[1]
+    A = np.zeros((n, a + 1, b + 1))
+    A[:, :a, :b] = np.where(own[:, :, None] & opp[:, None, :], cost, 0.0)
+    A[:, :a, b] = np.where(own, -1.0, 0.0)
+    A[:, a, :b] = opp
+    rcond = (np.maximum(own.sum(axis=1), opp.sum(axis=1)) + 1) * np.finfo(float).eps
+    sol = np.linalg.pinv(A, rcond=rcond)[:, :, a]
+    resid = (A @ sol[:, :, None])[:, :, 0]
+    resid[:, a] -= 1.0
+    ok = np.all(np.isfinite(sol), axis=1) & (np.max(np.abs(resid), axis=1) <= _VERIFY_TOL)
+    w = np.where(opp, sol[:, :b], 0.0)
+    ok &= ~np.any(w < -_VERIFY_TOL, axis=1)
+    w = np.clip(w, 0.0, None)
+    total = w.sum(axis=1)
+    ok &= total > 0
+    w = w / np.where(ok, total, 1.0)[:, None]
+    # no own strategy may beat the value of the first support row
+    vals = w @ cost.T
+    value = vals[np.arange(n), np.argmax(own, axis=1)]
+    ok &= ~np.any(vals < value[:, None] - _VERIFY_TOL, axis=1)
+    return w, ok
 
 
 def degenerate_bimatrix(game, margin=1e-6):
@@ -226,21 +276,17 @@ def degenerate_bimatrix(game, margin=1e-6):
     """
     if game.n_players != 2:
         raise ValueError("degeneracy test covers two-player games only")
-    sets = [lattice_points(p) for p in game.players]
-    if any(s is None or s.shape[0] == 0 for s in sets):
-        raise ValueError("players must have finite nonempty pure-strategy sets")
-    S1, S2 = sets
+    try:
+        S1, S2 = _lattices(game, PROFILE_CAP, None)
+    except (BudgetExhausted, InfeasibleGame) as exc:
+        raise ValueError("players must have finite nonempty pure-strategy sets") from exc
     cost1, cost2 = _cost_matrices(game, S1, S2)
-    for j in range(cost1.shape[1]):
-        col = cost1[:, j]
-        if int(np.sum(col <= col.min() + margin)) > 1:
-            return True
-    for i in range(cost2.shape[0]):
-        row = cost2[i]
-        if int(np.sum(row <= row.min() + margin)) > 1:
-            return True
+    if np.any(np.sum(cost1 <= cost1.min(axis=0) + margin, axis=0) > 1):
+        return True
+    if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + margin, axis=1) > 1):
+        return True
     p1, p2 = game.players
-    for eq in full_enumeration(game):
+    for eq in _two_player(game, S1, S2, cost1, cost2, time.monotonic(), None):
         s1, s2 = eq.profile.strategies
         if len(s1.support) != len(s2.support):
             return True

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from rbgames import LCP, opponents_vector, payoff
-from rbgames.enumeration import lattice_points
+from rbgames.enumeration import _cost_matrices, lattice_points
 
 
 def scipy_lp(c, A, b, lb, ub):
@@ -123,6 +123,69 @@ def is_pure_equilibrium(game, points, eps=0.0):
         if cur - best > eps:
             return False
     return True
+
+
+def _indifference(block, tol=1e-9):
+    """Opponent weights making every row of ``block`` equally costly, or None."""
+    a, b = block.shape
+    A = np.zeros((a + 1, b + 1))
+    A[:a, :b] = block
+    A[:a, b] = -1.0
+    A[a, :b] = 1.0
+    rhs = np.zeros(a + 1)
+    rhs[a] = 1.0
+    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    if not np.all(np.isfinite(sol)) or np.max(np.abs(A @ sol - rhs)) > tol:
+        return None
+    y = sol[:b]
+    if np.any(y < -tol):
+        return None
+    y = np.clip(y, 0.0, None)
+    return y / y.sum() if y.sum() > 0 else None
+
+
+def support_enumeration_loop(game, tol=1e-9):
+    """Two-player equilibria by support enumeration, one pair at a time.
+
+    Pure pairs come from an exact scan; then every support pair (I, J)
+    with a mixed side, in (size, lexicographic) order of I, then of J,
+    gets its own ``lstsq`` indifference solves and off-support checks.
+    Returns (status, barycenters, supports, payoffs, iterations) tuples
+    in the order found; iterations counts the mixed pairs scanned up to
+    and including the found one.
+    """
+    S1, S2 = [lattice_points(p) for p in game.players]
+    cost1, cost2 = _cost_matrices(game, S1, S2)
+
+    def record(status, pts, sups, scanned):
+        key = tuple(round(float(v), 9) + 0.0 for pt in pts for v in pt)
+        if key in seen:
+            return
+        seen.add(key)
+        pays = [payoff(p, pts[i], opponents_vector(game, pts, i)) for i, p in enumerate(game.players)]
+        out.append((status, pts, sups, pays, scanned))
+
+    out, seen = [], set()
+    for k1, k2 in np.argwhere((cost1 <= cost1.min(axis=0)) & (cost2 <= cost2.min(axis=1)[:, None])):
+        record("PNE", [S1[k1], S2[k2]], [[(1.0, S1[k1])], [(1.0, S2[k2])]], cost1.size)
+    supports = [[c for size in range(1, K + 1) for c in itertools.combinations(range(K), size)] for K in cost1.shape]
+    scanned = 0
+    for I in supports[0]:
+        for J in supports[1]:
+            if len(I) == 1 and len(J) == 1:
+                continue
+            scanned += 1
+            block1, block2 = cost1[np.ix_(I, J)], cost2[np.ix_(I, J)].T
+            y = _indifference(block1, tol)
+            x = None if y is None else _indifference(block2, tol)
+            if x is None:
+                continue
+            if np.any(cost1[:, J] @ y < block1[0] @ y - tol) or np.any(cost2.T[:, I] @ x < block2[0] @ x - tol):
+                continue
+            sups = [[(float(w), S1[i]) for w, i in zip(x, I) if w > 1e-9],
+                    [(float(w), S2[j]) for w, j in zip(y, J) if w > 1e-9]]
+            record("MNE", [x @ S1[list(I)], y @ S2[list(J)]], sups, scanned)
+    return out
 
 
 def lemke_row_loop(M, q, max_iter):

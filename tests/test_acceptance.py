@@ -4,6 +4,7 @@ Run with ``python3 -m pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines alongside the pytest verdicts.
 """
 
+import hashlib
 import json
 import time
 
@@ -95,7 +96,7 @@ def corpus_sweep():
         if best > 1e-6:
             mismatches.append(((m, seed), best))
 
-    return len(seeds), mismatches, region_violations
+    return seeds, mismatches, region_violations
 
 
 def test_criterion_1_ground_truth_enumeration():
@@ -137,8 +138,21 @@ def test_criterion_2_cut_and_play_on_the_known_game():
     _verdict(2, ok, f"status {result.status.value}, distance to nearest known equilibrium {dist:.2e}")
 
 
+# (count, first seed, last seed, sha1 of the comma-joined seeds) of each
+# nondegenerate_seeds list: the corpus the bench and criteria 3 and 5 share
+_CORPUS_PINS = {
+    2: (200, 2, 316, "d7f4dddb2fbe448deda17b67cf6e1372ddfca139"),
+    3: (80, 7, 371, "7190abc04e0809754e0bd50755c0234b4805d724"),
+}
+
+
 def test_criterion_3_solver_agreement_on_the_corpus(corpus_sweep):
-    total, mismatches, _ = corpus_sweep
+    seeds, mismatches, _ = corpus_sweep
+    for m, pin in _CORPUS_PINS.items():
+        listed = [s for items, s in seeds if items == m]
+        digest = hashlib.sha1(",".join(map(str, listed)).encode()).hexdigest()
+        assert (len(listed), listed[0], listed[-1], digest) == pin, f"the {m}-item corpus changed"
+    total = len(seeds)
     ok = total >= 200 and not mismatches
     _verdict(3, ok, f"{total} games, {len(mismatches)} violations{': ' + repr(mismatches[:3]) if mismatches else ''}")
 
@@ -225,7 +239,8 @@ def test_criterion_4c_hull_membership_matches_vertex_oracle():
 
 
 def test_criterion_5_outer_approximation_invariant(corpus_sweep):
-    total, _, region_violations = corpus_sweep
+    seeds, _, region_violations = corpus_sweep
+    total = len(seeds)
     ok = total >= 200 and not region_violations
     _verdict(5, ok, f"{total} games audited after every refinement, {len(region_violations)} lost points")
 

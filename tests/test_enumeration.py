@@ -1,21 +1,27 @@
+import time
+
 import numpy as np
 import pytest
 
+import rbgames.enumeration as enumeration
 from rbgames import (
+    Algorithm,
     BudgetExhausted,
     EqStatus,
     GameModel,
     InfeasibleGame,
     PlayerProgram,
+    SolverOptions,
     full_enumeration,
     lattice_points,
     opponents_vector,
     payoff,
+    solve_game,
 )
 from rbgames.enumeration import degenerate_bimatrix
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, random_knapsack_game
 
-from oracles import is_pure_equilibrium
+from oracles import is_pure_equilibrium, support_enumeration_loop
 
 _COORD_TOL = 1e-9
 
@@ -176,3 +182,79 @@ def test_degeneracy_detector():
     # of equilibria; the canonical game is clean
     assert degenerate_bimatrix(random_knapsack_game(122).game())
     assert not degenerate_bimatrix(canonical_knapsack_game().game())
+
+
+def _matching_pennies():
+    return GameModel([
+        _one_var_player("odd", 2.0, [-4.0], 1),
+        _one_var_player("even", -2.0, [4.0], 1),
+    ])
+
+
+_DIFFERENTIAL_GAMES = (
+    [("canonical", canonical_knapsack_game().game()), ("pennies", _matching_pennies()),
+     ("degenerate 122", random_knapsack_game(122).game())]
+    + [(f"2x2 seed {s}", random_knapsack_game(s).game()) for s in range(10)]
+    + [(f"2x3 seed {s}", random_knapsack_game(s, n_items=3).game()) for s in range(10)]
+)
+
+
+def _assert_same_as_the_loop(game, found):
+    expected = support_enumeration_loop(game)
+    assert len(found) == len(expected)
+    for r, (status, bary, sups, pays, iterations) in zip(found, expected):
+        assert r.status.value == status
+        assert r.stats.iterations == iterations
+        assert np.allclose(r.payoffs, pays, atol=1e-9, rtol=0)
+        for strategy, b, sup in zip(r.profile.strategies, bary, sups):
+            assert np.max(np.abs(strategy.barycenter - b)) <= 1e-9
+            assert len(strategy.support) == len(sup)
+            for (w, pt), (w_ref, pt_ref) in zip(strategy.support, sup):
+                assert abs(w - w_ref) <= 1e-9
+                assert np.array_equal(pt, pt_ref)
+
+
+@pytest.mark.parametrize("batch", [enumeration._BATCH, 5])
+@pytest.mark.parametrize("name,game", _DIFFERENTIAL_GAMES, ids=[n for n, _ in _DIFFERENTIAL_GAMES])
+def test_batched_enumeration_matches_the_per_pair_loop(monkeypatch, name, game, batch):
+    # batch 5 splits every game's pairs across many batches; a player 2
+    # with 3 or more pure strategies then takes one row of I per batch
+    monkeypatch.setattr(enumeration, "_BATCH", batch)
+    _assert_same_as_the_loop(game, full_enumeration(game))
+
+
+def test_batched_enumeration_matches_the_loop_across_default_batches():
+    # 6x6 lattice points: 3,933 mixed pairs in eight batches, with mixed
+    # equilibria found in the second, third and fifth of them
+    game = random_knapsack_game(106, n_items=3).game()
+    found = full_enumeration(game)
+    assert [r.stats.iterations for r in found if r.status is EqStatus.MNE] == [669, 1049, 1050, 2013]
+    _assert_same_as_the_loop(game, found)
+
+
+def test_a_passed_deadline_stops_before_any_support_work(monkeypatch):
+    lattices = []
+
+    def counted(program, cap=enumeration.PROFILE_CAP):
+        lattices.append(program.name)
+        return lattice_points(program, cap)
+
+    def forbidden(*args):
+        raise AssertionError("support work started after the deadline")
+
+    monkeypatch.setattr(enumeration, "lattice_points", counted)
+    monkeypatch.setattr(enumeration, "_cost_matrices", forbidden)
+    monkeypatch.setattr(enumeration, "_pair_batches", forbidden)
+    with pytest.raises(BudgetExhausted):
+        full_enumeration(canonical_knapsack_game().game(), deadline=time.monotonic() - 1.0)
+    assert lattices == ["blue"]
+
+
+def test_fullenum_time_limit_returns_time_limit_with_stats():
+    opts = SolverOptions(algorithm=Algorithm.FULL_ENUMERATION, time_limit=1e-9)
+    results = solve_game(random_knapsack_game(106, n_items=3).game(), opts)
+    assert len(results) == 1
+    r = results[0]
+    assert r.status is EqStatus.TIME_LIMIT
+    assert r.profile is None
+    assert r.stats is not None and r.stats.wall_ms >= 0.0
