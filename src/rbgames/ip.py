@@ -3,6 +3,12 @@
 A player minimizes  c.x + opp' C x  over a polyhedron with optional
 integrality marks.  The opponent vector enters only the objective, so a
 best response is a plain IP with the parametrized cost vector.
+
+Branch and bound builds and validates one LinearProgram per call, for
+its root.  A child differs from its parent by one tightened bound, so
+it is re-solved warm from the parent's final simplex state
+(``lp.resolve_lp``: a bounded dual simplex, no factorization), which
+each open node keeps in the heap.
 """
 
 import heapq
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted
-from .lp import LinearProgram, LPResult, LPStatus, solve_lp
+from .lp import LinearProgram, LPResult, LPStatus, resolve_lp, solve_lp
 from .numerics import SparseMatrix
 from .poly import Polyhedron
 
@@ -117,7 +123,9 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
 
     Most-fractional branching with lowest-index ties, best-bound node
     selection.  Returns an LPResult (Optimal or Infeasible); raises
-    BudgetExhausted carrying the incumbent when a limit is hit.
+    BudgetExhausted carrying the incumbent when a limit is hit, also
+    when the ``time.monotonic()`` value ``deadline`` passes inside a
+    node LP.
     """
     if opponents is None:
         opponents = np.zeros(program.opp_vars)
@@ -128,24 +136,26 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
     best_x, best_val = None, np.inf
     heap = []
     counter = 0
-    root = (program.lb.copy(), program.ub.copy())
-    res = solve_lp(LinearProgram(cost, A, b, *root))
+    root = (program.lb, program.ub)
+    res = solve_lp(LinearProgram(cost, A, b, *root), deadline=deadline)
     if res.status is LPStatus.INFEASIBLE:
         return LPResult(LPStatus.INFEASIBLE)
     if res.status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED)
-    heapq.heappush(heap, (res.value, counter, root, res.x))
+    heapq.heappush(heap, (res.value, counter, root, res))
     nodes = 1
 
-    def out_of_budget():
-        if nodes >= node_limit:
-            return True
-        return deadline is not None and time.monotonic() > deadline
+    def exhausted():
+        inc = None
+        if best_x is not None:
+            inc = LPResult(LPStatus.OPTIMAL, x=best_x, value=best_val)
+        return BudgetExhausted("branch-and-bound budget exhausted", incumbent=inc)
 
     while heap:
-        bound, _, (lo, hi), x = heapq.heappop(heap)
+        bound, _, (lo, hi), node = heapq.heappop(heap)
         if bound >= best_val - _PRUNE_TOL:
             continue
+        x = node.x
         frac = np.abs(x[ints] - np.round(x[ints])) if ints.size else np.zeros(0)
         if not ints.size or frac.max() <= _INT_FEAS_TOL:
             cand = x.copy()
@@ -164,18 +174,18 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
         else:
             # most fractional first, lowest index on ties
             j = int(ints[np.argmax(frac)])
-        if out_of_budget():
-            inc = None
-            if best_x is not None:
-                inc = LPResult(LPStatus.OPTIMAL, x=best_x, value=best_val)
-            raise BudgetExhausted("branch-and-bound budget exhausted", incumbent=inc)
+        if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
+            raise exhausted()
         xj = x[j]
         for lo_j, hi_j in ((lo[j], math.floor(xj)), (math.ceil(xj), hi[j])):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j], child_hi[j] = max(lo[j], lo_j), min(hi[j], hi_j)
             if child_lo[j] > child_hi[j]:
                 continue
-            child = solve_lp(LinearProgram(cost, A, b, child_lo, child_hi))
+            try:
+                child = resolve_lp(node, child_lo, child_hi, deadline=deadline)
+            except BudgetExhausted:
+                raise exhausted() from None
             nodes += 1
             if child.status is LPStatus.INFEASIBLE:
                 continue
@@ -183,7 +193,7 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
                 return LPResult(LPStatus.UNBOUNDED)
             if child.value < best_val - _PRUNE_TOL:
                 counter += 1
-                heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child.x))
+                heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child))
 
     if best_x is None:
         return LPResult(LPStatus.INFEASIBLE)

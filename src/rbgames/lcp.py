@@ -14,8 +14,10 @@ comes from refinement against B itself, whose columns are unit vectors,
 columns of -M and the covering vector, so a residual costs products
 with M's columns only: every entering column gets one refinement step,
 and so do the basic values every 16 pivots and at the end.  Nothing
-factors a matrix of the LCP's order.  The deadline is checked at every
-pivot.
+factors a matrix of the LCP's order.  The basic values and the
+entering direction each live in one buffer of length 2n (the block's
+columns, then every w), which the ratio test reads whole.  The deadline
+is checked at every pivot.
 
 ``solve_lcp_with_fixings``, the LP relaxation of the LCP under
 per-index fixings, is a separate helper; ``solve_lcp`` does not use it.
@@ -134,6 +136,11 @@ class _Basis:
     updates Y^{-1} by a rank-1 step, bordered when a w leaves for a z and
     cut down when a z leaves for a w.  Y^{-1} and B[:, C] live in buffers
     that grow by _GROW rows when full.
+
+    The basic values ``x`` and the entering column's direction ``d``
+    each live in one buffer of length 2n: C's slots in [0, n), zero from
+    k on, then every w in [n, 2n), zero on R.  A ratio test reads them
+    whole.
     """
 
     def __init__(self, problem):
@@ -142,18 +149,11 @@ class _Basis:
         self.k = 0
         self.rows = np.zeros(n, dtype=np.int64)  # R, in the order of Y's rows
         self.vars = np.zeros(n, dtype=np.int64)  # C, in the order of Y's columns
-        self.xc = np.zeros(n)  # values of C
-        self.xw = self.q.copy()  # values of the basic w, 0 on R
+        self.x = np.zeros(2 * n)
+        self.x[n:] = self.q
+        self.d = np.zeros(2 * n)
         self._inv = np.zeros((0, 0))  # Y^{-1}: rows follow C, columns R
         self._cols = np.zeros((0, n))  # B[:, C], one row per variable of C
-
-    @property
-    def inv(self):
-        return self._inv[: self.k, : self.k]
-
-    @property
-    def cols(self):
-        return self._cols[: self.k]
 
     def column(self, var):
         n = self.n
@@ -163,45 +163,49 @@ class _Basis:
             return a
         return -self.M[:, var - n] if var < 2 * n else -np.ones(n)
 
-    def solve(self, a):
-        """B^{-1} a as (on C, on every w), refined once against B."""
-        inv, cols, R = self.inv, self.cols, self.rows[: self.k]
+    def solve(self, a, out):
+        """B^{-1} a, refined once against B, into the 2n buffer ``out``."""
+        k, n = self.k, self.n
+        inv, cols, R = self._inv[:k, :k], self._cols[:k], self.rows[:k]
         aR = a[R]
         dc = inv @ aR
         g = dc @ cols
         fix = inv @ (aR - g[R])
-        dc += fix
-        dw = a - g - fix @ cols
+        np.add(dc, fix, out=out[:k])
+        dw = out[n:]
+        np.subtract(a, g, out=dw)
+        dw -= fix @ cols
         dw[R] = 0.0
-        return dc, dw
 
     def refine(self):
         """Recompute the basic values B^{-1} q, with one refinement step."""
-        self.xc[: self.k], self.xw = self.solve(self.q)
+        self.solve(self.q, self.x)
 
-    def inverse_row(self, i):
-        """Row of B^{-1} for C[i] when i < k, else for the basic w_(i - k)."""
-        out = np.zeros(self.n)
-        R = self.rows[: self.k]
-        if i < self.k:
-            out[R] = self.inv[i]
-        else:
-            out[i - self.k] = 1.0
-            out[R] -= self.cols[:, i - self.k] @ self.inv
+    def inverse_rows(self, cand):
+        """Rows of B^{-1} for buffer positions: C[i] for i < n, else w_(i - n)."""
+        k, n = self.k, self.n
+        R, inv = self.rows[:k], self._inv[:k, :k]
+        out = np.zeros((cand.size, n))
+        for t, i in enumerate(cand):
+            if i < n:
+                out[t, R] = inv[i]
+            else:
+                out[t, i - n] = 1.0
+                out[t, R] -= self._cols[:k, i - n] @ inv
         return out
 
-    def pivot(self, var, a, dc, dw, slot, row):
-        """Enter var, with column a and B^{-1} a = (dc, dw).
+    def pivot(self, var, a, slot, row):
+        """Enter var, with column a and B^{-1} a in ``d``.
 
         C[slot] leaves, or the basic w_row when slot < 0.
         """
-        k = self.k
-        step = self.xc[slot] / dc[slot] if slot >= 0 else self.xw[row] / dw[row]
-        self.xc[:k] -= step * dc
-        self.xw -= step * dw
-        inv = self.inv
-        if var < self.n:
-            at = int(np.nonzero(self.rows[:k] == var)[0][0])
+        k, n, x, d = self.k, self.n, self.x, self.d
+        dc = d[:k]
+        step = x[slot] / d[slot] if slot >= 0 else x[n + row] / d[n + row]
+        x -= step * d
+        inv = self._inv[:k, :k]
+        if var < n:
+            at = int((self.rows[:k] == var).argmax())
             if slot >= 0:
                 # Y loses the row of var and the column of C[slot]; the
                 # last row and column fill the gaps
@@ -210,43 +214,45 @@ class _Basis:
                 inv[slot] = inv[last]
                 inv[:last, at] = inv[:last, last]
                 self.rows[at] = self.rows[last]
-                self.vars[slot], self.xc[slot] = self.vars[last], self.xc[last]
+                self.vars[slot], x[slot] = self.vars[last], x[last]
                 self._cols[slot] = self._cols[last]
+                x[last] = d[last] = 0.0
                 self.k = last
             else:
                 # row `row` of B takes the place of row var in Y
-                change = self.cols[:, row] @ inv
+                change = self._cols[:k, row] @ inv
                 change[at] -= 1.0
-                _rank1(inv, -dc / dw[row], change)
+                _rank1(inv, -dc / d[n + row], change)
                 self.rows[at] = row
-            self.xw[var] = step
+            x[n + var] = step
         elif slot >= 0:
             inv[slot] /= dc[slot]
             dc = dc.copy()
             dc[slot] = 0.0
             _rank1(inv, dc, inv[slot])
-            self.vars[slot], self.xc[slot] = var, step
+            self.vars[slot], x[slot] = var, step
             self._cols[slot] = a
         else:
             # Y gains row `row` and the column of var, bordered by the
-            # Schur complement dw[row]
+            # Schur complement d[n + row]
             if k == self._inv.shape[0]:
                 grown = np.zeros((k + _GROW, k + _GROW))
                 grown[:k, :k] = inv
                 self._inv, inv = grown, grown[:k, :k]
-                self._cols = np.vstack([self._cols, np.zeros((_GROW, self.n))])
-            s = dw[row]
-            change = self.cols[:, row] @ inv
-            _rank1(inv, -dc / s, change)
+                self._cols = np.vstack([self._cols, np.zeros((_GROW, n))])
+            s = d[n + row]
+            change = self._cols[:k, row] @ inv
+            u = -dc / s
+            _rank1(inv, u, change)
             big = self._inv
-            big[:k, k] = -dc / s
+            big[:k, k] = u
             big[k, :k] = -change / s
             big[k, k] = 1.0 / s
-            self.rows[k], self.vars[k], self.xc[k] = row, var, step
+            self.rows[k], self.vars[k], x[k] = row, var, step
             self._cols[k] = a
             self.k = k + 1
         if slot < 0:
-            self.xw[row] = 0.0
+            x[n + row] = 0.0
 
 
 def _rank1(A, u, v):
@@ -255,11 +261,11 @@ def _rank1(A, u, v):
     A full-size outer product would double the memory of a large A.
     """
     if A.size <= _BLOCK_ENTRIES:
-        A -= np.outer(u, v)
+        A -= u[:, None] * v
         return
     block = _BLOCK_ENTRIES // v.size
     for lo in range(0, A.shape[0], block):
-        A[lo : lo + block] -= np.outer(u[lo : lo + block], v)
+        A[lo : lo + block] -= u[lo : lo + block, None] * v
 
 
 def solve_lcp(problem, deadline=None):
@@ -279,13 +285,13 @@ def solve_lcp(problem, deadline=None):
     # every row of [x | B^{-1}] lexicographically positive
     var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
     a = basis.column(var)
-    dc, dw = np.zeros(0), a.copy()
+    basis.d[n:] = a
     cap = 200 + 30 * n
     for pivots in range(1, cap + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
         leaving = int(basis.vars[slot]) if slot >= 0 else row
-        basis.pivot(var, a, dc, dw, slot, row)
+        basis.pivot(var, a, slot, row)
         if leaving == 2 * n:
             basis.refine()
             return _solution(problem, basis, pivots)
@@ -294,32 +300,31 @@ def solve_lcp(problem, deadline=None):
         # the complement of the leaving variable enters
         var = leaving + n if leaving < n else leaving - n
         a = basis.column(var)
-        dc, dw = basis.solve(a)
-        slot, row = _leaving(basis, dc, dw)
+        basis.solve(a, basis.d)
+        slot, row = _leaving(basis)
         if slot < 0 and row < 0:
             return NoSolution(nodes=pivots)
     return NoSolution(nodes=cap)
 
 
-def _leaving(basis, dc, dw):
+def _leaving(basis):
     """(slot, -1) or (-1, row) of the lexicographic minimum ratio; (-1, -1) on a ray.
 
     Ties in x_i / d_i go to z0 when it is among them, else to the least
     row of B^{-1} / d_i in lexicographic order, which is unique because
     B^{-1} is nonsingular.
     """
-    k = basis.k
-    d = np.concatenate((dc, dw))
-    cand = (d > _PIVOT_TOL * np.abs(d).max()).nonzero()[0]
+    n, d = basis.n, basis.d
+    cand = (d > _PIVOT_TOL * np.maximum.reduce(np.abs(d))).nonzero()[0]
     if not cand.size:
         return -1, -1
-    ratios = np.maximum(np.concatenate((basis.xc[:k], basis.xw))[cand], 0.0) / d[cand]
-    least = ratios.min()
+    ratios = np.maximum(basis.x[cand], 0.0) / d[cand]
+    least = np.minimum.reduce(ratios)
     cand = cand[ratios <= least + _TIE_TOL * (1.0 + least)]
     if cand.size > 1:
         if cand[0] == 0:  # z0's slot
             return 0, -1
-        lex = np.array([basis.inverse_row(i) for i in cand]) / d[cand, None]
+        lex = basis.inverse_rows(cand) / d[cand, None]
         keep = np.ones(cand.size, dtype=bool)
         # columns on which all tied rows agree decide nothing
         for col in lex[:, np.ptp(lex, axis=0) > _TIE_TOL].T:
@@ -329,13 +334,13 @@ def _leaving(basis, dc, dw):
                 break
         cand = cand[keep]
     i = int(cand[0])
-    return (i, -1) if i < k else (-1, i - k)
+    return (i, -1) if i < n else (-1, i - n)
 
 
 def _solution(problem, basis, pivots):
     n = problem.order
     z = np.zeros(n)
-    var, x = basis.vars[: basis.k], basis.xc[: basis.k]
+    var, x = basis.vars[: basis.k], basis.x[: basis.k]
     is_z = (var >= n) & (var < 2 * n)
     z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
     out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots)

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex.
+"""Bounded-variable simplex, cold and warm.
 
 Solves  min c.x  subject to  A x <= b  and  lb <= x <= ub,  where bounds
 may be infinite.  Rows get slack variables, infeasible starting rows get
@@ -7,11 +7,27 @@ ratio test instead of being expanded into rows.  Dantzig pricing runs
 first; after a pivot budget the solver falls back to Bland's rule, and
 if that also stalls it raises NumericalFailure rather than returning a
 wrong answer.
+
+A cold ``solve_lp`` starts from the slack basis, with an artificial in
+place of the slack of each row phase 1 needs: the identity up to signs,
+so its tableau is the columns themselves.  A basis is factored only to
+refresh the tableau after pivots (at the end, after phase 1 and every
+64 pivots), and duals are computed from the final basis when first
+read.  An optimal result keeps its final simplex
+state, and ``resolve_lp`` re-solves the same LP under tightened
+variable bounds from a copy of it, as branch and bound does for a
+child: the nonbasic variables move onto their new bounds, a bounded
+dual simplex pivots until every basic value is within its bounds (or a
+row proves the LP infeasible), and a primal pass cleans up.  No
+factorization happens on that path; only a child whose optimum is not
+unique is solved cold, so that it lands where a cold solve lands.
 """
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +75,11 @@ class LinearProgram:
             raise ValueError("b length must match the row count of A")
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ValueError("bounds must match the variable count")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+        if not (np.isfinite(self.c).all() and np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise ValueError("c, A, b must be finite")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
             raise ValueError("bounds must not be NaN")
-        if np.any(self.lb > self.ub):
+        if (self.lb > self.ub).any():
             raise ValueError("lb must not exceed ub")
 
     @property
@@ -82,15 +98,27 @@ class LPResult:
     ``row_duals`` are the nonnegative multipliers of the A x <= b rows;
     ``reduced_costs`` carry the bound multipliers (positive at an active
     lower bound, negative at an active upper bound).  Both are None
-    unless the status is Optimal.
+    unless the status is Optimal, and are computed from the final basis
+    when first read.
     """
 
     status: LPStatus
     x: np.ndarray = None
     value: float = None
-    row_duals: np.ndarray = None
-    reduced_costs: np.ndarray = None
     iterations: int = 0
+    _state: object = field(default=None, repr=False)  # the final _Simplex of an Optimal solve
+
+    @cached_property
+    def _duals(self):
+        return (None, None) if self._state is None else self._state.duals()
+
+    @property
+    def row_duals(self):
+        return self._duals[0]
+
+    @property
+    def reduced_costs(self):
+        return self._duals[1]
 
     def dual_value(self, lp):
         """Dual objective -y.b + sum of active-bound terms (weak duality)."""
@@ -106,41 +134,131 @@ class LPResult:
 
 
 class _Simplex:
-    """Tableau state over the full column set (structurals then slacks)."""
+    """Tableau state over the full column set (n structurals, then slacks).
 
-    def __init__(self, Acols, b, lb, ub):
+    ``lp`` is the LinearProgram solved, ``c`` the phase-2 cost over every
+    column and ``feas_tol`` the primal feasibility tolerance.  ``fresh``
+    says that T and the basic values are what refresh() would compute
+    for the current basis.
+    """
+
+    def __init__(self, lp, Acols, lb, ub, feas_tol):
+        self.lp = lp
         self.A = Acols
-        self.b = b
+        self.b = lp.b
         self.lb = lb
         self.ub = ub
+        self.n = lp.nvars
+        self.feas_tol = feas_tol
         self.m, self.N = Acols.shape
+        self.c = None
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.status = np.zeros(self.N, dtype=np.int8)
         self.x = np.zeros(self.N)
         self.T = np.zeros((self.m, self.N))
         self.pivots = 0
+        self.fresh = False
+
+    def copy(self):
+        """A twin to pivot on: it shares A, b and c and copies the rest."""
+        twin = object.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__)
+        for name in ("basis", "status", "x", "T", "lb", "ub"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin.pivots = 0
+        return twin
 
     def refresh(self):
         """Recompute tableau and basic values from the current basis."""
-        if self.m == 0:
-            return
-        B = self.A[:, self.basis]
-        try:
-            self.T = np.linalg.solve(B, self.A)
-            xn = self.x.copy()
-            xn[self.basis] = 0.0
-            self.x[self.basis] = np.linalg.solve(B, self.b - self.A @ xn)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("singular basis in simplex refresh")
+        if self.m:
+            B = self.A[:, self.basis]
+            try:
+                self.T = np.linalg.solve(B, self.A)
+                xn = self.x.copy()
+                xn[self.basis] = 0.0
+                self.x[self.basis] = np.linalg.solve(B, self.b - self.A @ xn)
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("singular basis in simplex refresh")
+        self.fresh = True
 
-    def duals(self, c):
+    def duals(self):
+        """(row duals, reduced costs of the structurals) at the current basis."""
         if self.m == 0:
-            return np.zeros(0)
+            return np.zeros(0), self.lp.c.copy()
         B = self.A[:, self.basis]
         try:
-            return np.linalg.solve(B.T, c[self.basis])
+            y = np.linalg.solve(B.T, self.c[self.basis])
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis when extracting duals")
+        return -y, self.lp.c - self.lp.A.T @ y
+
+    def unique_optimum(self):
+        """True when every nonbasic column that can move has a nonzero
+        reduced cost, so that no other point is optimal."""
+        d = self._reduced(self.c) if self.m else self.c
+        open_ = (self.status != _BASIC) & (self.ub > self.lb)
+        return not np.any(open_ & (np.abs(d) <= _PRICE_TOL))
+
+    def optimum(self):
+        """The Optimal LPResult at the current basis; it keeps this state."""
+        n, lp = self.n, self.lp
+        x = self.x[:n].copy()
+        if self.m:
+            worst = float(np.max(lp.A @ x - lp.b))
+            if worst > self.feas_tol * 10:
+                raise NumericalFailure(f"optimal point violates rows by {worst:.3e}")
+        np.clip(x, self.lb[:n], self.ub[:n], out=x)
+        return LPResult(LPStatus.OPTIMAL, x=x, value=float(lp.c @ x), iterations=self.pivots, _state=self)
+
+    def run_dual(self, deadline=None):
+        """Bounded dual simplex from a dual feasible basis.
+
+        Pivots until every basic value is within its bounds (Optimal) or
+        a row shows that no move of its nonbasic variables can bring its
+        basic value there (Infeasible).  The row of the largest bound
+        violation leaves, for the column whose reduced cost reaches zero
+        first, which keeps the basis dual feasible.
+        """
+        if self.m == 0:
+            return LPStatus.OPTIMAL
+        hard = 4 * (400 + 20 * self.N) + 4000
+        movable = self.ub - self.lb > 0
+        while True:
+            xb = self.x[self.basis]
+            below = self.lb[self.basis] - xb
+            above = xb - self.ub[self.basis]
+            r = int(np.argmax(np.maximum(below, above)))
+            if max(below[r], above[r]) <= self.feas_tol:
+                return LPStatus.OPTIMAL
+            if self.pivots >= hard:
+                raise NumericalFailure(f"dual simplex stalled after {self.pivots} pivots")
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhausted("simplex ran past the deadline")
+            rise = below[r] > 0
+            # moving column j by +1 moves basis[r] by -T[r, j]
+            row = self.T[r] if rise else -self.T[r]
+            elig = movable & (
+                ((self.status == _AT_LB) & (row < -_PIVOT_TOL))
+                | ((self.status == _AT_UB) & (row > _PIVOT_TOL))
+                | ((self.status == _FREE) & (np.abs(row) > _PIVOT_TOL))
+            )
+            if not elig.any():
+                return LPStatus.INFEASIBLE
+            idx = np.nonzero(elig)[0]
+            d = self._reduced(self.c)
+            e = int(idx[np.argmin(np.abs(d[idx]) / np.abs(row[idx]))])
+            leave = int(self.basis[r])
+            bound = self.lb[leave] if rise else self.ub[leave]
+            step = (self.x[leave] - bound) / self.T[r, e]
+            self.x[e] += step
+            self.x[self.basis] -= step * self.T[:, e]
+            self.x[leave] = bound
+            self.status[leave] = _AT_LB if rise else _AT_UB
+            self.status[e] = _BASIC
+            self.basis[r] = e
+            self.pivot(r, e)
+            self.pivots += 1
+            self.fresh = False
 
     def run(self, c, deadline=None):
         """Iterate to optimality for objective c.  Returns an LPStatus."""
@@ -148,6 +266,10 @@ class _Simplex:
         soft = 400 + 20 * N
         hard = 4 * soft + 4000
         movable = self.ub - self.lb > 0
+        # no column becomes free during a run
+        free = self.status == _FREE
+        if not free.any():
+            free = None
         while True:
             if self.pivots >= hard:
                 raise NumericalFailure(f"simplex stalled after {self.pivots} pivots")
@@ -155,15 +277,17 @@ class _Simplex:
                 raise BudgetExhausted("simplex ran past the deadline")
             bland = self.pivots >= soft
             d = self._reduced(c) if m else c.copy()
-            elig = movable & (
-                ((self.status == _AT_LB) & (d < -_PRICE_TOL))
-                | ((self.status == _AT_UB) & (d > _PRICE_TOL))
-                | ((self.status == _FREE) & (np.abs(d) > _PRICE_TOL))
-            )
+            # the cost decrease per unit move of each column off its
+            # bound: |d| where d has the improving sign, else <= 0
+            gain = np.where(self.status == _AT_UB, d, -d)
+            if free is not None:
+                gain[free] = np.abs(d[free])
+            elig = movable & (gain > _PRICE_TOL)
             if not elig.any():
                 return LPStatus.OPTIMAL
-            idx = np.nonzero(elig)[0]
-            e = int(idx[0]) if bland else int(idx[np.argmax(np.abs(d[idx]))])
+            # Dantzig: the largest gain, lowest index on ties; Bland: the
+            # lowest eligible index
+            e = int(elig.argmax()) if bland else int(np.where(elig, gain, 0.0).argmax())
             if self.status[e] == _AT_UB or (self.status[e] == _FREE and d[e] > 0):
                 direction = -1.0
             else:
@@ -173,24 +297,20 @@ class _Simplex:
             t_basic = np.inf
             r = -1
             if m:
-                xb = self.x[self.basis]
-                lim = np.full(m, np.inf)
                 pos = g > _PIVOT_TOL
-                neg = g < -_PIVOT_TOL
-                with np.errstate(invalid="ignore"):
-                    lim[pos] = (xb[pos] - self.lb[self.basis[pos]]) / g[pos]
-                    lim[neg] = (xb[neg] - self.ub[self.basis[neg]]) / g[neg]
+                bound = np.where(pos, self.lb[self.basis], self.ub[self.basis])
+                lim = np.divide(self.x[self.basis] - bound, g, out=np.full(m, np.inf), where=pos | (g < -_PIVOT_TOL))
                 lim[np.isnan(lim)] = np.inf
                 np.maximum(lim, 0.0, out=lim)
-                t_basic = lim.min() if lim.size else np.inf
-                if np.isfinite(t_basic):
-                    ties = np.nonzero(lim <= t_basic + 1e-12)[0]
+                t_basic = lim.min()
+                if t_basic < np.inf:
+                    ties = (lim <= t_basic + 1e-12).nonzero()[0]
                     # smallest leaving column index keeps cycling at bay
-                    r = int(ties[np.argmin(self.basis[ties])])
-            span = self.ub[e] - self.lb[e]
-            t_bound = span if np.isfinite(span) else np.inf
+                    r = int(ties[self.basis[ties].argmin()])
+            # an infinite bound makes the span +inf, never NaN
+            t_bound = self.ub[e] - self.lb[e]
             t = min(t_bound, t_basic)
-            if not np.isfinite(t):
+            if t == np.inf:
                 return LPStatus.UNBOUNDED
 
             self.x[e] += direction * t
@@ -212,6 +332,7 @@ class _Simplex:
                 self.basis[r] = e
                 self.pivot(r, e)
             self.pivots += 1
+            self.fresh = False
             if self.pivots % _REFRESH_EVERY == 0:
                 self.refresh()
 
@@ -254,6 +375,7 @@ class _Simplex:
         self.status[best] = _BASIC
         self.basis[r] = best
         self.pivot(r, best)
+        self.fresh = False
         return True
 
 
@@ -265,7 +387,7 @@ def solve_lp(lp, keep_tableau=False, deadline=None):
     BudgetExhausted once the ``time.monotonic()`` value ``deadline`` has
     passed at a pivot.  With ``keep_tableau`` the result gains a
     ``tableau`` attribute exposing the final simplex state (used by the
-    cut generator).
+    cut generator).  An Optimal result can seed ``resolve_lp``.
     """
     n, m = lp.nvars, lp.nrows
     feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0))
@@ -274,48 +396,40 @@ def solve_lp(lp, keep_tableau=False, deadline=None):
     Acols = np.hstack([lp.A, np.eye(m)]) if m else np.zeros((0, n))
     lb = np.concatenate([lp.lb, np.zeros(m)])
     ub = np.concatenate([lp.ub, np.full(m, np.inf)])
-    sx = _Simplex(Acols, lp.b.copy(), lb, ub)
+    sx = _Simplex(lp, Acols, lb, ub, feas_tol)
 
-    for j in range(n):
-        if np.isfinite(lb[j]):
-            sx.status[j] = _AT_LB
-            sx.x[j] = lb[j]
-        elif np.isfinite(ub[j]):
-            sx.status[j] = _AT_UB
-            sx.x[j] = ub[j]
-        else:
-            sx.status[j] = _FREE
-            sx.x[j] = 0.0
+    # each structural starts at its finite lower bound, else its finite
+    # upper bound, else free at 0; every slack starts basic
+    has_lb, has_ub = np.isfinite(lp.lb), np.isfinite(lp.ub)
+    sx.status[:n] = np.where(has_lb, _AT_LB, np.where(has_ub, _AT_UB, _FREE))
+    sx.x[:n] = np.where(has_lb, lp.lb, np.where(has_ub, lp.ub, 0.0))
+    sx.basis[:] = np.arange(n, n + m)
 
     resid = lp.b - lp.A @ sx.x[:n] if m else np.zeros(0)
     bad = np.nonzero(resid < 0)[0]
-    art = []
+    art = np.arange(n + m, n + m + bad.size)
     if bad.size:
-        # phase 1: one artificial per violated row, cost 1 each
+        # phase 1: an artificial column -e_i for each violated row i,
+        # basic in the place of its slack
         extra = np.zeros((m, bad.size))
-        for k, i in enumerate(bad):
-            extra[i, k] = -1.0
+        extra[bad, np.arange(bad.size)] = -1.0
         sx.A = np.hstack([sx.A, extra])
         sx.lb = np.concatenate([sx.lb, np.zeros(bad.size)])
         sx.ub = np.concatenate([sx.ub, np.full(bad.size, np.inf)])
         sx.x = np.concatenate([sx.x, np.zeros(bad.size)])
         sx.status = np.concatenate([sx.status, np.zeros(bad.size, dtype=np.int8)])
         sx.N = sx.A.shape[1]
-        art = list(range(n + m, sx.N))
-        for i in range(m):
-            if resid[i] >= 0:
-                sx.basis[i] = n + i
-                sx.status[n + i] = _BASIC
-                sx.x[n + i] = resid[i]
-            else:
-                k = int(np.nonzero(bad == i)[0][0])
-                j = n + m + k
-                sx.basis[i] = j
-                sx.status[j] = _BASIC
-                sx.x[j] = -resid[i]
-                sx.status[n + i] = _AT_LB
-                sx.x[n + i] = 0.0
-        sx.refresh()
+        sx.status[n + bad] = _AT_LB
+        sx.basis[bad] = art
+    # the start basis is the identity up to the artificials' signs, so
+    # the tableau and basic values that refresh() would compute need no
+    # factorization (every basic value is still 0 here)
+    sign = np.ones(m)
+    sign[bad] = -1.0
+    sx.T = sign[:, None] * sx.A
+    sx.x[sx.basis] = sign * (lp.b - sx.A @ sx.x)
+    sx.fresh = True
+    if bad.size:
         c1 = np.zeros(sx.N)
         c1[art] = 1.0
         if sx.run(c1, deadline=deadline) is not LPStatus.OPTIMAL:
@@ -323,47 +437,71 @@ def solve_lp(lp, keep_tableau=False, deadline=None):
         sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
             return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
-        forbidden = set(art)
+        forbidden = set(art.tolist())
         for r in range(m):
             if sx.basis[r] in forbidden:
                 sx.pivot_out(r, forbidden)
         # freeze artificials at zero for phase 2
+        if sx.x[art].any():
+            sx.fresh = False
         sx.lb[art] = 0.0
         sx.ub[art] = 0.0
         sx.x[art] = 0.0
-    else:
-        for i in range(m):
-            sx.basis[i] = n + i
-            sx.status[n + i] = _BASIC
-            sx.x[n + i] = resid[i]
-        sx.refresh()
 
-    c2 = np.zeros(sx.N)
-    c2[:n] = lp.c
-    status = sx.run(c2, deadline=deadline)
-    sx.refresh()
+    sx.c = np.zeros(sx.N)
+    sx.c[:n] = lp.c
+    status = sx.run(sx.c, deadline=deadline)
+    if not sx.fresh:
+        sx.refresh()
     if status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)
-
-    x = sx.x[:n].copy()
-    if m:
-        worst = float(np.max(lp.A @ x - lp.b))
-        if worst > feas_tol * 10:
-            raise NumericalFailure(f"optimal point violates rows by {worst:.3e}")
-    np.clip(x, lp.lb, lp.ub, out=x)
-    y = sx.duals(c2)
-    d = lp.c - lp.A.T @ y if m else lp.c.copy()
-    result = LPResult(
-        LPStatus.OPTIMAL,
-        x=x,
-        value=float(lp.c @ x),
-        row_duals=-y,
-        reduced_costs=d,
-        iterations=sx.pivots,
-    )
+    result = sx.optimum()
     if keep_tableau:
         result.tableau = _TableauView(sx, n, m)
     return result
+
+
+def resolve_lp(parent, lb, ub, deadline=None):
+    """Re-solve the LP of an Optimal ``solve_lp`` result under new bounds.
+
+    ``lb <= ub`` replace the bounds of the structural variables and may
+    only tighten the parent's, as a branch-and-bound child does.  The
+    solve starts from a copy of the parent's final simplex state, whose
+    basis stays dual feasible when only bounds change: nonbasic
+    variables move onto their new bounds, the bounded dual simplex
+    restores primal feasibility, and a primal pass cleans up.  The basic
+    values are then computed once afresh through the basis inverse that
+    the slack columns of the tableau hold, free of the round-off of the
+    updates.  When the optimum found is not the only one, the LP is
+    solved cold instead, so the point returned is always the one
+    ``solve_lp`` returns.  Returns an LPResult like ``solve_lp`` and
+    leaves the parent as it was; the deadline and pivot budgets act as
+    in ``solve_lp``.
+    """
+    sx = parent._state.copy()
+    n, m = sx.n, sx.m
+    sx.lb[:n] = lb
+    sx.ub[:n] = ub
+    moved = np.nonzero((sx.status != _BASIC) & ((sx.x < sx.lb) | (sx.x > sx.ub)))[0]
+    if moved.size:
+        target = np.clip(sx.x[moved], sx.lb[moved], sx.ub[moved])
+        sx.x[sx.basis] -= sx.T[:, moved] @ (target - sx.x[moved])
+        sx.x[moved] = target
+        sx.status[moved] = np.where(target == sx.lb[moved], _AT_LB, _AT_UB)
+    if sx.run_dual(deadline) is LPStatus.INFEASIBLE:
+        return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
+    if sx.run(sx.c, deadline=deadline) is LPStatus.UNBOUNDED:
+        return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)
+    if not sx.unique_optimum():
+        # tightened bounds of a valid LP need no new validation
+        cold = copy.copy(sx.lp)
+        cold.lb, cold.ub = lb, ub
+        return solve_lp(cold, deadline=deadline)
+    if m:
+        xn = sx.x.copy()
+        xn[sx.basis] = 0.0
+        sx.x[sx.basis] = sx.T[:, n : n + m] @ (sx.b - sx.A @ xn)
+    return sx.optimum()
 
 
 class _TableauView:

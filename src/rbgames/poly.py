@@ -21,7 +21,7 @@ from .numerics import FEAS_TOL, ZERO_TOL
 class Polyhedron:
     """{ x : A x <= b, lb <= x <= ub } with possibly infinite bounds."""
 
-    __slots__ = ("A", "b", "lb", "ub", "_box")
+    __slots__ = ("A", "b", "lb", "ub", "_box", "_encoding")
 
     def __init__(self, A, b, lb, ub):
         self.A = np.asarray(A, dtype=float)
@@ -38,6 +38,7 @@ class Polyhedron:
         if np.any(self.lb > self.ub):
             raise ValueError("lb must not exceed ub")
         self._box = None
+        self._encoding = None
 
     @property
     def dim(self):
@@ -111,12 +112,13 @@ class Polyhedron:
 class ExtendedHull:
     """Closure of the convex hull of a union of bounded polyhedra."""
 
-    __slots__ = ("pieces", "boxes", "dim")
+    __slots__ = ("pieces", "boxes", "dim", "_encoding")
 
     def __init__(self, pieces, boxes):
         self.pieces = list(pieces)
         self.boxes = list(boxes)
         self.dim = self.pieces[0].dim
+        self._encoding = None
 
     def __repr__(self):
         return f"ExtendedHull(dim={self.dim}, pieces={len(self.pieces)})"
@@ -185,13 +187,22 @@ def encode_region(region):
     is the one-piece case.  Coordinates with hi = lo get no y or ybar
     column and no box row, and rows that the box already implies get
     none either: neither changes the set, both shrink the Nash LCP.
+
+    Regions are never changed once built, so the encoding is made once
+    per region object and kept on it; callers must not write to it.
     """
+    if not isinstance(region, (Polyhedron, ExtendedHull)):
+        raise TypeError(f"cannot encode region of type {type(region).__name__}")
+    if region._encoding is None:
+        region._encoding = _encode(region)
+    return region._encoding
+
+
+def _encode(region):
     if isinstance(region, Polyhedron):
         pieces, boxes = [region], [region.bounding_box()]
-    elif isinstance(region, ExtendedHull):
-        pieces, boxes = region.pieces, region.boxes
     else:
-        raise TypeError(f"cannot encode region of type {type(region).__name__}")
+        pieces, boxes = region.pieces, region.boxes
     m = pieces[0].dim
     parts = []
     for piece, (lo, hi) in zip(pieces, boxes):

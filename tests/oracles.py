@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the solvers."""
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
-from rbgames import LCP, opponents_vector, payoff
+from rbgames import LCP, LinearProgram, LPStatus, opponents_vector, parametrized_objective, payoff, solve_lp
 from rbgames.enumeration import _cost_matrices, lattice_points
 
 
@@ -234,3 +236,270 @@ def lemke_row_loop(M, q, max_iter):
             rows = [i for i in rows if lex[i] <= least + 1e-9 * (1.0 + abs(least))]
         r = rows[0]
     return "cap", None, max_iter
+
+
+def branch_and_bound_cold(program, opponents, node_limit=200000):
+    """``solve_ip`` with every node LP solved cold by ``solve_lp``.
+
+    The same most-fractional branching, best-bound selection and
+    pruning as the solver, but each child is a fresh LinearProgram with
+    its tightened bounds.  Returns (status, value, x, nodes), the last
+    three None when the status is not Optimal.
+    """
+    cost = parametrized_objective(program, opponents)
+    A, b = program._dense_A, program.b
+    ints = np.array(program.integers, dtype=np.int64)
+    root = (program.lb.copy(), program.ub.copy())
+    res = solve_lp(LinearProgram(cost, A, b, *root))
+    if res.status is not LPStatus.OPTIMAL:
+        return res.status, None, None, None
+    heap = [(res.value, 0, root, res.x)]
+    best_x, best_val, nodes, counter = None, np.inf, 1, 0
+    while heap:
+        bound, _, (lo, hi), x = heapq.heappop(heap)
+        if bound >= best_val - 1e-9:
+            continue
+        frac = np.abs(x[ints] - np.round(x[ints])) if ints.size else np.zeros(0)
+        if not ints.size or frac.max() <= 1e-6:
+            cand = x.copy()
+            if ints.size:
+                cand[ints] = np.round(cand[ints])
+                np.clip(cand, program.lb, program.ub, out=cand)
+            if bool(np.all(A @ cand <= b + 1e-7)):
+                val = float(cost @ cand)
+                if val < best_val - 1e-9:
+                    best_val, best_x = val, cand
+                continue
+            if not ints.size:
+                continue
+        j = int(ints[np.argmax(frac)])
+        assert nodes < node_limit
+        for lo_j, hi_j in ((lo[j], math.floor(x[j])), (math.ceil(x[j]), hi[j])):
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[j], child_hi[j] = max(lo[j], lo_j), min(hi[j], hi_j)
+            if child_lo[j] > child_hi[j]:
+                continue
+            child = solve_lp(LinearProgram(cost, A, b, child_lo, child_hi))
+            nodes += 1
+            if child.status is LPStatus.INFEASIBLE:
+                continue
+            assert child.status is LPStatus.OPTIMAL
+            if child.value < best_val - 1e-9:
+                counter += 1
+                heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child.x))
+    if best_x is None:
+        return LPStatus.INFEASIBLE, None, None, None
+    return LPStatus.OPTIMAL, best_val, best_x, nodes
+
+
+class BasisReference:
+    """``lcp._Basis`` as it was before its values and directions moved
+    into 2n buffers; the reference ``lemke_reference`` pivots on.
+
+    A basis of Lemke's system  w - M z - z0 1 = q, and its inverse.
+
+    Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  A basic w_j
+    is the unit column e_j, so B is the identity outside one square block:
+    the k rows R whose w is nonbasic, met by the k other basic columns C
+    (z's and z0; z0 enters first and keeps slot 0 of C until it leaves).
+    The explicit inverse kept is that block's, Y = B[R, C]; it starts
+    empty, and k stays well below the order n on the Nash LCPs.  B^{-1} a
+    is Y^{-1} a[R] on C and a - B[:, C] d_C on the basic w.  Each pivot
+    updates Y^{-1} by a rank-1 step, bordered when a w leaves for a z and
+    cut down when a z leaves for a w.  Y^{-1} and B[:, C] live in buffers
+    that grow by 32 rows when full.
+    """
+
+    def __init__(self, problem):
+        self.M, self.q = problem.M, problem.q
+        n = self.n = problem.order
+        self.k = 0
+        self.rows = np.zeros(n, dtype=np.int64)  # R, in the order of Y's rows
+        self.vars = np.zeros(n, dtype=np.int64)  # C, in the order of Y's columns
+        self.xc = np.zeros(n)  # values of C
+        self.xw = self.q.copy()  # values of the basic w, 0 on R
+        self._inv = np.zeros((0, 0))  # Y^{-1}: rows follow C, columns R
+        self._cols = np.zeros((0, n))  # B[:, C], one row per variable of C
+
+    @property
+    def inv(self):
+        return self._inv[: self.k, : self.k]
+
+    @property
+    def cols(self):
+        return self._cols[: self.k]
+
+    def column(self, var):
+        n = self.n
+        if var < n:
+            a = np.zeros(n)
+            a[var] = 1.0
+            return a
+        return -self.M[:, var - n] if var < 2 * n else -np.ones(n)
+
+    def solve(self, a):
+        """B^{-1} a as (on C, on every w), refined once against B."""
+        inv, cols, R = self.inv, self.cols, self.rows[: self.k]
+        aR = a[R]
+        dc = inv @ aR
+        g = dc @ cols
+        fix = inv @ (aR - g[R])
+        dc += fix
+        dw = a - g - fix @ cols
+        dw[R] = 0.0
+        return dc, dw
+
+    def refine(self):
+        """Recompute the basic values B^{-1} q, with one refinement step."""
+        self.xc[: self.k], self.xw = self.solve(self.q)
+
+    def inverse_row(self, i):
+        """Row of B^{-1} for C[i] when i < k, else for the basic w_(i - k)."""
+        out = np.zeros(self.n)
+        R = self.rows[: self.k]
+        if i < self.k:
+            out[R] = self.inv[i]
+        else:
+            out[i - self.k] = 1.0
+            out[R] -= self.cols[:, i - self.k] @ self.inv
+        return out
+
+    def pivot(self, var, a, dc, dw, slot, row):
+        """Enter var, with column a and B^{-1} a = (dc, dw).
+
+        C[slot] leaves, or the basic w_row when slot < 0.
+        """
+        k = self.k
+        step = self.xc[slot] / dc[slot] if slot >= 0 else self.xw[row] / dw[row]
+        self.xc[:k] -= step * dc
+        self.xw -= step * dw
+        inv = self.inv
+        if var < self.n:
+            at = int(np.nonzero(self.rows[:k] == var)[0][0])
+            if slot >= 0:
+                # Y loses the row of var and the column of C[slot]; the
+                # last row and column fill the gaps
+                rank1_reference(inv, dc / dc[slot], inv[slot].copy())
+                last = k - 1
+                inv[slot] = inv[last]
+                inv[:last, at] = inv[:last, last]
+                self.rows[at] = self.rows[last]
+                self.vars[slot], self.xc[slot] = self.vars[last], self.xc[last]
+                self._cols[slot] = self._cols[last]
+                self.k = last
+            else:
+                # row `row` of B takes the place of row var in Y
+                change = self.cols[:, row] @ inv
+                change[at] -= 1.0
+                rank1_reference(inv, -dc / dw[row], change)
+                self.rows[at] = row
+            self.xw[var] = step
+        elif slot >= 0:
+            inv[slot] /= dc[slot]
+            dc = dc.copy()
+            dc[slot] = 0.0
+            rank1_reference(inv, dc, inv[slot])
+            self.vars[slot], self.xc[slot] = var, step
+            self._cols[slot] = a
+        else:
+            # Y gains row `row` and the column of var, bordered by the
+            # Schur complement dw[row]
+            if k == self._inv.shape[0]:
+                grown = np.zeros((k + 32, k + 32))
+                grown[:k, :k] = inv
+                self._inv, inv = grown, grown[:k, :k]
+                self._cols = np.vstack([self._cols, np.zeros((32, self.n))])
+            s = dw[row]
+            change = self.cols[:, row] @ inv
+            rank1_reference(inv, -dc / s, change)
+            big = self._inv
+            big[:k, k] = -dc / s
+            big[k, :k] = -change / s
+            big[k, k] = 1.0 / s
+            self.rows[k], self.vars[k], self.xc[k] = row, var, step
+            self._cols[k] = a
+            self.k = k + 1
+        if slot < 0:
+            self.xw[row] = 0.0
+
+
+def rank1_reference(A, u, v):
+    """A -= outer(u, v) in place, a block of rows at a time.
+
+    A full-size outer product would double the memory of a large A.
+    """
+    if A.size <= (1 << 16):
+        A -= np.outer(u, v)
+        return
+    block = (1 << 16) // v.size
+    for lo in range(0, A.shape[0], block):
+        A[lo : lo + block] -= np.outer(u[lo : lo + block], v)
+
+
+def lemke_reference(problem):
+    """The solver's Lemke loop on ``BasisReference`` and ``leaving_reference``.
+
+    The rank-1 updated block inverse of the solver, as it was before its
+    values and directions moved into 2n buffers: two arrays per vector,
+    ``np.concatenate`` in every ratio test and ``np.outer`` in every
+    update.  Returns (z, pivots), z None when Lemke ends on a ray or at
+    its cap of 200 + 30 n pivots.
+    """
+    n = problem.order
+    if np.all(problem.q >= 0.0):
+        return np.zeros(n), 0
+    basis = BasisReference(problem)
+    var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
+    a = basis.column(var)
+    dc, dw = np.zeros(0), a.copy()
+    cap = 200 + 30 * n
+    for pivots in range(1, cap + 1):
+        leaving = int(basis.vars[slot]) if slot >= 0 else row
+        basis.pivot(var, a, dc, dw, slot, row)
+        if leaving == 2 * n:
+            basis.refine()
+            z = np.zeros(n)
+            var, x = basis.vars[: basis.k], basis.xc[: basis.k]
+            is_z = (var >= n) & (var < 2 * n)
+            z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
+            return z, pivots
+        if pivots % 16 == 0:
+            basis.refine()
+        var = leaving + n if leaving < n else leaving - n
+        a = basis.column(var)
+        dc, dw = basis.solve(a)
+        slot, row = leaving_reference(basis, dc, dw)
+        if slot < 0 and row < 0:
+            return None, pivots
+    return None, cap
+
+
+def leaving_reference(basis, dc, dw):
+    """(slot, -1) or (-1, row) of the lexicographic minimum ratio; (-1, -1) on a ray.
+
+    Ties in x_i / d_i go to z0 when it is among them, else to the least
+    row of B^{-1} / d_i in lexicographic order, which is unique because
+    B^{-1} is nonsingular.
+    """
+    k = basis.k
+    d = np.concatenate((dc, dw))
+    cand = (d > 1e-9 * np.abs(d).max()).nonzero()[0]
+    if not cand.size:
+        return -1, -1
+    ratios = np.maximum(np.concatenate((basis.xc[:k], basis.xw))[cand], 0.0) / d[cand]
+    least = ratios.min()
+    cand = cand[ratios <= least + 1e-9 * (1.0 + least)]
+    if cand.size > 1:
+        if cand[0] == 0:  # z0's slot
+            return 0, -1
+        lex = np.array([basis.inverse_row(i) for i in cand]) / d[cand, None]
+        keep = np.ones(cand.size, dtype=bool)
+        # columns on which all tied rows agree decide nothing
+        for col in lex[:, np.ptp(lex, axis=0) > 1e-9].T:
+            least = col[keep].min()
+            keep &= col <= least + 1e-9 * (1.0 + abs(least))
+            if np.count_nonzero(keep) == 1:
+                break
+        cand = cand[keep]
+    i = int(cand[0])
+    return (i, -1) if i < k else (-1, i - k)

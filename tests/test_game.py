@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rbgames.poly as poly_module
 from rbgames import (
     GameModel,
     InfeasibleGame,
@@ -17,6 +18,7 @@ from rbgames import (
     solve_lcp,
     support_from_points,
 )
+from rbgames.cutplay import OuterApproximation
 from rbgames.game import encode_region
 from rbgames.generators import canonical_knapsack_game, infeasible_game, random_knapsack_game
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
@@ -211,3 +213,25 @@ def test_strategy_profile_accessors():
     assert isinstance(s.support[0][1], np.ndarray)
     prof = StrategyProfile(strategies=[s])
     assert np.allclose(prof.barycenters()[0], [0.5, 0.5])
+
+
+def test_unchanged_regions_are_encoded_once(monkeypatch):
+    encoded = []
+    real = poly_module._encode
+
+    def counting(region):
+        encoded.append(region)
+        return real(region)
+
+    monkeypatch.setattr(poly_module, "_encode", counting)
+    game = random_knapsack_game(0, 2, 3).game()
+    outer = OuterApproximation(game)
+    first, _ = build_nash_lcp(game, outer.regions())
+    assert len(encoded) == 2
+    second, _ = build_nash_lcp(game, outer.regions())
+    assert len(encoded) == 2
+    assert np.array_equal(first.M, second.M) and np.array_equal(first.q, second.q)
+    # branching gives player 0 a new region, encoded afresh; player 1's is kept
+    outer.states[0].apply_branch(0, 0)
+    build_nash_lcp(game, outer.regions())
+    assert len(encoded) == 3 and encoded[-1] is outer.states[0].region()

@@ -1,6 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
+import rbgames.ip as ip_module
+import rbgames.lp as lp_module
 from rbgames import (
     BudgetExhausted,
     LPStatus,
@@ -11,6 +15,8 @@ from rbgames import (
     solve_ip,
 )
 from rbgames.generators import canonical_knapsack_game, random_knapsack_game
+
+from oracles import branch_and_bound_cold
 
 _VAL_TOL = 1e-9
 
@@ -118,3 +124,106 @@ def test_shape_validation():
             lb=np.zeros(1),
             ub=np.array([np.inf]),  # integer var without a finite box
         )
+
+
+def _seeded_best_responses(seeds):
+    """(program, opponents) pairs: seeded knapsack players against 0/1,
+    uniform and quarter-step opponents, plus one program per seed with
+    integer bounds 0..3 and twice the capacity."""
+    for players, items in ((2, 2), (2, 3), (2, 6), (2, 10), (3, 5), (4, 4)):
+        for seed in seeds:
+            game = random_knapsack_game(seed, players, items).game()
+            rng = np.random.default_rng(seed)
+            for p in game.players:
+                yield p, rng.integers(0, 2, size=p.opp_vars).astype(float)
+                yield p, rng.random(p.opp_vars)
+                yield p, np.round(rng.random(p.opp_vars) * 4) / 4
+            p = game.players[0]
+            wide = PlayerProgram(name="wide", c=p.c, C=p.C, A=p._dense_A, b=2 * p.b, integers=p.integers,
+                                 lb=np.zeros(p.nvars), ub=np.full(p.nvars, 3.0))
+            yield wide, rng.random(wide.opp_vars)
+
+
+def test_warm_branch_and_bound_matches_the_cold_reference():
+    # children re-solved warm from their parent's simplex state give the
+    # very status, value, point and node count of fresh node LPs
+    checked = 0
+    for p, opp in _seeded_best_responses(range(40)):
+        status, value, x, nodes = branch_and_bound_cold(p, opp)
+        res = solve_ip(p, opp)
+        assert res.status is status
+        assert res.value == value and np.array_equal(res.x, x) and res.iterations == nodes, (p.name, opp)
+        checked += 1
+    assert checked == 40 * (3 * 15 + 6)  # 15 players and 6 wide programs per seed
+
+
+def test_a_passed_deadline_stops_the_root_lp(monkeypatch):
+    returned = []
+
+    def recording(*args, **kwargs):
+        res = lp_module.solve_lp(*args, **kwargs)
+        returned.append(res)
+        return res
+
+    monkeypatch.setattr(ip_module, "solve_lp", recording)
+    p = random_knapsack_game(3, n_items=12).game().players[0]
+    with pytest.raises(BudgetExhausted) as info:
+        solve_ip(p, deadline=time.monotonic() - 1.0)
+    assert not returned and info.value.incumbent is None
+
+
+def test_a_deadline_passing_in_a_node_lp_ends_branch_and_bound(monkeypatch):
+    # the node LP that runs past the deadline raises, and solve_ip ends
+    # with its own BudgetExhausted, which carries the incumbent if any
+    real = lp_module.resolve_lp
+    calls = [0]
+
+    def late(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 10:
+            raise BudgetExhausted("simplex ran past the deadline")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ip_module, "resolve_lp", late)
+    p = random_knapsack_game(4, n_items=12).game().players[0]  # 18 child LPs
+    with pytest.raises(BudgetExhausted, match="branch-and-bound") as info:
+        solve_ip(p, np.zeros(p.opp_vars), deadline=time.monotonic() + 60.0)
+    assert calls[0] == 10
+    inc = info.value.incumbent
+    if inc is not None:
+        assert np.array_equal(inc.x, np.round(inc.x)) and np.all(p._dense_A @ inc.x <= p.b + 1e-7)
+
+
+def test_one_linear_program_per_call_and_no_factorization_in_warm_children(monkeypatch):
+    counts = {"programs": 0, "solves": 0, "warm_solves": 0}
+    real_init = lp_module.LinearProgram.__post_init__
+    real_solve = np.linalg.solve
+    real_resolve = lp_module.resolve_lp
+    inside = [False]
+
+    def counting_init(self):
+        counts["programs"] += 1
+        real_init(self)
+
+    def counting_solve(*args):
+        counts["warm_solves" if inside[0] else "solves"] += 1
+        return real_solve(*args)
+
+    def warm(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_resolve(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(lp_module.LinearProgram, "__post_init__", counting_init)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(ip_module, "resolve_lp", warm)
+    # a 2x10 player whose every child LP has a unique optimum
+    p = random_knapsack_game(5, 2, 10).game().players[0]
+    opp = np.random.default_rng(5).random(p.opp_vars)
+    res = solve_ip(p, opp)
+    assert res.status is LPStatus.OPTIMAL and res.iterations == 9
+    assert counts["programs"] == 1
+    assert counts["warm_solves"] == 0
+    assert counts["solves"] == 2  # the root's one refresh: tableau and values

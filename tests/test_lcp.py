@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import rbgames.cutplay as cutplay_module
 from rbgames import (
     FIX_FREE,
     FIX_W_ZERO,
@@ -10,14 +11,17 @@ from rbgames import (
     LCP,
     LCPSolution,
     NoSolution,
+    SolverOptions,
+    cut_and_play,
     seeded_rng,
     solve_lcp,
     solve_lcp_with_fixings,
 )
+from rbgames.generators import nondegenerate_seeds, random_knapsack_game
 
 from rbgames.errors import BudgetExhausted
 
-from oracles import brute_force_lcp, lemke_row_loop
+from oracles import brute_force_lcp, lemke_reference, lemke_row_loop
 
 _RES_TOL = 1e-7
 
@@ -217,3 +221,48 @@ def test_node_lps_honor_the_deadline():
     problem = LCP(M=np.eye(2), q=np.array([-1.0, 2.0]))
     with pytest.raises(BudgetExhausted):
         solve_lcp_with_fixings(problem, np.full(2, FIX_FREE), deadline=time.monotonic() - 1.0)
+
+
+def _nash_lcps(monkeypatch, games):
+    """The Nash LCP of every cut-and-play round of the games, in order."""
+    problems = []
+    real = cutplay_module.solve_lcp
+
+    def recorded(problem, deadline=None):
+        problems.append(problem)
+        return real(problem, deadline)
+
+    monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
+    for game in games:
+        cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    return problems
+
+
+def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
+    # every round of 20 corpus games and 3 ladder games: the solver and
+    # the reference kernel agree on every pivot and on every bit of z
+    shapes = [(2, 2, s) for s in nondegenerate_seeds(2, 14)] + [(2, 3, s) for s in nondegenerate_seeds(3, 6)]
+    shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1)]
+    problems = _nash_lcps(monkeypatch, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
+    assert len(problems) >= 60 and max(p.order for p in problems) >= 100
+    for problem in problems:
+        out = solve_lcp(problem)
+        z, pivots = lemke_reference(problem)
+        assert out.nodes == pivots
+        assert isinstance(out, LCPSolution) and z is not None
+        assert out.z.tobytes() == z.tobytes()
+
+
+def test_lemke_makes_no_concatenate_call(monkeypatch):
+    [problem] = _nash_lcps(monkeypatch, [random_knapsack_game(0, 2, 6).game()])[-1:]
+    calls = [0]
+    real = np.concatenate
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counting)
+    out = solve_lcp(problem)
+    assert out.nodes > 50
+    assert calls[0] == 0
