@@ -9,6 +9,13 @@ or Gomory cuts) or branched away.  A Member verdict carries its
 certificate, the player's strategy (a feasible integral point or weights
 over pure strategies); once every player is a member, those strategies
 face the final best-response check.
+
+No solve runs whose answer is already known: there is no start-of-solve
+probe, so each player's integer program is solved once, at
+certification; a cover cut that no member could violate as much decides
+Cuts without the support LP; and emptiness tests start at the lower
+corner (``Polyhedron.is_empty``).  Every LP of the hull layer takes the
+run's deadline.
 """
 
 import math
@@ -24,9 +31,8 @@ from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, opponents_vector, profile_payoffs,
                    support_from_points)
-from .ip import parametrized_objective, solve_ip
+from .ip import parametrized_objective
 from .lcp import NoSolution, solve_lcp
-from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
 from .poly import convex_hull
 
@@ -88,23 +94,38 @@ class Branch:
 
 
 class PlayerState:
-    """Outer approximation of one player's mixed-strategy hull."""
+    """Outer approximation of one player's mixed-strategy hull.
 
-    def __init__(self, program):
+    Starts at the LP relaxation: raises InfeasibleGame when it is empty
+    and ValueError naming the player when it is unbounded.  ``deadline``
+    bounds every LP of the hull layer.
+    """
+
+    def __init__(self, program, deadline=None):
         self.program = program
-        self.pieces = [program.relaxation()]
+        self.deadline = deadline
         self.cut_pool = []  # (pi, pi0), all valid for every integer point
-        self._region = None
         self._pure = False  # False: not computed yet; None: unavailable
+        self._replace_pieces([program.relaxation()], "its own rows")
+        try:
+            self.pieces[0].bounding_box(deadline)
+        except ValueError as exc:
+            raise ValueError(f"player {program.name} must have a bounded feasible set: {exc}") from None
 
     def region(self):
         if self._region is None:
-            self._region = self.pieces[0] if len(self.pieces) == 1 else convex_hull(self.pieces)
+            self._region = self.pieces[0] if len(self.pieces) == 1 else convex_hull(self.pieces, self.deadline)
         return self._region
 
     def pure_points(self):
+        """The player's lattice points, or None past ``_ORACLE_CAP``.
+
+        Raises InfeasibleGame when the enumerated lattice is empty.
+        """
         if self._pure is False:
             self._pure = lattice_points(self.program, cap=_ORACLE_CAP)
+        if self._pure is not None and not self._pure.size:
+            raise InfeasibleGame(f"player {self.program.name}: no integer point satisfies its rows")
         return self._pure
 
     def base_rows(self):
@@ -119,7 +140,7 @@ class PlayerState:
     def apply_cuts(self, new_cuts):
         pure = self.pure_points()
         for pi, pi0 in new_cuts:
-            if pure is not None and pure.size:
+            if pure is not None:
                 worst = float(np.max(pure @ pi) - pi0)
                 if worst > FEAS_TOL:
                     raise NumericalFailure(f"generated cut drops an integer point by {worst:.2e}")
@@ -134,7 +155,7 @@ class PlayerState:
         self._replace_pieces(children, "branching")
 
     def _replace_pieces(self, children, cause):
-        survivors = [child for child in children if child is not None and not child.is_empty()]
+        survivors = [child for child in children if child is not None and not child.is_empty(self.deadline)]
         if not survivors:
             raise InfeasibleGame(f"player {self.program.name}: region emptied by {cause}")
         self.pieces = survivors
@@ -144,22 +165,25 @@ class PlayerState:
 class OuterApproximation:
     """Per-player refinement state for one cut-and-play run."""
 
-    def __init__(self, game):
+    def __init__(self, game, deadline=None):
         self.game = game
-        self.states = [PlayerState(p) for p in game.players]
+        self.states = [PlayerState(p, deadline) for p in game.players]
 
     def regions(self):
         return [s.region() for s in self.states]
 
 
-def separation_oracle(state, sigma, cost=None):
+def separation_oracle(state, sigma, cost=None, deadline=None):
     """Decide Member / Cuts / Branch for a strategy point.
 
     Member carries its certificate: the point snapped to integers when
     that is feasible (a pure strategy), or else the point with weights
-    over enumerated pure strategies that reproduce it.  Otherwise prefer
-    cuts (cover, then Gomory with the supplied supporting cost);
+    over enumerated pure strategies that reproduce it.  A cover cut
+    violated by more than any member could violate it decides Cuts
+    before any LP; otherwise membership is tried first, then cuts
+    (cover, then Gomory with the supplied supporting cost), and
     branching on the most fractional integer coordinate is the fallback.
+    ``deadline`` bounds the support and Gomory LPs.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -171,18 +195,21 @@ def separation_oracle(state, sigma, cost=None):
     if integral and p.relaxation().contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
-    pure = state.pure_points()
-    support = support_from_points(pure, sigma) if pure is not None and pure.size else None
-    if support is not None:
-        return Member(PlayerStrategy(sigma, support))
-
     A, b = state.base_rows()
     binary = np.zeros(p.nvars, dtype=bool)
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
     found = cutgen.cover_cuts(A, b, sigma, binary)
+    if any(float(pi @ sigma) - pi0 > _member_violation(pi, pi0, sigma) for pi, pi0 in found):
+        return Cuts(found)
+
+    pure = state.pure_points()
+    support = support_from_points(pure, sigma, deadline) if pure is not None else None
+    if support is not None:
+        return Member(PlayerStrategy(sigma, support))
+
     if not found and cost is not None and ints.size == p.nvars:
-        found = cutgen.gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma)
+        found = cutgen.gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma, deadline)
     if found:
         return Cuts(found)
 
@@ -213,6 +240,24 @@ def separation_oracle(state, sigma, cost=None):
     raise NumericalFailure(
         f"player {p.name}: point escaped the hull but every piece is fully branched"
     )
+
+
+def _member_violation(pi, pi0, sigma):
+    """Most that a cover cut can be violated at a point that
+    ``support_from_points`` accepts: a larger violation decides Cuts.
+
+    The support LP accepts sigma when its final point w meets every row
+    within the slack s = 10 * 1e-8 * (1 + max|b|) that ``solve_lp``
+    allows, its rows being |P'w - sigma| <= FEAS_TOL per coordinate and
+    sum w = 1, so max|b| <= 1 + max|sigma|.  A cover cut has 0/1 pi
+    and pi0 = |pi|_1 - 1 >= 0, and pi p <= pi0 holds at every lattice
+    point p >= 0, so
+        pi sigma <= pi P'w + |pi|_1 (FEAS_TOL + s)
+                 <= pi0 (1 + s) + |pi|_1 (FEAS_TOL + s).
+    Twice that bound leaves room for the round-off of the LP's w.
+    """
+    s = 1e-7 * (2.0 + float(np.max(np.abs(sigma))))
+    return 2.0 * (pi0 * s + float(np.abs(pi).sum()) * (FEAS_TOL + s))
 
 
 def _splits_a_piece(state, j, floor_value):
@@ -271,15 +316,7 @@ def cut_and_play(game, opts=None, watcher=None):
 
 
 def _rounds(game, opts, deadline, stats, finish, watcher):
-    # a player with an empty strategy set means no equilibrium of any kind
-    for i, p in enumerate(game.players):
-        probe = solve_ip(p, np.zeros(p.opp_vars), deadline=deadline)
-        if probe.status is LPStatus.INFEASIBLE:
-            return finish(EqStatus.INFEASIBLE)
-        if probe.status is LPStatus.UNBOUNDED:
-            raise ValueError(f"player {i} ({p.name}) must have a bounded feasible set")
-
-    outer = OuterApproximation(game)
+    outer = OuterApproximation(game, deadline)
     for iteration in range(1, opts.max_iterations + 1):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
@@ -300,7 +337,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
         actions = []
         for i, state in enumerate(outer.states):
             cost = parametrized_objective(game.players[i], opponents_vector(game, sigmas, i))
-            actions.append(separation_oracle(state, sigmas[i], cost))
+            actions.append(separation_oracle(state, sigmas[i], cost, deadline))
 
         if all(isinstance(a, Member) for a in actions):
             return _certify(game, actions, opts, deadline, finish)

@@ -60,7 +60,7 @@ def cover_cuts(A, b, sigma, binary):
     return out
 
 
-def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
+def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
     """Gomory fractional cuts violated by sigma.
 
     Requires a pure-integer system with integral data and bounds; rows
@@ -68,7 +68,7 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
     rest are rounded, which keeps the generated cuts valid for all
     integer points.  The LP is solved with the supplied cost (sigma's
     supporting objective), and cuts come from fractional basic rows of
-    its optimal tableau.
+    its optimal tableau.  ``deadline`` bounds that LP.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
@@ -80,7 +80,8 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma):
     if not keep:
         return []
     As, bs = np.round(A[keep]), np.round(b[keep])
-    res = solve_lp(LinearProgram(np.asarray(cost, dtype=float), As, bs, lb, ub), keep_tableau=True)
+    lp = LinearProgram(np.asarray(cost, dtype=float), As, bs, lb, ub)
+    res = solve_lp(lp, keep_tableau=True, deadline=deadline)
     if res.status is not LPStatus.OPTIMAL:
         return []
     tab = res.tableau

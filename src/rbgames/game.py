@@ -215,12 +215,12 @@ def profile_payoffs(game, profile):
     return [payoff(p, points[i], opponents_vector(game, points, i)) for i, p in enumerate(game.players)]
 
 
-def support_from_points(points, sigma):
+def support_from_points(points, sigma, deadline=None):
     """Convex weights over a finite point set reproducing sigma.
 
     Returns a list of (weight, point) pairs or None when sigma is not in
     the convex hull of the points.  A basic LP solution keeps supports
-    small (at most dim+1 atoms).
+    small (at most dim+1 atoms).  ``deadline`` bounds the LP.
     """
     pts = np.asarray(points, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -229,7 +229,7 @@ def support_from_points(points, sigma):
     # rows: |P' w - sigma| <= eps and sum w = 1
     A = np.vstack([pts.T, -pts.T, np.ones((1, K)), -np.ones((1, K))])
     b = np.concatenate([sigma + eps, -(sigma - eps), [1.0], [-1.0]])
-    res = solve_lp(LinearProgram(np.zeros(K), A, b, np.zeros(K), np.ones(K)))
+    res = solve_lp(LinearProgram(np.zeros(K), A, b, np.zeros(K), np.ones(K)), deadline=deadline)
     if res.status is not LPStatus.OPTIMAL:
         return None
     w = res.x

@@ -76,12 +76,21 @@ class Polyhedron:
             return None
         return Polyhedron(self.A, self.b, lb, ub)
 
-    def is_empty(self):
-        n = self.dim
-        res = solve_lp(LinearProgram(np.zeros(n), self.A, self.b, self.lb, self.ub))
+    def is_empty(self, deadline=None):
+        """True when no point satisfies the rows and bounds.
+
+        A finite lower corner that meets every row proves the set
+        nonempty without an LP.  It is the point ``solve_lp`` starts
+        from, and with ``b - A lb`` nonnegative (computed the same way)
+        it needs no phase 1 and stops at once on the zero cost, so the
+        answer is the LP's.
+        """
+        if np.all(np.isfinite(self.lb)) and not np.any(self.b - self.A @ self.lb < 0):
+            return False
+        res = solve_lp(LinearProgram(np.zeros(self.dim), self.A, self.b, self.lb, self.ub), deadline=deadline)
         return res.status is LPStatus.INFEASIBLE
 
-    def bounding_box(self):
+    def bounding_box(self, deadline=None):
         """Componentwise (min, max) over the set; raises if unbounded.
 
         Finite declared bounds are taken as-is; coordinates with an
@@ -96,7 +105,7 @@ class Polyhedron:
                     continue
                 c = np.zeros(self.dim)
                 c[j] = sign
-                res = solve_lp(LinearProgram(c, self.A, self.b, self.lb, self.ub))
+                res = solve_lp(LinearProgram(c, self.A, self.b, self.lb, self.ub), deadline=deadline)
                 if res.status is LPStatus.UNBOUNDED:
                     raise ValueError(f"polyhedron unbounded in coordinate {j}")
                 if res.status is LPStatus.INFEASIBLE:
@@ -124,7 +133,7 @@ class ExtendedHull:
         return f"ExtendedHull(dim={self.dim}, pieces={len(self.pieces)})"
 
 
-def convex_hull(pieces):
+def convex_hull(pieces, deadline=None):
     """Build the hull of a union of pieces (Polyhedron or ExtendedHull).
 
     Empty pieces are dropped; nested hulls are flattened.  Every piece
@@ -143,10 +152,10 @@ def convex_hull(pieces):
     for p in flat:
         if p.dim != dim:
             raise ValueError("hull pieces must share a dimension")
-        if p.is_empty():
+        if p.is_empty(deadline):
             continue
         kept.append(p)
-        boxes.append(p.bounding_box())
+        boxes.append(p.bounding_box(deadline))
     if not kept:
         raise EmptyUnion("every piece of the union is empty")
     return ExtendedHull(kept, boxes)
@@ -242,7 +251,7 @@ def _encode(region):
     return RegionEncoding(E=E, e=e, L=L, k=E.T @ nu, blocks=blocks)
 
 
-def _member_solve(hull, x, eps):
+def _member_solve(hull, x, eps, deadline):
     """Feasibility LP over the hull's encoding with |L v - x| <= eps.
 
     Returns (encoding, LPResult), or (encoding, None) without an LP when
@@ -257,23 +266,23 @@ def _member_solve(hull, x, eps):
     A = np.vstack([enc.E, -enc.E, enc.L, -enc.L])
     b = np.concatenate([enc.e, -enc.e, x + eps, eps - x])
     n = enc.nvars
-    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)))
+    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)), deadline=deadline)
 
 
-def hull_contains(hull, x, eps=FEAS_TOL):
+def hull_contains(hull, x, eps=FEAS_TOL, deadline=None):
     """Membership of x in the hull, up to eps in each coordinate."""
-    _, res = _member_solve(hull, x, eps)
+    _, res = _member_solve(hull, x, eps, deadline)
     return res is not None and res.status is LPStatus.OPTIMAL
 
 
-def decompose(hull, x):
+def decompose(hull, x, deadline=None):
     """Write x as a convex combination of points of the pieces.
 
     Returns a list of (weight, point) pairs, one per piece with weight
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.
     """
-    enc, res = _member_solve(hull, x, FEAS_TOL)
+    enc, res = _member_solve(hull, x, FEAS_TOL, deadline)
     if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
     v = res.x

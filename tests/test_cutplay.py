@@ -1,3 +1,5 @@
+import importlib
+import sys
 import time
 from types import SimpleNamespace
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 import rbgames.cutplay as cutplay_module
+import rbgames.ip as ip_module
 import rbgames.lcp as lcp_module
 import rbgames.poly as poly_module
 
@@ -22,8 +25,10 @@ from rbgames import (
 )
 from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
 from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
-from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game
+from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds
 from rbgames.poly import hull_contains, convex_hull
+
+from oracles import separation_oracle_reference
 
 _KNOWN = [
     (np.array([0.0, 1.0, 1.0, 0.0]), (-2.0, -3.0)),
@@ -161,15 +166,17 @@ def _raise_numerical_failure(*args, **kwargs):
     raise NumericalFailure("lost precision")
 
 
-@pytest.mark.parametrize("owner, name", [
-    (PlayerState, "apply_cuts"),
-    (cutplay_module, "separation_oracle"),
-    (poly_module, "solve_lp"),
+@pytest.mark.parametrize("owner, name, game", [
+    (PlayerState, "apply_cuts", canonical_knapsack_game),
+    (cutplay_module, "separation_oracle", canonical_knapsack_game),
+    # the refinement of this game meets pieces whose lower corner breaks
+    # a row, the only ones whose emptiness test runs an LP
+    (poly_module, "solve_lp", lambda: random_knapsack_game(2, 2, 4)),
 ], ids=["apply_cuts", "separation_oracle", "solve_lp"])
-def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name):
+def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name, game):
     # the cut pool, the oracle and the LPs of the refinement step
     monkeypatch.setattr(owner, name, _raise_numerical_failure)
-    result = cut_and_play(canonical_knapsack_game().game(), SolverOptions())
+    result = cut_and_play(game().game(), SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.NUMERICAL_FAILURE
     assert result.stats.iterations >= 1
     assert result.stats.lcp_nodes > 0
@@ -181,11 +188,8 @@ def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch
     def exhausted(*args, **kwargs):
         raise BudgetExhausted("node limit hit")
 
-    game = canonical_knapsack_game().game()
-    for name in ("solve_ip", "deviation_check"):  # the player probe, then certification
-        with monkeypatch.context() as patch:
-            patch.setattr(cutplay_module, name, exhausted)
-            assert cut_and_play(game, SolverOptions()).status is EqStatus.NUMERICAL_FAILURE, name
+    monkeypatch.setattr(cutplay_module, "deviation_check", exhausted)  # certification
+    assert cut_and_play(canonical_knapsack_game().game(), SolverOptions()).status is EqStatus.NUMERICAL_FAILURE
 
 
 def test_enumeration_profile_cap_without_a_time_limit_is_a_numerical_failure():
@@ -331,3 +335,186 @@ def test_outer_approximation_starts_at_the_relaxations():
         assert len(state.pieces) == 1
         region = state.region()
         assert region.contains(np.array([1.0, 0.5]))  # LP vertex, not a strategy
+
+
+# -- what the start-of-solve probe IP used to decide, decided without it ----
+
+
+def _record_solve_ip(monkeypatch):
+    """Names of the functions that call solve_ip, one entry per call,
+    through every module of the package that binds it."""
+    real, callers = ip_module.solve_ip, []
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rbgames" and getattr(module, "solve_ip", None) is real:
+            monkeypatch.setattr(module, "solve_ip", recorded)
+    return callers
+
+
+def test_infeasible_player_ends_before_the_first_round_without_an_ip(monkeypatch):
+    callers = _record_solve_ip(monkeypatch)
+    result = cut_and_play(infeasible_game().game(), SolverOptions())
+    assert result.status is EqStatus.INFEASIBLE
+    assert result.stats.iterations == 0
+    assert callers == []
+
+
+def test_player_without_an_integer_point_is_infeasible():
+    # 2x <= 1 and -2x <= -1 leave only x = 1/2: the relaxation is not
+    # empty, but no binary x satisfies both rows
+    half = PlayerProgram(name="half", c=np.array([1.0]), C=np.zeros((0, 1)), A=np.array([[2.0], [-2.0]]),
+                         b=np.array([1.0, -1.0]), integers=(0,), lb=np.zeros(1), ub=np.ones(1))
+    result = cut_and_play(GameModel([half]), SolverOptions())
+    assert result.status is EqStatus.INFEASIBLE
+    assert result.profile is None
+    assert result.stats.wall_ms > 0.0
+
+
+def test_unbounded_player_raises_a_value_error_naming_it():
+    drift = PlayerProgram(name="drift", c=np.array([-1.0, 0.0]), C=np.zeros((0, 2)), A=np.array([[0.0, 1.0]]),
+                          b=np.array([1.0]), integers=(1,), lb=np.zeros(2), ub=np.array([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="drift"):
+        cut_and_play(GameModel([drift]), SolverOptions())
+
+
+@pytest.mark.parametrize("make", [canonical_knapsack_game, cyclic_matching_game,
+                                  lambda: random_knapsack_game(2, 2, 4), lambda: random_knapsack_game(0, 3, 3)],
+                         ids=["canonical", "cyclic", "2x4-seed2", "3x3-seed0"])
+def test_each_player_ip_is_solved_once_at_certification(monkeypatch, make):
+    callers = _record_solve_ip(monkeypatch)
+    game = make().game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert callers == ["deviation_check"] * game.n_players
+
+
+# -- the oracle decides Cuts before the support LP only when the LP cannot
+#    accept the point ----------------------------------------------------------
+
+
+def _same_verdict(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, Member):
+        assert got.pure == want.pure
+        assert np.array_equal(got.strategy.barycenter, want.strategy.barycenter)
+        assert len(got.strategy.support) == len(want.strategy.support)
+        for (w1, p1), (w2, p2) in zip(got.strategy.support, want.strategy.support):
+            assert w1 == w2 and np.array_equal(p1, p2)
+    elif isinstance(want, Cuts):
+        assert len(got.cuts) == len(want.cuts)
+        for (pi1, c1), (pi2, c2) in zip(got.cuts, want.cuts):
+            assert np.array_equal(pi1, pi2) and c1 == c2
+    else:
+        assert (got.index, got.floor) == (want.index, want.floor)
+
+
+def _corpus_and_ladder_games():
+    games = [random_knapsack_game(s, 2, 2) for s in nondegenerate_seeds(2, 16)]
+    games += [random_knapsack_game(s, 2, 3) for s in nondegenerate_seeds(3, 8)]
+    games += [random_knapsack_game(s, p, m) for p, m, s in ((2, 6, 0), (3, 3, 0), (4, 4, 0), (2, 4, 2))]
+    return [g.game() for g in games]
+
+
+def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
+    real_oracle, real_support = cutplay_module.separation_oracle, cutplay_module.support_from_points
+    tally = {"calls": 0, "support": 0, "cuts_without_lp": 0}
+
+    def support(*args, **kwargs):
+        tally["support"] += 1
+        return real_support(*args, **kwargs)
+
+    def compared(state, sigma, cost=None, deadline=None):
+        want = separation_oracle_reference(state, sigma, cost)
+        before = tally["support"]
+        got = real_oracle(state, sigma, cost, deadline)
+        _same_verdict(got, want)
+        tally["calls"] += 1
+        tally["cuts_without_lp"] += isinstance(got, Cuts) and tally["support"] == before
+        return got
+
+    monkeypatch.setattr(cutplay_module, "support_from_points", support)
+    monkeypatch.setattr(cutplay_module, "separation_oracle", compared)
+    for game in _corpus_and_ladder_games():
+        result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+        assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    # both orders ran: cover cuts decided some calls, the LP others
+    assert tally["cuts_without_lp"] > 0 and tally["support"] > 0, tally
+
+
+def _knapsack_state():
+    # blue's row 3x + 4y <= 5 admits the cover x + y <= 1
+    return PlayerState(canonical_knapsack_game().game().players[0])
+
+
+def test_cover_cut_past_the_margin_decides_without_the_support_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("support_from_points was called")
+
+    monkeypatch.setattr(cutplay_module, "support_from_points", no_lp)
+    action = separation_oracle(_knapsack_state(), np.array([1.0, 0.5]))
+    assert isinstance(action, Cuts)
+    assert any(np.array_equal(pi, [1.0, 1.0]) and pi0 == 1.0 for pi, pi0 in action.cuts)
+
+
+def _oracle_with_support_calls(monkeypatch, sigma):
+    """(verdict, reference verdict, support LPs run) at a point of blue's."""
+    real_support, calls = cutplay_module.support_from_points, []
+
+    def support(*args, **kwargs):
+        calls.append(1)
+        return real_support(*args, **kwargs)
+
+    monkeypatch.setattr(cutplay_module, "support_from_points", support)
+    want = separation_oracle_reference(_knapsack_state(), sigma)
+    return separation_oracle(_knapsack_state(), sigma), want, len(calls)
+
+
+def _past_the_cover(violation):
+    # on the line x - y = 1/2, with x + y = 1 + violation
+    return np.array([0.75, 0.25]) + violation / 2.0
+
+
+def test_violated_cover_cut_inside_the_lp_tolerance_is_a_member(monkeypatch):
+    # the cover x + y <= 1 is violated by more than FEAS_TOL, yet the
+    # support LP accepts the point within its own tolerance
+    got, want, lps = _oracle_with_support_calls(monkeypatch, _past_the_cover(1.5e-7))
+    _same_verdict(got, want)
+    assert isinstance(got, Member) and lps == 1
+
+
+@pytest.mark.parametrize("scale, lps", [(0.999, 1), (1.0, 1), (1.001, 0)],
+                         ids=["below-margin", "at-margin", "above-margin"])
+def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, scale, lps):
+    margin = cutplay_module._member_violation(np.array([1.0, 1.0]), 1.0, _past_the_cover(0.0))
+    got, want, ran = _oracle_with_support_calls(monkeypatch, _past_the_cover(scale * margin))
+    _same_verdict(got, want)
+    assert isinstance(got, Cuts) and ran == lps
+
+
+# -- the hull layer's LPs honor the deadline --------------------------------
+
+
+@pytest.mark.parametrize("module_name", ["game", "cuts", "poly"],
+                         ids=["support-lp", "gomory-lp", "refinement-lp"])
+def test_deadline_passing_in_a_hull_layer_lp_ends_time_limit(monkeypatch, module_name):
+    # the first LP of the layer waits for the deadline, then runs with it
+    module = importlib.import_module(f"rbgames.{module_name}")
+    real, seen = module.solve_lp, []
+
+    def late(*args, deadline=None, **kwargs):
+        seen.append(deadline)
+        if deadline is not None:
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return real(*args, deadline=deadline, **kwargs)
+
+    monkeypatch.setattr(module, "solve_lp", late)
+    game = random_knapsack_game(2, 2, 4).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.5))
+    assert seen and seen[0] is not None
+    assert result.status is EqStatus.TIME_LIMIT
+    assert result.stats.iterations >= 1
+    assert result.stats.lcp_nodes > 0

@@ -5,12 +5,15 @@ import rbgames.poly as poly_module
 
 from rbgames import (
     EmptyUnion,
+    LinearProgram,
+    LPStatus,
     Polyhedron,
     convex_hull,
     decompose,
     encode_region,
     hull_contains,
     seeded_rng,
+    solve_lp,
 )
 
 from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices
@@ -211,3 +214,56 @@ def test_membership_and_decomposition_on_shifted_pieces(monkeypatch):
     assert not hull_contains(hull, below)
     with pytest.raises(ValueError):
         decompose(hull, below)
+
+
+def _random_polyhedron(rng):
+    """A small seeded polyhedron; some have infinite lower bounds, no
+    rows, a lower corner exactly on a row, or are branched or cut."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 5))
+    lb = rng.integers(-2, 2, n).astype(float)
+    ub = lb + rng.integers(0, 3, n)
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        lb[rng.random(n) < 0.5] = -np.inf
+        ub[rng.random(n) < 0.3] = np.inf
+    A = rng.integers(-3, 4, (m, n)).astype(float)
+    b = rng.integers(-4, 6, m).astype(float)
+    if kind == 1 and m:
+        b[0] = A[0] @ lb  # the corner sits exactly on row 0
+    p = Polyhedron(A, b, lb, ub)
+    if kind == 2:
+        j = int(rng.integers(n))
+        split = np.floor((lb[j] + ub[j]) / 2.0)
+        p = p.with_bound(j, lo=split + 1) if rng.random() < 0.5 else p.with_bound(j, hi=split)
+    elif kind == 3:
+        p = p.with_rows(rng.integers(-2, 3, (2, n)), rng.integers(-2, 4, 2))
+    return p
+
+
+def test_emptiness_matches_the_zero_cost_lp():
+    rng = seeded_rng(11)
+    tried = empty = corner = 0
+    while tried < 2400:
+        p = _random_polyhedron(rng)
+        if p is None:  # the branch crossed the bounds
+            continue
+        tried += 1
+        want = solve_lp(LinearProgram(np.zeros(p.dim), p.A, p.b, p.lb, p.ub)).status is LPStatus.INFEASIBLE
+        assert p.is_empty() == want, (p.A, p.b, p.lb, p.ub)
+        empty += want
+        corner += bool(np.all(np.isfinite(p.lb)) and np.all(p.A @ p.lb <= p.b))
+    # the LP-free answer, LP-decided nonempty and empty sets all occur
+    assert 0 < corner < tried - empty and empty > 100, (tried, empty, corner)
+
+
+def test_emptiness_at_a_feasible_corner_runs_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp was called")
+
+    monkeypatch.setattr(poly_module, "solve_lp", no_lp)
+    relax = _box([0.0, 0.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
+    assert not relax.is_empty()
+    assert not relax.with_rows(np.array([[1.0, 1.0]]), np.array([0.0])).is_empty()  # corner on the cut
+    assert not _box([1.0], [2.0]).is_empty()  # no rows
+    assert len(convex_hull([relax, relax.with_bound(0, hi=0.0)]).pieces) == 2
