@@ -12,10 +12,11 @@ face the final best-response check.
 
 No solve runs whose answer is already known: there is no start-of-solve
 probe, so each player's integer program is solved once, at
-certification; a cover cut that no member could violate as much decides
-Cuts without the support LP; and emptiness tests start at the lower
-corner (``Polyhedron.is_empty``).  Every LP of the hull layer takes the
-run's deadline.
+certification (and once more, when the oracle first needs them, for a
+player whose lattice points are not enumerated); a cover cut that no
+member could violate as much decides Cuts without the support LP; and
+emptiness tests start at the lower corner (``Polyhedron.is_empty``).
+Every LP of a run takes the run's deadline.
 """
 
 import math
@@ -31,8 +32,9 @@ from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, opponents_vector, profile_payoffs,
                    support_from_points)
-from .ip import parametrized_objective
+from .ip import parametrized_objective, solve_ip
 from .lcp import NoSolution, solve_lcp
+from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
 from .poly import convex_hull
 
@@ -98,7 +100,7 @@ class PlayerState:
 
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
     and ValueError naming the player when it is unbounded.  ``deadline``
-    bounds every LP of the hull layer.
+    bounds every LP and IP that the state runs.
     """
 
     def __init__(self, program, deadline=None):
@@ -118,12 +120,17 @@ class PlayerState:
         return self._region
 
     def pure_points(self):
-        """The player's lattice points, or None past ``_ORACLE_CAP``.
+        """The player's lattice points, or None when they are not
+        enumerated (past ``_ORACLE_CAP`` or with a continuous variable).
 
-        Raises InfeasibleGame when the enumerated lattice is empty.
+        Raises InfeasibleGame when the player has no integer point: the
+        enumerated lattice is empty or, when it is not enumerated, the
+        player's integer program is infeasible.
         """
         if self._pure is False:
             self._pure = lattice_points(self.program, cap=_ORACLE_CAP)
+            if self._pure is None and solve_ip(self.program, deadline=self.deadline).status is LPStatus.INFEASIBLE:
+                raise InfeasibleGame(f"player {self.program.name}: its integer program is infeasible")
         if self._pure is not None and not self._pure.size:
             raise InfeasibleGame(f"player {self.program.name}: no integer point satisfies its rows")
         return self._pure
@@ -246,18 +253,26 @@ def _member_violation(pi, pi0, sigma):
     """Most that a cover cut can be violated at a point that
     ``support_from_points`` accepts: a larger violation decides Cuts.
 
-    The support LP accepts sigma when its final point w meets every row
-    within the slack s = 10 * 1e-8 * (1 + max|b|) that ``solve_lp``
-    allows, its rows being |P'w - sigma| <= FEAS_TOL per coordinate and
-    sum w = 1, so max|b| <= 1 + max|sigma|.  A cover cut has 0/1 pi
-    and pi0 = |pi|_1 - 1 >= 0, and pi p <= pi0 holds at every lattice
-    point p >= 0, so
-        pi sigma <= pi P'w + |pi|_1 (FEAS_TOL + s)
-                 <= pi0 (1 + s) + |pi|_1 (FEAS_TOL + s).
-    Twice that bound leaves room for the round-off of the LP's w.
+    The support LP over n = sigma.size coordinates has rows
+    |P'w - sigma| <= FEAS_TOL per coordinate and sum w = 1, so
+    max|b| <= 1 + max|sigma|.  It accepts sigma when its final w, before
+    clipping to the bounds, meets every row within the slack
+    s = 10 t that ``solve_lp`` allows, where t = 1e-8 (1 + max|b|) is
+    its feasibility tolerance.  The simplex keeps every basic weight
+    within about t of its bounds (phase 1 ends with the artificials
+    summing to at most t) and every nonbasic one at a bound, and at most
+    m = 2n + 2 weights are basic, so w = w+ - w- with
+    sum w- <= (2n + 2) t.  A cover cut has 0/1 pi and
+    pi0 = |pi|_1 - 1 >= 0, and 0 <= pi p <= pi0 at every lattice point
+    p, so
+        pi P'w <= pi P'w+ <= pi0 sum w+ = pi0 (sum w + sum w-)
+               <= pi0 (1 + s + (2n + 2) t)
+        pi sigma <= pi P'w + |pi|_1 (FEAS_TOL + s).
+    Twice the resulting violation bound leaves room for round-off.
     """
-    s = 1e-7 * (2.0 + float(np.max(np.abs(sigma))))
-    return 2.0 * (pi0 * s + float(np.abs(pi).sum()) * (FEAS_TOL + s))
+    t = 1e-8 * (2.0 + float(np.max(np.abs(sigma))))
+    s = 10.0 * t
+    return 2.0 * (pi0 * (s + (2 * sigma.size + 2) * t) + float(np.abs(pi).sum()) * (FEAS_TOL + s))
 
 
 def _splits_a_piece(state, j, floor_value):

@@ -251,7 +251,7 @@ def _encode(region):
     return RegionEncoding(E=E, e=e, L=L, k=E.T @ nu, blocks=blocks)
 
 
-def _member_solve(hull, x, eps, deadline):
+def _member_solve(hull, x, eps):
     """Feasibility LP over the hull's encoding with |L v - x| <= eps.
 
     Returns (encoding, LPResult), or (encoding, None) without an LP when
@@ -266,23 +266,23 @@ def _member_solve(hull, x, eps, deadline):
     A = np.vstack([enc.E, -enc.E, enc.L, -enc.L])
     b = np.concatenate([enc.e, -enc.e, x + eps, eps - x])
     n = enc.nvars
-    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)), deadline=deadline)
+    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)))
 
 
-def hull_contains(hull, x, eps=FEAS_TOL, deadline=None):
+def hull_contains(hull, x, eps=FEAS_TOL):
     """Membership of x in the hull, up to eps in each coordinate."""
-    _, res = _member_solve(hull, x, eps, deadline)
+    _, res = _member_solve(hull, x, eps)
     return res is not None and res.status is LPStatus.OPTIMAL
 
 
-def decompose(hull, x, deadline=None):
+def decompose(hull, x):
     """Write x as a convex combination of points of the pieces.
 
     Returns a list of (weight, point) pairs, one per piece with weight
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.
     """
-    enc, res = _member_solve(hull, x, FEAS_TOL, deadline)
+    enc, res = _member_solve(hull, x, FEAS_TOL)
     if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
     v = res.x

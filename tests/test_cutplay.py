@@ -176,7 +176,7 @@ def _raise_numerical_failure(*args, **kwargs):
 def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name, game):
     # the cut pool, the oracle and the LPs of the refinement step
     monkeypatch.setattr(owner, name, _raise_numerical_failure)
-    result = cut_and_play(game().game(), SolverOptions(deviation_eps=3e-4))
+    result = cut_and_play(game().game(), SolverOptions())
     assert result.status is EqStatus.NUMERICAL_FAILURE
     assert result.stats.iterations >= 1
     assert result.stats.lcp_nodes > 0
@@ -372,6 +372,23 @@ def test_player_without_an_integer_point_is_infeasible():
     assert result.status is EqStatus.INFEASIBLE
     assert result.profile is None
     assert result.stats.wall_ms > 0.0
+
+
+def test_player_without_an_integer_point_past_the_lattice_cap_is_infeasible(monkeypatch):
+    # 2^17 binary points, past the oracle's cap, so no lattice is
+    # enumerated; 2x0 + 2x1 = 1 admits the LP point but no integer one.
+    # The player's IP decides this in the first round, before cuts or
+    # branching could empty the region, so one round is enough
+    n = 17
+    A = np.zeros((2, n))
+    A[0, :2], A[1, :2] = 2.0, -2.0
+    wide = PlayerProgram(name="wide", c=np.ones(n), C=np.zeros((0, n)), A=A, b=np.array([1.0, -1.0]),
+                         integers=tuple(range(n)), lb=np.zeros(n), ub=np.ones(n))
+    callers = _record_solve_ip(monkeypatch)
+    result = cut_and_play(GameModel([wide]), SolverOptions(max_iterations=1))
+    assert result.status is EqStatus.INFEASIBLE
+    assert result.stats.iterations == 1
+    assert callers == ["pure_points"]
 
 
 def test_unbounded_player_raises_a_value_error_naming_it():
