@@ -4,14 +4,35 @@ Pure profiles are scanned with an exact (zero-tolerance) deviation
 check.  For two-player games the mixed equilibria of the induced
 normal-form game are recovered by support enumeration (Avis, Rosenberg,
 Savani & von Stengel, 2010), batched.  Support pairs (I, J) are scanned
-in (size, lexicographic) order of I, then of J, at most ``_BATCH`` pairs
-at a time.  Each pair's indifference system is written in the full
+in (size, lexicographic) order of I, then of J, in blocks of at most
+``_BATCH_FLOATS`` pairs.
+
+A block first drops the pairs that conditional dominance (Porter,
+Nudelman & Shoham, 2008) rules out: some own row i in I is beaten by
+another row r on every column of J by more than a margin m, for player
+1 on ``cost1`` and for player 2 on ``cost2.T`` with J and I swapped.
+Such a pair fails the "no cheaper row" test of ``_indifference``
+whatever its weights, so the prune changes no result, and a pruned pair
+still counts as scanned.  The margin covers that test's tolerances.
+Let t = ``_VERIFY_TOL``, M = max|cost| and n the opponent's strategy
+count.  A pair that reaches the test has raw weights y on J with
+|cost_s y - v| <= t for every s in I and |sum y - 1| <= t, and each
+y_j >= -t.  Clipping adds d >= 0 with sum d <= n t, and the clipped
+total is at least 1 - t, so the normalized weights w give
+    |cost_i w - cost_i0 w| <= (2 + 2 M n) t / (1 - t)
+for the first support row i0, against which the test measures.  With
+r beating i by more than m on every column of J, cost_r w < cost_i w - m,
+so the pair is rejected (cost_r w < cost_i0 w - t) once
+m >= t + (2 + 2 M n) t / (1 - t).  ``_margin`` takes m = 4 t (1 + M n),
+whose slack of about t (1 + 2 M n) exceeds the round-off of these sums.
+
+Each kept pair's indifference system is written in the full
 (K1+1) x (K2+1) frame, zero outside I and J, so its minimum-norm
 least-squares solution is the pair's own, and one stacked
-pseudo-inverse solves the whole batch.  Player 1's tests (a consistent
-solution, nonnegative weights, no cheaper row) run on the batch first;
-only the pairs that pass them solve player 2's system.  The survivors
-are then replayed in scan order.
+pseudo-inverse solves up to ``_BATCH`` pairs.  Player 1's tests (a
+consistent solution, nonnegative weights, no cheaper row) run on the
+batch first; only the pairs that pass them solve player 2's system.
+The survivors are then replayed in scan order.
 """
 
 import itertools
@@ -29,7 +50,8 @@ from .numerics import FEAS_TOL
 PROFILE_CAP = 1 << 20
 _VERIFY_TOL = 1e-9
 _BATCH = 512  # support pairs per stacked solve
-_BATCH_FLOATS = 1 << 16  # and at most this many floats in a batch's frames
+_BATCH_FLOATS = 1 << 16  # and at most this many floats in a batch's frames; pairs per prune block
+_TIE_MARGIN = 1e-6  # costs this close count as tied in degenerate_bimatrix
 
 
 def lattice_points(program, cap=PROFILE_CAP):
@@ -166,8 +188,7 @@ def _mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline):
     K1, K2 = cost1.shape
     batch = max(1, min(_BATCH, _BATCH_FLOATS // ((K1 + 1) * (K2 + 1))))
     out = []
-    scanned = 0
-    for I, J in _pair_batches(K1, K2, batch):
+    for I, J, scanned in _pair_batches(cost1, cost2, batch, deadline):
         _check_deadline(deadline, "support enumeration")
         y, ok = _indifference(cost1, I, J)
         stage1 = np.flatnonzero(ok)
@@ -190,10 +211,9 @@ def _mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline):
                     status=EqStatus.MNE,
                     profile=profile,
                     payoffs=profile_payoffs(game, profile),
-                    stats=_stats(t0, scanned + int(k) + 1),
+                    stats=_stats(t0, int(scanned[k])),
                 )
             )
-        scanned += I.shape[0]
     return out
 
 
@@ -210,24 +230,82 @@ def _support_masks(K, chunk):
         yield masks
 
 
-def _pair_batches(K1, K2, batch):
-    """(I, J) masks of the mixed support pairs, ``batch`` pairs at a time.
+def _pair_batches(cost1, cost2, batch, deadline):
+    """The mixed support pairs that the dominance prune keeps, in scan order.
 
-    Pairs come in scan order: I major, J minor.  Pure pairs are left to
-    the exact scan.
+    Yields (I, J, scanned) for at most ``batch`` pairs at a time: their
+    masks and each one's 1-based position among the mixed pairs of the
+    scan (I major, J minor; pure pairs are left to the exact scan).
+    Pairs are generated and pruned in blocks of at most
+    ``_BATCH_FLOATS``, with the deadline checked once per block.
     """
+    K1, K2 = cost1.shape
+    # a side with more than 64 strategies has over 2**64 supports, which
+    # no scan finishes, so its masks need not fit the prune's words
+    prune = max(K1, K2) <= 64
+
+    def side(masks, beaten):
+        """A block of supports: masks, bits and the opponent rows it prunes."""
+        if not prune:
+            none = np.zeros(masks.shape[0], dtype=np.uint64)
+            return masks, none, none
+        bits = _bits(masks)
+        return masks, bits, _dominated(beaten, bits)
+
+    beaten1 = _beaten(cost1) if prune else None
+    beaten2 = _beaten(cost2.T) if prune else None
     n2 = 2**K2 - 1
-    if n2 <= batch:
-        every = np.concatenate(list(_support_masks(K2, n2)))
-        blocks = ((rows, every) for rows in _support_masks(K1, batch // n2))
+    if n2 <= _BATCH_FLOATS:
+        every = side(next(_support_masks(K2, n2)), beaten1)
+        blocks = ((side(rows, beaten2), every) for rows in _support_masks(K1, _BATCH_FLOATS // n2))
     else:
-        blocks = ((row, cols) for row in _support_masks(K1, 1) for cols in _support_masks(K2, batch))
-    for rows, cols in blocks:
-        I = np.repeat(rows, cols.shape[0], axis=0)
-        J = np.tile(cols, (rows.shape[0], 1))
-        mixed = (I.sum(axis=1) > 1) | (J.sum(axis=1) > 1)
-        if mixed.any():
-            yield I[mixed], J[mixed]
+        blocks = (
+            (side(row, beaten2), side(cols, beaten1))
+            for row in _support_masks(K1, 1)
+            for cols in _support_masks(K2, _BATCH_FLOATS)
+        )
+    scanned = 0
+    for (rows, bits1, prunes2), (cols, bits2, prunes1) in blocks:
+        _check_deadline(deadline, "support enumeration")
+        keep = (rows.sum(axis=1) > 1)[:, None] | (cols.sum(axis=1) > 1)[None, :]
+        position = scanned + np.cumsum(keep)
+        scanned += np.count_nonzero(keep)
+        keep &= (bits1[:, None] & prunes1[None, :]) == 0
+        keep &= (prunes2[:, None] & bits2[None, :]) == 0
+        a, b = np.nonzero(keep)
+        position = position[keep.ravel()]
+        for lo in range(0, a.size, batch):
+            hi = lo + batch
+            yield rows[a[lo:hi]], cols[b[lo:hi]], position[lo:hi]
+
+
+def _margin(cost):
+    """How far a row must beat another on every column to prune (module docstring)."""
+    return 4.0 * _VERIFY_TOL * (1.0 + cost.shape[1] * float(np.max(np.abs(cost))))
+
+
+def _bits(masks):
+    """Each mask row (at most 64 entries) packed into one uint64."""
+    return masks @ (np.uint64(1) << np.arange(masks.shape[-1], dtype=np.uint64))
+
+
+def _beaten(cost):
+    """beaten[i, r]: bits of the columns on which row r costs less than row i by more than the margin."""
+    return _bits(cost[None, :, :] < cost[:, None, :] - _margin(cost))
+
+
+def _dominated(beaten, opp_bits):
+    """Bits of the own rows that some row beats on every column of each opponent support.
+
+    Works in chunks of at most ``_BATCH_FLOATS`` (support, i, r) words.
+    """
+    K = beaten.shape[0]
+    chunk = max(1, _BATCH_FLOATS // (K * K))
+    out = np.empty(opp_bits.shape, dtype=np.uint64)
+    for lo in range(0, opp_bits.size, chunk):
+        s = opp_bits[lo : lo + chunk, None, None]
+        out[lo : lo + chunk] = _bits(np.any((beaten & s) == s, axis=2))
+    return out
 
 
 def _indifference(cost, own, opp):
@@ -265,7 +343,7 @@ def _indifference(cost, own, opp):
     return w, ok
 
 
-def degenerate_bimatrix(game, margin=1e-6):
+def degenerate_bimatrix(game):
     """Detect best-response ties in the induced two-player finite game.
 
     A pure strategy with two or more tied best responses, or an
@@ -281,9 +359,9 @@ def degenerate_bimatrix(game, margin=1e-6):
     except (BudgetExhausted, InfeasibleGame) as exc:
         raise ValueError("players must have finite nonempty pure-strategy sets") from exc
     cost1, cost2 = _cost_matrices(game, S1, S2)
-    if np.any(np.sum(cost1 <= cost1.min(axis=0) + margin, axis=0) > 1):
+    if np.any(np.sum(cost1 <= cost1.min(axis=0) + _TIE_MARGIN, axis=0) > 1):
         return True
-    if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + margin, axis=1) > 1):
+    if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + _TIE_MARGIN, axis=1) > 1):
         return True
     p1, p2 = game.players
     for eq in _two_player(game, S1, S2, cost1, cost2, time.monotonic(), None):
@@ -292,8 +370,8 @@ def degenerate_bimatrix(game, margin=1e-6):
             return True
         vals1 = S1 @ parametrized_objective(p1, opponents_vector(game, [s1.barycenter, s2.barycenter], 0))
         vals2 = S2 @ parametrized_objective(p2, opponents_vector(game, [s1.barycenter, s2.barycenter], 1))
-        if int(np.sum(vals1 <= vals1.min() + margin)) > len(s1.support):
+        if int(np.sum(vals1 <= vals1.min() + _TIE_MARGIN)) > len(s1.support):
             return True
-        if int(np.sum(vals2 <= vals2.min() + margin)) > len(s2.support):
+        if int(np.sum(vals2 <= vals2.min() + _TIE_MARGIN)) > len(s2.support):
             return True
     return False

@@ -126,7 +126,7 @@ def cyclic_matching_game():
     return Instance("cyclic-matching").add_player(p0).add_player(p1).add_player(p2).finalize()
 
 
-def nondegenerate_seeds(n_items, count, start=0, margin=1e-6):
+def nondegenerate_seeds(n_items, count, start=0):
     """First ``count`` seeds giving knapsack games without best-response ties.
 
     Ties make equilibrium sets infinite, so pointwise comparison of two
@@ -137,7 +137,7 @@ def nondegenerate_seeds(n_items, count, start=0, margin=1e-6):
     seed = start
     while len(seeds) < count:
         game = random_knapsack_game(seed, 2, n_items).game()
-        if not degenerate_bimatrix(game, margin=margin):
+        if not degenerate_bimatrix(game):
             seeds.append(seed)
         seed += 1
     return seeds

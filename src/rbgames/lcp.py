@@ -325,12 +325,15 @@ def _leaving(basis):
         if cand[0] == 0:  # z0's slot
             return 0, -1
         lex = basis.inverse_rows(cand) / d[cand, None]
-        keep = np.ones(cand.size, dtype=bool)
-        # columns on which all tied rows agree decide nothing
-        for col in lex[:, np.ptp(lex, axis=0) > _TIE_TOL].T:
-            least = col[keep].min()
-            keep &= col <= least + _TIE_TOL * (1.0 + abs(least))
-            if np.count_nonzero(keep) == 1:
+        keep = range(cand.size)
+        # columns on which all tied rows agree decide nothing; the rest
+        # are compared as Python floats, the same doubles numpy would use
+        decisive = lex.max(axis=0) - lex.min(axis=0) > _TIE_TOL
+        for col in lex[:, decisive].T.tolist():
+            least = min([col[k] for k in keep])
+            bound = least + _TIE_TOL * (1.0 + abs(least))
+            keep = [k for k in keep if col[k] <= bound]
+            if len(keep) == 1:
                 break
         cand = cand[keep]
     i = int(cand[0])

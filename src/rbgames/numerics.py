@@ -45,22 +45,23 @@ class SparseMatrix:
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be nonnegative")
         entries = list(entries)
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries], dtype=float)
+        triplets = np.array(entries, dtype=float).reshape(len(entries), 3)
+        rows = triplets[:, 0].astype(np.int64)
+        cols = triplets[:, 1].astype(np.int64)
+        vals = triplets[:, 2]
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("col index out of range")
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 raise ValueError("entries must be finite")
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
             order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
             keys = rows * ncols + cols
-            if keys.size > 1 and np.any(np.diff(keys) == 0):
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (row, col) entry")
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)

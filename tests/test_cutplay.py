@@ -25,6 +25,7 @@ from rbgames import (
 )
 from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
 from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
+from rbgames.enumeration import degenerate_bimatrix
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds
 from rbgames.poly import hull_contains, convex_hull
 
@@ -225,6 +226,21 @@ def test_three_player_cycle_finds_the_mixed_point():
     for s in result.profile.strategies:
         assert np.allclose(s.barycenter, [0.5], atol=1e-6)
     assert np.allclose(result.payoffs, [0.0, 0.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 373, 528, 1443])
+def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_2x4_games(seed):
+    # nondegenerate 2x4 knapsack games with 9 to 12 pure strategies a
+    # side; each has a mixed equilibrium, and three of them end on one
+    game = random_knapsack_game(seed, 2, 4).game()
+    assert not degenerate_bimatrix(game)
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=20.0))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    flat = np.concatenate([s.barycenter for s in result.profile.strategies])
+    enumerated = solve_game(game, SolverOptions(algorithm=Algorithm.FULL_ENUMERATION))
+    assert any(EqStatus.MNE is r.status for r in enumerated)
+    gaps = [np.linalg.norm(flat - np.concatenate([s.barycenter for s in r.profile.strategies])) for r in enumerated]
+    assert min(gaps) <= 1e-6
 
 
 def test_solve_game_dispatch():

@@ -191,9 +191,22 @@ def _matching_pennies():
     ])
 
 
+def _bounded_integer_game():
+    # two variables in 0..3 per player: seven and six pure strategies,
+    # one pure and one mixed equilibrium
+    def player(name, c, C, row, cap):
+        return PlayerProgram(name=name, c=np.array(c), C=np.array(C), A=np.array([row]), b=np.array([cap]),
+                             integers=(0, 1), lb=np.zeros(2), ub=np.full(2, 3.0))
+
+    return GameModel([
+        player("p0", [-3.0, -3.0], [[3.0, 5.0], [-5.0, -4.0]], [2.0, 3.0], 6.0),
+        player("p1", [-5.0, -5.0], [[-3.0, -2.0], [4.0, -1.0]], [1.0, 1.0], 2.0),
+    ])
+
+
 _DIFFERENTIAL_GAMES = (
     [("canonical", canonical_knapsack_game().game()), ("pennies", _matching_pennies()),
-     ("degenerate 122", random_knapsack_game(122).game())]
+     ("degenerate 122", random_knapsack_game(122).game()), ("integers 0..3", _bounded_integer_game())]
     + [(f"2x2 seed {s}", random_knapsack_game(s).game()) for s in range(10)]
     + [(f"2x3 seed {s}", random_knapsack_game(s, n_items=3).game()) for s in range(10)]
 )
@@ -230,6 +243,50 @@ def test_batched_enumeration_matches_the_loop_across_default_batches():
     found = full_enumeration(game)
     assert [r.stats.iterations for r in found if r.status is EqStatus.MNE] == [669, 1049, 1050, 2013]
     _assert_same_as_the_loop(game, found)
+
+
+@pytest.mark.parametrize("seed", [156, 290])
+def test_pruned_enumeration_matches_the_loop_on_2x4_games(seed):
+    # 8x8 lattices: 65,025 support pairs, four and six mixed equilibria
+    game = random_knapsack_game(seed, n_items=4).game()
+    _assert_same_as_the_loop(game, full_enumeration(game))
+
+
+@pytest.mark.parametrize("name", ["2x2 seed 0", "2x3 seed 0", "2x3 seed 1", "2x3 seed 5", "integers 0..3"])
+def test_small_prune_blocks_match_the_per_pair_loop(monkeypatch, name):
+    # 16 pairs per block: one row of I per block while player 2 has at
+    # most 4 pure strategies, slices of J for one I beyond that, one
+    # pair per stacked solve and one support per dominance chunk
+    monkeypatch.setattr(enumeration, "_BATCH_FLOATS", 16)
+    game = dict(_DIFFERENTIAL_GAMES)[name]
+    _assert_same_as_the_loop(game, full_enumeration(game))
+
+
+def test_the_prune_keeps_most_pairs_from_the_stacked_solve(monkeypatch):
+    rows = []
+    pinv = np.linalg.pinv
+
+    def counted(A, *args, **kwargs):
+        rows.append(A.shape[0])
+        return pinv(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    found = full_enumeration(random_knapsack_game(106, n_items=3).game())
+    assert [r.stats.iterations for r in found if r.status is EqStatus.MNE] == [669, 1049, 1050, 2013]
+    # without the prune player 1's stage alone stacks all 3,933 mixed pairs
+    assert 0 < sum(rows) < 3933 // 10
+
+
+def test_a_row_ahead_by_exactly_the_margin_is_not_pruned():
+    base = np.array([[5.0, 6.0], [5.0, 6.0]])
+    margin = enumeration._margin(base)
+    assert margin > enumeration._VERIFY_TOL
+    both = enumeration._bits(np.array([[True, True]]))
+    for gap, pruned in [(margin, 0), (2.0 * margin, 0b01)]:
+        cost = base - np.array([[0.0], [gap]])
+        assert enumeration._margin(cost) == margin
+        # row 1 undercuts row 0 on both columns: row 0 is pruned only past the margin
+        assert enumeration._dominated(enumeration._beaten(cost), both).tolist() == [pruned]
 
 
 def test_a_passed_deadline_stops_before_any_support_work(monkeypatch):

@@ -67,6 +67,14 @@ def test_sparse_matrix_rejects_bad_entries():
         SparseMatrix(2, 2, [(0, -1, 1.0)])  # col out of range
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, np.inf)])  # non-finite
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, [(0, 1), (1, 0), (1, 1)])  # pairs, not triplets
+
+
+def test_sparse_matrix_stores_integer_indexes_and_float_values():
+    for entries in ([], [(1, 0, 2), (0, 1, -1.5)]):
+        m = SparseMatrix(2, 2, entries)
+        assert (m.rows.dtype, m.cols.dtype, m.vals.dtype) == (np.int64, np.int64, np.float64)
 
 
 def test_sparse_matrix_is_immutable():
