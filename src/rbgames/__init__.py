@@ -28,6 +28,7 @@ from .errors import (
     EmptyUnion,
     InfeasibleGame,
     NumericalFailure,
+    UnsupportedGame,
 )
 from .game import (
     Deviation,
@@ -122,6 +123,7 @@ __all__ = [
     "SolverOptions",
     "SparseMatrix",
     "StrategyProfile",
+    "UnsupportedGame",
     "ZERO_TOL",
     "approx_eq",
     "build_nash_lcp",

@@ -3,14 +3,15 @@
 Exit codes: 0 when an equilibrium is found (PNE or MNE), 2 when the
 solver proves there is none, 3 on time limit, 4 when a player's
 feasible set is empty, 5 on numerical failure, 1 for usage or
-document errors.
+document errors and for a game the chosen algorithm cannot take (a
+player with a continuous variable under fullenum, an unbounded player).
 """
 
 import argparse
 import sys
 
 from .cutplay import Algorithm, SolverOptions
-from .errors import DocumentError, NumericalFailure
+from .errors import DocumentError, NumericalFailure, UnsupportedGame
 from .game import EqStatus
 from .model import load_instance, save_result
 from .numerics import DEVIATION_EPS
@@ -107,6 +108,9 @@ def main(argv=None):
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 5
+    except UnsupportedGame as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.output is not None:
         save_result(results, names, args.output)

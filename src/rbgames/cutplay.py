@@ -8,26 +8,31 @@ point really lies in its hull.  Points that do not are cut off (cover
 or Gomory cuts) or branched away.  A Member verdict carries its
 certificate, the player's strategy (a feasible integral point or weights
 over pure strategies); once every player is a member, those strategies
-face the final best-response check.
+face the final best-response check.  That check takes a player's best
+response over its enumerated lattice points (``PlayerState.lattice``),
+the very points the oracle works on; only a player whose lattice is not
+enumerated solves its integer program by branch and bound there.
 
 No solve runs whose answer is already known: there is no start-of-solve
-probe, so each player's integer program is solved once, at
-certification (and once more, when the oracle first needs them, for a
-player whose lattice points are not enumerated); a cover cut that no
-member could violate as much decides Cuts without the support LP; and
-emptiness tests start at the lower corner (``Polyhedron.is_empty``).
-Every LP of a run takes the run's deadline.
+probe, so an enumerated player's run solves no integer program at all,
+and any other player's solves at most two (once when the oracle first
+needs its lattice, to prove it has an integer point, and once at
+certification); a cover cut that no member could violate as much
+decides Cuts without the support LP; and emptiness tests start at the
+lower corner (``Polyhedron.is_empty``).  Every LP of a run takes the
+run's deadline.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import cuts as cutgen
 from .enumeration import full_enumeration, lattice_points
-from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure
+from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, opponents_vector, profile_payoffs,
@@ -99,7 +104,7 @@ class PlayerState:
     """Outer approximation of one player's mixed-strategy hull.
 
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
-    and ValueError naming the player when it is unbounded.  ``deadline``
+    and UnsupportedGame naming the player when it is unbounded.  ``deadline``
     bounds every LP and IP that the state runs.
     """
 
@@ -107,33 +112,39 @@ class PlayerState:
         self.program = program
         self.deadline = deadline
         self.cut_pool = []  # (pi, pi0), all valid for every integer point
-        self._pure = False  # False: not computed yet; None: unavailable
+        self._has_point = False  # the integer program of an unenumerated player was feasible
         self._replace_pieces([program.relaxation()], "its own rows")
         try:
             self.pieces[0].bounding_box(deadline)
         except ValueError as exc:
-            raise ValueError(f"player {program.name} must have a bounded feasible set: {exc}") from None
+            raise UnsupportedGame(f"player {program.name} must have a bounded feasible set: {exc}") from None
 
     def region(self):
         if self._region is None:
             self._region = self.pieces[0] if len(self.pieces) == 1 else convex_hull(self.pieces, self.deadline)
         return self._region
 
-    def pure_points(self):
+    @cached_property
+    def lattice(self):
         """The player's lattice points, or None when they are not
-        enumerated (past ``_ORACLE_CAP`` or with a continuous variable).
+        enumerated (past ``_ORACLE_CAP`` or with a continuous variable)."""
+        return lattice_points(self.program, cap=_ORACLE_CAP)
 
-        Raises InfeasibleGame when the player has no integer point: the
-        enumerated lattice is empty or, when it is not enumerated, the
-        player's integer program is infeasible.
+    def pure_points(self):
+        """``lattice``, once the player is known to have an integer point.
+
+        Raises InfeasibleGame when it has none: the enumerated lattice is
+        empty or, when it is not enumerated, the player's integer program
+        (solved on the first call only) is infeasible.
         """
-        if self._pure is False:
-            self._pure = lattice_points(self.program, cap=_ORACLE_CAP)
-            if self._pure is None and solve_ip(self.program, deadline=self.deadline).status is LPStatus.INFEASIBLE:
+        pure = self.lattice
+        if pure is None and not self._has_point:
+            if solve_ip(self.program, deadline=self.deadline).status is LPStatus.INFEASIBLE:
                 raise InfeasibleGame(f"player {self.program.name}: its integer program is infeasible")
-        if self._pure is not None and not self._pure.size:
+            self._has_point = True
+        if pure is not None and not pure.size:
             raise InfeasibleGame(f"player {self.program.name}: no integer point satisfies its rows")
-        return self._pure
+        return pure
 
     def base_rows(self):
         """Original rows plus pooled cuts: the valid-row system for cut search."""
@@ -355,7 +366,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
             actions.append(separation_oracle(state, sigmas[i], cost, deadline))
 
         if all(isinstance(a, Member) for a in actions):
-            return _certify(game, actions, opts, deadline, finish)
+            return _certify(game, outer, actions, opts, deadline, finish)
 
         for state, action in zip(outer.states, actions):
             if isinstance(action, Cuts):
@@ -370,10 +381,12 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
     return finish(EqStatus.NUMERICAL_FAILURE)
 
 
-def _certify(game, members, opts, deadline, finish):
-    """Every oracle call said Member: deviation-check their strategies."""
+def _certify(game, outer, members, opts, deadline, finish):
+    """Every oracle call said Member: deviation-check their strategies,
+    on each player's enumerated lattice where there is one."""
     profile = StrategyProfile([m.strategy for m in members])
-    if deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline):
+    lattices = [state.lattice for state in outer.states]
+    if deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline, lattices=lattices):
         return finish(EqStatus.NUMERICAL_FAILURE)
     status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE
     return finish(status, profile=profile, payoffs=profile_payoffs(game, profile))

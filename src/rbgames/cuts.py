@@ -68,7 +68,9 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
     rest are rounded, which keeps the generated cuts valid for all
     integer points.  The LP is solved with the supplied cost (sigma's
     supporting objective), and cuts come from fractional basic rows of
-    its optimal tableau.  ``deadline`` bounds that LP.
+    its optimal tableau, read off the final simplex state over the
+    structural and slack columns (the frozen phase-1 artificials are
+    left out).  ``deadline`` bounds that LP.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
@@ -81,28 +83,29 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
         return []
     As, bs = np.round(A[keep]), np.round(b[keep])
     lp = LinearProgram(np.asarray(cost, dtype=float), As, bs, lb, ub)
-    res = solve_lp(lp, keep_tableau=True, deadline=deadline)
+    res = solve_lp(lp, deadline=deadline)
     if res.status is not LPStatus.OPTIMAL:
         return []
-    tab = res.tableau
-    m = tab.nrows
+    sx = res._state
+    cols = n + sx.m
+    status, T, x = sx.status[:cols], sx.T[:, :cols], sx.x[:cols]
     out = []
-    for r in range(m):
-        bvar = int(tab.basis[r])
+    for r in range(sx.m):
+        bvar = int(sx.basis[r])
         if bvar >= n:
             continue  # slack basic; its row cannot cut a structural point
-        val = tab.x[bvar]
+        val = x[bvar]
         f0 = val - np.floor(val)
         if f0 < _FRAC_TOL or f0 > 1 - _FRAC_TOL:
             continue
         pi = np.zeros(n)
         pi0 = -f0
         ok = True
-        for j in range(tab.T.shape[1]):
-            st = tab.status[j]
+        for j in range(cols):
+            st = status[j]
             if st == _BASIC:
                 continue
-            t = tab.T[r, j]
+            t = T[r, j]
             if st == _AT_LB:
                 abar = t
             elif st == _AT_UB:

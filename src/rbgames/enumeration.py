@@ -41,7 +41,7 @@ import time
 
 import numpy as np
 
-from .errors import BudgetExhausted, InfeasibleGame
+from .errors import BudgetExhausted, InfeasibleGame, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy, SolveStats,
                    StrategyProfile, opponents_vector, payoff, profile_payoffs)
 from .ip import parametrized_objective
@@ -120,7 +120,7 @@ def _lattices(game, profile_cap, deadline):
     sets = []
     for i, p in enumerate(game.players):
         if tuple(p.integers) != tuple(range(p.nvars)):
-            raise ValueError(f"player {i} ({p.name}) has continuous variables; the strategy set is not finite")
+            raise UnsupportedGame(f"player {i} ({p.name}) has continuous variables; the strategy set is not finite")
         pts = lattice_points(p, cap=profile_cap)
         if pts is None:
             raise BudgetExhausted(f"player {i} ({p.name}) has more than {profile_cap} lattice points")
@@ -137,8 +137,9 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
     """Every pure equilibrium, plus every mixed one when n = 2.
 
     Raises BudgetExhausted when the profile count exceeds the cap or the
-    deadline passes, and InfeasibleGame when some player has no pure
-    strategy.
+    deadline passes, InfeasibleGame when some player has no pure
+    strategy, and UnsupportedGame when some player has a continuous
+    variable.
     """
     t0 = time.monotonic()
     sets = _lattices(game, profile_cap, deadline)

@@ -8,18 +8,25 @@ class NumericalFailure(RuntimeError):
 class BudgetExhausted(RuntimeError):
     """A node/time budget ran out before the search finished.
 
-    ``incumbent`` carries the best feasible object found so far, if any;
     ``nodes`` counts the search nodes spent before the budget ran out.
     """
 
-    def __init__(self, message, incumbent=None, nodes=0):
+    def __init__(self, message, nodes=0):
         super().__init__(message)
-        self.incumbent = incumbent
         self.nodes = nodes
 
 
 class EmptyUnion(ValueError):
     """Every piece handed to a hull construction was empty."""
+
+
+class UnsupportedGame(ValueError):
+    """The chosen algorithm cannot take this game as posed.
+
+    ``full_enumeration`` raises it for a player with a continuous
+    variable, and cut-and-play for a player whose feasible set is
+    unbounded.
+    """
 
 
 class InfeasibleGame(RuntimeError):

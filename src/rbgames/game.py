@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleGame
-from .ip import payoff, solve_ip
+from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import DEVIATION_EPS, FEAS_TOL, ZERO_TOL
@@ -180,29 +180,40 @@ class Deviation:
     improvement: float
 
 
-def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None):
+def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=None):
     """Profitable deviations against a profile of barycenters.
 
-    Solves one best-response IP per player; player i is reported iff its
-    current payoff exceeds the best response by more than eps.  Raises
+    Player i is reported iff its current payoff exceeds its best
+    response by more than eps.  ``lattices`` may give, per player, its
+    enumerated integer points or None; a player with points takes its
+    best response as the first minimizer of its parametrized cost over
+    them, and every other player solves one best-response IP.  Raises
     InfeasibleGame when a player has no feasible strategy at all.
     """
     if isinstance(profile, StrategyProfile):
         points = profile.barycenters()
     else:
         points = [np.asarray(x, dtype=float) for x in profile]
+    lattices = lattices or [None] * game.n_players
     out = []
-    for i, p in enumerate(game.players):
+    for i, (p, pts) in enumerate(zip(game.players, lattices)):
         opp = opponents_vector(game, points, i)
-        best = solve_ip(p, opp, deadline=deadline)
-        if best.status is LPStatus.INFEASIBLE:
+        if pts is None:
+            best = solve_ip(p, opp, deadline=deadline)
+            if best.status is LPStatus.INFEASIBLE:
+                raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
+            if best.status is not LPStatus.OPTIMAL:
+                raise InfeasibleGame(f"player {i} ({p.name}) has an unbounded best response")
+            best_x, best_value = best.x, best.value
+        elif not len(pts):
             raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
-        if best.status is not LPStatus.OPTIMAL:
-            raise InfeasibleGame(f"player {i} ({p.name}) has an unbounded best response")
-        current = payoff(p, points[i], opp)
-        gain = current - best.value
+        else:
+            cost = parametrized_objective(p, opp)
+            best_x = pts[int(np.argmin(pts @ cost))]
+            best_value = float(cost @ best_x)
+        gain = payoff(p, points[i], opp) - best_value
         if gain > eps:
-            out.append(Deviation(player=i, strategy=best.x, improvement=float(gain)))
+            out.append(Deviation(player=i, strategy=best_x, improvement=float(gain)))
     return out
 
 

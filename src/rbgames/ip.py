@@ -4,11 +4,11 @@ A player minimizes  c.x + opp' C x  over a polyhedron with optional
 integrality marks.  The opponent vector enters only the objective, so a
 best response is a plain IP with the parametrized cost vector.
 
-Branch and bound builds and validates one LinearProgram per call, for
-its root.  A child differs from its parent by one tightened bound, so
-it is re-solved warm from the parent's final simplex state
-(``lp.resolve_lp``: a bounded dual simplex, no factorization), which
-each open node keeps in the heap.
+Branch and bound solves every node LP cold with ``lp.solve_lp``; an
+open node keeps only its bounds and its LP point in the heap.
+Cut-and-play certifies on a player's enumerated lattice, so within a
+solve branch and bound runs only for a player whose lattice is not
+enumerated.
 """
 
 import heapq
@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted
-from .lp import LinearProgram, LPResult, LPStatus, resolve_lp, solve_lp
+from .lp import LinearProgram, LPResult, LPStatus, solve_lp
 from .numerics import SparseMatrix
 from .poly import Polyhedron
 
 _INT_FEAS_TOL = 1e-6
 _PRUNE_TOL = 1e-9
+_EXHAUSTED = "branch-and-bound budget exhausted"
 
 
 def _as_sparse(mat, nrows, ncols, what):
@@ -122,10 +123,10 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
     """Best response by branch and bound.
 
     Most-fractional branching with lowest-index ties, best-bound node
-    selection.  Returns an LPResult (Optimal or Infeasible); raises
-    BudgetExhausted carrying the incumbent when a limit is hit, also
-    when the ``time.monotonic()`` value ``deadline`` passes inside a
-    node LP.
+    selection.  Returns an LPResult (Optimal, Infeasible or Unbounded);
+    raises BudgetExhausted when the node limit is hit or the
+    ``time.monotonic()`` value ``deadline`` passes, also inside a node
+    LP.
     """
     if opponents is None:
         opponents = np.zeros(program.opp_vars)
@@ -142,20 +143,13 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
         return LPResult(LPStatus.INFEASIBLE)
     if res.status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED)
-    heapq.heappush(heap, (res.value, counter, root, res))
+    heapq.heappush(heap, (res.value, counter, root, res.x))
     nodes = 1
 
-    def exhausted():
-        inc = None
-        if best_x is not None:
-            inc = LPResult(LPStatus.OPTIMAL, x=best_x, value=best_val)
-        return BudgetExhausted("branch-and-bound budget exhausted", incumbent=inc)
-
     while heap:
-        bound, _, (lo, hi), node = heapq.heappop(heap)
+        bound, _, (lo, hi), x = heapq.heappop(heap)
         if bound >= best_val - _PRUNE_TOL:
             continue
-        x = node.x
         frac = np.abs(x[ints] - np.round(x[ints])) if ints.size else np.zeros(0)
         if not ints.size or frac.max() <= _INT_FEAS_TOL:
             cand = x.copy()
@@ -175,7 +169,7 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
             # most fractional first, lowest index on ties
             j = int(ints[np.argmax(frac)])
         if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
-            raise exhausted()
+            raise BudgetExhausted(_EXHAUSTED)
         xj = x[j]
         for lo_j, hi_j in ((lo[j], math.floor(xj)), (math.ceil(xj), hi[j])):
             child_lo, child_hi = lo.copy(), hi.copy()
@@ -183,9 +177,9 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
             if child_lo[j] > child_hi[j]:
                 continue
             try:
-                child = resolve_lp(node, child_lo, child_hi, deadline=deadline)
+                child = solve_lp(LinearProgram(cost, A, b, child_lo, child_hi), deadline=deadline)
             except BudgetExhausted:
-                raise exhausted() from None
+                raise BudgetExhausted(_EXHAUSTED) from None
             nodes += 1
             if child.status is LPStatus.INFEASIBLE:
                 continue
@@ -193,7 +187,7 @@ def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
                 return LPResult(LPStatus.UNBOUNDED)
             if child.value < best_val - _PRUNE_TOL:
                 counter += 1
-                heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child))
+                heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child.x))
 
     if best_x is None:
         return LPResult(LPStatus.INFEASIBLE)

@@ -1,4 +1,4 @@
-"""Bounded-variable simplex, cold and warm.
+"""Bounded-variable simplex.
 
 Solves  min c.x  subject to  A x <= b  and  lb <= x <= ub,  where bounds
 may be infinite.  Rows get slack variables, infeasible starting rows get
@@ -8,22 +8,15 @@ first; after a pivot budget the solver falls back to Bland's rule, and
 if that also stalls it raises NumericalFailure rather than returning a
 wrong answer.
 
-A cold ``solve_lp`` starts from the slack basis, with an artificial in
-place of the slack of each row phase 1 needs: the identity up to signs,
-so its tableau is the columns themselves.  A basis is factored only to
-refresh the tableau after pivots (at the end, after phase 1 and every
-64 pivots), and duals are computed from the final basis when first
-read.  An optimal result keeps its final simplex
-state, and ``resolve_lp`` re-solves the same LP under tightened
-variable bounds from a copy of it, as branch and bound does for a
-child: the nonbasic variables move onto their new bounds, a bounded
-dual simplex pivots until every basic value is within its bounds (or a
-row proves the LP infeasible), and a primal pass cleans up.  No
-factorization happens on that path; only a child whose optimum is not
-unique is solved cold, so that it lands where a cold solve lands.
+``solve_lp`` starts from the slack basis, with an artificial in place of
+the slack of each row phase 1 needs: the identity up to signs, so its
+tableau is the columns themselves.  A basis is factored only to refresh
+the tableau after pivots (at the end, after phase 1 and every 64
+pivots), and duals are computed from the final basis when first read.
+An optimal result keeps its final simplex state, from which the duals
+and the Gomory cuts of ``cuts.gomory_cuts`` are read.
 """
 
-import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -159,15 +152,6 @@ class _Simplex:
         self.pivots = 0
         self.fresh = False
 
-    def copy(self):
-        """A twin to pivot on: it shares A, b and c and copies the rest."""
-        twin = object.__new__(_Simplex)
-        twin.__dict__.update(self.__dict__)
-        for name in ("basis", "status", "x", "T", "lb", "ub"):
-            setattr(twin, name, getattr(self, name).copy())
-        twin.pivots = 0
-        return twin
-
     def refresh(self):
         """Recompute tableau and basic values from the current basis."""
         if self.m:
@@ -192,13 +176,6 @@ class _Simplex:
             raise NumericalFailure("singular basis when extracting duals")
         return -y, self.lp.c - self.lp.A.T @ y
 
-    def unique_optimum(self):
-        """True when every nonbasic column that can move has a nonzero
-        reduced cost, so that no other point is optimal."""
-        d = self._reduced(self.c) if self.m else self.c
-        open_ = (self.status != _BASIC) & (self.ub > self.lb)
-        return not np.any(open_ & (np.abs(d) <= _PRICE_TOL))
-
     def optimum(self):
         """The Optimal LPResult at the current basis; it keeps this state."""
         n, lp = self.n, self.lp
@@ -209,56 +186,6 @@ class _Simplex:
                 raise NumericalFailure(f"optimal point violates rows by {worst:.3e}")
         np.clip(x, self.lb[:n], self.ub[:n], out=x)
         return LPResult(LPStatus.OPTIMAL, x=x, value=float(lp.c @ x), iterations=self.pivots, _state=self)
-
-    def run_dual(self, deadline=None):
-        """Bounded dual simplex from a dual feasible basis.
-
-        Pivots until every basic value is within its bounds (Optimal) or
-        a row shows that no move of its nonbasic variables can bring its
-        basic value there (Infeasible).  The row of the largest bound
-        violation leaves, for the column whose reduced cost reaches zero
-        first, which keeps the basis dual feasible.
-        """
-        if self.m == 0:
-            return LPStatus.OPTIMAL
-        hard = 4 * (400 + 20 * self.N) + 4000
-        movable = self.ub - self.lb > 0
-        while True:
-            xb = self.x[self.basis]
-            below = self.lb[self.basis] - xb
-            above = xb - self.ub[self.basis]
-            r = int(np.argmax(np.maximum(below, above)))
-            if max(below[r], above[r]) <= self.feas_tol:
-                return LPStatus.OPTIMAL
-            if self.pivots >= hard:
-                raise NumericalFailure(f"dual simplex stalled after {self.pivots} pivots")
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhausted("simplex ran past the deadline")
-            rise = below[r] > 0
-            # moving column j by +1 moves basis[r] by -T[r, j]
-            row = self.T[r] if rise else -self.T[r]
-            elig = movable & (
-                ((self.status == _AT_LB) & (row < -_PIVOT_TOL))
-                | ((self.status == _AT_UB) & (row > _PIVOT_TOL))
-                | ((self.status == _FREE) & (np.abs(row) > _PIVOT_TOL))
-            )
-            if not elig.any():
-                return LPStatus.INFEASIBLE
-            idx = np.nonzero(elig)[0]
-            d = self._reduced(self.c)
-            e = int(idx[np.argmin(np.abs(d[idx]) / np.abs(row[idx]))])
-            leave = int(self.basis[r])
-            bound = self.lb[leave] if rise else self.ub[leave]
-            step = (self.x[leave] - bound) / self.T[r, e]
-            self.x[e] += step
-            self.x[self.basis] -= step * self.T[:, e]
-            self.x[leave] = bound
-            self.status[leave] = _AT_LB if rise else _AT_UB
-            self.status[e] = _BASIC
-            self.basis[r] = e
-            self.pivot(r, e)
-            self.pivots += 1
-            self.fresh = False
 
     def run(self, c, deadline=None):
         """Iterate to optimality for objective c.  Returns an LPStatus."""
@@ -379,15 +306,13 @@ class _Simplex:
         return True
 
 
-def solve_lp(lp, keep_tableau=False, deadline=None):
+def solve_lp(lp, deadline=None):
     """Solve a LinearProgram.
 
     Returns an LPResult with status Optimal, Infeasible or Unbounded.
     Raises NumericalFailure when the pivot budget runs out, and
     BudgetExhausted once the ``time.monotonic()`` value ``deadline`` has
-    passed at a pivot.  With ``keep_tableau`` the result gains a
-    ``tableau`` attribute exposing the final simplex state (used by the
-    cut generator).  An Optimal result can seed ``resolve_lp``.
+    passed at a pivot.
     """
     n, m = lp.nvars, lp.nrows
     feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0))
@@ -455,62 +380,4 @@ def solve_lp(lp, keep_tableau=False, deadline=None):
         sx.refresh()
     if status is LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)
-    result = sx.optimum()
-    if keep_tableau:
-        result.tableau = _TableauView(sx, n, m)
-    return result
-
-
-def resolve_lp(parent, lb, ub, deadline=None):
-    """Re-solve the LP of an Optimal ``solve_lp`` result under new bounds.
-
-    ``lb <= ub`` replace the bounds of the structural variables and may
-    only tighten the parent's, as a branch-and-bound child does.  The
-    solve starts from a copy of the parent's final simplex state, whose
-    basis stays dual feasible when only bounds change: nonbasic
-    variables move onto their new bounds, the bounded dual simplex
-    restores primal feasibility, and a primal pass cleans up.  The basic
-    values are then computed once afresh through the basis inverse that
-    the slack columns of the tableau hold, free of the round-off of the
-    updates.  When the optimum found is not the only one, the LP is
-    solved cold instead, so the point returned is always the one
-    ``solve_lp`` returns.  Returns an LPResult like ``solve_lp`` and
-    leaves the parent as it was; the deadline and pivot budgets act as
-    in ``solve_lp``.
-    """
-    sx = parent._state.copy()
-    n, m = sx.n, sx.m
-    sx.lb[:n] = lb
-    sx.ub[:n] = ub
-    moved = np.nonzero((sx.status != _BASIC) & ((sx.x < sx.lb) | (sx.x > sx.ub)))[0]
-    if moved.size:
-        target = np.clip(sx.x[moved], sx.lb[moved], sx.ub[moved])
-        sx.x[sx.basis] -= sx.T[:, moved] @ (target - sx.x[moved])
-        sx.x[moved] = target
-        sx.status[moved] = np.where(target == sx.lb[moved], _AT_LB, _AT_UB)
-    if sx.run_dual(deadline) is LPStatus.INFEASIBLE:
-        return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
-    if sx.run(sx.c, deadline=deadline) is LPStatus.UNBOUNDED:
-        return LPResult(LPStatus.UNBOUNDED, iterations=sx.pivots)
-    if not sx.unique_optimum():
-        # tightened bounds of a valid LP need no new validation
-        cold = copy.copy(sx.lp)
-        cold.lb, cold.ub = lb, ub
-        return solve_lp(cold, deadline=deadline)
-    if m:
-        xn = sx.x.copy()
-        xn[sx.basis] = 0.0
-        sx.x[sx.basis] = sx.T[:, n : n + m] @ (sx.b - sx.A @ xn)
     return sx.optimum()
-
-
-class _TableauView:
-    """Read-only peek at the final simplex state for cut generation."""
-
-    def __init__(self, sx, n, m):
-        self.basis = sx.basis.copy()
-        self.status = sx.status[: n + m].copy()
-        self.T = sx.T[:, : n + m].copy()
-        self.x = sx.x[: n + m].copy()
-        self.nstruct = n
-        self.nrows = m

@@ -2,15 +2,17 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rbgames import PlayerProgram
 from rbgames.cli import build_parser, main
 from rbgames.generators import (
     canonical_knapsack_game,
     cyclic_matching_game,
     infeasible_game,
 )
-from rbgames.model import save_instance
+from rbgames.model import Instance, save_instance
 
 _INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -110,6 +112,26 @@ def test_bad_document_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: name: expected str" in err
+
+
+@pytest.mark.parametrize("algorithm, program, message", [
+    # fullenum lists pure strategies, which a continuous variable makes infinite
+    ("fullenum", PlayerProgram(name="half", c=np.array([-1.0, -1.0]), C=np.zeros((0, 2)), A=np.array([[1.0, 1.0]]),
+                               b=np.array([1.5]), integers=(0,), lb=np.zeros(2), ub=np.ones(2)),
+     "continuous variables"),
+    ("cutandplay", PlayerProgram(name="drift", c=np.array([-1.0, 0.0]), C=np.zeros((0, 2)), A=np.array([[0.0, 1.0]]),
+                                 b=np.array([1.0]), integers=(1,), lb=np.zeros(2), ub=np.array([np.inf, 1.0])),
+     "player drift must have a bounded feasible set"),
+], ids=["fullenum-continuous", "cutandplay-unbounded"])
+def test_a_game_the_algorithm_cannot_take_exits_one(tmp_path, capsys, algorithm, program, message):
+    path = tmp_path / "game.json"
+    save_instance(Instance(program.name).add_player(program), path)
+    code = main(["--instance", str(path), "--algorithm", algorithm])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_one(canonical_path, capsys):

@@ -414,15 +414,33 @@ def test_unbounded_player_raises_a_value_error_naming_it():
         cut_and_play(GameModel([drift]), SolverOptions())
 
 
-@pytest.mark.parametrize("make", [canonical_knapsack_game, cyclic_matching_game,
-                                  lambda: random_knapsack_game(2, 2, 4), lambda: random_knapsack_game(0, 3, 3)],
-                         ids=["canonical", "cyclic", "2x4-seed2", "3x3-seed0"])
-def test_each_player_ip_is_solved_once_at_certification(monkeypatch, make):
+def _with_a_continuous_variable(game, i):
+    """The game with player i's first variable made continuous, so that
+    its lattice is not enumerated."""
+    players = list(game.players)
+    p = players[i]
+    players[i] = PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers[1:],
+                               lb=p.lb, ub=p.ub)
+    return GameModel(players)
+
+
+@pytest.mark.parametrize("make, ips", [
+    (lambda: canonical_knapsack_game().game(), []),
+    (lambda: cyclic_matching_game().game(), []),
+    (lambda: random_knapsack_game(2, 2, 4).game(), []),
+    (lambda: random_knapsack_game(0, 3, 3).game(), []),
+    (lambda: _with_a_continuous_variable(canonical_knapsack_game().game(), 1), ["pure_points", "deviation_check"]),
+    (lambda: _with_a_continuous_variable(random_knapsack_game(0, 3, 3).game(), 2), ["pure_points", "deviation_check"]),
+], ids=["canonical", "cyclic", "2x4-seed2", "3x3-seed0", "canonical-continuous", "3x3-seed0-continuous"])
+def test_each_player_ip_is_solved_once_at_certification(monkeypatch, make, ips):
+    # certification solves each player's best-response problem once: on
+    # the lattice for an enumerated player, with no IP, and by branch and
+    # bound for the player with a continuous variable, whose only other
+    # IP is the oracle's proof that it has an integer point
     callers = _record_solve_ip(monkeypatch)
-    game = make().game()
-    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    result = cut_and_play(make(), SolverOptions(deviation_eps=3e-4))
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
-    assert callers == ["deviation_check"] * game.n_players
+    assert callers == ips
 
 
 # -- the oracle decides Cuts before the support LP only when the LP cannot

@@ -11,6 +11,7 @@ from rbgames import (
     StrategyProfile,
     build_nash_lcp,
     deviation_check,
+    lattice_points,
     opponents_vector,
     payoff,
     profile_payoffs,
@@ -20,7 +21,7 @@ from rbgames import (
 )
 from rbgames.cutplay import OuterApproximation
 from rbgames.game import encode_region
-from rbgames.generators import canonical_knapsack_game, infeasible_game, random_knapsack_game
+from rbgames.generators import canonical_knapsack_game, infeasible_game, nondegenerate_seeds, random_knapsack_game
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
 from rbgames.poly import Polyhedron
 
@@ -78,6 +79,48 @@ def test_deviation_check_raises_on_empty_player():
     game = infeasible_game().game()
     with pytest.raises(InfeasibleGame):
         deviation_check(game, [np.zeros(1)])
+
+
+def test_deviation_check_with_an_empty_lattice_raises():
+    game = canonical_knapsack_game().game()
+    with pytest.raises(InfeasibleGame):
+        deviation_check(game, [np.zeros(2), np.zeros(2)], lattices=[np.zeros((0, 2)), None])
+
+
+def _gains(devs):
+    return {d.player: d.improvement for d in devs}
+
+
+def test_lattice_certification_matches_branch_and_bound():
+    # a best response taken over the enumerated lattice gives the verdict
+    # and improvement of the player's branch-and-bound IP, at random mixed
+    # and pure profiles of corpus and ladder games; at eps set exactly to
+    # a player's B&B gain, the only eps where a verdict could flip, and
+    # just below it, both report the same
+    games = [random_knapsack_game(s, 2, 2) for s in nondegenerate_seeds(2, 12)]
+    games += [random_knapsack_game(s, 2, 3) for s in nondegenerate_seeds(3, 6)]
+    games += [random_knapsack_game(s, p, m) for p, m in ((2, 6), (2, 10), (3, 3), (3, 5), (4, 4)) for s in (0, 1)]
+    rng = seeded_rng(41)
+    profiles = boundaries = 0
+    for game in (g.game() for g in games):
+        lattices = [lattice_points(p) for p in game.players]
+        for trial in range(6):
+            if trial % 2:
+                profile = [pts[rng.integers(len(pts))] for pts in lattices]
+            else:
+                profile = [rng.dirichlet(np.ones(len(pts))) @ pts for pts in lattices]
+            bnb = _gains(deviation_check(game, profile, eps=1e-12))
+            flat = _gains(deviation_check(game, profile, eps=1e-12, lattices=lattices))
+            assert bnb.keys() == flat.keys()
+            assert all(abs(bnb[i] - flat[i]) <= 1e-9 for i in bnb)
+            profiles += 1
+            for i, gain in bnb.items():
+                for eps in (gain, float(np.nextafter(gain, 0.0))):
+                    want = i in _gains(deviation_check(game, profile, eps=eps))
+                    assert want is (eps < gain)
+                    assert (i in _gains(deviation_check(game, profile, eps=eps, lattices=lattices))) is want
+                boundaries += 1
+    assert profiles == 28 * 6 and boundaries > 100
 
 
 def test_barycenter_payoff_matches_support_average():
