@@ -8,6 +8,7 @@ player with a continuous variable under fullenum, an unbounded player).
 """
 
 import argparse
+import math
 import sys
 
 from .cutplay import Algorithm, SolverOptions
@@ -82,11 +83,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print("error: --tolerance must be positive and finite", file=sys.stderr)
         return 1
-    if args.timelimit is not None and args.timelimit <= 0:
-        print("error: --timelimit must be positive", file=sys.stderr)
+    if args.timelimit is not None and not (math.isfinite(args.timelimit) and args.timelimit > 0):
+        print("error: --timelimit must be positive and finite", file=sys.stderr)
         return 1
     try:
         inst = load_instance(args.instance)

@@ -41,7 +41,7 @@ from .ip import parametrized_objective, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
-from .poly import convex_hull
+from .poly import convex_hull, decompose
 
 _INT_TOL = 1e-6
 _ORACLE_CAP = 1 << 16
@@ -70,10 +70,12 @@ class SolverOptions:
     def __post_init__(self):
         if self.algorithm not in (Algorithm.CUT_AND_PLAY, Algorithm.FULL_ENUMERATION):
             raise ValueError(f"unknown algorithm: {self.algorithm}")
-        if self.deviation_eps <= 0:
-            raise ValueError("deviation_eps must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        # a NaN would pass "<= 0" and then silently switch the deviation
+        # check (gain > nan is never true) or the deadline off
+        if not (math.isfinite(self.deviation_eps) and self.deviation_eps > 0):
+            raise ValueError("deviation_eps must be positive and finite")
+        if self.time_limit is not None and not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise ValueError("time_limit must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -199,9 +201,11 @@ def separation_oracle(state, sigma, cost=None, deadline=None):
     over enumerated pure strategies that reproduce it.  A cover cut
     violated by more than any member could violate it decides Cuts
     before any LP; otherwise membership is tried first, then cuts
-    (cover, then Gomory with the supplied supporting cost), and
-    branching on the most fractional integer coordinate is the fallback.
-    ``deadline`` bounds the support and Gomory LPs.
+    (cover, then Gomory with the supplied supporting cost), then
+    branching on the most fractional integer coordinate.  Once every
+    piece is fully branched (a player whose lattice is not enumerated),
+    Member carries the point's decomposition over the pieces' hull.
+    ``deadline`` bounds the support, Gomory and decomposition LPs.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -255,9 +259,15 @@ def separation_oracle(state, sigma, cost=None, deadline=None):
                 f = math.ceil(lo)
             if lo <= f < hi:
                 return Branch(index=j, floor=f)
-    raise NumericalFailure(
-        f"player {p.name}: point escaped the hull but every piece is fully branched"
-    )
+    # no piece can be split further, so the points of a piece whose
+    # integer bounds meet are pure strategies: write sigma over them
+    try:
+        atoms = decompose(convex_hull(state.pieces, deadline), sigma, deadline)
+    except ValueError:
+        atoms = None
+    if atoms is None or any(np.max(np.abs(pt[ints] - np.round(pt[ints]))) > _INT_TOL for _, pt in atoms):
+        raise NumericalFailure(f"player {p.name}: every piece is fully branched and sigma has no decomposition")
+    return Member(PlayerStrategy(sigma, atoms))
 
 
 def _member_violation(pi, pi0, sigma):

@@ -44,8 +44,7 @@ import numpy as np
 from .errors import BudgetExhausted, InfeasibleGame, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy, SolveStats,
                    StrategyProfile, opponents_vector, payoff, profile_payoffs)
-from .ip import parametrized_objective
-from .numerics import FEAS_TOL
+from .numerics import FEAS_TOL, triplet_dense, triplet_rmatvec
 
 PROFILE_CAP = 1 << 20
 _VERIFY_TOL = 1e-9
@@ -60,54 +59,46 @@ def lattice_points(program, cap=PROFILE_CAP):
     Returns an (K, m) array, or None when some variable is continuous
     or the bounding lattice exceeds ``cap``.
     """
-    m = program.nvars
-    if tuple(program.integers) != tuple(range(m)):
+    if tuple(program.integers) != tuple(range(program.nvars)):
         return None
-    spans = [np.arange(int(np.ceil(program.lb[j])), int(np.floor(program.ub[j])) + 1) for j in range(m)]
+    return box_lattice(program.lb, program.ub, program._dense_A, program.b, cap)
+
+
+def box_lattice(lb, ub, A, b, cap=PROFILE_CAP):
+    """Integer points x with lb <= x <= ub and A x <= b (within FEAS_TOL).
+
+    Returns them as the rows of a C-ordered (K, m) array in
+    lexicographic (``meshgrid``'s "ij") order, or None when the box
+    holds more than ``cap`` integer points.
+    """
+    lo = np.ceil(lb).astype(np.int64)
+    sizes = (np.floor(ub).astype(np.int64) - lo + 1).tolist()
     total = 1
-    for s in spans:
-        if s.size == 0:
-            return np.zeros((0, m))
-        total *= s.size
+    for size in sizes:
+        if size <= 0:
+            return np.zeros((0, lo.size))
+        total *= size
         if total > cap:
             return None
-    grid = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, m).astype(float)
-    A = program._dense_A
+    grid = (np.indices(sizes).reshape(lo.size, -1) + lo[:, None]).T.astype(float, order="C")
     if A.size:
-        keep = np.all(A @ grid.T <= program.b[:, None] + FEAS_TOL, axis=0)
-        grid = grid[keep]
+        grid = grid[np.all(A @ grid.T <= b[:, None] + FEAS_TOL, axis=0)]
     return grid
 
 
-def _cost_matrices(game, S1, S2):
-    """Bilinear payoffs of each pure pair as (K1, K2) matrices."""
-    p1, p2 = game.players
-    e1 = S1 @ p1.c
-    e2 = S2 @ p2.c
-    cross1 = S2 @ p1.C.to_dense() @ S1.T  # (K2, K1)
-    cross2 = S1 @ p2.C.to_dense() @ S2.T  # (K1, K2)
-    cost1 = e1[:, None] + cross1.T
-    cost2 = e2[None, :] + cross2
-    return cost1, cost2
+def _cost_matrices(S1, S2, c1, C1, c2, C2):
+    """Bilinear payoffs of each pure pair as (K1, K2) matrices.
 
-
-def _pure_result(game, points, stats):
-    strategies = [PlayerStrategy(barycenter=pt, support=[(1.0, pt)]) for pt in points]
-    profile = StrategyProfile(strategies)
-    return EquilibriumResult(
-        status=EqStatus.PNE,
-        profile=profile,
-        payoffs=profile_payoffs(game, profile),
-        stats=stats,
-    )
+    ``c`` is a player's linear cost and ``C`` its dense coupling, one
+    row per opponent variable.
+    """
+    cross1 = S2 @ C1 @ S1.T  # (K2, K1)
+    cross2 = S1 @ C2 @ S2.T  # (K1, K2)
+    return (S1 @ c1)[:, None] + cross1.T, (S2 @ c2)[None, :] + cross2
 
 
 def _key(points):
     return tuple(round(float(v), 9) + 0.0 for pt in points for v in pt)
-
-
-def _stats(t0, scanned):
-    return SolveStats(iterations=scanned, wall_ms=(time.monotonic() - t0) * 1000.0)
 
 
 def _check_deadline(deadline, what):
@@ -144,8 +135,13 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
     t0 = time.monotonic()
     sets = _lattices(game, profile_cap, deadline)
     if game.n_players == 2:
-        S1, S2 = sets
-        return _two_player(game, S1, S2, *_cost_matrices(game, S1, S2), t0, deadline)
+        (S1, S2), (p1, p2) = sets, game.players
+        costs = _cost_matrices(S1, S2, p1.c, p1.C.to_dense(), p2.c, p2.C.to_dense())
+        results = []
+        for pure, pts, sups, iterations in _two_player(S1, S2, *costs, deadline):
+            supports = [[(w, S[a].copy()) for a, w in zip(*sup)] for S, sup in zip(sets, sups)]
+            results.append(_result(game, pure, pts, supports, iterations, t0))
+        return results
 
     total = math.prod(pts.shape[0] for pts in sets)
     results = []
@@ -161,34 +157,45 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
                 ok = False
                 break
         if ok:
-            results.append(_pure_result(game, pts, _stats(t0, total)))
+            results.append(_result(game, True, pts, [[(1.0, pt)] for pt in pts], total, t0))
     return results
 
 
-def _two_player(game, S1, S2, cost1, cost2, t0, deadline):
-    """Pure, then mixed, equilibria of the induced bimatrix game."""
+def _result(game, pure, points, supports, iterations, t0):
+    profile = StrategyProfile([PlayerStrategy(pt, sup) for pt, sup in zip(points, supports)])
+    return EquilibriumResult(
+        status=EqStatus.PNE if pure else EqStatus.MNE,
+        profile=profile,
+        payoffs=profile_payoffs(game, profile),
+        stats=SolveStats(iterations=iterations, wall_ms=(time.monotonic() - t0) * 1000.0),
+    )
+
+
+def _two_player(S1, S2, cost1, cost2, deadline):
+    """Pure, then mixed, equilibria of the bimatrix game, found lazily.
+
+    Yields (pure, points, supports, iterations): the two barycenters,
+    each player's support as (indices into its lattice, weights above
+    1e-9), and the pairs scanned: every pure pair for a pure
+    equilibrium, the mixed support pairs up to and including its own
+    for a mixed one.
+    """
     _check_deadline(deadline, "full enumeration")
-    results = []
     seen = set()
     best1 = cost1.min(axis=0)
     best2 = cost2.min(axis=1)
+    one = np.ones(1)
     for k1, k2 in np.argwhere((cost1 <= best1[None, :]) & (cost2 <= best2[:, None])):
         pts = [S1[k1], S2[k2]]
         seen.add(_key(pts))
-        results.append(_pure_result(game, pts, _stats(t0, cost1.size)))
-    results.extend(_mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline))
-    return results
+        yield True, pts, ((k1[None], one), (k2[None], one)), cost1.size
+    yield from _mixed_two_player(S1, S2, cost1, cost2, seen, deadline)
 
 
-def _mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline):
-    """Batched two-stage support enumeration, replayed in scan order.
-
-    ``iterations`` of a found equilibrium counts the mixed support pairs
-    scanned up to and including its own.
-    """
+def _mixed_two_player(S1, S2, cost1, cost2, seen, deadline):
+    """Batched two-stage support enumeration, replayed in scan order."""
     K1, K2 = cost1.shape
     batch = max(1, min(_BATCH, _BATCH_FLOATS // ((K1 + 1) * (K2 + 1))))
-    out = []
     for I, J, scanned in _pair_batches(cost1, cost2, batch, deadline):
         _check_deadline(deadline, "support enumeration")
         y, ok = _indifference(cost1, I, J)
@@ -202,20 +209,8 @@ def _mixed_two_player(game, S1, S2, cost1, cost2, seen, t0, deadline):
             if key in seen:
                 continue
             seen.add(key)
-            sup1 = [(float(w), S1[a].copy()) for w, a in zip(xi, i) if w > 1e-9]
-            sup2 = [(float(w), S2[b].copy()) for w, b in zip(yj, j) if w > 1e-9]
-            profile = StrategyProfile(
-                [PlayerStrategy(pts[0], sup1), PlayerStrategy(pts[1], sup2)]
-            )
-            out.append(
-                EquilibriumResult(
-                    status=EqStatus.MNE,
-                    profile=profile,
-                    payoffs=profile_payoffs(game, profile),
-                    stats=_stats(t0, int(scanned[k])),
-                )
-            )
-    return out
+            on1, on2 = xi > 1e-9, yj > 1e-9
+            yield False, pts, ((i[on1], xi[on1]), (j[on2], yj[on2])), int(scanned[k])
 
 
 def _support_masks(K, chunk):
@@ -359,20 +354,35 @@ def degenerate_bimatrix(game):
         S1, S2 = _lattices(game, PROFILE_CAP, None)
     except (BudgetExhausted, InfeasibleGame) as exc:
         raise ValueError("players must have finite nonempty pure-strategy sets") from exc
-    cost1, cost2 = _cost_matrices(game, S1, S2)
+    p1, p2 = game.players
+    return degenerate_arrays(S1, S2, p1.c, (p1.C.rows, p1.C.cols, p1.C.vals),
+                             p2.c, (p2.C.rows, p2.C.cols, p2.C.vals))
+
+
+def degenerate_arrays(S1, S2, c1, C1, c2, C2):
+    """``degenerate_bimatrix`` on arrays, for a scan that builds no game.
+
+    ``S`` is a player's lattice, or None past ``PROFILE_CAP``; ``c`` is
+    its linear cost and ``C`` its coupling as canonical (rows, cols,
+    vals) triplet arrays (``SparseMatrix``), one row per opponent
+    variable.  Raises ValueError past ``PROFILE_CAP`` pure profiles.
+    """
+    if S1 is None or S2 is None or S1.shape[0] * S2.shape[0] > PROFILE_CAP:
+        raise ValueError(f"the pure profiles must number at most {PROFILE_CAP}")
+    m1, m2 = c1.size, c2.size
+    cost1, cost2 = _cost_matrices(S1, S2, c1, triplet_dense(m2, m1, *C1), c2, triplet_dense(m1, m2, *C2))
     if np.any(np.sum(cost1 <= cost1.min(axis=0) + _TIE_MARGIN, axis=0) > 1):
         return True
     if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + _TIE_MARGIN, axis=1) > 1):
         return True
-    p1, p2 = game.players
-    for eq in _two_player(game, S1, S2, cost1, cost2, time.monotonic(), None):
-        s1, s2 = eq.profile.strategies
-        if len(s1.support) != len(s2.support):
+    for _, (x, y), (sup1, sup2), _ in _two_player(S1, S2, cost1, cost2, None):
+        n1, n2 = sup1[0].size, sup2[0].size
+        if n1 != n2:
             return True
-        vals1 = S1 @ parametrized_objective(p1, opponents_vector(game, [s1.barycenter, s2.barycenter], 0))
-        vals2 = S2 @ parametrized_objective(p2, opponents_vector(game, [s1.barycenter, s2.barycenter], 1))
-        if int(np.sum(vals1 <= vals1.min() + _TIE_MARGIN)) > len(s1.support):
+        vals1 = S1 @ (c1 + triplet_rmatvec(m1, *C1, y))
+        vals2 = S2 @ (c2 + triplet_rmatvec(m2, *C2, x))
+        if int(np.sum(vals1 <= vals1.min() + _TIE_MARGIN)) > n1:
             return True
-        if int(np.sum(vals2 <= vals2.min() + _TIE_MARGIN)) > len(s2.support):
+        if int(np.sum(vals2 <= vals2.min() + _TIE_MARGIN)) > n2:
             return True
     return False

@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from .enumeration import degenerate_bimatrix
+from .enumeration import box_lattice, degenerate_arrays
 from .ip import PlayerProgram
 from .model import Instance
 from .numerics import SparseMatrix, seeded_rng
+
+_COEFFICIENT_RANGE = 5
 
 
 def canonical_knapsack_game():
@@ -38,13 +40,38 @@ def canonical_knapsack_game():
     return Instance("canonical-knapsack").add_player(blue).add_player(red).finalize()
 
 
-def random_knapsack_game(seed, n_players=2, n_items=2, coefficient_range=5):
+def random_knapsack_game(seed, n_players=2, n_items=2, coefficient_range=_COEFFICIENT_RANGE):
     """Seeded random binary knapsack game.
 
     Every player gets ``n_items`` binary variables, a negative linear
     cost (items are worth taking), integer coupling coefficients in
     ``[-coefficient_range, coefficient_range]``, and one knapsack row
     whose capacity is half the total item weight, rounded up.
+    """
+    opp = (n_players - 1) * n_items
+    inst = Instance(f"knapsack-seed{seed}-n{n_players}-m{n_items}")
+    for i, (c, C, weights, capacity) in enumerate(_knapsack_draws(seed, n_players, n_items, coefficient_range)):
+        inst.add_player(
+            PlayerProgram(
+                name=f"p{i}",
+                c=c,
+                C=SparseMatrix(opp, n_items, zip(*C)),
+                A=SparseMatrix(1, n_items, [(0, j, weights[j]) for j in range(n_items)]),
+                b=np.array([capacity]),
+                integers=list(range(n_items)),
+                lb=np.zeros(n_items),
+                ub=np.ones(n_items),
+            )
+        )
+    return inst.finalize()
+
+
+def _knapsack_draws(seed, n_players, n_items, coefficient_range=_COEFFICIENT_RANGE):
+    """The seeded draws behind ``random_knapsack_game``, as arrays.
+
+    Returns one (c, C, weights, capacity) tuple per player, where C
+    holds the coupling's canonical (rows, cols, vals) triplet arrays
+    (``SparseMatrix``).
     """
     if n_players < 1:
         raise ValueError("need at least one player")
@@ -53,34 +80,21 @@ def random_knapsack_game(seed, n_players=2, n_items=2, coefficient_range=5):
     if coefficient_range < 1:
         raise ValueError("coefficient_range must be at least 1")
     rng = seeded_rng(seed)
-    programs = []
-    opp = (n_players - 1) * n_items
-    for i in range(n_players):
+    players = []
+    for _ in range(n_players):
         c = -rng.integers(1, coefficient_range + 1, size=n_items).astype(float)
-        entries = []
-        for r in range(opp):
+        rows, cols, vals = [], [], []
+        for r in range((n_players - 1) * n_items):
             for col in range(n_items):
                 v = int(rng.integers(-coefficient_range, coefficient_range + 1))
                 if v != 0:
-                    entries.append((r, col, float(v)))
+                    rows.append(r)
+                    cols.append(col)
+                    vals.append(float(v))
         weights = rng.integers(1, coefficient_range + 1, size=n_items).astype(float)
-        capacity = float(np.ceil(weights.sum() / 2.0))
-        programs.append(
-            PlayerProgram(
-                name=f"p{i}",
-                c=c,
-                C=SparseMatrix(opp, n_items, entries),
-                A=SparseMatrix(1, n_items, [(0, j, weights[j]) for j in range(n_items)]),
-                b=np.array([capacity]),
-                integers=list(range(n_items)),
-                lb=np.zeros(n_items),
-                ub=np.ones(n_items),
-            )
-        )
-    inst = Instance(f"knapsack-seed{seed}-n{n_players}-m{n_items}")
-    for p in programs:
-        inst.add_player(p)
-    return inst.finalize()
+        C = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=float))
+        players.append((c, C, weights, float(np.ceil(weights.sum() / 2.0))))
+    return players
 
 
 def infeasible_game():
@@ -131,13 +145,17 @@ def nondegenerate_seeds(n_items, count, start=0):
 
     Ties make equilibrium sets infinite, so pointwise comparison of two
     solvers is only meaningful without them.  The scan is deterministic:
-    seeds are tried in order from ``start``.
+    seeds are tried in order from ``start``.  Each seed is screened on
+    the draws of ``random_knapsack_game(seed, 2, n_items)`` by
+    ``degenerate_arrays``, so no game is built.
     """
+    lb, ub = np.zeros(n_items), np.ones(n_items)
     seeds = []
     seed = start
     while len(seeds) < count:
-        game = random_knapsack_game(seed, 2, n_items).game()
-        if not degenerate_bimatrix(game):
+        (c1, C1, _, _), (c2, C2, _, _) = draws = _knapsack_draws(seed, 2, n_items)
+        S1, S2 = [box_lattice(lb, ub, w[None, :], np.array([cap])) for _, _, w, cap in draws]
+        if not degenerate_arrays(S1, S2, c1, C1, c2, C2):
             seeds.append(seed)
         seed += 1
     return seeds

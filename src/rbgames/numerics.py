@@ -93,9 +93,7 @@ class SparseMatrix:
         return cls(dense.shape[0], dense.shape[1], zip(r, c, dense[r, c]))
 
     def to_dense(self):
-        out = np.zeros((self.nrows, self.ncols))
-        out[self.rows, self.cols] = self.vals
-        return out
+        return triplet_dense(self.nrows, self.ncols, self.rows, self.cols, self.vals)
 
     def matvec(self, x):
         """M @ x for a dense vector x."""
@@ -111,9 +109,7 @@ class SparseMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.nrows,):
             raise ValueError(f"expected vector of length {self.nrows}, got {y.shape}")
-        out = np.zeros(self.ncols)
-        np.add.at(out, self.cols, self.vals * y[self.rows])
-        return out
+        return triplet_rmatvec(self.ncols, self.rows, self.cols, self.vals, y)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -127,6 +123,20 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def triplet_dense(nrows, ncols, rows, cols, vals):
+    """The dense matrix of canonical triplets (see ``SparseMatrix``)."""
+    out = np.zeros((nrows, ncols))
+    out[rows, cols] = vals
+    return out
+
+
+def triplet_rmatvec(ncols, rows, cols, vals, y):
+    """M.T @ y for canonical triplets of M, accumulated in triplet order."""
+    out = np.zeros(ncols)
+    np.add.at(out, cols, vals * y[rows])
+    return out
 
 
 def spmv(m, x):

@@ -7,11 +7,12 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, gomory_cuts, opponents_vector,
-                     parametrized_objective, payoff, solve_lp, support_from_points)
+from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, gomory_cuts,
+                     opponents_vector, parametrized_objective, payoff, solve_lp, support_from_points)
 from rbgames.cutplay import _INT_TOL, Branch, Cuts, Member
-from rbgames.enumeration import _cost_matrices, lattice_points
+from rbgames.enumeration import PROFILE_CAP
 from rbgames.errors import NumericalFailure
+from rbgames.numerics import FEAS_TOL
 
 
 def scipy_lp(c, A, b, lb, ub):
@@ -112,6 +113,70 @@ def brute_force_lcp(M, q, tol=1e-9):
     return sols
 
 
+def lattice_points(program, cap=PROFILE_CAP):
+    """The meshgrid enumeration that ``enumeration.lattice_points`` replaced.
+
+    All integer-feasible points of a purely integer program as a (K, m)
+    array, or None when some variable is continuous or the bounding
+    lattice exceeds ``cap``.
+    """
+    m = program.nvars
+    if tuple(program.integers) != tuple(range(m)):
+        return None
+    spans = [np.arange(int(np.ceil(program.lb[j])), int(np.floor(program.ub[j])) + 1) for j in range(m)]
+    total = 1
+    for s in spans:
+        if s.size == 0:
+            return np.zeros((0, m))
+        total *= s.size
+        if total > cap:
+            return None
+    grid = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, m).astype(float)
+    A = program._dense_A
+    if A.size:
+        keep = np.all(A @ grid.T <= program.b[:, None] + FEAS_TOL, axis=0)
+        grid = grid[keep]
+    return grid
+
+
+def cost_matrices(game, S1, S2):
+    """Bilinear payoffs of each pure pair as (K1, K2) matrices, from the game."""
+    p1, p2 = game.players
+    e1 = S1 @ p1.c
+    e2 = S2 @ p2.c
+    cross1 = S2 @ p1.C.to_dense() @ S1.T  # (K2, K1)
+    cross2 = S1 @ p2.C.to_dense() @ S2.T  # (K1, K2)
+    return e1[:, None] + cross1.T, e2[None, :] + cross2
+
+
+def degenerate_bimatrix_reference(game, tie_margin=1e-6):
+    """The game-level degeneracy test that ``degenerate_bimatrix`` wraps now.
+
+    A tied best response to some pure strategy, or an equilibrium
+    (from ``full_enumeration``, as full results) whose supports differ
+    in size or whose tied best responses outnumber its support, flags
+    the game.
+    """
+    S1, S2 = [lattice_points(p) for p in game.players]
+    cost1, cost2 = cost_matrices(game, S1, S2)
+    if np.any(np.sum(cost1 <= cost1.min(axis=0) + tie_margin, axis=0) > 1):
+        return True
+    if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + tie_margin, axis=1) > 1):
+        return True
+    p1, p2 = game.players
+    for eq in full_enumeration(game):
+        s1, s2 = eq.profile.strategies
+        if len(s1.support) != len(s2.support):
+            return True
+        vals1 = S1 @ parametrized_objective(p1, opponents_vector(game, [s1.barycenter, s2.barycenter], 0))
+        vals2 = S2 @ parametrized_objective(p2, opponents_vector(game, [s1.barycenter, s2.barycenter], 1))
+        if int(np.sum(vals1 <= vals1.min() + tie_margin)) > len(s1.support):
+            return True
+        if int(np.sum(vals2 <= vals2.min() + tie_margin)) > len(s2.support):
+            return True
+    return False
+
+
 def best_pure_response(game, i, opponents):
     """Brute-force best response over a player's lattice points."""
     pts = lattice_points(game.players[i])
@@ -160,7 +225,7 @@ def support_enumeration_loop(game, tol=1e-9):
     and including the found one.
     """
     S1, S2 = [lattice_points(p) for p in game.players]
-    cost1, cost2 = _cost_matrices(game, S1, S2)
+    cost1, cost2 = cost_matrices(game, S1, S2)
 
     def record(status, pts, sups, scanned):
         key = tuple(round(float(v), 9) + 0.0 for pt in pts for v in pt)

@@ -144,6 +144,20 @@ _CORPUS_PINS = {
     2: (200, 2, 316, "d7f4dddb2fbe448deda17b67cf6e1372ddfca139"),
     3: (80, 7, 371, "7190abc04e0809754e0bd50755c0234b4805d724"),
 }
+# the same for the held-out windows that the bench's --shift 1 and 2 scan
+_HELD_OUT_PINS = {
+    (1000, 2): (200, 1000, 1330, "361b9cf33cc07b4108fa63bf2baa2e18c5ea7dac"),
+    (1000, 3): (80, 1001, 1290, "d0abc9aef38b1b8b257d6e90e8735f14d278c39e"),
+    (2000, 2): (200, 2000, 2337, "f0087a4e0a6e142aef0ada97b053b6d2f3b099e3"),
+    (2000, 3): (80, 2007, 2323, "c58d4365438dd21b9283d07e02348fb8e601934d"),
+}
+
+
+@pytest.mark.parametrize("start,items", sorted(_HELD_OUT_PINS))
+def test_held_out_corpus_windows_match_their_pins(start, items):
+    listed = nondegenerate_seeds(items, _HELD_OUT_PINS[start, items][0], start=start)
+    digest = hashlib.sha1(",".join(map(str, listed)).encode()).hexdigest()
+    assert (len(listed), listed[0], listed[-1], digest) == _HELD_OUT_PINS[start, items]
 
 
 def test_criterion_3_solver_agreement_on_the_corpus(corpus_sweep):

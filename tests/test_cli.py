@@ -147,6 +147,17 @@ def test_usage_errors_exit_one(canonical_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tolerance", "--timelimit"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_and_timelimit_exit_one(canonical_path, capsys, flag, value):
+    # --tolerance nan would switch the deviation check off (gain > nan is
+    # never true) and --timelimit nan the deadline
+    assert main(["--instance", canonical_path, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be positive and finite")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 import time
 from types import SimpleNamespace
@@ -344,6 +345,13 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
 
 
+@pytest.mark.parametrize("field", ["deviation_eps", "time_limit"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_options_reject_non_finite_tolerance_and_time_limit(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolverOptions(**{field: value})
+
+
 def test_outer_approximation_starts_at_the_relaxations():
     game = canonical_knapsack_game().game()
     outer = OuterApproximation(game)
@@ -422,6 +430,35 @@ def _with_a_continuous_variable(game, i):
     players[i] = PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers[1:],
                                lb=p.lb, ub=p.ub)
     return GameModel(players)
+
+
+def test_a_fully_branched_mixed_integer_player_is_certified_by_decomposition(monkeypatch):
+    # every piece of player 1 ends with its integer coordinates fixed; its
+    # point is then written over the pieces' hull instead of failing
+    game = _with_a_continuous_variable(random_knapsack_game(2, 2, 4).game(), 1)
+    verdicts = []
+    real = cutplay_module.separation_oracle
+
+    def recording(state, sigma, cost=None, deadline=None):
+        verdict = real(state, sigma, cost, deadline)
+        if isinstance(verdict, Member) and state.lattice is None and not verdict.pure:
+            ints = list(state.program.integers)
+            fixed = all(piece.lb[j] == piece.ub[j] for piece in state.pieces for j in ints)
+            verdicts.append((state.program, ints, fixed, verdict.strategy))
+        return verdict
+
+    monkeypatch.setattr(cutplay_module, "separation_oracle", recording)
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+    assert verdicts
+    for program, ints, fixed, strategy in verdicts:
+        assert fixed
+        assert abs(sum(w for w, _ in strategy.support) - 1.0) <= 1e-9
+        assert np.allclose(sum(w * pt for w, pt in strategy.support), strategy.barycenter, atol=1e-6)
+        for _, pt in strategy.support:
+            assert program.relaxation().contains(pt)
+            assert np.allclose(pt[ints], np.round(pt[ints]), atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("make, ips", [

@@ -19,8 +19,10 @@ from rbgames import (
     solve_game,
 )
 from rbgames.enumeration import degenerate_bimatrix
-from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, random_knapsack_game
+from rbgames.generators import (canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds,
+                                random_knapsack_game)
 
+import oracles
 from oracles import is_pure_equilibrium, support_enumeration_loop
 
 _COORD_TOL = 1e-9
@@ -315,3 +317,86 @@ def test_fullenum_time_limit_returns_time_limit_with_stats():
     assert r.status is EqStatus.TIME_LIMIT
     assert r.profile is None
     assert r.stats is not None and r.stats.wall_ms >= 0.0
+
+
+# -- the array-level lattice and degeneracy test against the code they replaced
+
+
+def _program(lb, ub, A, b, integers=None):
+    m = len(lb)
+    A = np.asarray(A, dtype=float).reshape(-1, m)
+    return PlayerProgram(name="r", c=np.ones(m), C=np.zeros((0, m)), A=A, b=np.asarray(b, dtype=float),
+                         integers=range(m) if integers is None else integers,
+                         lb=np.asarray(lb, dtype=float), ub=np.asarray(ub, dtype=float))
+
+
+def _assert_same_lattice(program, cap=enumeration.PROFILE_CAP):
+    got, want = lattice_points(program, cap), oracles.lattice_points(program, cap)
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_points_match_the_meshgrid_reference_on_random_boxes():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        lb = rng.integers(-3, 3, size=m)
+        ub = lb + rng.integers(0, 4, size=m)
+        rows = int(rng.integers(0, 3))
+        _assert_same_lattice(_program(lb, ub, rng.integers(-4, 5, size=(rows, m)), rng.integers(-2, 8, size=rows)))
+
+
+@pytest.mark.parametrize("lb, ub, A, b, cap", [
+    ([-2.0, -1.0], [1.0, 2.0], [[1.0, 1.0]], [0.0], 1 << 20),  # negative lower bounds
+    ([-1.5, 0.2], [2.5, 3.7], [[2.0, -1.0]], [1.5], 1 << 20),  # fractional bounds
+    ([0.0, 0.2, 0.0], [1.0, 0.8, 1.0], [[1.0, 1.0, 1.0]], [2.0], 1 << 20),  # an empty span
+    ([0.0, 0.0], [3.0, 3.0], [[1.0, 2.0]], [4.0], 16),  # the box exactly at the cap
+    ([0.0, 0.0], [3.0, 3.0], [[1.0, 2.0]], [4.0], 15),  # one past the cap
+    ([0.0, 0.0], [0.0, 1.0], [], [], 1 << 20),  # no rows
+    ([0.0] * 5, [1.0] * 5, [[1.0, 2.0, 3.0, 4.0, 5.0]], [7.5], 1 << 20),
+], ids=["negative", "fractional", "empty-span", "at-cap", "past-cap", "no-rows", "knapsack"])
+def test_lattice_points_match_the_meshgrid_reference_on_edge_boxes(lb, ub, A, b, cap):
+    _assert_same_lattice(_program(lb, ub, A, b), cap)
+
+
+def test_lattice_points_skip_a_player_with_a_continuous_variable():
+    program = _program([0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [1.0], integers=(1,))
+    assert lattice_points(program) is None and oracles.lattice_points(program) is None
+
+
+@pytest.mark.parametrize("items, seeds", [(2, range(400)), (3, range(400)), (4, range(30))])
+def test_degeneracy_verdicts_match_the_game_level_reference(items, seeds):
+    verdicts = []
+    for seed in seeds:
+        game = random_knapsack_game(seed, 2, items).game()
+        verdict = degenerate_bimatrix(game)
+        assert verdict == oracles.degenerate_bimatrix_reference(game), (items, seed)
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_degeneracy_verdict_on_the_canonical_game_matches_the_reference():
+    game = canonical_knapsack_game().game()
+    assert degenerate_bimatrix(game) is oracles.degenerate_bimatrix_reference(game) is False
+
+
+def test_the_seed_scan_builds_no_game(monkeypatch):
+    # each tried seed is screened on its drawn arrays; only the callers
+    # build the games of the seeds it keeps
+    built = [0]
+    real = PlayerProgram.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        real(self)
+
+    monkeypatch.setattr(PlayerProgram, "__post_init__", counting)
+    seeds = nondegenerate_seeds(2, 20)
+    assert len(seeds) == 20
+    assert built[0] == 0
+    random_knapsack_game(seeds[0], 2, 2)
+    assert built[0] == 2
