@@ -3,13 +3,12 @@
 Each player minimizes a linear cost plus a bilinear interaction term
 over a mixed-integer linear feasible set. The package ships two
 solution paths: an outer-approximation scheme that refines linear
-relaxations with cutting planes and spatial branching, and an exact
-enumeration fallback for small instances.
+relaxations with cutting planes, and an exact enumeration fallback for
+small instances.
 """
 
 from .cutplay import (
     Algorithm,
-    Branch,
     Cuts,
     Member,
     OuterApproximation,
@@ -42,6 +41,7 @@ from .game import (
     deviation_check,
     opponents_vector,
     profile_payoffs,
+    separating_direction,
     support_from_points,
 )
 from .generators import (
@@ -88,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm",
-    "Branch",
     "BudgetExhausted",
     "COMPLEMENTARITY_TOL",
     "Cuts",
@@ -154,6 +153,7 @@ __all__ = [
     "save_instance",
     "save_result",
     "seeded_rng",
+    "separating_direction",
     "separation_oracle",
     "solve_game",
     "solve_ip",

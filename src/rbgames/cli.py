@@ -71,16 +71,29 @@ def _report(results, names, out):
                     print(f"    {w:.6g} * [{pvec}]", file=out)
     stats = head.stats
     print(
-        f"iterations: {stats.iterations}  cuts: {stats.cuts}  branches: {stats.branches}"
+        f"iterations: {stats.iterations}  cuts: {stats.cuts}"
         f"  lcp nodes: {stats.lcp_nodes}  wall ms: {stats.wall_ms:.1f}",
         file=out,
     )
 
 
+def _attach_values(argv):
+    """``argv`` with each float option joined to the word after it by
+    ``=``: argparse would take a value such as ``-inf`` or ``-1e-3`` for
+    a flag, and so never reach the finite-and-positive check."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--tolerance", "--timelimit"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):

@@ -1,26 +1,25 @@
 """Equilibria by outer approximation: cut and play.
 
-Each player's mixed-strategy hull is approximated from outside by a
-union of polyhedral pieces, starting from the LP relaxation.  Each
-round solves the stacked KKT complementarity system of the convexified
-game, then asks a separation oracle whether every player's strategy
-point really lies in its hull.  Points that do not are cut off (cover
-or Gomory cuts) or branched away.  A Member verdict carries its
-certificate, the player's strategy (a feasible integral point or weights
-over pure strategies); once every player is a member, those strategies
-face the final best-response check.  That check takes a player's best
-response over its enumerated lattice points (``PlayerState.lattice``),
-the very points the oracle works on; only a player whose lattice is not
-enumerated solves its integer program by branch and bound there.
+Each player's mixed-strategy hull is approximated from outside by one
+polyhedron, starting from the LP relaxation.  Each round solves the
+stacked KKT complementarity system of the convexified game, then asks a
+separation oracle whether every player's strategy point really lies in
+its hull.  A point that does not is cut off, by cover cuts or by the
+exact cut of ``game.separating_direction``, so nothing branches.  A
+Member verdict carries its certificate, the player's strategy (a
+feasible integral point or weights over pure strategies); once every
+player is a member, those strategies face the final best-response
+check.  Both work on the player's enumerated lattice points
+(``PlayerState.lattice``).  A player whose lattice is not enumerated
+works on a set of its integer points grown by column generation, whose
+branch-and-bound pricing proves every cut, and certifies by branch and
+bound.
 
 No solve runs whose answer is already known: there is no start-of-solve
-probe, so an enumerated player's run solves no integer program at all,
-and any other player's solves at most two (once when the oracle first
-needs its lattice, to prove it has an integer point, and once at
-certification); a cover cut that no member could violate as much
-decides Cuts without the support LP; and emptiness tests start at the
-lower corner (``Polyhedron.is_empty``).  Every LP of a run takes the
-run's deadline.
+probe, so an enumerated player's run solves no integer program at all;
+a cover cut that no member could violate as much decides Cuts without
+the support LP; and emptiness tests start at the lower corner
+(``Polyhedron.is_empty``).  Every LP of a run takes the run's deadline.
 """
 
 import math
@@ -35,13 +34,12 @@ from .enumeration import full_enumeration, lattice_points
 from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
-                   deviation_check, opponents_vector, profile_payoffs,
+                   deviation_check, profile_payoffs, separating_direction,
                    support_from_points)
-from .ip import parametrized_objective, solve_ip
+from .ip import _PRUNE_TOL, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
-from .poly import convex_hull, decompose
 
 _INT_TOL = 1e-6
 _ORACLE_CAP = 1 << 16
@@ -96,17 +94,12 @@ class Cuts:
     cuts: list  # (pi, pi0) pairs over the player's own variables
 
 
-@dataclass(eq=False)
-class Branch:
-    index: int
-    floor: int
-
-
 class PlayerState:
     """Outer approximation of one player's mixed-strategy hull.
 
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
-    and UnsupportedGame naming the player when it is unbounded.  ``deadline``
+    and UnsupportedGame naming the player when it is unbounded.
+    ``pieces`` holds the one polyhedron of the region.  ``deadline``
     bounds every LP and IP that the state runs.
     """
 
@@ -114,17 +107,15 @@ class PlayerState:
         self.program = program
         self.deadline = deadline
         self.cut_pool = []  # (pi, pi0), all valid for every integer point
-        self._has_point = False  # the integer program of an unenumerated player was feasible
-        self._replace_pieces([program.relaxation()], "its own rows")
+        self.points = None  # the oracle's pure strategies, once pure_points() has run
+        self._set_region(program.relaxation(), "its own rows")
         try:
             self.pieces[0].bounding_box(deadline)
         except ValueError as exc:
             raise UnsupportedGame(f"player {program.name} must have a bounded feasible set: {exc}") from None
 
     def region(self):
-        if self._region is None:
-            self._region = self.pieces[0] if len(self.pieces) == 1 else convex_hull(self.pieces, self.deadline)
-        return self._region
+        return self.pieces[0]
 
     @cached_property
     def lattice(self):
@@ -133,20 +124,22 @@ class PlayerState:
         return lattice_points(self.program, cap=_ORACLE_CAP)
 
     def pure_points(self):
-        """``lattice``, once the player is known to have an integer point.
-
-        Raises InfeasibleGame when it has none: the enumerated lattice is
-        empty or, when it is not enumerated, the player's integer program
-        (solved on the first call only) is infeasible.
+        """The oracle's pure strategies, one per row: ``lattice`` when it
+        is enumerated, else a working set of integer points seeded with
+        the optimum of the player's integer program and grown by pricing.
+        Raises InfeasibleGame when the player has no integer point.
         """
-        pure = self.lattice
-        if pure is None and not self._has_point:
-            if solve_ip(self.program, deadline=self.deadline).status is LPStatus.INFEASIBLE:
-                raise InfeasibleGame(f"player {self.program.name}: its integer program is infeasible")
-            self._has_point = True
-        if pure is not None and not pure.size:
-            raise InfeasibleGame(f"player {self.program.name}: no integer point satisfies its rows")
-        return pure
+        if self.points is None:
+            pts = self.lattice
+            if pts is None:
+                best = solve_ip(self.program, deadline=self.deadline)
+                if best.status is LPStatus.INFEASIBLE:
+                    raise InfeasibleGame(f"player {self.program.name}: its integer program is infeasible")
+                pts = best.x[None, :]
+            elif not pts.size:
+                raise InfeasibleGame(f"player {self.program.name}: no integer point satisfies its rows")
+            self.points = pts
+        return self.points
 
     def base_rows(self):
         """Original rows plus pooled cuts: the valid-row system for cut search."""
@@ -160,26 +153,18 @@ class PlayerState:
     def apply_cuts(self, new_cuts):
         pure = self.pure_points()
         for pi, pi0 in new_cuts:
-            if pure is not None:
-                worst = float(np.max(pure @ pi) - pi0)
-                if worst > FEAS_TOL:
-                    raise NumericalFailure(f"generated cut drops an integer point by {worst:.2e}")
+            worst = float(np.max(pure @ pi) - pi0)
+            if worst > FEAS_TOL:
+                raise NumericalFailure(f"generated cut drops an integer point by {worst:.2e}")
         self.cut_pool.extend(new_cuts)
         rows = np.array([pi for pi, _ in new_cuts])
         rhs = np.array([pi0 for _, pi0 in new_cuts])
-        self._replace_pieces([piece.with_rows(rows, rhs) for piece in self.pieces], "cuts")
+        self._set_region(self.pieces[0].with_rows(rows, rhs), "cuts")
 
-    def apply_branch(self, j, floor_val):
-        children = [child for piece in self.pieces
-                    for child in (piece.with_bound(j, hi=floor_val), piece.with_bound(j, lo=floor_val + 1))]
-        self._replace_pieces(children, "branching")
-
-    def _replace_pieces(self, children, cause):
-        survivors = [child for child in children if child is not None and not child.is_empty(self.deadline)]
-        if not survivors:
+    def _set_region(self, region, cause):
+        if region.is_empty(self.deadline):
             raise InfeasibleGame(f"player {self.program.name}: region emptied by {cause}")
-        self.pieces = survivors
-        self._region = None
+        self.pieces = [region]
 
 
 class OuterApproximation:
@@ -193,19 +178,20 @@ class OuterApproximation:
         return [s.region() for s in self.states]
 
 
-def separation_oracle(state, sigma, cost=None, deadline=None):
-    """Decide Member / Cuts / Branch for a strategy point.
+def separation_oracle(state, sigma, deadline=None):
+    """Decide Member or Cuts for a strategy point.
 
     Member carries its certificate: the point snapped to integers when
     that is feasible (a pure strategy), or else the point with weights
-    over enumerated pure strategies that reproduce it.  A cover cut
-    violated by more than any member could violate it decides Cuts
-    before any LP; otherwise membership is tried first, then cuts
-    (cover, then Gomory with the supplied supporting cost), then
-    branching on the most fractional integer coordinate.  Once every
-    piece is fully branched (a player whose lattice is not enumerated),
-    Member carries the point's decomposition over the pieces' hull.
-    ``deadline`` bounds the support, Gomory and decomposition LPs.
+    over the player's pure strategies (``PlayerState.pure_points``)
+    that reproduce it.  A cover cut violated by more than any member
+    could violate it decides Cuts before any LP; otherwise membership
+    is tried first, then the cover cuts, then one exact cut
+    pi x <= pi0 from the separation LP's dual.  For an enumerated
+    player pi0 is the maximum of pi over the lattice.  For any other
+    player branch and bound prices pi: a better point joins the working
+    set and the support LP runs again, until the IP's optimum proves
+    pi0.  ``deadline`` bounds every LP and IP.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -225,49 +211,25 @@ def separation_oracle(state, sigma, cost=None, deadline=None):
     if any(float(pi @ sigma) - pi0 > _member_violation(pi, pi0, sigma) for pi, pi0 in found):
         return Cuts(found)
 
-    pure = state.pure_points()
-    support = support_from_points(pure, sigma, deadline) if pure is not None else None
-    if support is not None:
-        return Member(PlayerStrategy(sigma, support))
-
-    if not found and cost is not None and ints.size == p.nvars:
-        found = cutgen.gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma, deadline)
-    if found:
-        return Cuts(found)
-
-    if not ints.size:
-        raise NumericalFailure(
-            f"player {p.name}: continuous point escaped its hull with no cut available"
-        )
-    # branch on the most fractional coordinate whose split still divides
-    # some piece; a split that every piece already satisfies one side of
-    # would leave the region unchanged and stall the refinement loop
-    frac = np.abs(sigma - snapped)[ints]
-    for k in np.argsort(-frac, kind="stable"):
-        if frac[k] <= _INT_TOL:
+    points = state.pure_points()
+    while True:
+        support = support_from_points(points, sigma, deadline)
+        if support is not None:
+            return Member(PlayerStrategy(sigma, support))
+        if found:
+            return Cuts(found)
+        pi = separating_direction(points, sigma, deadline)
+        pi0 = float(np.max(points @ pi))
+        if state.lattice is not None:
             break
-        j = int(ints[k])
-        f = math.floor(sigma[j])
-        if _splits_a_piece(state, j, f):
-            return Branch(index=j, floor=f)
-    for j in ints:
-        j = int(j)
-        for piece in state.pieces:
-            lo, hi = piece.lb[j], piece.ub[j]
-            f = math.floor((lo + hi) / 2.0)
-            if f < lo:
-                f = math.ceil(lo)
-            if lo <= f < hi:
-                return Branch(index=j, floor=f)
-    # no piece can be split further, so the points of a piece whose
-    # integer bounds meet are pure strategies: write sigma over them
-    try:
-        atoms = decompose(convex_hull(state.pieces, deadline), sigma, deadline)
-    except ValueError:
-        atoms = None
-    if atoms is None or any(np.max(np.abs(pt[ints] - np.round(pt[ints]))) > _INT_TOL for _, pt in atoms):
-        raise NumericalFailure(f"player {p.name}: every piece is fully branched and sigma has no decomposition")
-    return Member(PlayerStrategy(sigma, atoms))
+        best = solve_ip(p, -pi, deadline=deadline)
+        if -best.value <= pi0 + _PRUNE_TOL:
+            pi0 = -best.value
+            break
+        points = state.points = np.vstack([points, best.x])
+    if float(pi @ sigma) - pi0 <= FEAS_TOL * (1.0 + float(np.abs(pi).sum())):
+        raise NumericalFailure(f"player {p.name}: the separation LP's cut does not remove the point")
+    return Cuts([(pi, pi0)])
 
 
 def _member_violation(pi, pi0, sigma):
@@ -296,18 +258,9 @@ def _member_violation(pi, pi0, sigma):
     return 2.0 * (pi0 * (s + (2 * sigma.size + 2) * t) + float(np.abs(pi).sum()) * (FEAS_TOL + s))
 
 
-def _splits_a_piece(state, j, floor_value):
-    return any(piece.lb[j] <= floor_value < piece.ub[j] for piece in state.pieces)
-
-
 def refine_region(state, action):
-    """Apply a separation outcome to the player's piece set."""
-    if isinstance(action, Cuts):
-        state.apply_cuts(action.cuts)
-    elif isinstance(action, Branch):
-        state.apply_branch(action.index, action.floor)
-    else:
-        raise TypeError("refine_region expects Cuts or Branch")
+    """Apply the oracle's cuts to the player's region."""
+    state.apply_cuts(action.cuts)
 
 
 def _result(status, stats, profile=None, payoffs=None):
@@ -370,10 +323,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
             return finish(EqStatus.NUMERICAL_FAILURE)
 
         sigmas = index_map.extract(sol.z)
-        actions = []
-        for i, state in enumerate(outer.states):
-            cost = parametrized_objective(game.players[i], opponents_vector(game, sigmas, i))
-            actions.append(separation_oracle(state, sigmas[i], cost, deadline))
+        actions = [separation_oracle(state, sigma, deadline) for state, sigma in zip(outer.states, sigmas)]
 
         if all(isinstance(a, Member) for a in actions):
             return _certify(game, outer, actions, opts, deadline, finish)
@@ -381,9 +331,6 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
         for state, action in zip(outer.states, actions):
             if isinstance(action, Cuts):
                 stats.cuts += len(action.cuts)
-                refine_region(state, action)
-            elif isinstance(action, Branch):
-                stats.branches += 1
                 refine_region(state, action)
         if watcher is not None:
             watcher(outer, iteration)

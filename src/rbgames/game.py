@@ -6,7 +6,8 @@ Nash LCP of the convexified game pairs every variable of each region's
 encoding (``poly.encode_region``) with its stationarity row and each
 equality row with a split multiplier; it is built copositive-plus, so
 Lemke's method solves it.  The certificate of a mixed strategy, weights
-over pure strategies, comes from ``support_from_points``.
+over pure strategies, comes from ``support_from_points``, and a cut off
+their hull from ``separating_direction``.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleGame
+from .errors import InfeasibleGame, NumericalFailure
 from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
@@ -91,7 +92,6 @@ class EqStatus(Enum):
 class SolveStats:
     iterations: int = 0
     cuts: int = 0
-    branches: int = 0
     lcp_nodes: int = 0
     wall_ms: float = 0.0
 
@@ -199,7 +199,7 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
     for i, (p, pts) in enumerate(zip(game.players, lattices)):
         opp = opponents_vector(game, points, i)
         if pts is None:
-            best = solve_ip(p, opp, deadline=deadline)
+            best = solve_ip(p, parametrized_objective(p, opp), deadline=deadline)
             if best.status is LPStatus.INFEASIBLE:
                 raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
             if best.status is not LPStatus.OPTIMAL:
@@ -253,3 +253,28 @@ def support_from_points(points, sigma, deadline=None):
     keep = np.nonzero(w > ZERO_TOL)[0]
     total = float(w[keep].sum())
     return [(float(w[k] / total), pts[k].copy()) for k in keep]
+
+
+def separating_direction(points, sigma, deadline=None):
+    """Direction pi of the cut pi x <= max_k pi.p_k that removes sigma
+    farthest from the hull of the points p_k.
+
+    The LP  min sum(s+ + s-)  s.t.  P'w + s+ - s- = sigma,  sum w = 1,
+    w, s >= 0, each equality a pair of <= rows, gives the L1 distance
+    from sigma to the hull; pi is the difference of the row duals of its
+    two sigma row blocks, so |pi_j| <= 1 and, by LP duality,
+    pi.sigma - max_k pi.p_k is that distance.  ``deadline`` bounds the LP.
+    """
+    pts = np.asarray(points, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    K, m = pts.shape
+    eye = np.eye(m)
+    rows = np.vstack([np.hstack([pts.T, eye, -eye]), np.concatenate([np.ones(K), np.zeros(2 * m)])])
+    n = K + 2 * m
+    lp = LinearProgram(np.concatenate([np.zeros(K), np.ones(2 * m)]), np.vstack([rows, -rows]),
+                       np.concatenate([sigma, [1.0], -sigma, [-1.0]]), np.zeros(n), np.full(n, np.inf))
+    res = solve_lp(lp, deadline=deadline)
+    if res.status is not LPStatus.OPTIMAL:
+        raise NumericalFailure(f"separation LP ended {res.status.value}")
+    y = res.row_duals
+    return y[m + 1 : 2 * m + 1] - y[:m]

@@ -6,9 +6,9 @@ best response is a plain IP with the parametrized cost vector.
 
 Branch and bound solves every node LP cold with ``lp.solve_lp``; an
 open node keeps only its bounds and its LP point in the heap.
-Cut-and-play certifies on a player's enumerated lattice, so within a
-solve branch and bound runs only for a player whose lattice is not
-enumerated.
+Cut-and-play works on a player's enumerated lattice, so within a solve
+branch and bound runs only for a player whose lattice is not
+enumerated: to price its cuts and to certify its best response.
 """
 
 import heapq
@@ -119,18 +119,17 @@ def payoff(program, own, opponents):
     return float(parametrized_objective(program, opponents) @ own)
 
 
-def solve_ip(program, opponents=None, node_limit=200000, deadline=None):
-    """Best response by branch and bound.
+def solve_ip(program, cost=None, node_limit=200000, deadline=None):
+    """Minimize ``cost`` (None: the player's ``c``) by branch and bound.
 
     Most-fractional branching with lowest-index ties, best-bound node
-    selection.  Returns an LPResult (Optimal, Infeasible or Unbounded);
-    raises BudgetExhausted when the node limit is hit or the
+    selection; the optimum is proved to within ``_PRUNE_TOL``.  Returns
+    an LPResult (Optimal, Infeasible or Unbounded); raises
+    BudgetExhausted when the node limit is hit or the
     ``time.monotonic()`` value ``deadline`` passes, also inside a node
     LP.
     """
-    if opponents is None:
-        opponents = np.zeros(program.opp_vars)
-    cost = parametrized_objective(program, opponents)
+    cost = program.c if cost is None else np.asarray(cost, dtype=float)
     A, b = program._dense_A, program.b
     ints = np.array(program.integers, dtype=np.int64)
 

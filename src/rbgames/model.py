@@ -296,7 +296,6 @@ def result_to_document(results, player_names):
         "stats": {
             "iterations": head.stats.iterations,
             "cuts": head.stats.cuts,
-            "branches": head.stats.branches,
             "lcpNodes": head.stats.lcp_nodes,
             "wallTimeMs": float(head.stats.wall_ms),
         },

@@ -4,8 +4,9 @@ The hull of a union of bounded polyhedra is kept in extended form: one
 scaled copy of each piece plus its convex multiplier theta_k.
 ``encode_region`` writes it homogeneously, as equality rows over
 nonnegative variables with the strategy a linear image of them, and a
-single polyhedron as its one-piece case.  That one encoding serves the
-Nash LCP, membership and decomposition; no vertex or facet enumeration
+single polyhedron as its one-piece case, the only one cut-and-play
+encodes; membership (``hull_contains``) and decomposition
+(``decompose``) serve library callers.  No vertex or facet enumeration
 happens anywhere.
 """
 

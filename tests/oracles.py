@@ -7,11 +7,10 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, gomory_cuts,
-                     opponents_vector, parametrized_objective, payoff, solve_lp, support_from_points)
-from rbgames.cutplay import _INT_TOL, Branch, Cuts, Member
+from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, opponents_vector,
+                     parametrized_objective, payoff, separating_direction, solve_lp, support_from_points)
+from rbgames.cutplay import _INT_TOL, Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
-from rbgames.errors import NumericalFailure
 from rbgames.numerics import FEAS_TOL
 
 
@@ -573,12 +572,14 @@ def leaving_reference(basis, dc, dw):
     return (i, -1) if i < k else (-1, i - k)
 
 
-def separation_oracle_reference(state, sigma, cost=None):
-    """The separation oracle in its old order: the support LP always first.
+def separation_oracle_reference(state, sigma):
+    """The separation oracle of an enumerated player in its old order:
+    the support LP always first.
 
     Pure member, then ``support_from_points`` over every lattice point,
-    then cover cuts, Gomory cuts and branching, each tried only when the
-    one before found nothing.
+    then cover cuts, then the exact cut from the separation LP's dual
+    with its right-hand side the maximum over the lattice, each tried
+    only when the one before found nothing.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -591,7 +592,7 @@ def separation_oracle_reference(state, sigma, cost=None):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
     pure = state.pure_points()
-    support = support_from_points(pure, sigma) if pure is not None and pure.size else None
+    support = support_from_points(pure, sigma)
     if support is not None:
         return Member(PlayerStrategy(sigma, support))
 
@@ -600,28 +601,7 @@ def separation_oracle_reference(state, sigma, cost=None):
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
     found = cover_cuts(A, b, sigma, binary)
-    if not found and cost is not None and ints.size == p.nvars:
-        found = gomory_cuts(A, b, p.lb, p.ub, p.integers, cost, sigma)
     if found:
         return Cuts(found)
-
-    if not ints.size:
-        raise NumericalFailure(f"player {p.name}: continuous point escaped its hull with no cut available")
-    frac = np.abs(sigma - snapped)[ints]
-    for k in np.argsort(-frac, kind="stable"):
-        if frac[k] <= _INT_TOL:
-            break
-        j = int(ints[k])
-        f = math.floor(sigma[j])
-        if any(piece.lb[j] <= f < piece.ub[j] for piece in state.pieces):
-            return Branch(index=j, floor=f)
-    for j in ints:
-        j = int(j)
-        for piece in state.pieces:
-            lo, hi = piece.lb[j], piece.ub[j]
-            f = math.floor((lo + hi) / 2.0)
-            if f < lo:
-                f = math.ceil(lo)
-            if lo <= f < hi:
-                return Branch(index=j, floor=f)
-    raise NumericalFailure(f"player {p.name}: point escaped the hull but every piece is fully branched")
+    pi = separating_direction(pure, sigma)
+    return Cuts([(pi, float(np.max(pure @ pi)))])

@@ -180,9 +180,9 @@ def test_criterion_4a_ip_solver_equals_lattice_enumeration():
         rng = np.random.default_rng(seed + 77000)
         for p in game.players:
             opp = rng.integers(0, 2, size=p.opp_vars).astype(float)
-            res = solve_ip(p, opponents=opp)
-            pts = lattice_points(p)
             cost = parametrized_objective(p, opp)
+            res = solve_ip(p, cost)
+            pts = lattice_points(p)
             best = float(np.min(pts @ cost))
             if res.status is not LPStatus.OPTIMAL or abs(res.value - best) > 1e-7:
                 bad += 1
@@ -291,7 +291,7 @@ def test_criterion_6_degenerate_handling():
     doc = result_to_document(r, [p.name for p in game.players])
     ok = ok and doc["status"] == "TimeLimit"
     ok = ok and all(p["x"] is None and p["payoff"] is None for p in doc["players"])
-    ok = ok and set(doc["stats"]) == {"iterations", "cuts", "branches", "lcpNodes", "wallTimeMs"}
+    ok = ok and set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs"}
     json.dumps(doc)  # must serialize cleanly
     notes.append(r.status.value)
     _verdict(6, ok, ", ".join(notes))

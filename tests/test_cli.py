@@ -145,10 +145,13 @@ def test_usage_errors_exit_one(canonical_path, capsys):
     capsys.readouterr()
     assert main(["--instance", canonical_path, "--timelimit", "-2"]) == 1
     capsys.readouterr()
+    # a value in exponent form starts with a dash as a flag does
+    assert main(["--instance", canonical_path, "--timelimit", "-1e-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: --timelimit must be positive and finite")
 
 
 @pytest.mark.parametrize("flag", ["--tolerance", "--timelimit"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_tolerance_and_timelimit_exit_one(canonical_path, capsys, flag, value):
     # --tolerance nan would switch the deviation check off (gain > nan is
     # never true) and --timelimit nan the deadline

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import rbgames.cutplay as cutplay_module
+import rbgames.game as game_module
 import rbgames.ip as ip_module
 import rbgames.lcp as lcp_module
-import rbgames.poly as poly_module
 
 from rbgames import (
     Algorithm,
@@ -20,12 +20,13 @@ from rbgames import (
     SolverOptions,
     cut_and_play,
     deviation_check,
+    full_enumeration,
     lattice_points,
     random_knapsack_game,
     solve_game,
 )
 from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
-from rbgames.cutplay import Branch, Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
+from rbgames.cutplay import Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
 from rbgames.enumeration import degenerate_bimatrix
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds
 from rbgames.poly import hull_contains, convex_hull
@@ -91,13 +92,14 @@ def test_time_limit_is_respected():
 
 
 def test_time_limit_holds_while_lemke_pivots():
-    # Lemke takes 94% of this game's 4.5 s (2-core host); its last rounds
-    # solve LCPs of order 550-850, and the limit falls while it pivots
-    game = random_knapsack_game(9, 2, 10).game()
+    # twelve players: the first round's LCP has order 552 and takes about
+    # 3 s (2-core host), so the limit falls while Lemke pivots in it
+    game = random_knapsack_game(0, 12, 10).game()
     start = time.monotonic()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=1.0))
     assert result.status is EqStatus.TIME_LIMIT
     assert time.monotonic() - start <= 1.5
+    assert result.stats.iterations == 1 and result.stats.lcp_nodes > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -128,14 +130,15 @@ def _recording_solve_lcp(monkeypatch):
 
 
 def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
-    # Lemke's 300th deadline check across the run sleeps past the limit,
-    # so the deadline falls while it pivots
+    # Lemke's 200th deadline check across the run sleeps past the limit,
+    # so the deadline falls while it pivots in the last of the game's
+    # four rounds (250 pivots in all)
     nodes = _recording_solve_lcp(monkeypatch)
     checks = [0]
 
     def monotonic():
         checks[0] += 1
-        if checks[0] == 300:
+        if checks[0] == 200:
             time.sleep(1.0)
         return time.monotonic()
 
@@ -144,7 +147,7 @@ def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
-    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 299
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 199
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
@@ -171,12 +174,11 @@ def _raise_numerical_failure(*args, **kwargs):
 @pytest.mark.parametrize("owner, name, game", [
     (PlayerState, "apply_cuts", canonical_knapsack_game),
     (cutplay_module, "separation_oracle", canonical_knapsack_game),
-    # the refinement of this game meets pieces whose lower corner breaks
-    # a row, the only ones whose emptiness test runs an LP
-    (poly_module, "solve_lp", lambda: random_knapsack_game(2, 2, 4)),
+    # the oracle's first support LP
+    (game_module, "solve_lp", lambda: random_knapsack_game(2, 2, 4)),
 ], ids=["apply_cuts", "separation_oracle", "solve_lp"])
 def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name, game):
-    # the cut pool, the oracle and the LPs of the refinement step
+    # the cut pool, the oracle and the LPs behind its verdicts
     monkeypatch.setattr(owner, name, _raise_numerical_failure)
     result = cut_and_play(game().game(), SolverOptions())
     assert result.status is EqStatus.NUMERICAL_FAILURE
@@ -244,6 +246,32 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_2x4_games(seed):
     assert min(gaps) <= 1e-6
 
 
+def _general_integer_game(seed, n_items):
+    """``random_knapsack_game(seed, 2, n_items)`` with item bounds 0..2:
+    one knapsack row that admits no cover cut."""
+    return GameModel([PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers,
+                                    lb=p.lb, ub=np.full(p.nvars, 2.0))
+                      for p in random_knapsack_game(seed, 2, n_items).game().players])
+
+
+def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_general_integer_games():
+    # with no cover cut available, the exact cuts do all of the separation
+    compared = cuts = 0
+    for n_items in (2, 3):
+        for seed in range(100):
+            game = _general_integer_game(seed, n_items)
+            if degenerate_bimatrix(game):
+                continue
+            result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=20.0))
+            assert result.status in (EqStatus.PNE, EqStatus.MNE), (n_items, seed)
+            flat = np.concatenate(result.profile.barycenters())
+            gaps = [np.linalg.norm(flat - np.concatenate(r.profile.barycenters())) for r in full_enumeration(game)]
+            assert min(gaps) <= 1e-6, (n_items, seed)
+            compared += 1
+            cuts += result.stats.cuts
+    assert compared >= 60 and cuts >= 60, (compared, cuts)
+
+
 def test_solve_game_dispatch():
     game = canonical_knapsack_game().game()
     full = solve_game(game, SolverOptions(algorithm=Algorithm.FULL_ENUMERATION))
@@ -279,9 +307,10 @@ def test_separation_oracle_cases():
     assert any(np.allclose(pi, [1.0, 1.0]) and abs(pi0 - 1.0) < 1e-9 for pi, pi0 in action.cuts)
 
 
-def test_separation_oracle_falls_back_to_branching():
-    # a non-binary integer variable disables cover cuts, and without a
-    # supporting cost there is no Gomory source either
+def test_the_wide_player_gets_one_exact_cut():
+    # a non-binary integer variable disables cover cuts, so the separation
+    # LP's dual cuts the point off the hull of the lattice
+    # {(0, 0), (1, 0), (0, 1)}
     wide = PlayerProgram(
         name="wide",
         c=np.array([-1.0, -1.0]),
@@ -293,17 +322,19 @@ def test_separation_oracle_falls_back_to_branching():
         ub=np.array([2.0, 1.0]),
     )
     state = PlayerState(wide)
-    action = separation_oracle(state, np.array([1.5, 0.1]), cost=None)
-    assert isinstance(action, Branch)
-    assert action.index == 0
-    assert action.floor == 1
-    before = state.region()
+    sigma = np.array([1.5, 0.1])
+    assert state.region().contains(sigma)
+    action = separation_oracle(state, sigma)
+    assert isinstance(action, Cuts) and len(action.cuts) == 1
+    [(pi, pi0)] = action.cuts
+    assert float(pi @ sigma) > pi0 + 0.1
     refine_region(state, action)
-    # the escaped point is gone and no lattice point was lost
-    assert not any(piece.contains(np.array([1.5, 0.1])) for piece in state.pieces)
+    # the point is gone, no lattice point was lost, and the region is
+    # still one polyhedron
+    assert len(state.pieces) == 1
+    assert not state.region().contains(sigma)
     for point in lattice_points(wide):
-        assert any(piece.contains(point, eps=1e-9) for piece in state.pieces), point
-    assert before is not None
+        assert state.region().contains(point, eps=1e-9), point
 
 
 def test_refinement_only_shrinks_regions():
@@ -415,6 +446,16 @@ def test_player_without_an_integer_point_past_the_lattice_cap_is_infeasible(monk
     assert callers == ["pure_points"]
 
 
+def test_a_player_past_the_lattice_cap_is_certified_by_branch_and_bound():
+    # 2^17 binary points a player, past the oracle's cap: pricing proves
+    # every cut, and certification solves each best response by branch
+    # and bound
+    game = random_knapsack_game(1, 2, 17).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=30.0))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+
+
 def test_unbounded_player_raises_a_value_error_naming_it():
     drift = PlayerProgram(name="drift", c=np.array([-1.0, 0.0]), C=np.zeros((0, 2)), A=np.array([[0.0, 1.0]]),
                           b=np.array([1.0]), integers=(1,), lb=np.zeros(2), ub=np.array([np.inf, 1.0]))
@@ -432,19 +473,17 @@ def _with_a_continuous_variable(game, i):
     return GameModel(players)
 
 
-def test_a_fully_branched_mixed_integer_player_is_certified_by_decomposition(monkeypatch):
-    # every piece of player 1 ends with its integer coordinates fixed; its
-    # point is then written over the pieces' hull instead of failing
+def test_a_mixed_integer_player_is_certified_by_column_generation(monkeypatch):
+    # player 1's lattice is not enumerated, so its mixed strategy is
+    # written over the working set of integer points that pricing grew
     game = _with_a_continuous_variable(random_knapsack_game(2, 2, 4).game(), 1)
     verdicts = []
     real = cutplay_module.separation_oracle
 
-    def recording(state, sigma, cost=None, deadline=None):
-        verdict = real(state, sigma, cost, deadline)
+    def recording(state, sigma, deadline=None):
+        verdict = real(state, sigma, deadline)
         if isinstance(verdict, Member) and state.lattice is None and not verdict.pure:
-            ints = list(state.program.integers)
-            fixed = all(piece.lb[j] == piece.ub[j] for piece in state.pieces for j in ints)
-            verdicts.append((state.program, ints, fixed, verdict.strategy))
+            verdicts.append((state.program, list(state.program.integers), len(state.points), verdict.strategy))
         return verdict
 
     monkeypatch.setattr(cutplay_module, "separation_oracle", recording)
@@ -452,8 +491,8 @@ def test_a_fully_branched_mixed_integer_player_is_certified_by_decomposition(mon
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
     assert deviation_check(game, result.profile, eps=3e-4) == []
     assert verdicts
-    for program, ints, fixed, strategy in verdicts:
-        assert fixed
+    for program, ints, grown, strategy in verdicts:
+        assert grown > 1
         assert abs(sum(w for w, _ in strategy.support) - 1.0) <= 1e-9
         assert np.allclose(sum(w * pt for w, pt in strategy.support), strategy.barycenter, atol=1e-6)
         for _, pt in strategy.support:
@@ -466,14 +505,17 @@ def test_a_fully_branched_mixed_integer_player_is_certified_by_decomposition(mon
     (lambda: cyclic_matching_game().game(), []),
     (lambda: random_knapsack_game(2, 2, 4).game(), []),
     (lambda: random_knapsack_game(0, 3, 3).game(), []),
-    (lambda: _with_a_continuous_variable(canonical_knapsack_game().game(), 1), ["pure_points", "deviation_check"]),
-    (lambda: _with_a_continuous_variable(random_knapsack_game(0, 3, 3).game(), 2), ["pure_points", "deviation_check"]),
+    (lambda: _with_a_continuous_variable(canonical_knapsack_game().game(), 1),
+     ["pure_points"] + ["separation_oracle"] * 2 + ["deviation_check"]),
+    (lambda: _with_a_continuous_variable(random_knapsack_game(0, 3, 3).game(), 2),
+     ["pure_points"] + ["separation_oracle"] * 3 + ["deviation_check"]),
 ], ids=["canonical", "cyclic", "2x4-seed2", "3x3-seed0", "canonical-continuous", "3x3-seed0-continuous"])
 def test_each_player_ip_is_solved_once_at_certification(monkeypatch, make, ips):
     # certification solves each player's best-response problem once: on
     # the lattice for an enumerated player, with no IP, and by branch and
-    # bound for the player with a continuous variable, whose only other
-    # IP is the oracle's proof that it has an integer point
+    # bound for the player with a continuous variable, whose other IPs
+    # are the oracle's: the proof that it has an integer point, which
+    # seeds its working set, and the pricing of each cut direction
     callers = _record_solve_ip(monkeypatch)
     result = cut_and_play(make(), SolverOptions(deviation_eps=3e-4))
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
@@ -492,12 +534,10 @@ def _same_verdict(got, want):
         assert len(got.strategy.support) == len(want.strategy.support)
         for (w1, p1), (w2, p2) in zip(got.strategy.support, want.strategy.support):
             assert w1 == w2 and np.array_equal(p1, p2)
-    elif isinstance(want, Cuts):
+    else:
         assert len(got.cuts) == len(want.cuts)
         for (pi1, c1), (pi2, c2) in zip(got.cuts, want.cuts):
             assert np.array_equal(pi1, pi2) and c1 == c2
-    else:
-        assert (got.index, got.floor) == (want.index, want.floor)
 
 
 def _corpus_and_ladder_games():
@@ -515,10 +555,10 @@ def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
         tally["support"] += 1
         return real_support(*args, **kwargs)
 
-    def compared(state, sigma, cost=None, deadline=None):
-        want = separation_oracle_reference(state, sigma, cost)
+    def compared(state, sigma, deadline=None):
+        want = separation_oracle_reference(state, sigma)
         before = tally["support"]
-        got = real_oracle(state, sigma, cost, deadline)
+        got = real_oracle(state, sigma, deadline)
         _same_verdict(got, want)
         tally["calls"] += 1
         tally["cuts_without_lp"] += isinstance(got, Cuts) and tally["support"] == before
@@ -583,24 +623,29 @@ def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, sc
     assert isinstance(got, Cuts) and ran == lps
 
 
-# -- the hull layer's LPs honor the deadline --------------------------------
+# -- the oracle's LPs honor the deadline ------------------------------------
 
 
-@pytest.mark.parametrize("module_name", ["game", "cuts", "poly"],
-                         ids=["support-lp", "gomory-lp", "refinement-lp"])
-def test_deadline_passing_in_a_hull_layer_lp_ends_time_limit(monkeypatch, module_name):
-    # the first LP of the layer waits for the deadline, then runs with it
+@pytest.mark.parametrize("module_name, caller, make", [
+    ("game", "support_from_points", lambda: random_knapsack_game(2, 2, 4).game()),
+    ("game", "separating_direction", lambda: random_knapsack_game(2, 2, 4).game()),
+    ("ip", "solve_ip", lambda: _with_a_continuous_variable(random_knapsack_game(2, 2, 4).game(), 1)),
+], ids=["support-lp", "separation-lp", "branch-and-bound-lp"])
+def test_deadline_passing_in_a_hull_layer_lp_ends_time_limit(monkeypatch, module_name, caller, make):
+    # the first LP that ``caller`` runs waits for the deadline, then runs
+    # with it; in the last case that is the LP of the oracle's first IP
     module = importlib.import_module(f"rbgames.{module_name}")
     real, seen = module.solve_lp, []
 
     def late(*args, deadline=None, **kwargs):
-        seen.append(deadline)
-        if deadline is not None:
-            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        if sys._getframe(1).f_code.co_name == caller:
+            seen.append(deadline)
+            if deadline is not None:
+                time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
         return real(*args, deadline=deadline, **kwargs)
 
     monkeypatch.setattr(module, "solve_lp", late)
-    game = random_knapsack_game(2, 2, 4).game()
+    game = make()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.5))
     assert seen and seen[0] is not None
     assert result.status is EqStatus.TIME_LIMIT

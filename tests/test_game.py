@@ -274,7 +274,8 @@ def test_unchanged_regions_are_encoded_once(monkeypatch):
     second, _ = build_nash_lcp(game, outer.regions())
     assert len(encoded) == 2
     assert np.array_equal(first.M, second.M) and np.array_equal(first.q, second.q)
-    # branching gives player 0 a new region, encoded afresh; player 1's is kept
-    outer.states[0].apply_branch(0, 0)
+    # a cut gives player 0 a new region, encoded afresh; player 1's is kept
+    pi = np.ones(game.players[0].nvars)
+    outer.states[0].apply_cuts([(pi, float(np.max(outer.states[0].lattice @ pi)))])
     build_nash_lcp(game, outer.regions())
     assert len(encoded) == 3 and encoded[-1] is outer.states[0].region()

@@ -36,11 +36,11 @@ def test_parametrized_objective_and_payoff():
 def test_best_responses_on_the_known_game():
     game = canonical_knapsack_game().game()
     blue, red = game.players
-    res = solve_ip(blue, opponents=np.array([1.0, 0.0]))
+    res = solve_ip(blue, parametrized_objective(blue, np.array([1.0, 0.0])))
     assert res.status is LPStatus.OPTIMAL
     assert np.allclose(res.x, [0.0, 1.0])
     assert abs(res.value - (-2.0)) < _VAL_TOL
-    res = solve_ip(red, opponents=np.array([0.0, 1.0]))
+    res = solve_ip(red, parametrized_objective(red, np.array([0.0, 1.0])))
     assert res.status is LPStatus.OPTIMAL
     assert np.allclose(res.x, [1.0, 0.0])
     assert abs(res.value - (-3.0)) < _VAL_TOL
@@ -78,10 +78,10 @@ def test_solver_matches_lattice_enumeration_on_seeded_knapsacks():
         rng = np.random.default_rng(seed + 9000)
         for p in game.players:
             opp = rng.integers(0, 2, size=p.opp_vars).astype(float)
-            res = solve_ip(p, opponents=opp)
+            cost = parametrized_objective(p, opp)
+            res = solve_ip(p, cost)
             pts = lattice_points(p)
             assert len(pts), "knapsack with zero capacity still contains the origin"
-            cost = parametrized_objective(p, opp)
             best = min(float(cost @ x) for x in pts)
             assert res.status is LPStatus.OPTIMAL
             assert abs(res.value - best) < 1e-7, (seed, p.name)
@@ -145,7 +145,7 @@ def test_warm_branch_and_bound_matches_the_cold_reference():
     checked = 0
     for p, opp in _seeded_best_responses(range(40)):
         status, value, x, nodes = branch_and_bound_cold(p, opp)
-        res = solve_ip(p, opp)
+        res = solve_ip(p, parametrized_objective(p, opp))
         assert res.status is status
         assert res.value == value and np.array_equal(res.x, x) and res.iterations == nodes, (p.name, opp)
         checked += 1
@@ -182,5 +182,5 @@ def test_a_deadline_passing_in_a_node_lp_ends_branch_and_bound(monkeypatch):
     monkeypatch.setattr(ip_module, "solve_lp", late)
     p = random_knapsack_game(4, n_items=12).game().players[0]  # a root and 18 child LPs
     with pytest.raises(BudgetExhausted, match="branch-and-bound"):
-        solve_ip(p, np.zeros(p.opp_vars), deadline=time.monotonic() + 60.0)
+        solve_ip(p, deadline=time.monotonic() + 60.0)
     assert calls[0] == 10

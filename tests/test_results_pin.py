@@ -9,7 +9,9 @@ fails here.  The game lists and ``deviation_eps`` come from
 The games are solved without a time limit so that host speed cannot
 move a status.  The pin was taken with numpy 2.4.6 on OpenBLAS; another
 BLAS may round differently.  A change that moves the path on purpose
-updates the pin and lists the moved games.
+updates the pin and lists the moved games.  The same run checks that
+cut-and-play never branches: after every round of every game, each
+player's region is one polyhedron.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import numpy as np
 from rbgames import SolverOptions, cut_and_play, random_knapsack_game
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-_PIN = "56910bf65ab1b63b21f79c3a33ad9c4345dff0ed"
+_PIN = "36249622a9a51a122974f5d2d8f0bda5273a4385"
 
 
 def _load_workloads():
@@ -35,10 +37,16 @@ def test_workload_results_match_the_pin():
     workloads = _load_workloads()
     opts = SolverOptions(deviation_eps=workloads.DEVIATION_EPS)
     sha = hashlib.sha1()
+    pieces = set()
+
+    def watcher(outer, iteration):
+        pieces.update(len(state.pieces) for state in outer.states)
+
     for case in [c for name in workloads.NAMES for c in workloads.cases(name)]:
-        res = cut_and_play(random_knapsack_game(case.seed, case.players, case.items).game(), opts)
+        res = cut_and_play(random_knapsack_game(case.seed, case.players, case.items).game(), opts, watcher=watcher)
         flat = np.concatenate(res.profile.barycenters()) if res.profile is not None else np.zeros(0)
         bary = ",".join(f"{v:.6f}" for v in np.round(flat, 6) + 0.0)
         line = f"{case.shape} {case.seed} {res.status.value} {res.stats.iterations} {res.stats.lcp_nodes} {bary}\n"
         sha.update(line.encode())
     assert sha.hexdigest() == _PIN
+    assert pieces == {1}
