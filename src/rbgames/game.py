@@ -3,11 +3,12 @@
 Players are ordered; player i's coupling matrix C has one block of rows
 per opponent, stacked by ascending player index with i skipped.  The
 Nash LCP of the convexified game pairs every variable of each region's
-encoding (``poly.encode_region``) with its stationarity row and each
-equality row with a split multiplier; it is built copositive-plus, so
-Lemke's method solves it.  The certificate of a mixed strategy, weights
-over pure strategies, comes from ``support_from_points``, and a cut off
-their hull from ``separating_direction``.
+encoding (``poly.encode_region``) with its stationarity row, each box
+equality with a split multiplier and each inequality row with one
+multiplier; it is built copositive-plus, so Lemke's method solves it.
+The certificate of a mixed strategy, weights over pure strategies, comes
+from ``support_from_points``, and a cut off their hull from
+``separating_direction``.
 """
 
 from dataclasses import dataclass, field
@@ -109,27 +110,32 @@ class LCPIndexMap:
     """Maps each player's block of the stacked z vector to its strategy."""
 
     var_slices: list
-    maps: list  # the encodings' L matrices: x_i = L_i z[var_slices[i]]
+    encodings: list  # the regions' encodings: x_i = lo_i + L_i z[var_slices[i]]
 
     def extract(self, z):
-        return [L @ np.asarray(z[s], dtype=float) for s, L in zip(self.var_slices, self.maps)]
+        return [enc.lo + enc.L @ np.asarray(z[s], dtype=float) for s, enc in zip(self.var_slices, self.encodings)]
 
 
 def build_nash_lcp(game, regions):
     """Stack every player's KKT system over its region into one LCP.
 
-    With each region encoded as { v_i >= 0 : E_i v_i = e_i }, x_i = L_i v_i
-    (``poly.encode_region``), z = (v, mu+, mu-) and
+    With each region encoded as x_i = lo_i + L_i v_i over v_i >= 0 with
+    box rows E_i v_i = e_i and piece rows G_i v_i <= g_i
+    (``poly.encode_region``), z = (v, mu+, mu-, lam) and
 
-        M = [[P, -E', E'], [E, 0, 0], [-E, 0, 0]],  q = [L'c; -e; e],
+        M = [[P, -E', E', G'], [E, 0, 0, 0], [-E, 0, 0, 0], [-G, 0, 0, 0]],
+        q = [L'(c + C' lo_-); -e; e; g],
 
-    where the split multiplier mu+ - mu- prices E v = e and block (i, j)
-    of P is L_i' C_ij' L_j plus alpha k_i k_j'.  Because k_i'v_i is
-    constant on region i, the alpha term only shifts player i's
-    multipliers and leaves every best response as it was; alpha is sized
-    so that P is entrywise positive.  Then z'Mz = v'Pv > 0 for v >= 0,
-    v != 0, so M is copositive-plus, and as the LCP is feasible, Lemke's
-    method ends at a solution.  A solution's strategy blocks are
+    where the split multiplier mu+ - mu- prices E v = e, lam prices
+    G v <= g, lo_- stacks the opponents' lo, and block (i, j) of P is
+    L_i' C_ij' L_j plus alpha.  The all-ones vector is E_j'1, so 1'v_j
+    is constant on region j: the alpha term only shifts player i's box
+    multipliers and leaves every best response as it was.  alpha is
+    sized so that P is entrywise positive.  Every off-diagonal block of
+    M is skew, so z'Mz = v'Pv, which is positive for z >= 0 unless
+    v = 0, and then (M + M')z = 0: M is copositive-plus.  Each round's
+    convexified game has an equilibrium, so the LCP is feasible, and
+    Lemke's method ends at a solution.  A solution's strategy blocks are
     simultaneous LP minimizers of each player's parametrized objective
     over its region.
     """
@@ -140,13 +146,14 @@ def build_nash_lcp(game, regions):
     for enc, p in zip(encs, game.players):
         if enc.m != p.nvars:
             raise ValueError("region dimension does not match the player")
-    voff = np.concatenate([[0], np.cumsum([enc.nvars for enc in encs])])
-    eoff = np.concatenate([[0], np.cumsum([enc.e.size for enc in encs])])
-    nv, ne = int(voff[-1]), int(eoff[-1])
+    offsets = np.vstack([[0, 0, 0], np.cumsum([(enc.nvars, enc.e.size, enc.g.size) for enc in encs], axis=0)])
+    voff, eoff, goff = offsets.T
+    nv, ne, ng = (int(total) for total in offsets[-1])
     blocks = [slice(voff[i], voff[i + 1]) for i in range(n)]
-    M = np.zeros((nv + 2 * ne, nv + 2 * ne))
-    q = np.zeros(nv + 2 * ne)
+    M = np.zeros((nv + 2 * ne + ng, nv + 2 * ne + ng))
+    q = np.zeros(nv + 2 * ne + ng)
     P = M[:nv, :nv]
+    lows = [enc.lo for enc in encs]
     for i, (enc, p, vs) in enumerate(zip(encs, game.players, blocks)):
         Ct = p.C.to_dense().T
         col = 0
@@ -155,22 +162,19 @@ def build_nash_lcp(game, regions):
                 continue
             P[vs, blocks[j]] = enc.L.T @ Ct[:, col : col + other.m] @ other.L
             col += other.m
-        q[vs] = enc.L.T @ p.c
+        q[vs] = enc.L.T @ (p.c + Ct @ opponents_vector(game, lows, i))
         for sign, off in ((1.0, nv), (-1.0, nv + ne)):
             es = slice(off + eoff[i], off + eoff[i + 1])
             M[vs, es] = -sign * enc.E.T
             M[es, vs] = sign * enc.E
             q[es] = -sign * enc.e
-    k = np.concatenate([enc.k for enc in encs])
-    # alpha > max -P_ab / (k_a k_b) makes P entrywise positive; one
-    # player's rows at a time, as a temporary of P's size would add to
-    # the peak memory
-    worst = max(float(np.max(-P[vs] / np.outer(k[vs], k))) for vs in blocks)
-    alpha = 2.0 * max(0.0, worst) + _ALPHA_MARGIN
-    for vs in blocks:
-        P[vs] += np.outer(alpha * k[vs], k)
-    index_map = LCPIndexMap(var_slices=blocks, maps=[enc.L for enc in encs])
-    return LCP(M=M, q=q), index_map
+        gs = slice(nv + 2 * ne + goff[i], nv + 2 * ne + goff[i + 1])
+        M[vs, gs] = enc.G.T
+        M[gs, vs] = -enc.G
+        q[gs] = enc.g
+    # alpha > -min P makes P entrywise positive
+    P += 2.0 * -float(np.min(P, initial=0.0)) + _ALPHA_MARGIN
+    return LCP(M=M, q=q), LCPIndexMap(var_slices=blocks, encodings=encs)
 
 
 @dataclass(eq=False)

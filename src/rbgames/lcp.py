@@ -2,10 +2,12 @@
 
 One path: Lemke's method with the all-ones covering vector and a
 lexicographic ratio test.  On a feasible LCP whose M is copositive-plus,
-which every Nash LCP of ``game.build_nash_lcp`` is, that method ends at a
-solution (Lemke 1965; Cottle, Pang & Stone, *The Linear Complementarity
-Problem*, 1992, ch. 4).  On other LCPs it may end on a secondary ray,
-which proves nothing.  A ray and the pivot cap both give NoSolution.
+that method ends at a solution (Lemke 1965; Cottle, Pang & Stone, *The
+Linear Complementarity Problem*, 1992, ch. 4).  Every Nash LCP of
+``game.build_nash_lcp`` is one: its off-diagonal blocks are skew, so
+z'Mz = v'Pv for its strategy block P, which is entrywise positive.  On
+other LCPs it may end on a secondary ray, which proves nothing.  A ray
+and the pivot cap both give NoSolution.
 
 The solver keeps an explicit inverse, not of the whole basis B but of
 its one block that is not an identity (``_Basis``): it starts empty,

@@ -1,13 +1,14 @@
-"""Polyhedra and lifted convex hulls of unions.
+"""Polyhedra, their encoding for the Nash LCP, and hulls of unions.
 
-The hull of a union of bounded polyhedra is kept in extended form: one
-scaled copy of each piece plus its convex multiplier theta_k.
-``encode_region`` writes it homogeneously, as equality rows over
-nonnegative variables with the strategy a linear image of them, and a
-single polyhedron as its one-piece case, the only one cut-and-play
-encodes; membership (``hull_contains``) and decomposition
-(``decompose``) serve library callers.  No vertex or facet enumeration
-happens anywhere.
+``encode_region`` writes a bounded polyhedron over the free coordinates
+of its box: box equalities and the polyhedron's own rows as
+inequalities, over nonnegative variables with the strategy an affine
+image of them.  Every cut-and-play region is one such polyhedron.  The
+hull of a union of bounded polyhedra (``convex_hull``) is kept in
+extended form, one scaled copy of each piece plus its convex multiplier
+theta_k; membership (``hull_contains``) and decomposition
+(``decompose``) solve one LP over that lifted form and serve library
+callers.  No vertex or facet enumeration happens anywhere.
 """
 
 from dataclasses import dataclass
@@ -122,13 +123,12 @@ class Polyhedron:
 class ExtendedHull:
     """Closure of the convex hull of a union of bounded polyhedra."""
 
-    __slots__ = ("pieces", "boxes", "dim", "_encoding")
+    __slots__ = ("pieces", "boxes", "dim")
 
     def __init__(self, pieces, boxes):
         self.pieces = list(pieces)
         self.boxes = list(boxes)
         self.dim = self.pieces[0].dim
-        self._encoding = None
 
     def __repr__(self):
         return f"ExtendedHull(dim={self.dim}, pieces={len(self.pieces)})"
@@ -164,18 +164,20 @@ def convex_hull(pieces, deadline=None):
 
 @dataclass(eq=False)
 class RegionEncoding:
-    """Region rewritten as { v >= 0 : E v = e } with strategy x = L v.
+    """A polyhedron as x = lo + L v over v = (y, ybar) >= 0 with the box
+    rows E v = e and the piece rows G v <= g.
 
-    ``blocks`` holds each piece's column slice, whose last column is the
-    piece's multiplier theta_k.  ``k = E' nu`` is positive, so k'v = nu'e
-    is the same at every point of the region.
+    y and ybar run over the free coordinates, and L selects y.  E is
+    [I, I], so the all-ones vector is E'1 and 1'v = 1'e is the same at
+    every point of the region.
     """
 
+    lo: np.ndarray
+    L: np.ndarray
     E: np.ndarray
     e: np.ndarray
-    L: np.ndarray
-    k: np.ndarray
-    blocks: list
+    G: np.ndarray
+    g: np.ndarray
 
     @property
     def nvars(self):
@@ -183,25 +185,23 @@ class RegionEncoding:
 
     @property
     def m(self):
-        return self.L.shape[0]
+        return self.lo.size
 
 
 def encode_region(region):
-    """Rewrite a Polyhedron or ExtendedHull homogeneously over v >= 0.
+    """Rewrite a bounded Polyhedron over the free coordinates of its box.
 
-    Piece k with rows A_k x <= b_k and box lo_k <= x <= hi_k gets the
-    columns (y_k, ybar_k, s_k, theta_k) and the rows
-    A_k y_k + s_k = (b_k - A_k lo_k) theta_k and
-    y_k + ybar_k = (hi_k - lo_k) theta_k; one last row sets
-    sum_k theta_k = 1, and x = sum_k (y_k + lo_k theta_k).  A Polyhedron
-    is the one-piece case.  Coordinates with hi = lo get no y or ybar
-    column and no box row, and rows that the box already implies get
-    none either: neither changes the set, both shrink the Nash LCP.
+    With (lo, hi) its bounding box and F = {j : hi_j > lo_j}, the
+    columns are y and ybar over F, the box rows y + ybar = (hi - lo)_F
+    are equalities, the piece rows A_F y <= b - A lo are inequalities,
+    and x = lo + L v.  Rows that the box already implies are left out:
+    they do not change the set, and each would add one multiplier to
+    the Nash LCP.
 
     Regions are never changed once built, so the encoding is made once
     per region object and kept on it; callers must not write to it.
     """
-    if not isinstance(region, (Polyhedron, ExtendedHull)):
+    if not isinstance(region, Polyhedron):
         raise TypeError(f"cannot encode region of type {type(region).__name__}")
     if region._encoding is None:
         region._encoding = _encode(region)
@@ -209,70 +209,68 @@ def encode_region(region):
 
 
 def _encode(region):
-    if isinstance(region, Polyhedron):
-        pieces, boxes = [region], [region.bounding_box()]
-    else:
-        pieces, boxes = region.pieces, region.boxes
-    m = pieces[0].dim
-    parts = []
-    for piece, (lo, hi) in zip(pieces, boxes):
-        free = np.nonzero(hi > lo)[0]
-        implied = np.maximum(piece.A * lo, piece.A * hi).sum(axis=1) <= piece.b
-        A = piece.A[~implied]
-        parts.append((A[:, free], piece.b[~implied] - A @ lo, free, lo, hi))
-    nrows = sum(A.shape[0] + free.size for A, _, free, _, _ in parts) + 1
-    ncols = sum(2 * free.size + A.shape[0] + 1 for A, _, free, _, _ in parts)
-    E = np.zeros((nrows, ncols))
-    L = np.zeros((m, ncols))
-    nu = np.ones(nrows)
-    blocks = []
-    r = c = 0
-    for A, rhs, free, lo, hi in parts:
-        rows, f = A.shape[0], free.size
-        ys, t = slice(c, c + f), c + 2 * f + rows
-        E[r : r + rows, ys] = A
-        E[r : r + rows, c + 2 * f : t] = np.eye(rows)
-        E[r : r + rows, t] = -rhs
-        E[r + rows : r + rows + f, ys] = np.eye(f)
-        E[r + rows : r + rows + f, c + f : c + 2 * f] = np.eye(f)
-        E[r + rows : r + rows + f, t] = -(hi - lo)[free]
-        L[free, ys] = np.eye(f)
-        L[:, t] = lo
-        # small weights on the piece rows keep every column of E' nu
-        # positive; the normalization row outweighs each theta column
-        eps = 0.5 / (1.0 + float(np.max(np.abs(A), initial=0.0)) * rows)
-        nu[r : r + rows] = eps
-        nu[-1] += eps * float(np.abs(rhs).sum()) + float((hi - lo).sum())
-        blocks.append(slice(c, t + 1))
-        r += rows + f
-        c = t + 1
-    E[-1, [b.stop - 1 for b in blocks]] = 1.0
-    e = np.zeros(nrows)
-    e[-1] = 1.0
-    return RegionEncoding(E=E, e=e, L=L, k=E.T @ nu, blocks=blocks)
+    lo, hi = region.bounding_box()
+    free = np.nonzero(hi > lo)[0]
+    f = free.size
+    implied = np.maximum(region.A * lo, region.A * hi).sum(axis=1) <= region.b
+    A = region.A[~implied]
+    L = np.zeros((region.dim, 2 * f))
+    L[free, np.arange(f)] = 1.0
+    E = np.hstack([np.eye(f), np.eye(f)])
+    G = np.hstack([A[:, free], np.zeros((A.shape[0], f))])
+    return RegionEncoding(lo=lo, L=L, E=E, e=(hi - lo)[free], G=G, g=region.b[~implied] - A @ lo)
+
+
+def _lift(hull):
+    """The hull as { L w : w >= 0, H w <= h }, with one block
+    (u_k, theta_k) of w per piece.
+
+    Piece k with rows A_k x <= b_k and box lo_k <= x <= hi_k gets the
+    rows A_k u_k <= (b_k - A_k lo_k) theta_k and
+    u_k <= (hi_k - lo_k) theta_k, two rows hold sum_k theta_k = 1, and
+    x = sum_k (u_k + lo_k theta_k).  Returns (H, h, L).
+    """
+    m = hull.dim
+    width = len(hull.pieces) * (m + 1)
+    rows = []
+    for k, (piece, (lo, hi)) in enumerate(zip(hull.pieces, hull.boxes)):
+        block = np.zeros((piece.nrows + m, width))
+        c = k * (m + 1)
+        block[: piece.nrows, c : c + m] = piece.A
+        block[: piece.nrows, c + m] = piece.A @ lo - piece.b
+        block[piece.nrows :, c : c + m] = np.eye(m)
+        block[piece.nrows :, c + m] = lo - hi
+        rows.append(block)
+    theta = np.zeros(width)
+    theta[m :: m + 1] = 1.0
+    H = np.vstack(rows + [theta, -theta])
+    h = np.zeros(H.shape[0])
+    h[-2:] = (1.0, -1.0)
+    L = np.hstack([np.column_stack([np.eye(m), lo]) for lo, _ in hull.boxes])
+    return H, h, L
 
 
 def _member_solve(hull, x, eps, deadline=None):
-    """Feasibility LP over the hull's encoding with |L v - x| <= eps.
+    """Feasibility LP over the hull's lifted form with |L w - x| <= eps.
 
-    Returns (encoding, LPResult), or (encoding, None) without an LP when
-    x lies more than eps below every piece's box in some coordinate.
+    Returns its LPResult, or None without an LP when x lies more than
+    eps below every piece's box in some coordinate.
     """
-    enc = encode_region(hull)
     x = np.asarray(x, dtype=float)
-    if x.shape != (enc.m,):
-        raise ValueError(f"point must have dimension {enc.m}")
+    if x.shape != (hull.dim,):
+        raise ValueError(f"point must have dimension {hull.dim}")
     if np.any(x + eps < np.min([lo for lo, _ in hull.boxes], axis=0)):
-        return enc, None
-    A = np.vstack([enc.E, -enc.E, enc.L, -enc.L])
-    b = np.concatenate([enc.e, -enc.e, x + eps, eps - x])
-    n = enc.nvars
-    return enc, solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)), deadline=deadline)
+        return None
+    H, h, L = _lift(hull)
+    A = np.vstack([H, L, -L])
+    b = np.concatenate([h, x + eps, eps - x])
+    n = L.shape[1]
+    return solve_lp(LinearProgram(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf)), deadline=deadline)
 
 
 def hull_contains(hull, x, eps=FEAS_TOL):
     """Membership of x in the hull, up to eps in each coordinate."""
-    _, res = _member_solve(hull, x, eps)
+    res = _member_solve(hull, x, eps)
     return res is not None and res.status is LPStatus.OPTIMAL
 
 
@@ -283,11 +281,11 @@ def decompose(hull, x, deadline=None):
     above the zero tolerance, weights renormalized to sum to one.
     Raises ValueError when x is not a member.  ``deadline`` bounds the LP.
     """
-    enc, res = _member_solve(hull, x, FEAS_TOL, deadline)
+    res = _member_solve(hull, x, FEAS_TOL, deadline)
     if res is None or res.status is not LPStatus.OPTIMAL:
         raise ValueError("point is not in the hull")
-    v = res.x
-    theta = np.array([v[b.stop - 1] for b in enc.blocks])
+    w = res.x.reshape(len(hull.pieces), hull.dim + 1)  # one row (u_k, theta_k) per piece
+    theta = w[:, -1]
     keep = np.nonzero(theta > ZERO_TOL)[0]
     total = float(theta[keep].sum())
-    return [(float(theta[k]) / total, enc.L[:, enc.blocks[k]] @ v[enc.blocks[k]] / theta[k]) for k in keep]
+    return [(float(theta[k]) / total, w[k, :-1] / theta[k] + hull.boxes[k][0]) for k in keep]

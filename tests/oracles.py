@@ -82,10 +82,21 @@ def in_convex_hull_of(points, x, eps=1e-8):
 
 
 def encoding_holds(enc, x):
-    """(member, v): some v >= 0 has E v = e and L v = x, by a scipy LP."""
+    """(member, v): some v >= 0 has E v = e, G v <= g and lo + L v = x,
+    by a scipy LP."""
     A_eq = np.vstack([enc.E, enc.L])
-    b_eq = np.concatenate([enc.e, np.asarray(x, dtype=float)])
-    res = linprog(np.zeros(enc.nvars), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * enc.nvars, method="highs")
+    b_eq = np.concatenate([enc.e, np.asarray(x, dtype=float) - enc.lo])
+    res = linprog(np.zeros(enc.nvars), A_ub=enc.G if enc.G.size else None, b_ub=enc.g if enc.G.size else None,
+                  A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * enc.nvars, method="highs")
+    return res.status == 0, res.x
+
+
+def lift_holds(lift, x):
+    """(member, w): some w >= 0 has H w <= h and L w = x, for the lifted
+    hull (H, h, L) of ``poly._lift``, by a scipy LP."""
+    H, h, L = lift
+    res = linprog(np.zeros(L.shape[1]), A_ub=H, b_ub=h, A_eq=L, b_eq=np.asarray(x, dtype=float),
+                  bounds=[(0, None)] * L.shape[1], method="highs")
     return res.status == 0, res.x
 
 

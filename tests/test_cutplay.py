@@ -92,8 +92,8 @@ def test_time_limit_is_respected():
 
 
 def test_time_limit_holds_while_lemke_pivots():
-    # twelve players: the first round's LCP has order 552 and takes about
-    # 3 s (2-core host), so the limit falls while Lemke pivots in it
+    # twelve players: the first round's LCP has order 492 and takes about
+    # 5 s (2-core host), so the limit falls while Lemke pivots in it
     game = random_knapsack_game(0, 12, 10).game()
     start = time.monotonic()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=1.0))
@@ -107,6 +107,16 @@ def test_small_ladder_games_end_in_an_equilibrium(seed):
     # every round's LCP has a solution, so Lemke never stalls these games
     game = random_knapsack_game(seed, 2, 4).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=5.0))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+
+
+def test_ten_players_end_in_an_equilibrium():
+    # 10x10 seed 0: four rounds, their LCPs of order up to 421 solved in
+    # 32,103 pivots in all, each under Lemke's pivot cap (about 9 s on a
+    # 2-core host)
+    game = random_knapsack_game(0, 10, 10).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=120.0))
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
     assert deviation_check(game, result.profile, eps=3e-4) == []
 
@@ -130,15 +140,15 @@ def _recording_solve_lcp(monkeypatch):
 
 
 def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
-    # Lemke's 200th deadline check across the run sleeps past the limit,
+    # Lemke's 100th deadline check across the run sleeps past the limit,
     # so the deadline falls while it pivots in the last of the game's
-    # four rounds (250 pivots in all)
+    # three rounds (115 pivots in all)
     nodes = _recording_solve_lcp(monkeypatch)
     checks = [0]
 
     def monotonic():
         checks[0] += 1
-        if checks[0] == 200:
+        if checks[0] == 100:
             time.sleep(1.0)
         return time.monotonic()
 
@@ -147,24 +157,24 @@ def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
-    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 199
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 99
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
-    # the 40th ratio test of the run finds no blocking row: a ray
+    # the 30th ratio test of the run finds no blocking row: a ray
     nodes = _recording_solve_lcp(monkeypatch)
     real = lcp_module._leaving
     tests = [0]
 
-    def ray_on_the_40th(*args):
+    def ray_on_the_30th(*args):
         tests[0] += 1
-        return (-1, -1) if tests[0] == 40 else real(*args)
+        return (-1, -1) if tests[0] == 30 else real(*args)
 
-    monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_40th)
+    monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_30th)
     game = random_knapsack_game(2, 2, 4).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.NUMERICAL_FAILURE
-    assert result.stats.lcp_nodes == nodes["returned"] == 40
+    assert result.stats.lcp_nodes == nodes["returned"] == 30
 
 
 def _raise_numerical_failure(*args, **kwargs):
@@ -246,11 +256,11 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_2x4_games(seed):
     assert min(gaps) <= 1e-6
 
 
-def _general_integer_game(seed, n_items):
-    """``random_knapsack_game(seed, 2, n_items)`` with item bounds 0..2:
-    one knapsack row that admits no cover cut."""
+def _rebounded_game(seed, n_items, lo, hi):
+    """``random_knapsack_game(seed, 2, n_items)`` with item bounds lo..hi
+    and its one knapsack row."""
     return GameModel([PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers,
-                                    lb=p.lb, ub=np.full(p.nvars, 2.0))
+                                    lb=np.full(p.nvars, lo), ub=np.full(p.nvars, hi))
                       for p in random_knapsack_game(seed, 2, n_items).game().players])
 
 
@@ -259,7 +269,7 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_general_integer_game
     compared = cuts = 0
     for n_items in (2, 3):
         for seed in range(100):
-            game = _general_integer_game(seed, n_items)
+            game = _rebounded_game(seed, n_items, 0.0, 2.0)
             if degenerate_bimatrix(game):
                 continue
             result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=20.0))
@@ -270,6 +280,23 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_general_integer_game
             compared += 1
             cuts += result.stats.cuts
     assert compared >= 60 and cuts >= 60, (compared, cuts)
+
+
+def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_negative_bound_games():
+    # every box has a nonzero lower corner, so the Nash LCP's q carries C' lo
+    compared = mixed = 0
+    for seed in range(1000):
+        game = _rebounded_game(seed, 2, -1.0, 1.0)
+        if degenerate_bimatrix(game):
+            continue
+        result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=20.0))
+        assert result.status in (EqStatus.PNE, EqStatus.MNE), seed
+        flat = np.concatenate(result.profile.barycenters())
+        gaps = [np.linalg.norm(flat - np.concatenate(r.profile.barycenters())) for r in full_enumeration(game)]
+        assert min(gaps) <= 1e-6, seed
+        compared += 1
+        mixed += result.status is EqStatus.MNE
+    assert compared >= 50 and mixed >= 5, (compared, mixed)
 
 
 def test_solve_game_dispatch():

@@ -8,8 +8,10 @@ from rbgames import (
     LCPSolution,
     PlayerProgram,
     PlayerStrategy,
+    SolverOptions,
     StrategyProfile,
     build_nash_lcp,
+    cut_and_play,
     deviation_check,
     lattice_points,
     opponents_vector,
@@ -157,7 +159,10 @@ def test_encode_region_shifts_bounds():
     region = Polyhedron(np.array([[3.0, 4.0]]), np.array([5.0]),
                         np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
     enc = encode_region(region)
-    assert enc.m == 2
+    assert enc.m == 2 and np.array_equal(enc.lo, [-1.0, 0.0])
+    # two free coordinates: y, ybar over each, two box rows, the knapsack
+    # row as one inequality with its right-hand side shifted by A lo
+    assert enc.nvars == 4 and enc.e.size == 2 and np.array_equal(enc.g, [8.0])
     verts = polyhedron_vertices(region)
     rng = seeded_rng(5)
     inside = 0
@@ -166,9 +171,9 @@ def test_encode_region_shifts_bounds():
         assert member == in_convex_hull_of(verts, x), x
         if member:
             inside += 1
-            # k > 0 and k'v is the same at every point of the region
-            assert abs(float(enc.k @ v) - float(enc.k @ encoding_holds(enc, verts[0])[1])) < 1e-9
-    assert inside >= 12 and np.all(enc.k > 0)
+            # 1'v is the same at every point of the region
+            assert abs(float(v.sum()) - float(encoding_holds(enc, verts[0])[1].sum())) < 1e-9
+    assert inside >= 12
     assert not encoding_holds(enc, np.array([1.0, 1.0]))[0]  # violates the knapsack row
 
 
@@ -248,6 +253,43 @@ def test_nash_lcp_scale_invariance():
             ref = solve_lp(LinearProgram(cost, regions[i].A, regions[i].b, regions[i].lb, regions[i].ub))
             assert float(cost @ points[i]) <= ref.value + 1e-6, (lam, i)
     assert base is not None
+
+
+def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
+    # regions after cuts, a coordinate fixed by its bounds and a row that
+    # the box implies: M is skew outside the v block, P is entrywise
+    # positive, and a solution gives simultaneous LP optima
+    cases = []
+    for seed in (0, 1, 2):
+        game = random_knapsack_game(seed, 3, 5).game()
+        cut_and_play(game, SolverOptions(deviation_eps=3e-4),
+                     watcher=lambda outer, iteration: cases.append((game, outer.regions())))
+    assert len(cases) >= 6
+    game = random_knapsack_game(0, 2, 3).game()
+    first, second = game.players
+    lb, ub = first.lb.copy(), first.ub.copy()
+    lb[1] = ub[1] = 1.0
+    fixed = Polyhedron(first._dense_A, first.b, lb, ub)
+    implied = Polyhedron(np.vstack([second._dense_A, np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
+    assert encode_region(fixed).nvars == 4 and encode_region(implied).g.size == 1
+    cases.append((game, [fixed, implied]))
+    for game, regions in cases:
+        lcp, index_map = build_nash_lcp(game, regions)
+        nv = index_map.var_slices[-1].stop
+        skew = lcp.M + lcp.M.T
+        skew[:nv, :nv] = 0.0
+        assert not np.any(skew)
+        assert np.all(lcp.M[:nv, :nv] > 0.0)
+        sol = solve_lcp(lcp)
+        assert isinstance(sol, LCPSolution)
+        points = index_map.extract(sol.z)
+        for i, (p, region) in enumerate(zip(game.players, regions)):
+            cost = p.c + p.C.rmatvec(opponents_vector(game, points, i))
+            ref = solve_lp(LinearProgram(cost, region.A, region.b, region.lb, region.ub))
+            assert ref.status is LPStatus.OPTIMAL
+            assert region.contains(points[i], eps=1e-7)
+            assert float(cost @ points[i]) <= ref.value + 1e-6, i
+    assert points[0][1] == 1.0  # the last case's fixed coordinate, exactly
 
 
 def test_strategy_profile_accessors():

@@ -239,10 +239,11 @@ def _nash_lcps(monkeypatch, games):
 
 
 def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
-    # every round of 20 corpus games and 3 ladder games: the solver and
-    # the reference kernel agree on every pivot and on every bit of z
+    # every round of 20 corpus games, 3 ladder games and one 5x5 game,
+    # whose LCP has order 105: the solver and the reference kernel agree
+    # on every pivot and on every bit of z
     shapes = [(2, 2, s) for s in nondegenerate_seeds(2, 14)] + [(2, 3, s) for s in nondegenerate_seeds(3, 6)]
-    shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1)]
+    shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1), (5, 5, 0)]
     problems = _nash_lcps(monkeypatch, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
     assert len(problems) >= 60 and max(p.order for p in problems) >= 100
     for problem in problems:
@@ -254,7 +255,7 @@ def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
 
 
 def test_lemke_makes_no_concatenate_call(monkeypatch):
-    [problem] = _nash_lcps(monkeypatch, [random_knapsack_game(0, 2, 6).game()])[-1:]
+    [problem] = _nash_lcps(monkeypatch, [random_knapsack_game(0, 5, 5).game()])[-1:]
     calls = [0]
     real = np.concatenate
 

@@ -16,7 +16,7 @@ from rbgames import (
     solve_lp,
 )
 
-from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices
+from oracles import encoding_holds, in_convex_hull_of, lift_holds, polyhedron_vertices
 
 _EPS = 1e-7
 
@@ -163,10 +163,11 @@ def test_hull_requires_bounded_pieces():
 
 
 def test_hull_encoding_matches_vertex_enumeration():
-    # the strategies x = L v of the homogeneous encoding are exactly the
-    # convex hull of the pieces' vertices, zero-row pieces included
+    # the strategies x = L w of the lifted hull are exactly the convex
+    # hull of the pieces' vertices, zero-row pieces included, and the
+    # first piece's own encoding gives exactly that piece
     rng = seeded_rng(47)
-    zero_row_pieces = members = 0
+    zero_row_pieces = members = piece_members = 0
     for trial in range(60):
         n = int(rng.integers(1, 4))
         pieces = []
@@ -179,16 +180,20 @@ def test_hull_encoding_matches_vertex_enumeration():
             pieces.append(Polyhedron(A, b, lo, hi))
             zero_row_pieces += k == 0
         hull = convex_hull(pieces)
-        enc = encode_region(hull)
-        assert enc.m == n and np.all(enc.k > 0), trial
-        verts = np.vstack([polyhedron_vertices(p) for p in hull.pieces])
-        lo = verts.min(axis=0) - 0.5
-        span = verts.max(axis=0) + 0.5 - lo
-        for x in np.vstack([verts, lo + rng.random((6, n)) * span]):
-            member = encoding_holds(enc, x)[0]
-            assert member == in_convex_hull_of(verts, x), (trial, x)
+        lift = poly_module._lift(hull)
+        assert lift[2].shape[0] == n, trial
+        verts = [polyhedron_vertices(p) for p in hull.pieces]
+        every = np.vstack(verts)
+        lo = every.min(axis=0) - 0.5
+        span = every.max(axis=0) + 0.5 - lo
+        for x in np.vstack([every, lo + rng.random((6, n)) * span]):
+            member = lift_holds(lift, x)[0]
+            assert member == in_convex_hull_of(every, x), (trial, x)
             members += member
-    assert zero_row_pieces >= 20 and members >= 200
+            inside = encoding_holds(encode_region(hull.pieces[0]), x)[0]
+            assert inside == hull.pieces[0].contains(x), (trial, x)
+            piece_members += inside
+    assert zero_row_pieces >= 20 and members >= 200 and piece_members >= 100, (members, piece_members)
 
 
 def test_membership_and_decomposition_on_shifted_pieces(monkeypatch):
