@@ -9,17 +9,19 @@ z'Mz = v'Pv for its strategy block P, which is entrywise positive.  On
 other LCPs it may end on a secondary ray, which proves nothing.  A ray
 and the pivot cap both give NoSolution.
 
-The solver keeps an explicit inverse, not of the whole basis B but of
-its one block that is not an identity (``_Basis``): it starts empty,
-takes one rank-1 update per pivot and is never refactored.  Accuracy
-comes from refinement against B itself, whose columns are unit vectors,
-columns of -M and the covering vector, so a residual costs products
-with M's columns only: every entering column gets one refinement step,
-and so do the basic values every 16 pivots and at the end.  Nothing
-factors a matrix of the LCP's order.  The basic values and the
-entering direction each live in one buffer of length 2n (the block's
-columns, then every w), which the ratio test reads whole.  The deadline
-is checked at every pivot.
+The solver keeps an explicit inverse of the whole basis B of
+w - M z - z0 1 = q (``_Basis``), kept by columns: each row of ``invT``
+is one column of B^{-1}.  It starts as the identity and is never
+factored.  The entering direction B^{-1} a is one row of ``invT`` for a
+w and one product with it for a z, and the lexicographic tie-break
+reads the tied rows of B^{-1} as columns of ``invT``.  A basic w_j's
+column of B^{-1} is the unit vector at its row, so the pivot row of
+B^{-1} is nonzero only on the k nonbasic w's and on a w basic in that
+row: a pivot's rank-1 step rewrites those k + 1 columns only, which
+``invT`` keeps as one block of rows.  Only the basic values are
+refined: against B every 16 pivots and at the end, where a residual
+costs products with M's columns only.  The deadline is checked at every
+pivot.
 
 ``solve_lcp_with_fixings``, the LP relaxation of the LCP under
 per-index fixings, is a separate helper; ``solve_lcp`` does not use it.
@@ -34,10 +36,6 @@ from .errors import BudgetExhausted, NumericalFailure
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import COMPLEMENTARITY_TOL
 
-# a rank-1 update of the basis inverse goes in blocks of this many
-# entries: a full-size outer product would double its memory
-_BLOCK_ENTRIES = 1 << 16
-_GROW = 32  # rows added to the buffers of the basis when full
 _REFINE_EVERY = 16  # pivots between refinements of the basic values
 _PIVOT_TOL = 1e-9  # relative to the largest entry of the entering column
 _TIE_TOL = 1e-9
@@ -128,34 +126,29 @@ def solve_lcp_with_fixings(problem, fixings, deadline=None):
 class _Basis:
     """A basis of Lemke's system  w - M z - z0 1 = q, and its inverse.
 
-    Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  A basic w_j
-    is the unit column e_j, so B is the identity outside one square block:
-    the k rows R whose w is nonbasic, met by the k other basic columns C
-    (z's and z0; z0 enters first and keeps slot 0 of C until it leaves).
-    The explicit inverse kept is that block's, Y = B[R, C]; it starts
-    empty, and k stays well below the order n on the Nash LCPs.  B^{-1} a
-    is Y^{-1} a[R] on C and a - B[:, C] d_C on the basic w.  Each pivot
-    updates Y^{-1} by a rank-1 step, bordered when a w leaves for a z and
-    cut down when a z leaves for a w.  Y^{-1} and B[:, C] live in buffers
-    that grow by _GROW rows when full.
-
-    The basic values ``x`` and the entering column's direction ``d``
-    each live in one buffer of length 2n: C's slots in [0, n), zero from
-    k on, then every w in [n, 2n), zero on R.  A ratio test reads them
-    whole.
+    Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  Row r of
+    the system holds the basic variable ``basic[r]``, w_r at the start, so
+    B starts as the identity.  The inverse is explicit and kept by
+    columns: row i of ``invT`` is column ``order[i]`` of B^{-1}, and
+    ``slot`` is the inverse permutation.  A basic w_j's column of B^{-1}
+    is the unit vector at its row, so row r of B^{-1} is nonzero only on
+    the k nonbasic w's and on a w basic in row r.  The columns of the
+    nonbasic w's are kept in rows [0, k) of ``invT``, which makes the
+    rows a pivot rewrites one block.  ``x`` holds the basic values
+    B^{-1} q.
     """
 
     def __init__(self, problem):
         self.M, self.q = problem.M, problem.q
         n = self.n = problem.order
+        self.negMT = -np.ascontiguousarray(self.M.T)  # row j: z_j's column
+        self.basic = np.arange(n)
+        self.invT = np.eye(n)
+        self.order = np.arange(n)
+        self.slot = np.arange(n)
         self.k = 0
-        self.rows = np.zeros(n, dtype=np.int64)  # R, in the order of Y's rows
-        self.vars = np.zeros(n, dtype=np.int64)  # C, in the order of Y's columns
-        self.x = np.zeros(2 * n)
-        self.x[n:] = self.q
-        self.d = np.zeros(2 * n)
-        self._inv = np.zeros((0, 0))  # Y^{-1}: rows follow C, columns R
-        self._cols = np.zeros((0, n))  # B[:, C], one row per variable of C
+        self.x = self.q.copy()
+        self.z0 = -1  # the row of z0 while it is basic
 
     def column(self, var):
         n = self.n
@@ -163,111 +156,62 @@ class _Basis:
             a = np.zeros(n)
             a[var] = 1.0
             return a
-        return -self.M[:, var - n] if var < 2 * n else -np.ones(n)
+        return self.negMT[var - n] if var < 2 * n else -np.ones(n)
 
-    def solve(self, a, out):
-        """B^{-1} a, refined once against B, into the 2n buffer ``out``."""
-        k, n = self.k, self.n
-        inv, cols, R = self._inv[:k, :k], self._cols[:k], self.rows[:k]
-        aR = a[R]
-        dc = inv @ aR
-        g = dc @ cols
-        fix = inv @ (aR - g[R])
-        np.add(dc, fix, out=out[:k])
-        dw = out[n:]
-        np.subtract(a, g, out=dw)
-        dw -= fix @ cols
-        dw[R] = 0.0
+    def direction(self, var):
+        """B^{-1} times the column of var."""
+        if var < self.n:
+            return self.invT[self.slot[var]].copy()
+        return self.column(var)[self.order] @ self.invT
+
+    def pivot(self, var, d, r):
+        """Enter var, whose direction B^{-1} a is ``d``, in row r; returns
+        the variable that leaves."""
+        x, invT, dr, n, k = self.x, self.invT, d[r], self.n, self.k
+        step = x[r] / dr
+        x -= step * d
+        x[r] = step
+        leaving = self.basic[r]
+        if leaving < n:
+            self._place(leaving, k, r)
+            k += 1
+        # B^{-1} <- B^{-1} - (d - e_r) p / d_r, p the pivot row of B^{-1}:
+        # zero outside the first k rows of invT
+        p = invT[:k, r].copy()
+        invT[:k] -= np.multiply.outer(p, d / dr)
+        invT[:k, r] = p / dr
+        if var < n:
+            k -= 1
+            self._place(var, k, r)
+        elif var == 2 * n:
+            self.z0 = r
+        self.k = k
+        self.basic[r] = var
+        return int(leaving)
+
+    def _place(self, j, i, r):
+        """Keep column j of B^{-1}, now the unit vector at row r, in row i
+        of invT; the column kept there moves to j's old row."""
+        invT, order, slot = self.invT, self.order, self.slot
+        s, c = slot[j], order[i]
+        invT[s] = invT[i]
+        order[s], slot[c] = c, s
+        invT[i] = 0.0
+        invT[i, r] = 1.0
+        order[i], slot[j] = j, i
 
     def refine(self):
         """Recompute the basic values B^{-1} q, with one refinement step."""
-        self.solve(self.q, self.x)
-
-    def inverse_rows(self, cand):
-        """Rows of B^{-1} for buffer positions: C[i] for i < n, else w_(i - n)."""
-        k, n = self.k, self.n
-        R, inv = self.rows[:k], self._inv[:k, :k]
-        out = np.zeros((cand.size, n))
-        for t, i in enumerate(cand):
-            if i < n:
-                out[t, R] = inv[i]
-            else:
-                out[t, i - n] = 1.0
-                out[t, R] -= self._cols[:k, i - n] @ inv
-        return out
-
-    def pivot(self, var, a, slot, row):
-        """Enter var, with column a and B^{-1} a in ``d``.
-
-        C[slot] leaves, or the basic w_row when slot < 0.
-        """
-        k, n, x, d = self.k, self.n, self.x, self.d
-        dc = d[:k]
-        step = x[slot] / d[slot] if slot >= 0 else x[n + row] / d[n + row]
-        x -= step * d
-        inv = self._inv[:k, :k]
-        if var < n:
-            at = int((self.rows[:k] == var).argmax())
-            if slot >= 0:
-                # Y loses the row of var and the column of C[slot]; the
-                # last row and column fill the gaps
-                _rank1(inv, dc / dc[slot], inv[slot].copy())
-                last = k - 1
-                inv[slot] = inv[last]
-                inv[:last, at] = inv[:last, last]
-                self.rows[at] = self.rows[last]
-                self.vars[slot], x[slot] = self.vars[last], x[last]
-                self._cols[slot] = self._cols[last]
-                x[last] = d[last] = 0.0
-                self.k = last
-            else:
-                # row `row` of B takes the place of row var in Y
-                change = self._cols[:k, row] @ inv
-                change[at] -= 1.0
-                _rank1(inv, -dc / d[n + row], change)
-                self.rows[at] = row
-            x[n + var] = step
-        elif slot >= 0:
-            inv[slot] /= dc[slot]
-            dc = dc.copy()
-            dc[slot] = 0.0
-            _rank1(inv, dc, inv[slot])
-            self.vars[slot], x[slot] = var, step
-            self._cols[slot] = a
-        else:
-            # Y gains row `row` and the column of var, bordered by the
-            # Schur complement d[n + row]
-            if k == self._inv.shape[0]:
-                grown = np.zeros((k + _GROW, k + _GROW))
-                grown[:k, :k] = inv
-                self._inv, inv = grown, grown[:k, :k]
-                self._cols = np.vstack([self._cols, np.zeros((_GROW, n))])
-            s = d[n + row]
-            change = self._cols[:k, row] @ inv
-            u = -dc / s
-            _rank1(inv, u, change)
-            big = self._inv
-            big[:k, k] = u
-            big[k, :k] = -change / s
-            big[k, k] = 1.0 / s
-            self.rows[k], self.vars[k], x[k] = row, var, step
-            self._cols[k] = a
-            self.k = k + 1
-        if slot < 0:
-            x[n + row] = 0.0
-
-
-def _rank1(A, u, v):
-    """A -= outer(u, v) in place, a block of rows at a time.
-
-    A full-size outer product would double the memory of a large A.
-    """
-    if A.size <= _BLOCK_ENTRIES:
-        A -= u[:, None] * v
-        return
-    block = _BLOCK_ENTRIES // v.size
-    for lo in range(0, A.shape[0], block):
-        A[lo : lo + block] -= u[lo : lo + block, None] * v
+        n, basic, q, order = self.n, self.basic, self.q, self.order
+        x = q[order] @ self.invT
+        # the residual q - B x, from B's unit, -M and covering columns
+        z = np.zeros(n)
+        is_z = (basic >= n) & (basic < 2 * n)
+        z[basic[is_z] - n] = x[is_z]
+        res = q + self.M @ z + x[basic == 2 * n].sum()
+        is_w = basic < n
+        res[basic[is_w]] -= x[is_w]
+        self.x = x + res[order] @ self.invT
 
 
 def solve_lcp(problem, deadline=None):
@@ -285,15 +229,13 @@ def solve_lcp(problem, deadline=None):
     basis = _Basis(problem)
     # z0 enters and w leaves from the last row holding min q, which leaves
     # every row of [x | B^{-1}] lexicographically positive
-    var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
-    a = basis.column(var)
-    basis.d[n:] = a
+    var, r = 2 * n, n - 1 - int(np.argmin(problem.q[::-1]))
+    d = basis.direction(var)
     cap = 200 + 30 * n
     for pivots in range(1, cap + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
-        leaving = int(basis.vars[slot]) if slot >= 0 else row
-        basis.pivot(var, a, slot, row)
+        leaving = basis.pivot(var, d, r)
         if leaving == 2 * n:
             basis.refine()
             return _solution(problem, basis, pivots)
@@ -301,32 +243,30 @@ def solve_lcp(problem, deadline=None):
             basis.refine()
         # the complement of the leaving variable enters
         var = leaving + n if leaving < n else leaving - n
-        a = basis.column(var)
-        basis.solve(a, basis.d)
-        slot, row = _leaving(basis)
-        if slot < 0 and row < 0:
+        d = basis.direction(var)
+        r = _leaving(basis, d)
+        if r < 0:
             return NoSolution(nodes=pivots)
     return NoSolution(nodes=cap)
 
 
-def _leaving(basis):
-    """(slot, -1) or (-1, row) of the lexicographic minimum ratio; (-1, -1) on a ray.
+def _leaving(basis, d):
+    """Row of the lexicographic minimum ratio for direction d; -1 on a ray.
 
-    Ties in x_i / d_i go to z0 when it is among them, else to the least
-    row of B^{-1} / d_i in lexicographic order, which is unique because
-    B^{-1} is nonsingular.
+    Ties in x_r / d_r go to z0's row when it is among them, else to the
+    least row of B^{-1} / d_r in lexicographic order, which is unique
+    because B^{-1} is nonsingular.
     """
-    n, d = basis.n, basis.d
     cand = (d > _PIVOT_TOL * np.maximum.reduce(np.abs(d))).nonzero()[0]
     if not cand.size:
-        return -1, -1
+        return -1
     ratios = np.maximum(basis.x[cand], 0.0) / d[cand]
     least = np.minimum.reduce(ratios)
     cand = cand[ratios <= least + _TIE_TOL * (1.0 + least)]
     if cand.size > 1:
-        if cand[0] == 0:  # z0's slot
-            return 0, -1
-        lex = basis.inverse_rows(cand) / d[cand, None]
+        if basis.z0 in cand:
+            return basis.z0
+        lex = basis.invT[:, cand][basis.slot].T / d[cand, None]
         keep = range(cand.size)
         # columns on which all tied rows agree decide nothing; the rest
         # are compared as Python floats, the same doubles numpy would use
@@ -338,14 +278,13 @@ def _leaving(basis):
             if len(keep) == 1:
                 break
         cand = cand[keep]
-    i = int(cand[0])
-    return (i, -1) if i < n else (-1, i - n)
+    return int(cand[0])
 
 
 def _solution(problem, basis, pivots):
     n = problem.order
     z = np.zeros(n)
-    var, x = basis.vars[: basis.k], basis.x[: basis.k]
+    var, x = basis.basic, basis.x
     is_z = (var >= n) & (var < 2 * n)
     z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
     out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots)

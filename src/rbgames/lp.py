@@ -283,18 +283,16 @@ class _Simplex:
         self.T[r, e] = 1.0
 
     def pivot_out(self, r, forbidden):
-        """Degenerate pivot to remove basis[r]; returns False if no column works."""
-        row = self.T[r]
-        best, best_mag = -1, _PIVOT_TOL * 10
-        for j in range(self.N):
-            if j in forbidden or self.status[j] == _BASIC:
-                continue
-            if self.ub[j] <= self.lb[j]:
-                continue
-            mag = abs(row[j])
-            if mag > best_mag:
-                best, best_mag = j, mag
-        if best < 0:
+        """Degenerate pivot to remove basis[r]; returns False if no column works.
+
+        The entering column is the first nonbasic, movable column outside
+        the index array ``forbidden`` with the largest |T[r, j]|.
+        """
+        mag = np.abs(self.T[r])
+        mag[(self.status == _BASIC) | (self.ub <= self.lb)] = 0.0
+        mag[forbidden] = 0.0
+        best = int(np.argmax(mag))
+        if not mag[best] > _PIVOT_TOL * 10:
             return False
         leave = int(self.basis[r])
         self.status[leave] = _AT_LB
@@ -362,10 +360,8 @@ def solve_lp(lp, deadline=None):
         sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
             return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
-        forbidden = set(art.tolist())
-        for r in range(m):
-            if sx.basis[r] in forbidden:
-                sx.pivot_out(r, forbidden)
+        for r in np.nonzero(sx.basis >= n + m)[0]:
+            sx.pivot_out(r, art)
         # freeze artificials at zero for phase 2
         if sx.x[art].any():
             sx.fresh = False

@@ -11,6 +11,7 @@ from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, f
                      parametrized_objective, payoff, separating_direction, solve_lp, support_from_points)
 from rbgames.cutplay import _INT_TOL, Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
+from rbgames.lp import _AT_LB, _BASIC, _PIVOT_TOL
 from rbgames.numerics import FEAS_TOL
 
 
@@ -316,6 +317,36 @@ def lemke_row_loop(M, q, max_iter):
     return "cap", None, max_iter
 
 
+def pivot_out_reference(sx, r, forbidden):
+    """``lp._Simplex.pivot_out`` as a loop over the columns.
+
+    The entering column is the first nonbasic, movable column outside
+    ``forbidden`` whose |T[r, j]| beats every earlier one and 10 times
+    the pivot tolerance.  Returns False when there is none.
+    """
+    forbidden = set(np.asarray(forbidden).tolist())
+    row = sx.T[r]
+    best, best_mag = -1, _PIVOT_TOL * 10
+    for j in range(sx.N):
+        if j in forbidden or sx.status[j] == _BASIC:
+            continue
+        if sx.ub[j] <= sx.lb[j]:
+            continue
+        mag = abs(row[j])
+        if mag > best_mag:
+            best, best_mag = j, mag
+    if best < 0:
+        return False
+    leave = int(sx.basis[r])
+    sx.status[leave] = _AT_LB
+    sx.x[leave] = sx.lb[leave]
+    sx.status[best] = _BASIC
+    sx.basis[r] = best
+    sx.pivot(r, best)
+    sx.fresh = False
+    return True
+
+
 def branch_and_bound_cold(program, opponents, node_limit=200000):
     """``solve_ip`` with every node LP solved cold by ``solve_lp``.
 
@@ -520,12 +551,13 @@ def lemke_reference(problem):
     The rank-1 updated block inverse of the solver, as it was before its
     values and directions moved into 2n buffers: two arrays per vector,
     ``np.concatenate`` in every ratio test and ``np.outer`` in every
-    update.  Returns (z, pivots), z None when Lemke ends on a ray or at
-    its cap of 200 + 30 n pivots.
+    update.  Returns (z, pivots, basic), z None when Lemke ends on a ray
+    or at its cap of 200 + 30 n pivots, and basic the sorted variables of
+    the final basis (None with z).
     """
     n = problem.order
     if np.all(problem.q >= 0.0):
-        return np.zeros(n), 0
+        return np.zeros(n), 0, np.arange(n)
     basis = BasisReference(problem)
     var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
     a = basis.column(var)
@@ -540,7 +572,8 @@ def lemke_reference(problem):
             var, x = basis.vars[: basis.k], basis.xc[: basis.k]
             is_z = (var >= n) & (var < 2 * n)
             z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
-            return z, pivots
+            basic = np.setdiff1d(np.arange(n), basis.rows[: basis.k])
+            return z, pivots, np.union1d(basic, var)
         if pivots % 16 == 0:
             basis.refine()
         var = leaving + n if leaving < n else leaving - n
@@ -548,8 +581,8 @@ def lemke_reference(problem):
         dc, dw = basis.solve(a)
         slot, row = leaving_reference(basis, dc, dw)
         if slot < 0 and row < 0:
-            return None, pivots
-    return None, cap
+            return None, pivots, None
+    return None, cap, None
 
 
 def leaving_reference(basis, dc, dw):

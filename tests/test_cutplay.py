@@ -168,7 +168,7 @@ def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
 
     def ray_on_the_30th(*args):
         tests[0] += 1
-        return (-1, -1) if tests[0] == 30 else real(*args)
+        return -1 if tests[0] == 30 else real(*args)
 
     monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_30th)
     game = random_knapsack_game(2, 2, 4).game()

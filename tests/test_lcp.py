@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbgames.cutplay as cutplay_module
+import rbgames.lcp as lcp_module
 from rbgames import (
     FIX_FREE,
     FIX_W_ZERO,
@@ -240,18 +241,59 @@ def _nash_lcps(monkeypatch, games):
 
 def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
     # every round of 20 corpus games, 3 ladder games and one 5x5 game,
-    # whose LCP has order 105: the solver and the reference kernel agree
-    # on every pivot and on every bit of z
+    # whose LCP has order 105: the solver's explicit inverse and the
+    # reference's block inverse take the same pivots to the same basis,
+    # and their z differ only by rounding
     shapes = [(2, 2, s) for s in nondegenerate_seeds(2, 14)] + [(2, 3, s) for s in nondegenerate_seeds(3, 6)]
     shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1), (5, 5, 0)]
     problems = _nash_lcps(monkeypatch, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
     assert len(problems) >= 60 and max(p.order for p in problems) >= 100
+    ends = []
+    real = lcp_module._solution
+
+    def recorded(problem, basis, pivots):
+        ends.append(np.sort(basis.basic))
+        return real(problem, basis, pivots)
+
+    monkeypatch.setattr(lcp_module, "_solution", recorded)
     for problem in problems:
         out = solve_lcp(problem)
-        z, pivots = lemke_reference(problem)
+        z, pivots, basic = lemke_reference(problem)
         assert out.nodes == pivots
         assert isinstance(out, LCPSolution) and z is not None
-        assert out.z.tobytes() == z.tobytes()
+        if pivots:
+            assert np.array_equal(ends.pop(), basic)
+        assert np.allclose(out.z, z, rtol=0.0, atol=1e-10)
+
+
+def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
+    # every round of a 5x5 game (order 105, 207 pivots) and of a 3x5
+    # game: B^{-1} kept by columns stays an inverse of B, the nonbasic
+    # w's fill the first k rows of invT, and each basic w_j keeps the
+    # exact unit column that lets a pivot leave its row alone
+    problems = _nash_lcps(monkeypatch, [random_knapsack_game(0, 5, 5).game(), random_knapsack_game(2, 3, 5).game()])
+    assert len(problems) >= 4 and max(p.order for p in problems) >= 100
+    checks = [0]
+    real = lcp_module._Basis.refine
+
+    def checked(basis):
+        n, k = basis.n, basis.k
+        B = np.column_stack([basis.column(var) for var in basis.basic])
+        assert np.abs(B @ basis.invT[basis.slot].T - np.eye(n)).max() <= 1e-9
+        # the first k rows of invT hold the nonbasic w's
+        assert np.array_equal(np.sort(basis.order[:k]), np.setdiff1d(np.arange(n), basis.basic))
+        assert np.array_equal(basis.slot[basis.order], np.arange(n))
+        for r in np.nonzero(basis.basic < n)[0]:
+            unit = np.zeros(n)
+            unit[r] = 1.0
+            assert basis.invT[basis.slot[basis.basic[r]]].tobytes() == unit.tobytes()
+        checks[0] += 1
+        real(basis)
+
+    monkeypatch.setattr(lcp_module._Basis, "refine", checked)
+    for problem in problems:
+        assert isinstance(solve_lcp(problem), LCPSolution)
+    assert checks[0] >= 2 * len(problems)
 
 
 def test_lemke_makes_no_concatenate_call(monkeypatch):

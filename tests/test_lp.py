@@ -3,7 +3,9 @@ import pytest
 
 from rbgames import LinearProgram, LPStatus, solve_lp, seeded_rng
 
-from oracles import scipy_lp
+import rbgames.lp as lp_module
+
+from oracles import pivot_out_reference, scipy_lp
 
 _VAL_TOL = 1e-7
 
@@ -128,3 +130,42 @@ def test_duals_are_computed_only_when_read(monkeypatch):
     # from the slack basis with nothing to improve, no basis is factored
     assert solve_lp(_lp([1.0, 2.0], [[3.0, 4.0]], [5.0], [0.0, 0.0], [1.0, 1.0])).value == 0.0
     assert solves[0] == 3
+
+
+def _phase1_lps(rng, count):
+    """LPs with equality rows written as pairs of <= rows, some of them
+    repeated: phase 1 ends with artificials still basic at zero."""
+    for trial in range(count):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        E = np.round(rng.normal(size=(k, n)) * 2)
+        if trial % 3 == 0:
+            E = np.vstack([E, 2.0 * E[:1]])
+        x0 = rng.integers(0, 3, size=n).astype(float)
+        G = np.round(rng.normal(size=(2, n)) * 2)
+        g = G @ x0 + rng.integers(0, 2, size=2)
+        A, b = np.vstack([E, -E, G]), np.concatenate([E @ x0, -(E @ x0), g])
+        ub = np.where(rng.random(n) < 0.7, 3.0, np.inf)
+        yield LinearProgram(np.round(rng.normal(size=n) * 3), A, b, np.zeros(n), ub)
+
+
+def test_vectorized_pivot_out_matches_the_column_loop(monkeypatch):
+    calls = [0]
+    real = lp_module._Simplex.pivot_out
+
+    def counting(sx, r, forbidden):
+        calls[0] += 1
+        return real(sx, r, forbidden)
+
+    lps = list(_phase1_lps(seeded_rng(5), 400))
+    monkeypatch.setattr(lp_module._Simplex, "pivot_out", counting)
+    fast = [solve_lp(lp) for lp in lps]
+    monkeypatch.setattr(lp_module._Simplex, "pivot_out", pivot_out_reference)
+    slow = [solve_lp(lp) for lp in lps]
+    assert calls[0] >= 400
+    for trial, (a, b) in enumerate(zip(fast, slow)):
+        assert a.status is b.status and a.iterations == b.iterations, trial
+        if a.status is LPStatus.OPTIMAL:
+            assert a.x.tobytes() == b.x.tobytes(), trial
+            assert a.row_duals.tobytes() == b.row_duals.tobytes(), trial
+            assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes(), trial
+

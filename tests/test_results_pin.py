@@ -11,11 +11,15 @@ package.  The games are solved without a time limit so that host speed
 cannot move a status.  The pin was taken with numpy 2.4.6 on OpenBLAS;
 another BLAS may round differently.  A change that moves the path on
 purpose re-takes the pin, with ``PYTHONPATH=src python
-tests/test_results_pin.py``, and lists the moved games.  The same run
-checks that cut-and-play never branches: after every round of every
-game, each player's region is one polyhedron.
+tests/test_results_pin.py``, and lists the moved games.  With
+``--shift K`` the same script prints the lines of the held-out window K
+(``bench/workloads.py``) to stdout instead and leaves the pin alone, so
+the windows at shifts 1 and 2 can be compared before and after such a
+change.  The test run checks that cut-and-play never branches: after
+every round of every game, each player's region is one polyhedron.
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -34,13 +38,14 @@ def _load_workloads():
     return module
 
 
-def workload_lines(watcher=None):
-    """One line per workload game: shape, seed, status, rounds,
-    ``lcp_nodes`` and the barycenters rounded to 6 decimals."""
+def workload_lines(watcher=None, shift=0):
+    """One line per workload game of the window at ``shift``: shape, seed,
+    status, rounds, ``lcp_nodes`` and the barycenters rounded to 6
+    decimals."""
     workloads = _load_workloads()
     opts = SolverOptions(deviation_eps=workloads.DEVIATION_EPS)
     lines = []
-    for case in [c for name in workloads.NAMES for c in workloads.cases(name)]:
+    for case in [c for name in workloads.NAMES for c in workloads.cases(name, shift)]:
         res = cut_and_play(random_knapsack_game(case.seed, case.players, case.items).game(), opts, watcher=watcher)
         flat = np.concatenate(res.profile.barycenters()) if res.profile is not None else np.zeros(0)
         bary = ",".join(f"{v:.6f}" for v in np.round(flat, 6) + 0.0)
@@ -63,4 +68,10 @@ def test_workload_results_match_the_pin():
 
 
 if __name__ == "__main__":
-    PIN.write_text("\n".join(workload_lines()) + "\n")
+    ap = argparse.ArgumentParser(description="Re-take the results pin, or print a held-out window's lines.")
+    ap.add_argument("--shift", type=int, help="print the lines of this window instead of writing the pin")
+    args = ap.parse_args()
+    if args.shift is None:
+        PIN.write_text("\n".join(workload_lines()) + "\n")
+    else:
+        print("\n".join(workload_lines(shift=args.shift)), flush=True)
