@@ -41,7 +41,6 @@ from .game import (
     deviation_check,
     opponents_vector,
     profile_payoffs,
-    separating_direction,
     support_from_points,
 )
 from .generators import (
@@ -78,9 +77,7 @@ from .numerics import (
     FEAS_TOL,
     ZERO_TOL,
     SparseMatrix,
-    approx_eq,
     seeded_rng,
-    spmv,
 )
 from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, encode_region, hull_contains
 
@@ -124,7 +121,6 @@ __all__ = [
     "StrategyProfile",
     "UnsupportedGame",
     "ZERO_TOL",
-    "approx_eq",
     "build_nash_lcp",
     "canonical_knapsack_game",
     "convex_hull",
@@ -153,13 +149,11 @@ __all__ = [
     "save_instance",
     "save_result",
     "seeded_rng",
-    "separating_direction",
     "separation_oracle",
     "solve_game",
     "solve_ip",
     "solve_lcp",
     "solve_lcp_with_fixings",
     "solve_lp",
-    "spmv",
     "support_from_points",
 ]

@@ -4,22 +4,23 @@ Each player's mixed-strategy hull is approximated from outside by one
 polyhedron, starting from the LP relaxation.  Each round solves the
 stacked KKT complementarity system of the convexified game, then asks a
 separation oracle whether every player's strategy point really lies in
-its hull.  A point that does not is cut off, by cover cuts or by the
-exact cut of ``game.separating_direction``, so nothing branches.  A
-Member verdict carries its certificate, the player's strategy (a
-feasible integral point or weights over pure strategies); once every
-player is a member, those strategies face the final best-response
-check.  Both work on the player's enumerated lattice points
-(``PlayerState.lattice``).  A player whose lattice is not enumerated
-works on a set of its integer points grown by column generation, whose
-branch-and-bound pricing proves every cut, and certifies by branch and
-bound.
+its hull.  The oracle's one LP, ``game.support_from_points``, measures
+the point's L1 distance to the hull of the player's pure strategies:
+within FEAS_TOL its weights certify a Member, and past it its dual
+gives the exact cut, so nothing branches.  A Member verdict carries
+its certificate, the player's strategy (a feasible integral point or
+weights over pure strategies); once every player is a member, those
+strategies face the final best-response check.  Both work on the
+player's enumerated lattice points (``PlayerState.lattice``).  A player
+whose lattice is not enumerated works on a set of its integer points
+grown by column generation, whose branch-and-bound pricing proves
+every cut, and certifies by branch and bound.
 
 No solve runs whose answer is already known: there is no start-of-solve
 probe, so an enumerated player's run solves no integer program at all;
-a cover cut that no member could violate as much decides Cuts without
-the support LP; and emptiness tests start at the lower corner
-(``Polyhedron.is_empty``).  Every LP of a run takes the run's deadline.
+a violated cover cut decides Cuts without the LP; and emptiness tests
+start at the lower corner (``Polyhedron.is_empty``).  Every LP of a run
+takes the run's deadline.
 """
 
 import math
@@ -34,8 +35,7 @@ from .enumeration import full_enumeration, lattice_points
 from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
-                   deviation_check, profile_payoffs, separating_direction,
-                   support_from_points)
+                   deviation_check, profile_payoffs, support_from_points)
 from .ip import _PRUNE_TOL, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
@@ -106,7 +106,6 @@ class PlayerState:
     def __init__(self, program, deadline=None):
         self.program = program
         self.deadline = deadline
-        self.cut_pool = []  # (pi, pi0), all valid for every integer point
         self.points = None  # the oracle's pure strategies, once pure_points() has run
         self._set_region(program.relaxation(), "its own rows")
         try:
@@ -141,22 +140,12 @@ class PlayerState:
             self.points = pts
         return self.points
 
-    def base_rows(self):
-        """Original rows plus pooled cuts: the valid-row system for cut search."""
-        A = self.program._dense_A
-        b = self.program.b
-        if self.cut_pool:
-            A = np.vstack([A] + [pi[None, :] for pi, _ in self.cut_pool])
-            b = np.concatenate([b, [pi0 for _, pi0 in self.cut_pool]])
-        return A, b
-
     def apply_cuts(self, new_cuts):
         pure = self.pure_points()
         for pi, pi0 in new_cuts:
             worst = float(np.max(pure @ pi) - pi0)
             if worst > FEAS_TOL:
                 raise NumericalFailure(f"generated cut drops an integer point by {worst:.2e}")
-        self.cut_pool.extend(new_cuts)
         rows = np.array([pi for pi, _ in new_cuts])
         rhs = np.array([pi0 for _, pi0 in new_cuts])
         self._set_region(self.pieces[0].with_rows(rows, rhs), "cuts")
@@ -184,14 +173,17 @@ def separation_oracle(state, sigma, deadline=None):
     Member carries its certificate: the point snapped to integers when
     that is feasible (a pure strategy), or else the point with weights
     over the player's pure strategies (``PlayerState.pure_points``)
-    that reproduce it.  A cover cut violated by more than any member
-    could violate it decides Cuts before any LP; otherwise membership
-    is tried first, then the cover cuts, then one exact cut
-    pi x <= pi0 from the separation LP's dual.  For an enumerated
-    player pi0 is the maximum of pi over the lattice.  For any other
-    player branch and bound prices pi: a better point joins the working
-    set and the support LP runs again, until the IP's optimum proves
-    pi0.  ``deadline`` bounds every LP and IP.
+    that reproduce it.  A cover cut has 0/1 coefficients, so by
+    Hoelder's inequality no point violates it by more than its L1
+    distance to the hull, and ``cover_cuts`` reports only violations
+    above FEAS_TOL, the distance up to which the LP accepts a member:
+    a reported cover cut decides Cuts before any LP.  Otherwise one LP
+    (``support_from_points``) gives Member or the exact cut
+    pi x <= pi0 from its dual.  For an enumerated player pi0 is the
+    maximum of pi over the lattice.  For any other player branch and
+    bound prices pi: a better point joins the working set and the LP
+    runs again, until the IP's optimum proves pi0.  ``deadline`` bounds
+    every LP and IP.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -203,22 +195,19 @@ def separation_oracle(state, sigma, deadline=None):
     if integral and p.relaxation().contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
-    A, b = state.base_rows()
+    region = state.region()
     binary = np.zeros(p.nvars, dtype=bool)
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
-    found = cutgen.cover_cuts(A, b, sigma, binary)
-    if any(float(pi @ sigma) - pi0 > _member_violation(pi, pi0, sigma) for pi, pi0 in found):
+    found = cutgen.cover_cuts(region.A, region.b, sigma, binary)
+    if found:
         return Cuts(found)
 
     points = state.pure_points()
     while True:
-        support = support_from_points(points, sigma, deadline)
+        support, pi = support_from_points(points, sigma, deadline)
         if support is not None:
             return Member(PlayerStrategy(sigma, support))
-        if found:
-            return Cuts(found)
-        pi = separating_direction(points, sigma, deadline)
         pi0 = float(np.max(points @ pi))
         if state.lattice is not None:
             break
@@ -230,32 +219,6 @@ def separation_oracle(state, sigma, deadline=None):
     if float(pi @ sigma) - pi0 <= FEAS_TOL * (1.0 + float(np.abs(pi).sum())):
         raise NumericalFailure(f"player {p.name}: the separation LP's cut does not remove the point")
     return Cuts([(pi, pi0)])
-
-
-def _member_violation(pi, pi0, sigma):
-    """Most that a cover cut can be violated at a point that
-    ``support_from_points`` accepts: a larger violation decides Cuts.
-
-    The support LP over n = sigma.size coordinates has rows
-    |P'w - sigma| <= FEAS_TOL per coordinate and sum w = 1, so
-    max|b| <= 1 + max|sigma|.  It accepts sigma when its final w, before
-    clipping to the bounds, meets every row within the slack
-    s = 10 t that ``solve_lp`` allows, where t = 1e-8 (1 + max|b|) is
-    its feasibility tolerance.  The simplex keeps every basic weight
-    within about t of its bounds (phase 1 ends with the artificials
-    summing to at most t) and every nonbasic one at a bound, and at most
-    m = 2n + 2 weights are basic, so w = w+ - w- with
-    sum w- <= (2n + 2) t.  A cover cut has 0/1 pi and
-    pi0 = |pi|_1 - 1 >= 0, and 0 <= pi p <= pi0 at every lattice point
-    p, so
-        pi P'w <= pi P'w+ <= pi0 sum w+ = pi0 (sum w + sum w-)
-               <= pi0 (1 + s + (2n + 2) t)
-        pi sigma <= pi P'w + |pi|_1 (FEAS_TOL + s).
-    Twice the resulting violation bound leaves room for round-off.
-    """
-    t = 1e-8 * (2.0 + float(np.max(np.abs(sigma))))
-    s = 10.0 * t
-    return 2.0 * (pi0 * (s + (2 * sigma.size + 2) * t) + float(np.abs(pi).sum()) * (FEAS_TOL + s))
 
 
 def refine_region(state, action):

@@ -6,9 +6,9 @@ Nash LCP of the convexified game pairs every variable of each region's
 encoding (``poly.encode_region``) with its stationarity row, each box
 equality with a split multiplier and each inequality row with one
 multiplier; it is built copositive-plus, so Lemke's method solves it.
-The certificate of a mixed strategy, weights over pure strategies, comes
-from ``support_from_points``, and a cut off their hull from
-``separating_direction``.
+One LP over a finite set of pure strategies, ``support_from_points``,
+answers the separation question: it writes a mixed strategy as weights
+over them, or returns a hyperplane that cuts the point off their hull.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleGame, NumericalFailure
+from .errors import InfeasibleGame, NumericalFailure, UnsupportedGame
 from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
@@ -192,7 +192,8 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
     enumerated integer points or None; a player with points takes its
     best response as the first minimizer of its parametrized cost over
     them, and every other player solves one best-response IP.  Raises
-    InfeasibleGame when a player has no feasible strategy at all.
+    InfeasibleGame when a player has no feasible strategy at all, and
+    UnsupportedGame naming a player whose best response is unbounded.
     """
     if isinstance(profile, StrategyProfile):
         points = profile.barycenters()
@@ -207,7 +208,7 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
             if best.status is LPStatus.INFEASIBLE:
                 raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
             if best.status is not LPStatus.OPTIMAL:
-                raise InfeasibleGame(f"player {i} ({p.name}) has an unbounded best response")
+                raise UnsupportedGame(f"player {i} ({p.name}) has an unbounded best response")
             best_x, best_value = best.x, best.value
         elif not len(pts):
             raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
@@ -231,43 +232,20 @@ def profile_payoffs(game, profile):
 
 
 def support_from_points(points, sigma, deadline=None):
-    """Convex weights over a finite point set reproducing sigma.
-
-    Returns a list of (weight, point) pairs or None when sigma is not in
-    the convex hull of the points.  A basic LP solution keeps supports
-    small (at most dim+1 atoms).  ``deadline`` bounds the LP.
-    """
-    pts = np.asarray(points, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    K, m = pts.shape
-    eps = FEAS_TOL
-    # rows: |P' w - sigma| <= eps and sum w = 1
-    A = np.vstack([pts.T, -pts.T, np.ones((1, K)), -np.ones((1, K))])
-    b = np.concatenate([sigma + eps, -(sigma - eps), [1.0], [-1.0]])
-    res = solve_lp(LinearProgram(np.zeros(K), A, b, np.zeros(K), np.ones(K)), deadline=deadline)
-    if res.status is not LPStatus.OPTIMAL:
-        return None
-    w = res.x
-    # drop slack-scale weights when the rest still reconstructs sigma
-    keep = np.nonzero(w > 1e-6)[0]
-    if keep.size:
-        trial = w[keep] / w[keep].sum()
-        if np.max(np.abs(pts[keep].T @ trial - sigma)) <= 10.0 * eps:
-            return [(float(t), pts[k].copy()) for t, k in zip(trial, keep)]
-    keep = np.nonzero(w > ZERO_TOL)[0]
-    total = float(w[keep].sum())
-    return [(float(w[k] / total), pts[k].copy()) for k in keep]
-
-
-def separating_direction(points, sigma, deadline=None):
-    """Direction pi of the cut pi x <= max_k pi.p_k that removes sigma
-    farthest from the hull of the points p_k.
+    """Write sigma as convex weights over a finite point set, or cut it
+    off their hull.
 
     The LP  min sum(s+ + s-)  s.t.  P'w + s+ - s- = sigma,  sum w = 1,
     w, s >= 0, each equality a pair of <= rows, gives the L1 distance
-    from sigma to the hull; pi is the difference of the row duals of its
-    two sigma row blocks, so |pi_j| <= 1 and, by LP duality,
-    pi.sigma - max_k pi.p_k is that distance.  ``deadline`` bounds the LP.
+    from sigma to the hull of the points p_k.  At a distance of at most
+    FEAS_TOL it returns (support, None): the (weight, point) pairs of
+    the weights above ZERO_TOL, renormalized, at most dim + 1 of them
+    as the solution is basic.  Farther out it returns (None, pi), with
+    pi the difference of the row duals of the two sigma row blocks, so
+    |pi_j| <= 1 and, by LP duality, pi.sigma - max_k pi.p_k is that
+    distance: the cut pi x <= max_k pi.p_k removes sigma.  Raises
+    NumericalFailure when the LP ends other than Optimal.  ``deadline``
+    bounds the LP.
     """
     pts = np.asarray(points, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -280,5 +258,10 @@ def separating_direction(points, sigma, deadline=None):
     res = solve_lp(lp, deadline=deadline)
     if res.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"separation LP ended {res.status.value}")
+    if res.value <= FEAS_TOL:
+        w = res.x[:K]
+        keep = np.nonzero(w > ZERO_TOL)[0]
+        total = float(w[keep].sum())
+        return [(float(w[k] / total), pts[k].copy()) for k in keep], None
     y = res.row_duals
-    return y[m + 1 : 2 * m + 1] - y[:m]
+    return None, y[m + 1 : 2 * m + 1] - y[:m]

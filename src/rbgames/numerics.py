@@ -14,11 +14,6 @@ ZERO_TOL = 1e-9  # magnitude below which a weight is treated as exactly zero
 DEVIATION_EPS = 3e-4  # default payoff gain that counts as a profitable deviation
 
 
-def approx_eq(a, b, eps=FEAS_TOL):
-    """True when |a - b| <= eps elementwise (works on scalars and arrays)."""
-    return bool(np.all(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) <= eps))
-
-
 def seeded_rng(seed):
     """Deterministic generator: PCG64 stream fixed by the integer seed.
 
@@ -137,8 +132,3 @@ def triplet_rmatvec(ncols, rows, cols, vals, y):
     out = np.zeros(ncols)
     np.add.at(out, cols, vals * y[rows])
     return out
-
-
-def spmv(m, x):
-    """Sparse matrix times dense vector."""
-    return m.matvec(x)

@@ -64,20 +64,6 @@ class Polyhedron:
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         return Polyhedron(np.vstack([self.A, rows]), np.concatenate([self.b, rhs]), self.lb, self.ub)
 
-    def with_bound(self, j, lo=None, hi=None):
-        """New polyhedron with variable j's bounds tightened.
-
-        Returns None when the tightened bounds cross (empty child).
-        """
-        lb, ub = self.lb.copy(), self.ub.copy()
-        if lo is not None:
-            lb[j] = max(lb[j], lo)
-        if hi is not None:
-            ub[j] = min(ub[j], hi)
-        if lb[j] > ub[j]:
-            return None
-        return Polyhedron(self.A, self.b, lb, ub)
-
     def is_empty(self, deadline=None):
         """True when no point satisfies the rows and bounds.
 

@@ -8,11 +8,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, opponents_vector,
-                     parametrized_objective, payoff, separating_direction, solve_lp, support_from_points)
+                     parametrized_objective, payoff, solve_lp)
 from rbgames.cutplay import _INT_TOL, Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
+from rbgames.errors import NumericalFailure
 from rbgames.lp import _AT_LB, _BASIC, _PIVOT_TOL
-from rbgames.numerics import FEAS_TOL
+from rbgames.numerics import FEAS_TOL, ZERO_TOL
 
 
 def scipy_lp(c, A, b, lb, ub):
@@ -616,14 +617,69 @@ def leaving_reference(basis, dc, dw):
     return (i, -1) if i < k else (-1, i - k)
 
 
+def box_support_lp(points, sigma):
+    """Convex weights over a finite point set reproducing sigma within
+    FEAS_TOL in each coordinate, or None: the feasibility LP that the
+    oracle ran before its L1-distance LP decided Member.
+
+    Returns (weight, point) pairs.  Weights above 1e-6 are kept alone,
+    renormalized, when they still reproduce sigma within 10 FEAS_TOL;
+    otherwise every weight above ZERO_TOL is kept.
+    """
+    pts = np.asarray(points, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    K, m = pts.shape
+    eps = FEAS_TOL
+    # rows: |P' w - sigma| <= eps and sum w = 1
+    A = np.vstack([pts.T, -pts.T, np.ones((1, K)), -np.ones((1, K))])
+    b = np.concatenate([sigma + eps, -(sigma - eps), [1.0], [-1.0]])
+    res = solve_lp(LinearProgram(np.zeros(K), A, b, np.zeros(K), np.ones(K)))
+    if res.status is not LPStatus.OPTIMAL:
+        return None
+    w = res.x
+    # drop slack-scale weights when the rest still reconstructs sigma
+    keep = np.nonzero(w > 1e-6)[0]
+    if keep.size:
+        trial = w[keep] / w[keep].sum()
+        if np.max(np.abs(pts[keep].T @ trial - sigma)) <= 10.0 * eps:
+            return [(float(t), pts[k].copy()) for t, k in zip(trial, keep)]
+    keep = np.nonzero(w > ZERO_TOL)[0]
+    total = float(w[keep].sum())
+    return [(float(w[k] / total), pts[k].copy()) for k in keep]
+
+
+def separating_direction(points, sigma):
+    """Direction pi of the cut pi x <= max_k pi.p_k from the row duals
+    of the L1-distance LP, solved on its own: the oracle's second LP
+    before one LP gave both verdicts.
+
+    The LP is  min sum(s+ + s-)  s.t.  P'w + s+ - s- = sigma,  sum w = 1,
+    w, s >= 0, each equality a pair of <= rows; pi is the difference of
+    the row duals of its two sigma row blocks.
+    """
+    pts = np.asarray(points, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    K, m = pts.shape
+    eye = np.eye(m)
+    rows = np.vstack([np.hstack([pts.T, eye, -eye]), np.concatenate([np.ones(K), np.zeros(2 * m)])])
+    n = K + 2 * m
+    lp = LinearProgram(np.concatenate([np.zeros(K), np.ones(2 * m)]), np.vstack([rows, -rows]),
+                       np.concatenate([sigma, [1.0], -sigma, [-1.0]]), np.zeros(n), np.full(n, np.inf))
+    res = solve_lp(lp)
+    if res.status is not LPStatus.OPTIMAL:
+        raise NumericalFailure(f"separation LP ended {res.status.value}")
+    y = res.row_duals
+    return y[m + 1 : 2 * m + 1] - y[:m]
+
+
 def separation_oracle_reference(state, sigma):
-    """The separation oracle of an enumerated player in its old order:
+    """The separation oracle of an enumerated player in its two-LP form,
     the support LP always first.
 
-    Pure member, then ``support_from_points`` over every lattice point,
-    then cover cuts, then the exact cut from the separation LP's dual
-    with its right-hand side the maximum over the lattice, each tried
-    only when the one before found nothing.
+    Pure member, then ``box_support_lp`` over every lattice point, then
+    cover cuts on the region's rows, then the exact cut from
+    ``separating_direction`` with its right-hand side the maximum over
+    the lattice, each tried only when the one before found nothing.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -636,15 +692,15 @@ def separation_oracle_reference(state, sigma):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
     pure = state.pure_points()
-    support = support_from_points(pure, sigma)
+    support = box_support_lp(pure, sigma)
     if support is not None:
         return Member(PlayerStrategy(sigma, support))
 
-    A, b = state.base_rows()
+    region = state.region()
     binary = np.zeros(p.nvars, dtype=bool)
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
-    found = cover_cuts(A, b, sigma, binary)
+    found = cover_cuts(region.A, region.b, sigma, binary)
     if found:
         return Cuts(found)
     pi = separating_direction(pure, sigma)

@@ -15,6 +15,7 @@ import rbgames.lcp as lcp_module
 from rbgames import (
     Algorithm,
     EqStatus,
+    FEAS_TOL,
     GameModel,
     PlayerProgram,
     SolverOptions,
@@ -184,7 +185,7 @@ def _raise_numerical_failure(*args, **kwargs):
 @pytest.mark.parametrize("owner, name, game", [
     (PlayerState, "apply_cuts", canonical_knapsack_game),
     (cutplay_module, "separation_oracle", canonical_knapsack_game),
-    # the oracle's first support LP
+    # the oracle's first LP
     (game_module, "solve_lp", lambda: random_knapsack_game(2, 2, 4)),
 ], ids=["apply_cuts", "separation_oracle", "solve_lp"])
 def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name, game):
@@ -549,18 +550,17 @@ def test_each_player_ip_is_solved_once_at_certification(monkeypatch, make, ips):
     assert callers == ips
 
 
-# -- the oracle decides Cuts before the support LP only when the LP cannot
+# -- the oracle decides Cuts before its LP only when the LP cannot
 #    accept the point ----------------------------------------------------------
 
 
 def _same_verdict(got, want):
+    """The same verdict: a Member with the same pure flag and barycenter,
+    or bitwise the same cuts."""
     assert type(got) is type(want), (got, want)
     if isinstance(want, Member):
         assert got.pure == want.pure
         assert np.array_equal(got.strategy.barycenter, want.strategy.barycenter)
-        assert len(got.strategy.support) == len(want.strategy.support)
-        for (w1, p1), (w2, p2) in zip(got.strategy.support, want.strategy.support):
-            assert w1 == w2 and np.array_equal(p1, p2)
     else:
         assert len(got.cuts) == len(want.cuts)
         for (pi1, c1), (pi2, c2) in zip(got.cuts, want.cuts):
@@ -574,9 +574,21 @@ def _corpus_and_ladder_games():
     return [g.game() for g in games]
 
 
+def _certifies(member, points, tol=1e-12):
+    """The Member's weights are positive, sum to one, sit on the given
+    pure strategies and reproduce its barycenter within tol in L1."""
+    weights = np.array([w for w, _ in member.strategy.support])
+    atoms = np.array([pt for _, pt in member.strategy.support])
+    assert np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12
+    assert all(any(np.array_equal(atom, pt) for pt in points) for atom in atoms)
+    assert np.abs(weights @ atoms - member.strategy.barycenter).sum() <= tol
+
+
 def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
+    # the one LP, behind the cover cuts, decides every verdict and cut of
+    # the two-LP reference; its supports reproduce sigma to round-off
     real_oracle, real_support = cutplay_module.separation_oracle, cutplay_module.support_from_points
-    tally = {"calls": 0, "support": 0, "cuts_without_lp": 0}
+    tally = {"calls": 0, "support": 0, "cuts_without_lp": 0, "mixed": 0}
 
     def support(*args, **kwargs):
         tally["support"] += 1
@@ -587,6 +599,9 @@ def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
         before = tally["support"]
         got = real_oracle(state, sigma, deadline)
         _same_verdict(got, want)
+        if isinstance(got, Member):
+            _certifies(got, [got.strategy.barycenter] if got.pure else state.pure_points())
+            tally["mixed"] += not got.pure
         tally["calls"] += 1
         tally["cuts_without_lp"] += isinstance(got, Cuts) and tally["support"] == before
         return got
@@ -596,8 +611,8 @@ def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
     for game in _corpus_and_ladder_games():
         result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
         assert result.status in (EqStatus.PNE, EqStatus.MNE)
-    # both orders ran: cover cuts decided some calls, the LP others
-    assert tally["cuts_without_lp"] > 0 and tally["support"] > 0, tally
+    # cover cuts decided some calls, the LP others, some of them Members
+    assert tally["cuts_without_lp"] > 0 and tally["support"] > 0 and tally["mixed"] > 0, tally
 
 
 def _knapsack_state():
@@ -610,13 +625,15 @@ def test_cover_cut_past_the_margin_decides_without_the_support_lp(monkeypatch):
         raise AssertionError("support_from_points was called")
 
     monkeypatch.setattr(cutplay_module, "support_from_points", no_lp)
-    action = separation_oracle(_knapsack_state(), np.array([1.0, 0.5]))
-    assert isinstance(action, Cuts)
-    assert any(np.array_equal(pi, [1.0, 1.0]) and pi0 == 1.0 for pi, pi0 in action.cuts)
+    # a relaxation vertex, and a point 1.5e-7 outside the hull in L1
+    for sigma in (np.array([1.0, 0.5]), _past_the_cover(1.5e-7)):
+        action = separation_oracle(_knapsack_state(), sigma)
+        assert isinstance(action, Cuts)
+        assert any(np.array_equal(pi, [1.0, 1.0]) and pi0 == 1.0 for pi, pi0 in action.cuts)
 
 
-def _oracle_with_support_calls(monkeypatch, sigma):
-    """(verdict, reference verdict, support LPs run) at a point of blue's."""
+def _oracle_with_lp_calls(monkeypatch, sigma):
+    """(verdict, oracle LPs run) at a point of blue's."""
     real_support, calls = cutplay_module.support_from_points, []
 
     def support(*args, **kwargs):
@@ -624,30 +641,38 @@ def _oracle_with_support_calls(monkeypatch, sigma):
         return real_support(*args, **kwargs)
 
     monkeypatch.setattr(cutplay_module, "support_from_points", support)
-    want = separation_oracle_reference(_knapsack_state(), sigma)
-    return separation_oracle(_knapsack_state(), sigma), want, len(calls)
+    return separation_oracle(_knapsack_state(), sigma), len(calls)
 
 
 def _past_the_cover(violation):
-    # on the line x - y = 1/2, with x + y = 1 + violation
+    # on the line x - y = 1/2, with x + y = 1 + violation; the hull of
+    # blue's lattice {(0, 0), (1, 0), (0, 1)} is that far away in L1
     return np.array([0.75, 0.25]) + violation / 2.0
 
 
 def test_violated_cover_cut_inside_the_lp_tolerance_is_a_member(monkeypatch):
-    # the cover x + y <= 1 is violated by more than FEAS_TOL, yet the
-    # support LP accepts the point within its own tolerance
-    got, want, lps = _oracle_with_support_calls(monkeypatch, _past_the_cover(1.5e-7))
-    _same_verdict(got, want)
-    assert isinstance(got, Member) and lps == 1
+    # the cover x + y <= 1 is violated, but within FEAS_TOL, the L1
+    # distance up to which the LP accepts a member
+    sigma = _past_the_cover(0.5e-7)
+    got, lps = _oracle_with_lp_calls(monkeypatch, sigma)
+    assert isinstance(got, Member) and not got.pure and lps == 1
+    _certifies(got, _knapsack_state().pure_points(), tol=FEAS_TOL)
 
 
-@pytest.mark.parametrize("scale, lps", [(0.999, 1), (1.0, 1), (1.001, 0)],
+@pytest.mark.parametrize("scale, member, lps", [(0.999, True, 1), (1.0, True, 1), (1.001, False, 0)],
                          ids=["below-margin", "at-margin", "above-margin"])
-def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, scale, lps):
-    margin = cutplay_module._member_violation(np.array([1.0, 1.0]), 1.0, _past_the_cover(0.0))
-    got, want, ran = _oracle_with_support_calls(monkeypatch, _past_the_cover(scale * margin))
-    _same_verdict(got, want)
-    assert isinstance(got, Cuts) and ran == lps
+def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, scale, member, lps):
+    # the margin is FEAS_TOL: the cover cut decides past it with no LP,
+    # and the LP run first, as in the old order, gives the same verdict
+    sigma = _past_the_cover(scale * FEAS_TOL)
+    got, ran = _oracle_with_lp_calls(monkeypatch, sigma)
+    support, pi = game_module.support_from_points(_knapsack_state().pure_points(), sigma)
+    assert isinstance(got, Member) == member == (support is not None)
+    assert (pi is None) == member and ran == lps
+    if member:
+        assert [(w, pt.tolist()) for w, pt in got.strategy.support] == [(w, pt.tolist()) for w, pt in support]
+    else:
+        assert [(a.tolist(), a0) for a, a0 in got.cuts] == [([1.0, 1.0], 1.0)]
 
 
 # -- the oracle's LPs honor the deadline ------------------------------------
@@ -655,9 +680,8 @@ def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, sc
 
 @pytest.mark.parametrize("module_name, caller, make", [
     ("game", "support_from_points", lambda: random_knapsack_game(2, 2, 4).game()),
-    ("game", "separating_direction", lambda: random_knapsack_game(2, 2, 4).game()),
     ("ip", "solve_ip", lambda: _with_a_continuous_variable(random_knapsack_game(2, 2, 4).game(), 1)),
-], ids=["support-lp", "separation-lp", "branch-and-bound-lp"])
+], ids=["support-lp", "branch-and-bound-lp"])
 def test_deadline_passing_in_a_hull_layer_lp_ends_time_limit(monkeypatch, module_name, caller, make):
     # the first LP that ``caller`` runs waits for the deadline, then runs
     # with it; in the last case that is the LP of the oracle's first IP

@@ -10,6 +10,7 @@ from rbgames import (
     PlayerStrategy,
     SolverOptions,
     StrategyProfile,
+    UnsupportedGame,
     build_nash_lcp,
     cut_and_play,
     deviation_check,
@@ -27,7 +28,7 @@ from rbgames.generators import canonical_knapsack_game, infeasible_game, nondege
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
 from rbgames.poly import Polyhedron
 
-from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices
+from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices, scipy_lp
 
 
 def _scalar_player(name, value, n_opp):
@@ -81,6 +82,14 @@ def test_deviation_check_raises_on_empty_player():
     game = infeasible_game().game()
     with pytest.raises(InfeasibleGame):
         deviation_check(game, [np.zeros(1)])
+
+
+def test_deviation_check_names_a_player_with_an_unbounded_best_response():
+    # bounded only below, with a negative cost: no best response exists
+    free = PlayerProgram(name="free", c=np.array([-1.0]), C=np.zeros((0, 1)), A=np.zeros((0, 1)), b=np.zeros(0),
+                         lb=np.zeros(1), ub=np.full(1, np.inf))
+    with pytest.raises(UnsupportedGame, match=r"player 0 \(free\) has an unbounded best response"):
+        deviation_check(GameModel([free]), [np.zeros(1)])
 
 
 def test_deviation_check_with_an_empty_lattice_raises():
@@ -138,19 +147,49 @@ def test_barycenter_payoff_matches_support_average():
     assert abs(direct - averaged) < 1e-12
 
 
+def _l1_distance(pts, sigma):
+    """L1 distance from sigma to the hull of the rows of pts, by scipy."""
+    K, m = pts.shape
+    eye = np.eye(m)
+    eq = np.vstack([np.hstack([pts.T, eye, -eye]), np.concatenate([np.ones(K), np.zeros(2 * m)])])
+    n = K + 2 * m
+    _, value, _ = scipy_lp(np.concatenate([np.zeros(K), np.ones(2 * m)]), np.vstack([eq, -eq]),
+                           np.concatenate([sigma, [1.0], -sigma, [-1.0]]), np.zeros(n), np.full(n, np.inf))
+    return value
+
+
 def test_support_from_points_contract():
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     sigma = np.array([2.0 / 9.0, 7.0 / 9.0])
-    support = support_from_points(pts, sigma)
-    assert support is not None
-    total = sum(w for w, _ in support)
-    assert abs(total - 1.0) < 1e-9
-    recon = sum(w * p for w, p in support)
-    assert np.allclose(recon, sigma, atol=1e-6)
-    for w, _ in support:
-        assert w > 1e-6  # no slack-scale atoms
-    # points outside the hull have no representation
-    assert support_from_points(pts, np.array([0.9, 0.9])) is None
+    support, pi = support_from_points(pts, sigma)
+    assert pi is None
+    assert all(w > 0 for w, _ in support)
+    assert abs(sum(w for w, _ in support) - 1.0) <= 1e-12
+    assert np.abs(sum(w * p for w, p in support) - sigma).sum() <= 1e-12
+    # outside the hull: no support, and by LP duality the cut
+    # pi x <= max_k pi.p_k passes sigma by its L1 distance, here 0.8
+    outside = np.array([0.9, 0.9])
+    support, pi = support_from_points(pts, outside)
+    assert support is None and np.max(np.abs(pi)) <= 1.0 + 1e-12
+    assert abs(float(pi @ outside) - float(np.max(pts @ pi)) - 0.8) <= 1e-12
+    # at random points, half of them in the hull: Member exactly within
+    # FEAS_TOL of the hull, and otherwise the duality identity
+    rng = seeded_rng(5)
+    outcomes = set()
+    for _ in range(40):
+        pts = rng.integers(0, 3, (int(rng.integers(1, 6)), 3)).astype(float)
+        w = rng.random(pts.shape[0])
+        sigma = w @ pts / w.sum() if rng.random() < 0.5 else rng.random(3) * 2.0
+        distance = _l1_distance(pts, sigma)
+        support, pi = support_from_points(pts, sigma)
+        outcomes.add(support is None)
+        if support is not None:
+            assert distance <= 1e-7 + 1e-12
+            assert np.abs(sum(w * p for w, p in support) - sigma).sum() <= 1e-7 + 1e-12
+        else:
+            assert distance > 1e-7 - 1e-12
+            assert abs(float(pi @ sigma) - float(np.max(pts @ pi)) - distance) <= 1e-9
+    assert outcomes == {True, False}
 
 
 def test_encode_region_shifts_bounds():

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private function of the package has a caller in it.
 
-No linter ships with the package, so a stray import left behind when a
-name is deleted would otherwise go unnoticed.  ``__init__.py`` imports
+No linter ships with the package, so a stray import or helper left
+behind when a name is deleted would otherwise go unnoticed.  ``__init__.py`` imports
 to re-export and is exempt; its ``__all__`` must list exactly what it
 imports instead.
 """
@@ -52,3 +53,31 @@ def test_the_package_exports_exactly_what_it_imports():
     assert len(rbgames.__all__) == len(set(rbgames.__all__))
     assert set(rbgames.__all__) == imported
     assert [name for name in rbgames.__all__ if not hasattr(rbgames, name)] == []
+
+
+def uncalled_private_functions(sources):
+    """Private functions and methods defined in ``sources`` whose name no
+    code in them reads, as a Name or as an attribute."""
+    defined, used = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_the_check_sees_uncalled_private_functions():
+    sources = ["def _kept():\n    pass\n\ndef _left():\n    pass\n\nclass A:\n    def _step(self):\n        pass\n",
+               "from .m import _kept\n_kept()\nA()._step()\n"]
+    assert uncalled_private_functions(sources) == ["_left"]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert uncalled_private_functions(sources) == []

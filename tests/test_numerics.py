@@ -10,10 +10,8 @@ from rbgames import (
     ZERO_TOL,
     SolverOptions,
     SparseMatrix,
-    approx_eq,
     deviation_check,
     seeded_rng,
-    spmv,
 )
 from rbgames.cli import build_parser
 
@@ -27,12 +25,6 @@ def test_default_tolerances():
     assert SolverOptions().deviation_eps == DEVIATION_EPS
     assert inspect.signature(deviation_check).parameters["eps"].default == DEVIATION_EPS
     assert build_parser().parse_args(["--instance", "x.json"]).tolerance == DEVIATION_EPS
-
-
-def test_approx_eq():
-    assert approx_eq(1.0, 1.0 + 5e-8)
-    assert not approx_eq(1.0, 1.001)
-    assert approx_eq(5.0, 5.4, eps=0.5)
 
 
 def test_seeded_rng_is_reproducible():
@@ -93,7 +85,6 @@ def test_sparse_matvec_matches_dense():
         x = rng.normal(size=nc)
         y = rng.normal(size=nr)
         assert np.allclose(m.matvec(x), dense @ x)
-        assert np.allclose(spmv(m, x), dense @ x)
         assert np.allclose(m.rmatvec(y), dense.T @ y)
         assert m == SparseMatrix.from_dense(dense)
 

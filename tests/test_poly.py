@@ -38,11 +38,6 @@ def test_polyhedron_contains():
 
 def test_with_bound_and_with_rows():
     relax = _box([0.0, 0.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
-    left = relax.with_bound(0, hi=0.0)
-    assert left is not None
-    assert left.contains(np.array([0.0, 1.0]))
-    assert not left.contains(np.array([0.5, 0.5]))
-    assert relax.with_bound(0, lo=2.0) is None  # bounds cross
     cut = relax.with_rows(np.array([[1.0, 1.0]]), np.array([1.0]))
     assert cut.nrows == 2
     assert not cut.contains(np.array([1.0, 0.5]))
@@ -66,9 +61,8 @@ def test_bounding_box():
 def test_hull_of_branch_pieces():
     # binary split of the knapsack relaxation on x2: the union keeps the
     # two integral slices, whose hull is conv{(0,0),(1,0),(0,1),(1/3,1)}
-    relax = _box([0.0, 0.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
-    down = relax.with_bound(1, hi=0.0)
-    up = relax.with_bound(1, lo=1.0)
+    down = _box([0.0, 0.0], [1.0, 0.0], [[3.0, 4.0]], [5.0])
+    up = _box([0.0, 1.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
     hull = convex_hull([down, up])
     assert len(hull.pieces) == 2
     assert hull_contains(hull, np.array([0.5, 0.5]))
@@ -91,9 +85,8 @@ def test_hull_flattens_and_drops_empty_pieces():
 
 
 def test_decompose_contract():
-    relax = _box([0.0, 0.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
-    down = relax.with_bound(1, hi=0.0)
-    up = relax.with_bound(1, lo=1.0)
+    down = _box([0.0, 0.0], [1.0, 0.0], [[3.0, 4.0]], [5.0])
+    up = _box([0.0, 1.0], [1.0, 1.0], [[3.0, 4.0]], [5.0])
     hull = convex_hull([down, up])
     x = np.array([2.0 / 9.0, 7.0 / 9.0])
     parts = decompose(hull, x)
@@ -236,12 +229,17 @@ def _random_polyhedron(rng):
     b = rng.integers(-4, 6, m).astype(float)
     if kind == 1 and m:
         b[0] = A[0] @ lb  # the corner sits exactly on row 0
-    p = Polyhedron(A, b, lb, ub)
-    if kind == 2:
+    if kind == 2:  # one branch of a split on variable j
         j = int(rng.integers(n))
         split = np.floor((lb[j] + ub[j]) / 2.0)
-        p = p.with_bound(j, lo=split + 1) if rng.random() < 0.5 else p.with_bound(j, hi=split)
-    elif kind == 3:
+        if rng.random() < 0.5:
+            lb[j] = max(lb[j], split + 1)
+        else:
+            ub[j] = min(ub[j], split)
+        if lb[j] > ub[j]:
+            return None
+    p = Polyhedron(A, b, lb, ub)
+    if kind == 3:
         p = p.with_rows(rng.integers(-2, 3, (2, n)), rng.integers(-2, 4, 2))
     return p
 
@@ -271,4 +269,4 @@ def test_emptiness_at_a_feasible_corner_runs_no_lp(monkeypatch):
     assert not relax.is_empty()
     assert not relax.with_rows(np.array([[1.0, 1.0]]), np.array([0.0])).is_empty()  # corner on the cut
     assert not _box([1.0], [2.0]).is_empty()  # no rows
-    assert len(convex_hull([relax, relax.with_bound(0, hi=0.0)]).pieces) == 2
+    assert len(convex_hull([relax, _box([0.0, 0.0], [0.0, 1.0], [[3.0, 4.0]], [5.0])]).pieces) == 2
