@@ -99,15 +99,21 @@ class PlayerState:
 
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
     and UnsupportedGame naming the player when it is unbounded.
-    ``pieces`` holds the one polyhedron of the region.  ``deadline``
-    bounds every LP and IP that the state runs.
+    ``pieces`` holds the one polyhedron of the region.  ``relaxation``,
+    ``integers`` and ``binary`` (a mask of the 0/1 integer variables)
+    are the player's fixed data that the oracle reads on every call.
+    ``deadline`` bounds every LP and IP that the state runs.
     """
 
     def __init__(self, program, deadline=None):
         self.program = program
         self.deadline = deadline
         self.points = None  # the oracle's pure strategies, once pure_points() has run
-        self._set_region(program.relaxation(), "its own rows")
+        self.relaxation = program.relaxation()
+        self.integers = np.array(program.integers, dtype=np.int64)
+        self.binary = np.zeros(program.nvars, dtype=bool)
+        self.binary[self.integers] = (program.lb[self.integers] == 0.0) & (program.ub[self.integers] == 1.0)
+        self._set_region(self.relaxation, "its own rows")
         try:
             self.pieces[0].bounding_box(deadline)
         except ValueError as exc:
@@ -187,19 +193,16 @@ def separation_oracle(state, sigma, deadline=None):
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
-    ints = np.array(p.integers, dtype=np.int64)
+    ints = state.integers
 
     snapped = sigma.copy()
     snapped[ints] = np.round(snapped[ints])
     integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
-    if integral and p.relaxation().contains(snapped):
+    if integral and state.relaxation.contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 
     region = state.region()
-    binary = np.zeros(p.nvars, dtype=bool)
-    for j in ints:
-        binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
-    found = cutgen.cover_cuts(region.A, region.b, sigma, binary)
+    found = cutgen.cover_cuts(region.A, region.b, sigma, state.binary)
     if found:
         return Cuts(found)
 
@@ -246,25 +249,28 @@ def cut_and_play(game, opts=None, watcher=None):
 
     ``watcher(outer, iteration)`` runs after every refinement round, a
     hook used by the test suite to audit the outer-ness invariant.
-    Every exit, a solver failure included, returns its SolveStats.
+    Every exit, a solver failure included, returns its SolveStats, and
+    every exit without an equilibrium sets its ``reason``.
     """
     opts = opts or SolverOptions()
     t0 = time.monotonic()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     stats = SolveStats()
 
-    def finish(status, profile=None, payoffs=None):
+    def finish(status, profile=None, payoffs=None, reason=None):
         stats.wall_ms = (time.monotonic() - t0) * 1000.0
+        stats.reason = reason
         return _result(status, stats, profile, payoffs)
 
     try:
         return _rounds(game, opts, deadline, stats, finish, watcher)
-    except BudgetExhausted:
-        return finish(_exhausted(deadline))
-    except InfeasibleGame:
-        return finish(EqStatus.INFEASIBLE)
-    except NumericalFailure:
-        return finish(EqStatus.NUMERICAL_FAILURE)
+    except BudgetExhausted as exc:
+        status = _exhausted(deadline)
+        return finish(status, reason="deadline" if status is EqStatus.TIME_LIMIT else str(exc))
+    except InfeasibleGame as exc:
+        return finish(EqStatus.INFEASIBLE, reason=str(exc))
+    except NumericalFailure as exc:
+        return finish(EqStatus.NUMERICAL_FAILURE, reason=str(exc))
 
 
 def _rounds(game, opts, deadline, stats, finish, watcher):
@@ -272,7 +278,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
     for iteration in range(1, opts.max_iterations + 1):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
-            return finish(EqStatus.TIME_LIMIT)
+            return finish(EqStatus.TIME_LIMIT, reason="deadline")
         problem, index_map = build_nash_lcp(game, outer.regions())
         try:
             sol = solve_lcp(problem, deadline=deadline)
@@ -283,7 +289,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
         del problem  # the next round's LCP is built without this one alive
         if isinstance(sol, NoSolution):
             # each round's game has an equilibrium, so its LCP a solution
-            return finish(EqStatus.NUMERICAL_FAILURE)
+            return finish(EqStatus.NUMERICAL_FAILURE, reason=sol.reason)
 
         sigmas = index_map.extract(sol.z)
         actions = [separation_oracle(state, sigma, deadline) for state, sigma in zip(outer.states, sigmas)]
@@ -298,7 +304,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
         if watcher is not None:
             watcher(outer, iteration)
 
-    return finish(EqStatus.NUMERICAL_FAILURE)
+    return finish(EqStatus.NUMERICAL_FAILURE, reason="round cap")
 
 
 def _certify(game, outer, members, opts, deadline, finish):
@@ -307,7 +313,7 @@ def _certify(game, outer, members, opts, deadline, finish):
     profile = StrategyProfile([m.strategy for m in members])
     lattices = [state.lattice for state in outer.states]
     if deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline, lattices=lattices):
-        return finish(EqStatus.NUMERICAL_FAILURE)
+        return finish(EqStatus.NUMERICAL_FAILURE, reason="deviation")
     status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE
     return finish(status, profile=profile, payoffs=profile_payoffs(game, profile))
 

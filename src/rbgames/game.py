@@ -91,10 +91,16 @@ class EqStatus(Enum):
 
 @dataclass(eq=False)
 class SolveStats:
+    """Counters of one solve.  ``reason`` says why a cut-and-play run
+    ended without an equilibrium: "ray" or "pivot cap" (Lemke),
+    "round cap", "deviation" (found at certification), "deadline", or
+    the message of the failure that stopped it; None on PNE and MNE."""
+
     iterations: int = 0
     cuts: int = 0
     lcp_nodes: int = 0
     wall_ms: float = 0.0
+    reason: str = None
 
 
 @dataclass(eq=False)

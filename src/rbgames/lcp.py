@@ -13,15 +13,16 @@ The solver keeps an explicit inverse of the whole basis B of
 w - M z - z0 1 = q (``_Basis``), kept by columns: each row of ``invT``
 is one column of B^{-1}.  It starts as the identity and is never
 factored.  The entering direction B^{-1} a is one row of ``invT`` for a
-w and one product with it for a z, and the lexicographic tie-break
-reads the tied rows of B^{-1} as columns of ``invT``.  A basic w_j's
-column of B^{-1} is the unit vector at its row, so the pivot row of
-B^{-1} is nonzero only on the k nonbasic w's and on a w basic in that
-row: a pivot's rank-1 step rewrites those k + 1 columns only, which
-``invT`` keeps as one block of rows.  Only the basic values are
-refined: against B every 16 pivots and at the end, where a residual
-costs products with M's columns only.  The deadline is checked at every
-pivot.
+w and one product with it for a z.  A basic w_j's column of B^{-1} is
+the unit vector at its row, so the pivot row of B^{-1} is nonzero only
+on the k nonbasic w's and on a w basic in that row.  ``invT`` keeps the
+columns of the nonbasic w's, the leaving w's included, as its first
+rows, right under the basic values x: a pivot is one rank-1 step on
+that block.  The lexicographic tie-break reads only those k rows, plus
+the known unit column of each tied row that holds a w.
+Only the basic values are refined: against B every 16 pivots and at the
+end, where a residual costs products with M's columns only.  The
+deadline is checked at every pivot.
 
 ``solve_lcp_with_fixings``, the LP relaxation of the LCP under
 per-index fixings, is a separate helper; ``solve_lcp`` does not use it.
@@ -80,9 +81,11 @@ class LCPSolution:
 
 @dataclass(eq=False)
 class NoSolution:
-    """Lemke ended on a ray or at its pivot cap after ``nodes`` pivots."""
+    """Lemke ended after ``nodes`` pivots; ``reason`` is "ray" or
+    "pivot cap"."""
 
-    nodes: int = 0
+    nodes: int
+    reason: str
 
 
 def solve_lcp_with_fixings(problem, fixings, deadline=None):
@@ -133,53 +136,49 @@ class _Basis:
     ``slot`` is the inverse permutation.  A basic w_j's column of B^{-1}
     is the unit vector at its row, so row r of B^{-1} is nonzero only on
     the k nonbasic w's and on a w basic in row r.  The columns of the
-    nonbasic w's are kept in rows [0, k) of ``invT``, which makes the
-    rows a pivot rewrites one block.  ``x`` holds the basic values
-    B^{-1} q.
+    nonbasic w's are kept in rows [0, k) of ``invT``.  The basic values
+    ``x`` = B^{-1} q sit just above them, as row 0 of ``blk`` = [x; invT],
+    so the rows a pivot rewrites are the one block ``blk[:k + 1]``.
+    ``basic`` and ``slot`` are lists: the pivot path reads them one entry
+    at a time.
     """
 
     def __init__(self, problem):
         self.M, self.q = problem.M, problem.q
         n = self.n = problem.order
         self.negMT = -np.ascontiguousarray(self.M.T)  # row j: z_j's column
-        self.basic = np.arange(n)
-        self.invT = np.eye(n)
+        self.blk = np.eye(n + 1, n, -1)
+        self.blk[0] = self.q
+        self.x, self.invT = self.blk[0], self.blk[1:]
+        self.basic = list(range(n))
         self.order = np.arange(n)
-        self.slot = np.arange(n)
+        self.slot = list(range(n))
         self.k = 0
-        self.x = self.q.copy()
         self.z0 = -1  # the row of z0 while it is basic
-
-    def column(self, var):
-        n = self.n
-        if var < n:
-            a = np.zeros(n)
-            a[var] = 1.0
-            return a
-        return self.negMT[var - n] if var < 2 * n else -np.ones(n)
 
     def direction(self, var):
         """B^{-1} times the column of var."""
-        if var < self.n:
+        n = self.n
+        if var < n:
             return self.invT[self.slot[var]].copy()
-        return self.column(var)[self.order] @ self.invT
+        a = self.negMT[var - n] if var < 2 * n else -np.ones(n)
+        return a[self.order] @ self.invT
 
     def pivot(self, var, d, r):
         """Enter var, whose direction B^{-1} a is ``d``, in row r; returns
         the variable that leaves."""
-        x, invT, dr, n, k = self.x, self.invT, d[r], self.n, self.k
-        step = x[r] / dr
-        x -= step * d
-        x[r] = step
+        n, k = self.n, self.k
         leaving = self.basic[r]
         if leaving < n:
             self._place(leaving, k, r)
             k += 1
-        # B^{-1} <- B^{-1} - (d - e_r) p / d_r, p the pivot row of B^{-1}:
-        # zero outside the first k rows of invT
-        p = invT[:k, r].copy()
-        invT[:k] -= np.multiply.outer(p, d / dr)
-        invT[:k, r] = p / dr
+        # [x; invT] <- [x; invT] - [x_r; p] (d - e_r)' / d_r, p the pivot
+        # row of B^{-1}: zero outside the first k rows of invT
+        dr = d[r]
+        rows = self.blk[: k + 1]
+        p = rows[:, r].copy()
+        rows -= np.multiply.outer(p, d / dr)
+        rows[:, r] = p / dr
         if var < n:
             k -= 1
             self._place(var, k, r)
@@ -187,13 +186,13 @@ class _Basis:
             self.z0 = r
         self.k = k
         self.basic[r] = var
-        return int(leaving)
+        return leaving
 
     def _place(self, j, i, r):
         """Keep column j of B^{-1}, now the unit vector at row r, in row i
         of invT; the column kept there moves to j's old row."""
         invT, order, slot = self.invT, self.order, self.slot
-        s, c = slot[j], order[i]
+        s, c = slot[j], int(order[i])
         invT[s] = invT[i]
         order[s], slot[c] = c, s
         invT[i] = 0.0
@@ -202,7 +201,8 @@ class _Basis:
 
     def refine(self):
         """Recompute the basic values B^{-1} q, with one refinement step."""
-        n, basic, q, order = self.n, self.basic, self.q, self.order
+        n, q, order = self.n, self.q, self.order
+        basic = np.array(self.basic)
         x = q[order] @ self.invT
         # the residual q - B x, from B's unit, -M and covering columns
         z = np.zeros(n)
@@ -211,17 +211,17 @@ class _Basis:
         res = q + self.M @ z + x[basic == 2 * n].sum()
         is_w = basic < n
         res[basic[is_w]] -= x[is_w]
-        self.x = x + res[order] @ self.invT
+        self.x[:] = x + res[order] @ self.invT
 
 
 def solve_lcp(problem, deadline=None):
     """Solve the LCP by lexicographic Lemke; LCPSolution or NoSolution.
 
     ``nodes`` counts Lemke pivots.  NoSolution comes from a secondary ray
-    or the cap of 200 + 30 n pivots.  Raises BudgetExhausted, carrying
-    the pivots spent, once the ``time.monotonic()`` value ``deadline``
-    has passed, and NumericalFailure when the end point misses the
-    residual tolerance.
+    or the cap of 200 + 30 n pivots, and its ``reason`` says which.
+    Raises BudgetExhausted, carrying the pivots spent, once the
+    ``time.monotonic()`` value ``deadline`` has passed, and
+    NumericalFailure when the end point misses the residual tolerance.
     """
     n = problem.order
     if np.all(problem.q >= 0.0):
@@ -246,8 +246,8 @@ def solve_lcp(problem, deadline=None):
         d = basis.direction(var)
         r = _leaving(basis, d)
         if r < 0:
-            return NoSolution(nodes=pivots)
-    return NoSolution(nodes=cap)
+            return NoSolution(nodes=pivots, reason="ray")
+    return NoSolution(nodes=cap, reason="pivot cap")
 
 
 def _leaving(basis, d):
@@ -255,36 +255,56 @@ def _leaving(basis, d):
 
     Ties in x_r / d_r go to z0's row when it is among them, else to the
     least row of B^{-1} / d_r in lexicographic order, which is unique
-    because B^{-1} is nonsingular.
+    because B^{-1} is nonsingular.  That order is read column by column,
+    in index order j, over the tied rows, and a column on which all tied
+    rows agree within the tolerance decides nothing.  Only the k
+    nonbasic w's columns, ``invT[:k]``, need reading: a basic w_j's
+    column of B^{-1} is the unit vector at its row, so on the tied rows
+    it is 1/d_r at the row r holding w_j, when that row is tied, and
+    exactly 0 elsewhere.  Such a column is decisive iff 1/d_r exceeds the
+    tolerance, and then it drops exactly row r from the rows still kept:
+    at least one other row is kept, at 0.
     """
-    cand = (d > _PIVOT_TOL * np.maximum.reduce(np.abs(d))).nonzero()[0]
-    if not cand.size:
-        return -1
-    ratios = np.maximum(basis.x[cand], 0.0) / d[cand]
-    least = np.minimum.reduce(ratios)
-    cand = cand[ratios <= least + _TIE_TOL * (1.0 + least)]
-    if cand.size > 1:
-        if basis.z0 in cand:
-            return basis.z0
-        lex = basis.invT[:, cand][basis.slot].T / d[cand, None]
-        keep = range(cand.size)
-        # columns on which all tied rows agree decide nothing; the rest
-        # are compared as Python floats, the same doubles numpy would use
-        decisive = lex.max(axis=0) - lex.min(axis=0) > _TIE_TOL
-        for col in lex[:, decisive].T.tolist():
-            least = min([col[k] for k in keep])
-            bound = least + _TIE_TOL * (1.0 + abs(least))
-            keep = [k for k in keep if col[k] <= bound]
-            if len(keep) == 1:
-                break
-        cand = cand[keep]
-    return int(cand[0])
+    size = np.abs(d)
+    cand = (d > _PIVOT_TOL * size[size.argmax()]).nonzero()[0]
+    if cand.size < 2:
+        return int(cand[0]) if cand.size else -1
+    dc = d[cand]
+    ratios = np.maximum(basis.x[cand], 0.0) / dc
+    first = ratios.argmin()
+    least = float(ratios[first])
+    tied = (ratios <= least + _TIE_TOL * (1.0 + least)).nonzero()[0]
+    if tied.size == 1:
+        return int(cand[first])
+    cand, dc = cand[tied], dc[tied]
+    rows = cand.tolist()
+    if basis.z0 in rows:
+        return basis.z0
+    lex = basis.invT[: basis.k, cand] / dc
+    decisive = lex.max(axis=1) - lex.min(axis=1) > _TIE_TOL
+    cols = dict(zip(basis.order[: basis.k][decisive].tolist(), lex[decisive].tolist()))
+    for t, d_r in enumerate(dc.tolist()):
+        j = basis.basic[rows[t]]
+        if j < basis.n and 1.0 / d_r > _TIE_TOL:
+            cols[j] = [0.0] * len(rows)
+            cols[j][t] = 1.0 / d_r
+    keep = range(len(rows))
+    # the decisive columns in index order, compared as Python floats, the
+    # same doubles numpy would use
+    for j in sorted(cols):
+        col = cols[j]
+        least = min([col[t] for t in keep])
+        bound = least + _TIE_TOL * (1.0 + abs(least))
+        keep = [t for t in keep if col[t] <= bound]
+        if len(keep) == 1:
+            break
+    return rows[keep[0]]
 
 
 def _solution(problem, basis, pivots):
     n = problem.order
     z = np.zeros(n)
-    var, x = basis.basic, basis.x
+    var, x = np.array(basis.basic), basis.x
     is_z = (var >= n) & (var < 2 * n)
     z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
     out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots)

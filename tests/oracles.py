@@ -617,6 +617,42 @@ def leaving_reference(basis, dc, dw):
     return (i, -1) if i < k else (-1, i - k)
 
 
+def leaving_full_block_reference(basis, d):
+    """``lcp._leaving`` as it was when its tie-break read the full n-row
+    lexicographic block of B^{-1}; returns (row, j).
+
+    ``row`` is the row of the lexicographic minimum ratio for direction d,
+    -1 on a ray.  Ties in x_r / d_r go to z0's row when it is among them,
+    else to the least row of B^{-1} / d_r in lexicographic order.  ``j``
+    is the column of B^{-1} that left one tied row, or None when no
+    column had to: no tie, z0's row, or a tie that no column breaks.
+    """
+    cand = (d > 1e-9 * np.maximum.reduce(np.abs(d))).nonzero()[0]
+    if not cand.size:
+        return -1, None
+    ratios = np.maximum(basis.x[cand], 0.0) / d[cand]
+    least = np.minimum.reduce(ratios)
+    cand = cand[ratios <= least + 1e-9 * (1.0 + least)]
+    decider = None
+    if cand.size > 1:
+        if basis.z0 in cand:
+            return basis.z0, None
+        lex = basis.invT[:, cand][basis.slot].T / d[cand, None]
+        keep = range(cand.size)
+        # columns on which all tied rows agree decide nothing; the rest
+        # are compared as Python floats, the same doubles numpy would use
+        decisive = lex.max(axis=0) - lex.min(axis=0) > 1e-9
+        for j, col in zip(decisive.nonzero()[0].tolist(), lex[:, decisive].T.tolist()):
+            least = min([col[k] for k in keep])
+            bound = least + 1e-9 * (1.0 + abs(least))
+            keep = [k for k in keep if col[k] <= bound]
+            if len(keep) == 1:
+                decider = j
+                break
+        cand = cand[keep]
+    return int(cand[0]), decider
+
+
 def box_support_lp(points, sigma):
     """Convex weights over a finite point set reproducing sigma within
     FEAS_TOL in each coordinate, or None: the feasibility LP that the

@@ -17,6 +17,7 @@ from rbgames import (
     EqStatus,
     FEAS_TOL,
     GameModel,
+    LCP,
     PlayerProgram,
     SolverOptions,
     cut_and_play,
@@ -58,6 +59,7 @@ def test_known_game_converges_to_a_true_equilibrium():
     assert np.allclose(result.payoffs, payoffs, atol=1e-5)
     assert deviation_check(game, result.profile, eps=opts.deviation_eps) == []
     assert result.stats.iterations >= 1
+    assert result.stats.reason is None
     assert result.stats.wall_ms >= 0.0
 
 
@@ -84,12 +86,14 @@ def test_infeasible_player_is_reported():
     result = cut_and_play(game, SolverOptions())
     assert result.status is EqStatus.INFEASIBLE
     assert result.profile is None
+    assert "emptied by its own rows" in result.stats.reason
 
 
 def test_time_limit_is_respected():
     game = canonical_knapsack_game().game()
     result = cut_and_play(game, SolverOptions(time_limit=1e-4))
     assert result.status is EqStatus.TIME_LIMIT
+    assert result.stats.reason == "deadline"
 
 
 def test_time_limit_holds_while_lemke_pivots():
@@ -101,6 +105,7 @@ def test_time_limit_holds_while_lemke_pivots():
     assert result.status is EqStatus.TIME_LIMIT
     assert time.monotonic() - start <= 1.5
     assert result.stats.iterations == 1 and result.stats.lcp_nodes > 0
+    assert result.stats.reason == "deadline"
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -158,6 +163,7 @@ def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
+    assert result.stats.reason == "deadline"
     assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 99
 
 
@@ -176,6 +182,7 @@ def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.NUMERICAL_FAILURE
     assert result.stats.lcp_nodes == nodes["returned"] == 30
+    assert result.stats.reason == "ray"
 
 
 def _raise_numerical_failure(*args, **kwargs):
@@ -196,6 +203,45 @@ def test_numerical_failure_keeps_its_stats(monkeypatch, owner, name, game):
     assert result.stats.iterations >= 1
     assert result.stats.lcp_nodes > 0
     assert result.stats.wall_ms > 0.0
+    assert result.stats.reason == "lost precision"
+
+
+def _pivot_cap(monkeypatch):
+    # every round solves an LCP on which Lemke takes 2^9 pivots, past
+    # its cap of 200 + 30 * 9
+    real = cutplay_module.solve_lcp
+    capped = LCP(M=np.eye(9) + 2.0 * np.tril(np.ones((9, 9)), -1), q=-np.ones(9))
+    monkeypatch.setattr(cutplay_module, "solve_lcp", lambda problem, deadline=None: real(capped, deadline))
+
+
+def _residuals(monkeypatch):
+    monkeypatch.setattr(lcp_module, "COMPLEMENTARITY_TOL", -1.0)
+
+
+def _cut_keeps_the_point(monkeypatch):
+    # the oracle LP of the game's first round returns the null cut
+    def null_cut(points, sigma, deadline=None):
+        return None, np.zeros(points.shape[1])
+
+    monkeypatch.setattr(cutplay_module, "support_from_points", null_cut)
+
+
+def _deviation(monkeypatch):
+    monkeypatch.setattr(cutplay_module, "deviation_check", lambda *args, **kwargs: [(0, 1.0)])
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (_pivot_cap, "pivot cap"),
+    (_residuals, "LCP residuals out of tolerance"),
+    (_cut_keeps_the_point, "player p1: the separation LP's cut does not remove the point"),
+    (_deviation, "deviation"),
+], ids=["pivot cap", "residuals", "cut", "deviation"])
+def test_each_numerical_failure_says_why(monkeypatch, fault, reason):
+    fault(monkeypatch)
+    result = cut_and_play(random_knapsack_game(2, 2, 4).game(), SolverOptions(deviation_eps=3e-4))
+    assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert result.stats.reason == reason
+    assert result.stats.iterations >= 1
 
 
 def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch):
@@ -204,7 +250,9 @@ def test_budget_exhausted_before_any_deadline_is_a_numerical_failure(monkeypatch
         raise BudgetExhausted("node limit hit")
 
     monkeypatch.setattr(cutplay_module, "deviation_check", exhausted)  # certification
-    assert cut_and_play(canonical_knapsack_game().game(), SolverOptions()).status is EqStatus.NUMERICAL_FAILURE
+    result = cut_and_play(canonical_knapsack_game().game(), SolverOptions())
+    assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert result.stats.reason == "node limit hit"
 
 
 def test_enumeration_profile_cap_without_a_time_limit_is_a_numerical_failure():
@@ -223,6 +271,7 @@ def test_region_emptied_mid_run_keeps_its_stats(monkeypatch):
     monkeypatch.setattr(cutplay_module, "refine_region", emptied)
     [result] = solve_game(canonical_knapsack_game().game(), SolverOptions())
     assert result.status is EqStatus.INFEASIBLE
+    assert result.stats.reason == "region emptied by cuts"
     assert result.stats.iterations >= 1
     assert result.stats.wall_ms > 0.0
 
@@ -231,6 +280,7 @@ def test_iteration_cap_reports_numerical_failure():
     game = canonical_knapsack_game().game()
     result = cut_and_play(game, SolverOptions(max_iterations=1))
     assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert result.stats.reason == "round cap"
 
 
 def test_three_player_cycle_finds_the_mixed_point():

@@ -22,7 +22,7 @@ from rbgames.generators import nondegenerate_seeds, random_knapsack_game
 
 from rbgames.errors import BudgetExhausted
 
-from oracles import brute_force_lcp, lemke_reference, lemke_row_loop
+from oracles import brute_force_lcp, leaving_full_block_reference, lemke_reference, lemke_row_loop
 
 _RES_TOL = 1e-7
 
@@ -57,7 +57,7 @@ def test_certified_empty():
     assert not brute_force_lcp(problem.M, problem.q)
     out = solve_lcp(problem)
     assert isinstance(out, NoSolution)
-    assert out.nodes == 1
+    assert out.nodes == 1 and out.reason == "ray"
 
 
 def test_lemke_failure_is_not_certified():
@@ -160,7 +160,7 @@ def test_lemke_respects_its_pivot_cap():
             [(z, _)] = brute_force_lcp(M, problem.q)
             assert np.allclose(out.z, z, atol=1e-9), n
         else:
-            assert isinstance(out, NoSolution) and out.nodes == 200 + 30 * n
+            assert isinstance(out, NoSolution) and out.nodes == 200 + 30 * n and out.reason == "pivot cap"
 
 
 def test_vectorized_lemke_matches_the_row_loop_reference():
@@ -239,15 +239,22 @@ def _nash_lcps(monkeypatch, games):
     return problems
 
 
-def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
-    # every round of 20 corpus games, 3 ladder games and one 5x5 game,
-    # whose LCP has order 105: the solver's explicit inverse and the
-    # reference's block inverse take the same pivots to the same basis,
-    # and their z differ only by rounding
+@pytest.fixture(scope="module")
+def reference_nash_lcps():
+    """Every round's Nash LCP of 20 corpus games, 3 ladder games and one
+    5x5 game, whose LCP has order 105."""
     shapes = [(2, 2, s) for s in nondegenerate_seeds(2, 14)] + [(2, 3, s) for s in nondegenerate_seeds(3, 6)]
     shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1), (5, 5, 0)]
-    problems = _nash_lcps(monkeypatch, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
+    with pytest.MonkeyPatch.context() as mp:
+        problems = _nash_lcps(mp, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
     assert len(problems) >= 60 and max(p.order for p in problems) >= 100
+    return problems
+
+
+def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch, reference_nash_lcps):
+    # the solver's explicit inverse and the reference's block inverse take
+    # the same pivots to the same basis, and their z differ only by
+    # rounding
     ends = []
     real = lcp_module._solution
 
@@ -256,7 +263,7 @@ def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
         return real(problem, basis, pivots)
 
     monkeypatch.setattr(lcp_module, "_solution", recorded)
-    for problem in problems:
+    for problem in reference_nash_lcps:
         out = solve_lcp(problem)
         z, pivots, basic = lemke_reference(problem)
         assert out.nodes == pivots
@@ -266,11 +273,40 @@ def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch):
         assert np.allclose(out.z, z, rtol=0.0, atol=1e-10)
 
 
+def test_the_tie_break_matches_the_full_block_reference(monkeypatch, reference_nash_lcps):
+    # every ratio test of the Nash LCPs and of 400 degenerate LCPs, whose
+    # integer q repeats its entries, picks the row that the full n-row
+    # lexicographic block picks; both kinds of deciding column occur: a
+    # basic w's unit column and a nonbasic w's column of invT
+    rng = seeded_rng(29)
+    degenerate = []
+    for _ in range(400):
+        n = int(rng.integers(3, 13))
+        B = rng.integers(-2, 3, size=(n, int(rng.integers(0, n + 1)))).astype(float)
+        S = rng.integers(-2, 3, size=(n, n)).astype(float)
+        degenerate.append(LCP(M=B @ B.T + S - S.T, q=rng.integers(-2, 2, size=n).astype(float)))
+    real = lcp_module._leaving
+    decided = {"unit": 0, "nonbasic": 0}
+
+    def checked(basis, d):
+        want, j = leaving_full_block_reference(basis, d)
+        assert real(basis, d) == want
+        if j is not None:
+            decided["unit" if j in basis.basic else "nonbasic"] += 1
+        return want
+
+    monkeypatch.setattr(lcp_module, "_leaving", checked)
+    for problem in reference_nash_lcps + degenerate:
+        solve_lcp(problem)
+    assert decided["unit"] >= 50 and decided["nonbasic"] >= 50, decided
+
+
 def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
     # every round of a 5x5 game (order 105, 207 pivots) and of a 3x5
-    # game: B^{-1} kept by columns stays an inverse of B, the nonbasic
-    # w's fill the first k rows of invT, and each basic w_j keeps the
-    # exact unit column that lets a pivot leave its row alone
+    # game: B^{-1} kept by columns stays an inverse of B, the basic values
+    # kept above it in the pivot block stay B^{-1} q, the nonbasic w's
+    # fill the first k rows of invT, and each basic w_j keeps the exact
+    # unit column that lets a pivot leave its row alone
     problems = _nash_lcps(monkeypatch, [random_knapsack_game(0, 5, 5).game(), random_knapsack_game(2, 3, 5).game()])
     assert len(problems) >= 4 and max(p.order for p in problems) >= 100
     checks = [0]
@@ -278,15 +314,18 @@ def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
 
     def checked(basis):
         n, k = basis.n, basis.k
-        B = np.column_stack([basis.column(var) for var in basis.basic])
-        assert np.abs(B @ basis.invT[basis.slot].T - np.eye(n)).max() <= 1e-9
+        basic, slot = np.array(basis.basic), np.array(basis.slot)
+        # the columns of w, z and z0 in  w - M z - z0 1 = q
+        B = np.hstack([np.eye(n), -basis.M, -np.ones((n, 1))])[:, basic]
+        assert np.abs(B @ basis.invT[slot].T - np.eye(n)).max() <= 1e-9
+        assert np.abs(basis.x - np.linalg.solve(B, basis.q)).max() <= 1e-9
         # the first k rows of invT hold the nonbasic w's
-        assert np.array_equal(np.sort(basis.order[:k]), np.setdiff1d(np.arange(n), basis.basic))
-        assert np.array_equal(basis.slot[basis.order], np.arange(n))
-        for r in np.nonzero(basis.basic < n)[0]:
+        assert np.array_equal(np.sort(basis.order[:k]), np.setdiff1d(np.arange(n), basic))
+        assert np.array_equal(slot[basis.order], np.arange(n))
+        for r in np.nonzero(basic < n)[0]:
             unit = np.zeros(n)
             unit[r] = 1.0
-            assert basis.invT[basis.slot[basis.basic[r]]].tobytes() == unit.tobytes()
+            assert basis.invT[slot[basic[r]]].tobytes() == unit.tobytes()
         checks[0] += 1
         real(basis)
 
