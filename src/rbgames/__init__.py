@@ -79,7 +79,7 @@ from .numerics import (
     SparseMatrix,
     seeded_rng,
 )
-from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, encode_region, hull_contains
+from .poly import ExtendedHull, Polyhedron, convex_hull, decompose, hull_contains
 
 __version__ = "0.1.0"
 
@@ -129,7 +129,6 @@ __all__ = [
     "cyclic_matching_game",
     "decompose",
     "deviation_check",
-    "encode_region",
     "full_enumeration",
     "gomory_cuts",
     "hull_contains",

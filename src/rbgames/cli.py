@@ -54,6 +54,8 @@ def build_parser():
 def _report(results, names, out):
     head = results[0]
     print(f"status: {head.status.value}", file=out)
+    if head.stats.reason is not None:
+        print(f"reason: {head.stats.reason}", file=out)
     shown = results if len(results) > 1 else results[:1]
     for k, res in enumerate(shown):
         if res.profile is None:

@@ -233,15 +233,16 @@ def _result(status, stats, profile=None, payoffs=None):
     return EquilibriumResult(status=status, profile=profile, payoffs=payoffs, stats=stats)
 
 
-def _exhausted(deadline):
-    """Status of a run whose solver raised BudgetExhausted.
+def _exhausted(deadline, exc):
+    """(status, reason) of a run whose solver raised BudgetExhausted.
 
-    Only a passed deadline is a time limit; a node or pivot budget that
-    runs out before it is a numerical failure.
+    Only a passed deadline is a time limit, with reason "deadline"; a
+    node, pivot or profile budget that runs out before it is a
+    numerical failure, with the budget's message as its reason.
     """
     if deadline is not None and time.monotonic() > deadline:
-        return EqStatus.TIME_LIMIT
-    return EqStatus.NUMERICAL_FAILURE
+        return EqStatus.TIME_LIMIT, "deadline"
+    return EqStatus.NUMERICAL_FAILURE, str(exc)
 
 
 def cut_and_play(game, opts=None, watcher=None):
@@ -265,8 +266,8 @@ def cut_and_play(game, opts=None, watcher=None):
     try:
         return _rounds(game, opts, deadline, stats, finish, watcher)
     except BudgetExhausted as exc:
-        status = _exhausted(deadline)
-        return finish(status, reason="deadline" if status is EqStatus.TIME_LIMIT else str(exc))
+        status, reason = _exhausted(deadline, exc)
+        return finish(status, reason=reason)
     except InfeasibleGame as exc:
         return finish(EqStatus.INFEASIBLE, reason=str(exc))
     except NumericalFailure as exc:
@@ -325,11 +326,11 @@ def solve_game(game, opts=None):
         return [cut_and_play(game, opts)]
     t0 = time.monotonic()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
-    status, found = EqStatus.NO_EQUILIBRIUM_FOUND, []
+    status, reason, found = EqStatus.NO_EQUILIBRIUM_FOUND, "enumeration found no equilibrium", []
     try:
         found = full_enumeration(game, deadline=deadline)
-    except BudgetExhausted:
-        status = _exhausted(deadline)
-    except InfeasibleGame:
-        status = EqStatus.INFEASIBLE
-    return found or [_result(status, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0))]
+    except BudgetExhausted as exc:
+        status, reason = _exhausted(deadline, exc)
+    except InfeasibleGame as exc:
+        status, reason = EqStatus.INFEASIBLE, str(exc)
+    return found or [_result(status, SolveStats(wall_ms=(time.monotonic() - t0) * 1000.0, reason=reason))]

@@ -2,10 +2,12 @@
 
 Players are ordered; player i's coupling matrix C has one block of rows
 per opponent, stacked by ascending player index with i skipped.  The
-Nash LCP of the convexified game pairs every variable of each region's
-encoding (``poly.encode_region``) with its stationarity row, each box
-equality with a split multiplier and each inequality row with one
-multiplier; it is built copositive-plus, so Lemke's method solves it.
+Nash LCP of the convexified game (``build_nash_lcp``) writes each region
+over the free coordinates of its bounding box, as nonnegative
+variables below and above the lower corner; it pairs every variable
+with its stationarity row, each box equality with a split multiplier
+and each row the box does not imply with one multiplier.  It is built
+copositive-plus, so Lemke's method solves it.
 One LP over a finite set of pure strategies, ``support_from_points``,
 answers the separation question: it writes a mixed strategy as weights
 over them, or returns a hyperplane that cuts the point off their hull.
@@ -21,7 +23,6 @@ from .ip import parametrized_objective, payoff, solve_ip
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import DEVIATION_EPS, FEAS_TOL, ZERO_TOL
-from .poly import encode_region
 
 _ALPHA_MARGIN = 1e-3  # alpha is twice the least value that makes P nonnegative, plus this
 
@@ -33,11 +34,9 @@ class GameModel:
         self.players = list(players)
         if not self.players:
             raise ValueError("a game needs at least one player")
-        sizes = [p.nvars for p in self.players]
-        total = sum(sizes)
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        total = sum(p.nvars for p in self.players)
         for i, p in enumerate(self.players):
-            expect = total - sizes[i]
+            expect = total - p.nvars
             if p.opp_vars != expect:
                 raise ValueError(
                     f"player {i} ({p.name}): C has {p.opp_vars} rows, expected {expect} (sum of opponents' vars)"
@@ -46,9 +45,6 @@ class GameModel:
     @property
     def n_players(self):
         return len(self.players)
-
-    def sizes(self):
-        return [p.nvars for p in self.players]
 
 
 def opponents_vector(game, barycenters, i):
@@ -91,10 +87,13 @@ class EqStatus(Enum):
 
 @dataclass(eq=False)
 class SolveStats:
-    """Counters of one solve.  ``reason`` says why a cut-and-play run
-    ended without an equilibrium: "ray" or "pivot cap" (Lemke),
-    "round cap", "deviation" (found at certification), "deadline", or
-    the message of the failure that stopped it; None on PNE and MNE."""
+    """Counters of one solve.  ``reason`` says why a run ended without
+    an equilibrium; it is None on PNE and MNE.  Under cut-and-play it
+    is "ray" or "pivot cap" (Lemke), "round cap", "deviation" (found
+    at certification), "deadline", or the message of the failure that
+    stopped it.  Under full enumeration it is "deadline", the message of
+    the exhausted profile cap or of the empty player's feasible set, or
+    "enumeration found no equilibrium"."""
 
     iterations: int = 0
     cuts: int = 0
@@ -113,74 +112,100 @@ class EquilibriumResult:
 
 @dataclass(eq=False)
 class LCPIndexMap:
-    """Maps each player's block of the stacked z vector to its strategy."""
+    """Maps each player's block (y_i, ybar_i) of the stacked z vector to
+    its strategy: lo_i, plus y_i on the free coordinates F_i."""
 
     var_slices: list
-    encodings: list  # the regions' encodings: x_i = lo_i + L_i z[var_slices[i]]
+    lows: list
+    free: list
 
     def extract(self, z):
-        return [enc.lo + enc.L @ np.asarray(z[s], dtype=float) for s, enc in zip(self.var_slices, self.encodings)]
+        out = []
+        for s, lo, F in zip(self.var_slices, self.lows, self.free):
+            x = lo.copy()
+            x[F] += z[s.start : s.start + F.size]
+            out.append(x)
+        return out
 
 
 def build_nash_lcp(game, regions):
     """Stack every player's KKT system over its region into one LCP.
 
-    With each region encoded as x_i = lo_i + L_i v_i over v_i >= 0 with
-    box rows E_i v_i = e_i and piece rows G_i v_i <= g_i
-    (``poly.encode_region``), z = (v, mu+, mu-, lam) and
+    Region i, with bounding box (lo_i, hi_i) and free coordinates
+    F_i = {j : hi_ij > lo_ij}, is written over y_i, ybar_i >= 0 on F_i:
+    the strategy is lo_i plus y_i on F_i, the box rows
+    y_i + ybar_i = (hi_i - lo_i)_F are equalities E_i v_i = e_i with
+    v_i = (y_i, ybar_i), and the region's rows A_i[:, F_i] y_i <=
+    b_i - A_i lo_i are inequalities G_i v_i <= g_i.  Rows that the box
+    already implies are left out: they do not change the set, and each
+    would add one multiplier.  With z = (v, mu+, mu-, lam),
 
         M = [[P, -E', E', G'], [E, 0, 0, 0], [-E, 0, 0, 0], [-G, 0, 0, 0]],
-        q = [L'(c + C' lo_-); -e; e; g],
+        q = [(c + C' lo_-)_F, 0; -e; e; g],
 
     where the split multiplier mu+ - mu- prices E v = e, lam prices
-    G v <= g, lo_- stacks the opponents' lo, and block (i, j) of P is
-    L_i' C_ij' L_j plus alpha.  The all-ones vector is E_j'1, so 1'v_j
-    is constant on region j: the alpha term only shifts player i's box
-    multipliers and leaves every best response as it was.  alpha is
-    sized so that P is entrywise positive.  Every off-diagonal block of
-    M is skew, so z'Mz = v'Pv, which is positive for z >= 0 unless
-    v = 0, and then (M + M')z = 0: M is copositive-plus.  Each round's
-    convexified game has an equilibrium, so the LCP is feasible, and
-    Lemke's method ends at a solution.  A solution's strategy blocks are
-    simultaneous LP minimizers of each player's parametrized objective
-    over its region.
+    G v <= g, lo_- stacks the opponents' lo, and block (y_i, y_j) of P
+    is C_ij' restricted to F_i x F_j, plus alpha in every entry of P.
+    The all-ones vector is E_j'1, so 1'v_j is constant on region j: the
+    alpha term only shifts player i's box multipliers and leaves every
+    best response as it was.  alpha is sized so that P is entrywise
+    positive.  Every off-diagonal block of M is skew, so z'Mz = v'Pv,
+    which is positive for z >= 0 unless v = 0, and then (M + M')z = 0:
+    M is copositive-plus.  Each round's convexified game has an
+    equilibrium, so the LCP is feasible, and Lemke's method ends at a
+    solution.  A solution's strategy blocks are simultaneous LP
+    minimizers of each player's parametrized objective over its region.
     """
-    n = game.n_players
-    if len(regions) != n:
+    if len(regions) != game.n_players:
         raise ValueError("one region per player required")
-    encs = [encode_region(r) for r in regions]
-    for enc, p in zip(encs, game.players):
-        if enc.m != p.nvars:
+    lows, free, spans, ineqs = [], [], [], []
+    for region, p in zip(regions, game.players):
+        if region.dim != p.nvars:
             raise ValueError("region dimension does not match the player")
-    offsets = np.vstack([[0, 0, 0], np.cumsum([(enc.nvars, enc.e.size, enc.g.size) for enc in encs], axis=0)])
+        lo, hi = region.bounding_box()
+        F = np.nonzero(hi > lo)[0]
+        kept = np.maximum(region.A * lo, region.A * hi).sum(axis=1) > region.b
+        A = region.A[kept]
+        lows.append(lo)
+        free.append(F)
+        spans.append((hi - lo)[F])
+        ineqs.append((A[:, F], region.b[kept] - A @ lo))
+    sizes = [(2 * F.size, F.size, g.size) for F, (_, g) in zip(free, ineqs)]
+    offsets = np.vstack([[0, 0, 0], np.cumsum(sizes, axis=0)])
     voff, eoff, goff = offsets.T
     nv, ne, ng = (int(total) for total in offsets[-1])
-    blocks = [slice(voff[i], voff[i + 1]) for i in range(n)]
     M = np.zeros((nv + 2 * ne + ng, nv + 2 * ne + ng))
     q = np.zeros(nv + 2 * ne + ng)
+    # the box row of each entry of v, as y_i and then ybar_i run over F_i
+    v = np.arange(nv)
+    box = nv + np.concatenate([eoff[i] + np.arange(F.size) for i, F in enumerate(free) for _ in range(2)])
+    M[v, box] = -1.0
+    M[box, v] = 1.0
+    M[v, box + ne] = 1.0
+    M[box + ne, v] = -1.0
+    span = np.concatenate(spans)
+    q[nv : nv + ne] = -span
+    q[nv + ne : nv + 2 * ne] = span
     P = M[:nv, :nv]
-    lows = [enc.lo for enc in encs]
-    for i, (enc, p, vs) in enumerate(zip(encs, game.players, blocks)):
+    for i, (p, F, (G, g)) in enumerate(zip(game.players, free, ineqs)):
+        y = slice(voff[i], voff[i] + F.size)
         Ct = p.C.to_dense().T
+        CtF = Ct[F]
         col = 0
-        for j, other in enumerate(encs):
+        for j, lo in enumerate(lows):
             if j == i:
                 continue
-            P[vs, blocks[j]] = enc.L.T @ Ct[:, col : col + other.m] @ other.L
-            col += other.m
-        q[vs] = enc.L.T @ (p.c + Ct @ opponents_vector(game, lows, i))
-        for sign, off in ((1.0, nv), (-1.0, nv + ne)):
-            es = slice(off + eoff[i], off + eoff[i + 1])
-            M[vs, es] = -sign * enc.E.T
-            M[es, vs] = sign * enc.E
-            q[es] = -sign * enc.e
+            P[y, voff[j] : voff[j] + free[j].size] = CtF[:, col + free[j]]
+            col += lo.size
+        q[y] = (p.c + Ct @ opponents_vector(game, lows, i))[F]
         gs = slice(nv + 2 * ne + goff[i], nv + 2 * ne + goff[i + 1])
-        M[vs, gs] = enc.G.T
-        M[gs, vs] = -enc.G
-        q[gs] = enc.g
+        M[y, gs] = G.T
+        M[gs, y] = -G
+        q[gs] = g
     # alpha > -min P makes P entrywise positive
     P += 2.0 * -float(np.min(P, initial=0.0)) + _ALPHA_MARGIN
-    return LCP(M=M, q=q), LCPIndexMap(var_slices=blocks, encodings=encs)
+    blocks = [slice(voff[i], voff[i + 1]) for i in range(game.n_players)]
+    return LCP(M=M, q=q), LCPIndexMap(var_slices=blocks, lows=lows, free=free)
 
 
 @dataclass(eq=False)

@@ -1,17 +1,13 @@
-"""Polyhedra, their encoding for the Nash LCP, and hulls of unions.
+"""Polyhedra and hulls of unions.
 
-``encode_region`` writes a bounded polyhedron over the free coordinates
-of its box: box equalities and the polyhedron's own rows as
-inequalities, over nonnegative variables with the strategy an affine
-image of them.  Every cut-and-play region is one such polyhedron.  The
-hull of a union of bounded polyhedra (``convex_hull``) is kept in
+Every cut-and-play region is one bounded ``Polyhedron``; its rows and
+its cached bounding box are all that ``game.build_nash_lcp`` reads.
+The hull of a union of bounded polyhedra (``convex_hull``) is kept in
 extended form, one scaled copy of each piece plus its convex multiplier
 theta_k; membership (``hull_contains``) and decomposition
 (``decompose``) solve one LP over that lifted form and serve library
 callers.  No vertex or facet enumeration happens anywhere.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +19,7 @@ from .numerics import FEAS_TOL, ZERO_TOL
 class Polyhedron:
     """{ x : A x <= b, lb <= x <= ub } with possibly infinite bounds."""
 
-    __slots__ = ("A", "b", "lb", "ub", "_box", "_encoding")
+    __slots__ = ("A", "b", "lb", "ub", "_box")
 
     def __init__(self, A, b, lb, ub):
         self.A = np.asarray(A, dtype=float)
@@ -40,7 +36,6 @@ class Polyhedron:
         if np.any(self.lb > self.ub):
             raise ValueError("lb must not exceed ub")
         self._box = None
-        self._encoding = None
 
     @property
     def dim(self):
@@ -146,65 +141,6 @@ def convex_hull(pieces, deadline=None):
     if not kept:
         raise EmptyUnion("every piece of the union is empty")
     return ExtendedHull(kept, boxes)
-
-
-@dataclass(eq=False)
-class RegionEncoding:
-    """A polyhedron as x = lo + L v over v = (y, ybar) >= 0 with the box
-    rows E v = e and the piece rows G v <= g.
-
-    y and ybar run over the free coordinates, and L selects y.  E is
-    [I, I], so the all-ones vector is E'1 and 1'v = 1'e is the same at
-    every point of the region.
-    """
-
-    lo: np.ndarray
-    L: np.ndarray
-    E: np.ndarray
-    e: np.ndarray
-    G: np.ndarray
-    g: np.ndarray
-
-    @property
-    def nvars(self):
-        return self.E.shape[1]
-
-    @property
-    def m(self):
-        return self.lo.size
-
-
-def encode_region(region):
-    """Rewrite a bounded Polyhedron over the free coordinates of its box.
-
-    With (lo, hi) its bounding box and F = {j : hi_j > lo_j}, the
-    columns are y and ybar over F, the box rows y + ybar = (hi - lo)_F
-    are equalities, the piece rows A_F y <= b - A lo are inequalities,
-    and x = lo + L v.  Rows that the box already implies are left out:
-    they do not change the set, and each would add one multiplier to
-    the Nash LCP.
-
-    Regions are never changed once built, so the encoding is made once
-    per region object and kept on it; callers must not write to it.
-    """
-    if not isinstance(region, Polyhedron):
-        raise TypeError(f"cannot encode region of type {type(region).__name__}")
-    if region._encoding is None:
-        region._encoding = _encode(region)
-    return region._encoding
-
-
-def _encode(region):
-    lo, hi = region.bounding_box()
-    free = np.nonzero(hi > lo)[0]
-    f = free.size
-    implied = np.maximum(region.A * lo, region.A * hi).sum(axis=1) <= region.b
-    A = region.A[~implied]
-    L = np.zeros((region.dim, 2 * f))
-    L[free, np.arange(f)] = 1.0
-    E = np.hstack([np.eye(f), np.eye(f)])
-    G = np.hstack([A[:, free], np.zeros((A.shape[0], f))])
-    return RegionEncoding(lo=lo, L=L, E=E, e=(hi - lo)[free], G=G, g=region.b[~implied] - A @ lo)
 
 
 def _lift(hull):

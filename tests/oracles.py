@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -12,6 +13,7 @@ from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, f
 from rbgames.cutplay import _INT_TOL, Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
 from rbgames.errors import NumericalFailure
+from rbgames.game import _ALPHA_MARGIN
 from rbgames.lp import _AT_LB, _BASIC, _PIVOT_TOL
 from rbgames.numerics import FEAS_TOL, ZERO_TOL
 
@@ -83,9 +85,83 @@ def in_convex_hull_of(points, x, eps=1e-8):
     return res.status == 0
 
 
+@dataclass(eq=False)
+class RegionEncoding:
+    """A polyhedron as x = lo + L v over v = (y, ybar) >= 0 with the box
+    rows E v = e and the piece rows G v <= g; L selects y and E is [I, I]."""
+
+    lo: np.ndarray
+    L: np.ndarray
+    E: np.ndarray
+    e: np.ndarray
+    G: np.ndarray
+    g: np.ndarray
+
+    @property
+    def nvars(self):
+        return self.E.shape[1]
+
+
+def encode_region_reference(region):
+    """Reference encoding of a bounded Polyhedron over the free
+    coordinates F = {hi > lo} of its box (lo, hi), with explicit
+    selection matrices; rows the box implies are left out."""
+    lo, hi = region.bounding_box()
+    free = np.nonzero(hi > lo)[0]
+    f = free.size
+    implied = np.maximum(region.A * lo, region.A * hi).sum(axis=1) <= region.b
+    A = region.A[~implied]
+    L = np.zeros((region.dim, 2 * f))
+    L[free, np.arange(f)] = 1.0
+    E = np.hstack([np.eye(f), np.eye(f)])
+    G = np.hstack([A[:, free], np.zeros((A.shape[0], f))])
+    return RegionEncoding(lo=lo, L=L, E=E, e=(hi - lo)[free], G=G, g=region.b[~implied] - A @ lo)
+
+
+def nash_lcp_reference(game, regions):
+    """Reference Nash LCP from the explicit encodings: returns (M, q,
+    extract), with z = (v, mu+, mu-, lam),
+    M = [[P, -E', E', G'], [E, 0, 0, 0], [-E, 0, 0, 0], [-G, 0, 0, 0]],
+    q = [L'(c + C' lo_-); -e; e; g], block (i, j) of P is
+    L_i' C_ij' L_j plus alpha, and extract(z) gives lo_i + L_i v_i."""
+    encs = [encode_region_reference(r) for r in regions]
+    offsets = np.vstack([[0, 0, 0], np.cumsum([(enc.nvars, enc.e.size, enc.g.size) for enc in encs], axis=0)])
+    voff, eoff, goff = offsets.T
+    nv, ne, ng = (int(total) for total in offsets[-1])
+    blocks = [slice(voff[i], voff[i + 1]) for i in range(len(encs))]
+    M = np.zeros((nv + 2 * ne + ng, nv + 2 * ne + ng))
+    q = np.zeros(nv + 2 * ne + ng)
+    P = M[:nv, :nv]
+    lows = [enc.lo for enc in encs]
+    for i, (enc, p, vs) in enumerate(zip(encs, game.players, blocks)):
+        Ct = p.C.to_dense().T
+        col = 0
+        for j, other in enumerate(encs):
+            if j == i:
+                continue
+            P[vs, blocks[j]] = enc.L.T @ Ct[:, col : col + other.lo.size] @ other.L
+            col += other.lo.size
+        q[vs] = enc.L.T @ (p.c + Ct @ opponents_vector(game, lows, i))
+        for sign, off in ((1.0, nv), (-1.0, nv + ne)):
+            es = slice(off + eoff[i], off + eoff[i + 1])
+            M[vs, es] = -sign * enc.E.T
+            M[es, vs] = sign * enc.E
+            q[es] = -sign * enc.e
+        gs = slice(nv + 2 * ne + goff[i], nv + 2 * ne + goff[i + 1])
+        M[vs, gs] = enc.G.T
+        M[gs, vs] = -enc.G
+        q[gs] = enc.g
+    P += 2.0 * -float(np.min(P, initial=0.0)) + _ALPHA_MARGIN
+
+    def extract(z):
+        return [enc.lo + enc.L @ np.asarray(z[s], dtype=float) for s, enc in zip(blocks, encs)]
+
+    return M, q, extract
+
+
 def encoding_holds(enc, x):
     """(member, v): some v >= 0 has E v = e, G v <= g and lo + L v = x,
-    by a scipy LP."""
+    for an encoding of ``encode_region_reference``, by a scipy LP."""
     A_eq = np.vstack([enc.E, enc.L])
     b_eq = np.concatenate([enc.e, np.asarray(x, dtype=float) - enc.lo])
     res = linprog(np.zeros(enc.nvars), A_ub=enc.G if enc.G.size else None, b_ub=enc.g if enc.G.size else None,

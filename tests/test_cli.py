@@ -98,6 +98,18 @@ def test_infeasible_exits_four(tmp_path, capsys):
     assert "status: Infeasible" in out
 
 
+def test_the_report_says_why_no_equilibrium_was_found(tmp_path, capsys):
+    dest = tmp_path / "result.json"
+    code = main(["--instance", str(_INSTANCES / "infeasible-player.json"), "--output", str(dest)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert lines[:2] == ["status: Infeasible", "reason: player stuck: region emptied by its own rows"]
+    # the reason is reported, not stored: the result document keeps its keys
+    doc = json.loads(dest.read_text())
+    assert set(doc) == {"status", "players", "equilibria", "stats"}
+    assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs"}
+
+
 def test_missing_file_exits_one(capsys):
     code = main(["--instance", "/nonexistent/game.json"])
     err = capsys.readouterr().err

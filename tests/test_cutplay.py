@@ -262,6 +262,17 @@ def test_enumeration_profile_cap_without_a_time_limit_is_a_numerical_failure():
             for name in ("a", "b")]
     [result] = solve_game(GameModel(wide), SolverOptions(algorithm=Algorithm.FULL_ENUMERATION))
     assert result.status is EqStatus.NUMERICAL_FAILURE
+    assert result.stats.reason == f"profile count exceeds {1 << 20}"
+
+
+@pytest.mark.parametrize("make, status, reason", [
+    (infeasible_game, EqStatus.INFEASIBLE, "player 0 (stuck) has an empty feasible set"),
+    (cyclic_matching_game, EqStatus.NO_EQUILIBRIUM_FOUND, "enumeration found no equilibrium"),
+], ids=["infeasible", "none-found"])
+def test_each_enumeration_exit_without_an_equilibrium_says_why(make, status, reason):
+    [result] = solve_game(make().game(), SolverOptions(algorithm=Algorithm.FULL_ENUMERATION))
+    assert result.status is status and result.profile is None
+    assert result.stats.reason == reason
 
 
 def test_region_emptied_mid_run_keeps_its_stats(monkeypatch):

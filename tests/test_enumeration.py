@@ -317,6 +317,7 @@ def test_fullenum_time_limit_returns_time_limit_with_stats():
     assert r.status is EqStatus.TIME_LIMIT
     assert r.profile is None
     assert r.stats is not None and r.stats.wall_ms >= 0.0
+    assert r.stats.reason == "deadline"
 
 
 # -- the array-level lattice and degeneracy test against the code they replaced

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import rbgames.poly as poly_module
 from rbgames import (
     GameModel,
     InfeasibleGame,
@@ -23,12 +22,12 @@ from rbgames import (
     support_from_points,
 )
 from rbgames.cutplay import OuterApproximation
-from rbgames.game import encode_region
 from rbgames.generators import canonical_knapsack_game, infeasible_game, nondegenerate_seeds, random_knapsack_game
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
 from rbgames.poly import Polyhedron
 
-from oracles import encoding_holds, in_convex_hull_of, polyhedron_vertices, scipy_lp
+from oracles import (encode_region_reference, encoding_holds, in_convex_hull_of, nash_lcp_reference,
+                     polyhedron_vertices, scipy_lp)
 
 
 def _scalar_player(name, value, n_opp):
@@ -193,12 +192,13 @@ def test_support_from_points_contract():
 
 
 def test_encode_region_shifts_bounds():
-    # a shifted box with a knapsack row: the encoding's strategies are
-    # exactly the convex hull of the polyhedron's vertices
+    # a shifted box with a knapsack row: the reference encoding's
+    # strategies, which build_nash_lcp reproduces bitwise, are exactly
+    # the convex hull of the polyhedron's vertices
     region = Polyhedron(np.array([[3.0, 4.0]]), np.array([5.0]),
                         np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
-    enc = encode_region(region)
-    assert enc.m == 2 and np.array_equal(enc.lo, [-1.0, 0.0])
+    enc = encode_region_reference(region)
+    assert np.array_equal(enc.lo, [-1.0, 0.0])
     # two free coordinates: y, ybar over each, two box rows, the knapsack
     # row as one inequality with its right-hand side shifted by A lo
     assert enc.nvars == 4 and enc.e.size == 2 and np.array_equal(enc.g, [8.0])
@@ -310,7 +310,7 @@ def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
     lb[1] = ub[1] = 1.0
     fixed = Polyhedron(first._dense_A, first.b, lb, ub)
     implied = Polyhedron(np.vstack([second._dense_A, np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
-    assert encode_region(fixed).nvars == 4 and encode_region(implied).g.size == 1
+    assert encode_region_reference(fixed).nvars == 4 and encode_region_reference(implied).g.size == 1
     cases.append((game, [fixed, implied]))
     for game, regions in cases:
         lcp, index_map = build_nash_lcp(game, regions)
@@ -331,32 +331,47 @@ def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
     assert points[0][1] == 1.0  # the last case's fixed coordinate, exactly
 
 
+def test_nash_lcp_matches_the_reference_builder_bitwise():
+    # every round of three 3x5 runs, a fixed coordinate, a row the box
+    # implies, shifted boxes, and a continuous coordinate with ub = inf
+    # whose box comes from the bounding-box LPs
+    cases = []
+    for seed in (0, 1, 2):
+        game = random_knapsack_game(seed, 3, 5).game()
+        cases.append((game, OuterApproximation(game).regions()))
+        cut_and_play(game, SolverOptions(deviation_eps=3e-4),
+                     watcher=lambda outer, iteration: cases.append((game, outer.regions())))
+    assert len(cases) >= 9
+    game = random_knapsack_game(0, 2, 3).game()
+    first, second = game.players
+    lb, ub = first.lb.copy(), first.ub.copy()
+    lb[1] = ub[1] = 1.0
+    implied = Polyhedron(np.vstack([second._dense_A, np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
+    cases.append((game, [Polyhedron(first._dense_A, first.b, lb, ub), implied]))
+    game = random_knapsack_game(4).game()
+    cases.append((game, [Polyhedron(p._dense_A, p.b, p.lb - 1.0, p.ub) for p in game.players]))
+    drift = PlayerProgram(name="drift", c=np.array([-1.0, 0.0]), C=np.array([[0.5, -1.0]]),
+                          A=np.array([[0.0, 1.0], [1.0, 1.0]]), b=np.array([1.0, 2.5]), integers=(1,),
+                          lb=np.zeros(2), ub=np.array([np.inf, 1.0]))
+    other = PlayerProgram(name="other", c=np.array([1.0]), C=np.array([[1.0], [-2.0]]), A=np.zeros((0, 1)),
+                          b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1))
+    game = GameModel([drift, other])
+    regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+    cases.append((game, regions))
+    assert regions[0].bounding_box()[1][0] == 2.5
+    for game, regions in cases:
+        lcp, index_map = build_nash_lcp(game, regions)
+        M, q, extract = nash_lcp_reference(game, regions)
+        assert np.array_equal(lcp.M, M) and np.array_equal(lcp.q, q)
+        sol = solve_lcp(lcp)
+        assert isinstance(sol, LCPSolution)
+        for got, want in zip(index_map.extract(sol.z), extract(sol.z)):
+            assert np.array_equal(got, want)
+
+
 def test_strategy_profile_accessors():
     s = PlayerStrategy(barycenter=[0.5, 0.5], support=[(0.5, [0.0, 1.0]), (0.5, [1.0, 0.0])])
     assert isinstance(s.barycenter, np.ndarray)
     assert isinstance(s.support[0][1], np.ndarray)
     prof = StrategyProfile(strategies=[s])
     assert np.allclose(prof.barycenters()[0], [0.5, 0.5])
-
-
-def test_unchanged_regions_are_encoded_once(monkeypatch):
-    encoded = []
-    real = poly_module._encode
-
-    def counting(region):
-        encoded.append(region)
-        return real(region)
-
-    monkeypatch.setattr(poly_module, "_encode", counting)
-    game = random_knapsack_game(0, 2, 3).game()
-    outer = OuterApproximation(game)
-    first, _ = build_nash_lcp(game, outer.regions())
-    assert len(encoded) == 2
-    second, _ = build_nash_lcp(game, outer.regions())
-    assert len(encoded) == 2
-    assert np.array_equal(first.M, second.M) and np.array_equal(first.q, second.q)
-    # a cut gives player 0 a new region, encoded afresh; player 1's is kept
-    pi = np.ones(game.players[0].nvars)
-    outer.states[0].apply_cuts([(pi, float(np.max(outer.states[0].lattice @ pi)))])
-    build_nash_lcp(game, outer.regions())
-    assert len(encoded) == 3 and encoded[-1] is outer.states[0].region()

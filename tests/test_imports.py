@@ -1,10 +1,11 @@
-"""Every module of the package uses each name it imports, and every
-private function of the package has a caller in it.
+"""Every module of the package uses each name it imports, every
+private function of the package has a caller in it, and every
+``__slots__`` entry of a package class is read in it.
 
 No linter ships with the package, so a stray import or helper left
-behind when a name is deleted would otherwise go unnoticed.  ``__init__.py`` imports
-to re-export and is exempt; its ``__all__`` must list exactly what it
-imports instead.
+behind when a name is deleted, or a cache slot that is only written,
+would otherwise go unnoticed.  ``__init__.py`` imports to re-export and
+is exempt; its ``__all__`` must list exactly what it imports instead.
 """
 
 import ast
@@ -81,3 +82,31 @@ def test_the_check_sees_uncalled_private_functions():
 def test_every_private_function_has_a_caller_in_the_package():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert uncalled_private_functions(sources) == []
+
+
+def unread_slots(sources):
+    """(class, slot) pairs for the ``__slots__`` entries of classes
+    defined in ``sources`` whose name no code in them reads as an
+    attribute: a slot that is only ever written is a leftover."""
+    slots, read = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                        slots.extend((node.name, name) for name in ast.literal_eval(stmt.value))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(pair for pair in slots if pair[1] not in read)
+
+
+def test_the_check_sees_unread_slots():
+    sources = ["class Box:\n    __slots__ = ('lo', '_cache')\n\n    def __init__(self, lo):\n"
+               "        self.lo = lo\n        self._cache = None\n",
+               "def width(box):\n    return box.lo\n"]
+    assert unread_slots(sources) == [("Box", "_cache")]
+
+
+def test_every_slot_of_a_package_class_is_read_in_the_package():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_slots(sources) == []

@@ -10,13 +10,12 @@ from rbgames import (
     Polyhedron,
     convex_hull,
     decompose,
-    encode_region,
     hull_contains,
     seeded_rng,
     solve_lp,
 )
 
-from oracles import encoding_holds, in_convex_hull_of, lift_holds, polyhedron_vertices
+from oracles import encode_region_reference, encoding_holds, in_convex_hull_of, lift_holds, polyhedron_vertices
 
 _EPS = 1e-7
 
@@ -183,7 +182,7 @@ def test_hull_encoding_matches_vertex_enumeration():
             member = lift_holds(lift, x)[0]
             assert member == in_convex_hull_of(every, x), (trial, x)
             members += member
-            inside = encoding_holds(encode_region(hull.pieces[0]), x)[0]
+            inside = encoding_holds(encode_region_reference(hull.pieces[0]), x)[0]
             assert inside == hull.pieces[0].contains(x), (trial, x)
             piece_members += inside
     assert zero_row_pieces >= 20 and members >= 200 and piece_members >= 100, (members, piece_members)
