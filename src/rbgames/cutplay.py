@@ -36,12 +36,11 @@ from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, Unsupport
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, profile_payoffs, support_from_points)
-from .ip import _PRUNE_TOL, solve_ip
+from .ip import _INT_TOL, _PRUNE_TOL, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
 
-_INT_TOL = 1e-6
 _ORACLE_CAP = 1 << 16
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BudgetExhausted, InfeasibleGame, UnsupportedGame
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy, SolveStats,
                    StrategyProfile, opponents_vector, payoff, profile_payoffs)
-from .numerics import FEAS_TOL, triplet_dense, triplet_rmatvec
+from .numerics import FEAS_TOL, ZERO_TOL
 
 PROFILE_CAP = 1 << 20
 _VERIFY_TOL = 1e-9
@@ -61,7 +61,7 @@ def lattice_points(program, cap=PROFILE_CAP):
     """
     if tuple(program.integers) != tuple(range(program.nvars)):
         return None
-    return box_lattice(program.lb, program.ub, program._dense_A, program.b, cap)
+    return box_lattice(program.lb, program.ub, program.A.to_dense(), program.b, cap)
 
 
 def box_lattice(lb, ub, A, b, cap=PROFILE_CAP):
@@ -176,7 +176,7 @@ def _two_player(S1, S2, cost1, cost2, deadline):
 
     Yields (pure, points, supports, iterations): the two barycenters,
     each player's support as (indices into its lattice, weights above
-    1e-9), and the pairs scanned: every pure pair for a pure
+    ``ZERO_TOL``), and the pairs scanned: every pure pair for a pure
     equilibrium, the mixed support pairs up to and including its own
     for a mixed one.
     """
@@ -209,7 +209,7 @@ def _mixed_two_player(S1, S2, cost1, cost2, seen, deadline):
             if key in seen:
                 continue
             seen.add(key)
-            on1, on2 = xi > 1e-9, yj > 1e-9
+            on1, on2 = xi > ZERO_TOL, yj > ZERO_TOL
             yield False, pts, ((i[on1], xi[on1]), (j[on2], yj[on2])), int(scanned[k])
 
 
@@ -355,22 +355,19 @@ def degenerate_bimatrix(game):
     except (BudgetExhausted, InfeasibleGame) as exc:
         raise ValueError("players must have finite nonempty pure-strategy sets") from exc
     p1, p2 = game.players
-    return degenerate_arrays(S1, S2, p1.c, (p1.C.rows, p1.C.cols, p1.C.vals),
-                             p2.c, (p2.C.rows, p2.C.cols, p2.C.vals))
+    return degenerate_arrays(S1, S2, p1.c, p1.C.to_dense(), p2.c, p2.C.to_dense())
 
 
 def degenerate_arrays(S1, S2, c1, C1, c2, C2):
     """``degenerate_bimatrix`` on arrays, for a scan that builds no game.
 
     ``S`` is a player's lattice, or None past ``PROFILE_CAP``; ``c`` is
-    its linear cost and ``C`` its coupling as canonical (rows, cols,
-    vals) triplet arrays (``SparseMatrix``), one row per opponent
+    its linear cost and ``C`` its dense coupling, one row per opponent
     variable.  Raises ValueError past ``PROFILE_CAP`` pure profiles.
     """
     if S1 is None or S2 is None or S1.shape[0] * S2.shape[0] > PROFILE_CAP:
         raise ValueError(f"the pure profiles must number at most {PROFILE_CAP}")
-    m1, m2 = c1.size, c2.size
-    cost1, cost2 = _cost_matrices(S1, S2, c1, triplet_dense(m2, m1, *C1), c2, triplet_dense(m1, m2, *C2))
+    cost1, cost2 = _cost_matrices(S1, S2, c1, C1, c2, C2)
     if np.any(np.sum(cost1 <= cost1.min(axis=0) + _TIE_MARGIN, axis=0) > 1):
         return True
     if np.any(np.sum(cost2 <= cost2.min(axis=1, keepdims=True) + _TIE_MARGIN, axis=1) > 1):
@@ -379,8 +376,8 @@ def degenerate_arrays(S1, S2, c1, C1, c2, C2):
         n1, n2 = sup1[0].size, sup2[0].size
         if n1 != n2:
             return True
-        vals1 = S1 @ (c1 + triplet_rmatvec(m1, *C1, y))
-        vals2 = S2 @ (c2 + triplet_rmatvec(m2, *C2, x))
+        vals1 = S1 @ (c1 + C1.T @ y)
+        vals2 = S2 @ (c2 + C2.T @ x)
         if int(np.sum(vals1 <= vals1.min() + _TIE_MARGIN)) > n1:
             return True
         if int(np.sum(vals2 <= vals2.min() + _TIE_MARGIN)) > n2:

@@ -40,23 +40,22 @@ def canonical_knapsack_game():
     return Instance("canonical-knapsack").add_player(blue).add_player(red).finalize()
 
 
-def random_knapsack_game(seed, n_players=2, n_items=2, coefficient_range=_COEFFICIENT_RANGE):
+def random_knapsack_game(seed, n_players=2, n_items=2):
     """Seeded random binary knapsack game.
 
     Every player gets ``n_items`` binary variables, a negative linear
     cost (items are worth taking), integer coupling coefficients in
-    ``[-coefficient_range, coefficient_range]``, and one knapsack row
-    whose capacity is half the total item weight, rounded up.
+    [-5, 5] (``_COEFFICIENT_RANGE``), and one knapsack row whose
+    capacity is half the total item weight, rounded up.
     """
-    opp = (n_players - 1) * n_items
     inst = Instance(f"knapsack-seed{seed}-n{n_players}-m{n_items}")
-    for i, (c, C, weights, capacity) in enumerate(_knapsack_draws(seed, n_players, n_items, coefficient_range)):
+    for i, (c, C, weights, capacity) in enumerate(_knapsack_draws(seed, n_players, n_items)):
         inst.add_player(
             PlayerProgram(
                 name=f"p{i}",
                 c=c,
-                C=SparseMatrix(opp, n_items, zip(*C)),
-                A=SparseMatrix(1, n_items, [(0, j, weights[j]) for j in range(n_items)]),
+                C=C,
+                A=weights[None, :],
                 b=np.array([capacity]),
                 integers=list(range(n_items)),
                 lb=np.zeros(n_items),
@@ -66,33 +65,24 @@ def random_knapsack_game(seed, n_players=2, n_items=2, coefficient_range=_COEFFI
     return inst.finalize()
 
 
-def _knapsack_draws(seed, n_players, n_items, coefficient_range=_COEFFICIENT_RANGE):
+def _knapsack_draws(seed, n_players, n_items):
     """The seeded draws behind ``random_knapsack_game``, as arrays.
 
-    Returns one (c, C, weights, capacity) tuple per player, where C
-    holds the coupling's canonical (rows, cols, vals) triplet arrays
-    (``SparseMatrix``).
+    Returns one (c, C, weights, capacity) tuple per player, where C is
+    the dense coupling, one row per opponent variable.
     """
     if n_players < 1:
         raise ValueError("need at least one player")
     if n_items < 1:
         raise ValueError("need at least one item")
-    if coefficient_range < 1:
-        raise ValueError("coefficient_range must be at least 1")
     rng = seeded_rng(seed)
     players = []
     for _ in range(n_players):
-        c = -rng.integers(1, coefficient_range + 1, size=n_items).astype(float)
-        rows, cols, vals = [], [], []
-        for r in range((n_players - 1) * n_items):
-            for col in range(n_items):
-                v = int(rng.integers(-coefficient_range, coefficient_range + 1))
-                if v != 0:
-                    rows.append(r)
-                    cols.append(col)
-                    vals.append(float(v))
-        weights = rng.integers(1, coefficient_range + 1, size=n_items).astype(float)
-        C = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=float))
+        c = -rng.integers(1, _COEFFICIENT_RANGE + 1, size=n_items).astype(float)
+        # one scalar draw per entry, row-major: one array draw reads another stream
+        C = np.array([rng.integers(-_COEFFICIENT_RANGE, _COEFFICIENT_RANGE + 1)
+                      for _ in range((n_players - 1) * n_items * n_items)], dtype=float).reshape(-1, n_items)
+        weights = rng.integers(1, _COEFFICIENT_RANGE + 1, size=n_items).astype(float)
         players.append((c, C, weights, float(np.ceil(weights.sum() / 2.0))))
     return players
 

@@ -20,23 +20,12 @@ import numpy as np
 
 from .errors import BudgetExhausted
 from .lp import LinearProgram, LPResult, LPStatus, solve_lp
-from .numerics import SparseMatrix
+from .numerics import FEAS_TOL, SparseMatrix
 from .poly import Polyhedron
 
-_INT_FEAS_TOL = 1e-6
+_INT_TOL = 1e-6  # a value this close to an integer counts as integral
 _PRUNE_TOL = 1e-9
 _EXHAUSTED = "branch-and-bound budget exhausted"
-
-
-def _as_sparse(mat, nrows, ncols, what):
-    if isinstance(mat, SparseMatrix):
-        if mat.shape != (nrows, ncols):
-            raise ValueError(f"{what} must have shape ({nrows}, {ncols}), got {mat.shape}")
-        return mat
-    dense = np.asarray(mat, dtype=float)
-    if dense.shape != (nrows, ncols):
-        raise ValueError(f"{what} must have shape ({nrows}, {ncols}), got {dense.shape}")
-    return SparseMatrix.from_dense(dense)
 
 
 @dataclass(eq=False)
@@ -64,16 +53,16 @@ class PlayerProgram:
         m = self.c.size
         if not np.all(np.isfinite(self.c)):
             raise ValueError("c must be finite")
-        if not isinstance(self.C, SparseMatrix):
-            self.C = _as_sparse(self.C, np.asarray(self.C).shape[0], m, "C")
-        if self.C.ncols != m:
-            raise ValueError(f"C must have {m} columns")
-        nrows = self.A.shape[0] if isinstance(self.A, SparseMatrix) else np.asarray(self.A).shape[0]
-        self.A = _as_sparse(self.A, nrows, m, "A")
+        self.C, self.A = (M if isinstance(M, SparseMatrix) else SparseMatrix.from_dense(M) for M in (self.C, self.A))
+        if self.C.ncols != m or self.A.ncols != m:
+            raise ValueError(f"C and A must have {m} columns")
         self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != (nrows,) or not np.all(np.isfinite(self.b)):
+        if self.b.shape != (self.A.nrows,) or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite with one entry per row of A")
-        ints = sorted(int(j) for j in self.integers)
+        given = list(self.integers)
+        ints = sorted(int(j) for j in given)
+        if sorted(given) != ints:
+            raise ValueError("integer indexes must be integral")
         if len(set(ints)) != len(ints):
             raise ValueError("duplicate integer index")
         if ints and (ints[0] < 0 or ints[-1] >= m):
@@ -88,7 +77,6 @@ class PlayerProgram:
         for j in self.integers:
             if not (np.isfinite(self.lb[j]) and np.isfinite(self.ub[j])):
                 raise ValueError(f"integer variable {j} needs finite bounds")
-        self._dense_A = self.A.to_dense()
 
     @property
     def nvars(self):
@@ -100,7 +88,7 @@ class PlayerProgram:
 
     def relaxation(self):
         """LP relaxation feasible set as a Polyhedron."""
-        return Polyhedron(self._dense_A, self.b, self.lb, self.ub)
+        return Polyhedron(self.A.to_dense(), self.b, self.lb, self.ub)
 
 
 def parametrized_objective(program, opponents):
@@ -130,7 +118,7 @@ def solve_ip(program, cost=None, node_limit=200000, deadline=None):
     LP.
     """
     cost = program.c if cost is None else np.asarray(cost, dtype=float)
-    A, b = program._dense_A, program.b
+    A, b = program.A.to_dense(), program.b
     ints = np.array(program.integers, dtype=np.int64)
 
     best_x, best_val = None, np.inf
@@ -150,12 +138,12 @@ def solve_ip(program, cost=None, node_limit=200000, deadline=None):
         if bound >= best_val - _PRUNE_TOL:
             continue
         frac = np.abs(x[ints] - np.round(x[ints])) if ints.size else np.zeros(0)
-        if not ints.size or frac.max() <= _INT_FEAS_TOL:
+        if not ints.size or frac.max() <= _INT_TOL:
             cand = x.copy()
             if ints.size:
                 cand[ints] = np.round(cand[ints])
                 np.clip(cand, program.lb, program.ub, out=cand)
-            if bool(np.all(A @ cand <= b + 1e-7)):
+            if bool(np.all(A @ cand <= b + FEAS_TOL)):
                 val = float(cost @ cand)
                 if val < best_val - _PRUNE_TOL:
                     best_val, best_x = val, cand

@@ -298,6 +298,7 @@ def result_to_document(results, player_names):
             "cuts": head.stats.cuts,
             "lcpNodes": head.stats.lcp_nodes,
             "wallTimeMs": float(head.stats.wall_ms),
+            "reason": head.stats.reason,
         },
     }
     return doc

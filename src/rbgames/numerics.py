@@ -1,8 +1,10 @@
-"""Numeric primitives: tolerances, triplet sparse matrices, seeded RNG.
+"""Numeric primitives: tolerances, the player matrix, seeded RNG.
 
 All linear algebra in the package runs in float64.  Dense vectors and
-matrices are plain numpy arrays; the only custom carrier is a canonical
-triplet sparse matrix used for objective couplings and constraint rows.
+matrices are plain numpy arrays.  A player's coupling and constraint
+rows are ``SparseMatrix`` values: immutable wrappers of one read-only
+dense array, which take (row, col, value) triplets at the document
+boundary and give them back in row-major order.
 """
 
 import numpy as np
@@ -24,15 +26,16 @@ def seeded_rng(seed):
 
 
 class SparseMatrix:
-    """Immutable row-major triplet matrix.
+    """Immutable matrix held as one read-only float64 array.
 
-    Invariants: at most one entry per (row, col), stored values are
-    nonzero, and indexes lie inside the declared shape.  Construction
-    sorts entries row-major and drops explicit zeros, so two matrices
-    with the same content serialize identically.
+    Built from (row, col, value) triplets, whose indexes must be
+    integral and inside the declared shape, whose values must be finite
+    and which hold at most one nonzero per (row, col); or from a dense
+    array, which is copied.  ``entries()`` lists the nonzeros row-major,
+    so two matrices with the same content serialize identically.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
+    __slots__ = ("_array",)
 
     def __init__(self, nrows, ncols, entries=()):
         nrows = int(nrows)
@@ -40,11 +43,11 @@ class SparseMatrix:
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be nonnegative")
         entries = list(entries)
-        triplets = np.array(entries, dtype=float).reshape(len(entries), 3)
-        rows = triplets[:, 0].astype(np.int64)
-        cols = triplets[:, 1].astype(np.int64)
-        vals = triplets[:, 2]
+        rows, cols, vals = np.array(entries, dtype=float).reshape(len(entries), 3).T
+        array = np.zeros((nrows, ncols))
         if rows.size:
+            if np.any(rows % 1 != 0) or np.any(cols % 1 != 0):
+                raise ValueError("row and col indexes must be integers")
             if rows.min() < 0 or rows.max() >= nrows:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
@@ -52,83 +55,73 @@ class SparseMatrix:
             if not np.isfinite(vals).all():
                 raise ValueError("entries must be finite")
             keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            keys = rows * ncols + cols
-            if np.any(keys[1:] == keys[:-1]):
+            rows, cols, vals = rows[keep].astype(np.int64), cols[keep].astype(np.int64), vals[keep]
+            array[rows, cols] = vals
+            if np.count_nonzero(array) != vals.size:
                 raise ValueError("duplicate (row, col) entry")
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+        self._hold(array)
+
+    def _hold(self, array):
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
 
     @property
     def shape(self):
-        return (self.nrows, self.ncols)
+        return self._array.shape
+
+    @property
+    def nrows(self):
+        return self._array.shape[0]
+
+    @property
+    def ncols(self):
+        return self._array.shape[1]
 
     @property
     def nnz(self):
-        return int(self.vals.size)
+        return int(np.count_nonzero(self._array))
 
     def entries(self):
-        """Triplets as (row, col, value) tuples in canonical order."""
-        return [(int(r), int(c), float(v)) for r, c, v in zip(self.rows, self.cols, self.vals)]
+        """The nonzeros as (row, col, value) tuples, row-major."""
+        r, c = np.nonzero(self._array)
+        return [(int(i), int(j), float(v)) for i, j, v in zip(r, c, self._array[r, c])]
 
     @classmethod
     def from_dense(cls, dense):
-        dense = np.asarray(dense, dtype=float)
+        dense = np.asarray(dense, dtype=float) + 0.0  # a copy, with no -0.0
         if dense.ndim != 2:
             raise ValueError("expected a 2-d array")
-        r, c = np.nonzero(dense)
-        return cls(dense.shape[0], dense.shape[1], zip(r, c, dense[r, c]))
+        if not np.isfinite(dense).all():
+            raise ValueError("entries must be finite")
+        matrix = object.__new__(cls)
+        matrix._hold(dense)
+        return matrix
 
     def to_dense(self):
-        return triplet_dense(self.nrows, self.ncols, self.rows, self.cols, self.vals)
+        """The matrix's own array: read-only and shared, never a copy."""
+        return self._array
 
     def matvec(self, x):
         """M @ x for a dense vector x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ncols,):
             raise ValueError(f"expected vector of length {self.ncols}, got {x.shape}")
-        out = np.zeros(self.nrows)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+        return self._array @ x
 
     def rmatvec(self, y):
         """M.T @ y for a dense vector y."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.nrows,):
             raise ValueError(f"expected vector of length {self.nrows}, got {y.shape}")
-        return triplet_rmatvec(self.ncols, self.rows, self.cols, self.vals, y)
+        return self._array.T @ y
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
-        )
+        return self.shape == other.shape and np.array_equal(self._array, other._array)
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def triplet_dense(nrows, ncols, rows, cols, vals):
-    """The dense matrix of canonical triplets (see ``SparseMatrix``)."""
-    out = np.zeros((nrows, ncols))
-    out[rows, cols] = vals
-    return out
-
-
-def triplet_rmatvec(ncols, rows, cols, vals, y):
-    """M.T @ y for canonical triplets of M, accumulated in triplet order."""
-    out = np.zeros(ncols)
-    np.add.at(out, cols, vals * y[rows])
-    return out

@@ -220,7 +220,7 @@ def lattice_points(program, cap=PROFILE_CAP):
         if total > cap:
             return None
     grid = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, m).astype(float)
-    A = program._dense_A
+    A = program.A.to_dense()
     if A.size:
         keep = np.all(A @ grid.T <= program.b[:, None] + FEAS_TOL, axis=0)
         grid = grid[keep]
@@ -433,7 +433,7 @@ def branch_and_bound_cold(program, opponents, node_limit=200000):
     three None when the status is not Optimal.
     """
     cost = parametrized_objective(program, opponents)
-    A, b = program._dense_A, program.b
+    A, b = program.A.to_dense(), program.b
     ints = np.array(program.integers, dtype=np.int64)
     root = (program.lb.copy(), program.ub.copy())
     res = solve_lp(LinearProgram(cost, A, b, *root))

@@ -104,10 +104,11 @@ def test_the_report_says_why_no_equilibrium_was_found(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 4
     assert lines[:2] == ["status: Infeasible", "reason: player stuck: region emptied by its own rows"]
-    # the reason is reported, not stored: the result document keeps its keys
+    # the result document stores the same reason
     doc = json.loads(dest.read_text())
     assert set(doc) == {"status", "players", "equilibria", "stats"}
-    assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs"}
+    assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    assert doc["stats"]["reason"] == "player stuck: region emptied by its own rows"
 
 
 def test_missing_file_exits_one(capsys):

@@ -25,6 +25,7 @@ from rbgames import (
     full_enumeration,
     lattice_points,
     random_knapsack_game,
+    seeded_rng,
     solve_game,
 )
 from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
@@ -321,7 +322,7 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_2x4_games(seed):
 def _rebounded_game(seed, n_items, lo, hi):
     """``random_knapsack_game(seed, 2, n_items)`` with item bounds lo..hi
     and its one knapsack row."""
-    return GameModel([PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers,
+    return GameModel([PlayerProgram(name=p.name, c=p.c, C=p.C, A=p.A.to_dense(), b=p.b, integers=p.integers,
                                     lb=np.full(p.nvars, lo), ub=np.full(p.nvars, hi))
                       for p in random_knapsack_game(seed, 2, n_items).game().players])
 
@@ -359,6 +360,43 @@ def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_negative_bound_games
         compared += 1
         mixed += result.status is EqStatus.MNE
     assert compared >= 50 and mixed >= 5, (compared, mixed)
+
+
+def _mixed_row_game(seed):
+    """``random_knapsack_game(seed, 2, 3)`` with a second row per player,
+    a x <= r with signs (+, -, +), magnitudes 1-3 and r in 0-2, drawn
+    from ``seeded_rng(seed)``.  No cover cut applies to that row."""
+    rng = seeded_rng(seed)
+    players = []
+    for p in random_knapsack_game(seed, 2, 3).game().players:
+        row = np.array([1.0, -1.0, 1.0]) * rng.integers(1, 4, size=3)
+        players.append(PlayerProgram(name=p.name, c=p.c, C=p.C, A=np.vstack([p.A.to_dense(), row]),
+                                     b=np.append(p.b, rng.integers(0, 3)), integers=p.integers, lb=p.lb, ub=p.ub))
+    return GameModel(players)
+
+
+def test_cut_and_play_lands_on_an_enumerated_equilibrium_of_games_with_a_mixed_sign_row(monkeypatch):
+    # the first 40 nondegenerate seeds from 0, no seed skipped otherwise
+    real_support, lp_calls = cutplay_module.support_from_points, []
+
+    def support(*args, **kwargs):
+        lp_calls.append(1)
+        return real_support(*args, **kwargs)
+
+    monkeypatch.setattr(cutplay_module, "support_from_points", support)
+    compared, seed, cuts = 0, 0, 0
+    while compared < 40:
+        game = _mixed_row_game(seed)
+        if not degenerate_bimatrix(game):
+            result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=20.0))
+            assert result.status in (EqStatus.PNE, EqStatus.MNE), seed
+            flat = np.concatenate(result.profile.barycenters())
+            gaps = [np.linalg.norm(flat - np.concatenate(r.profile.barycenters())) for r in full_enumeration(game)]
+            assert min(gaps) <= 1e-6, seed
+            compared += 1
+            cuts += result.stats.cuts
+        seed += 1
+    assert lp_calls and cuts, (len(lp_calls), cuts)
 
 
 def test_solve_game_dispatch():
@@ -557,7 +595,7 @@ def _with_a_continuous_variable(game, i):
     its lattice is not enumerated."""
     players = list(game.players)
     p = players[i]
-    players[i] = PlayerProgram(name=p.name, c=p.c, C=p.C, A=p._dense_A, b=p.b, integers=p.integers[1:],
+    players[i] = PlayerProgram(name=p.name, c=p.c, C=p.C, A=p.A.to_dense(), b=p.b, integers=p.integers[1:],
                                lb=p.lb, ub=p.ub)
     return GameModel(players)
 

@@ -102,7 +102,7 @@ def test_cuts_never_remove_lattice_points():
             pts = lattice_points(p)
             n = p.nvars
             sigma = rng.random(n)
-            A = p._dense_A
+            A = p.A.to_dense()
             binary = np.zeros(n, dtype=bool)
             binary[list(p.integers)] = np.array(
                 [p.lb[j] == 0.0 and p.ub[j] == 1.0 for j in p.integers]
@@ -123,5 +123,5 @@ def test_canonical_game_cut_matches_the_worked_example():
     game = canonical_knapsack_game().game()
     blue = game.players[0]
     sigma = np.array([1.0, 0.5])
-    cuts = cover_cuts(blue._dense_A, blue.b, sigma, binary=np.array([True, True]))
+    cuts = cover_cuts(blue.A.to_dense(), blue.b, sigma, binary=np.array([True, True]))
     assert any(np.allclose(pi, [1.0, 1.0]) and abs(pi0 - 1.0) < 1e-9 for pi, pi0 in cuts)

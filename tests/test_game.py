@@ -221,7 +221,7 @@ def test_nash_lcp_is_copositive_plus():
     rng = seeded_rng(8)
     for seed in (0, 1, 2):
         game = random_knapsack_game(seed, 2, 4).game()
-        regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+        regions = [Polyhedron(p.A.to_dense(), p.b, p.lb, p.ub) for p in game.players]
         lcp, index_map = build_nash_lcp(game, regions)
         nv = index_map.var_slices[-1].stop
         assert np.all(lcp.M[:nv, :nv] > 0.0), seed
@@ -239,7 +239,7 @@ def _kkt_profile(game, regions):
 
 def test_nash_lcp_solutions_are_simultaneous_lp_optima():
     game = canonical_knapsack_game().game()
-    regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+    regions = [Polyhedron(p.A.to_dense(), p.b, p.lb, p.ub) for p in game.players]
     points = _kkt_profile(game, regions)
     for i, (p, region) in enumerate(zip(game.players, regions)):
         opp = opponents_vector(game, points, i)
@@ -259,7 +259,7 @@ def test_nash_lcp_handles_shifted_boxes():
         regions = []
         for p in game.players:
             lb = p.lb - 1.0
-            regions.append(Polyhedron(p._dense_A, p.b, lb, p.ub))
+            regions.append(Polyhedron(p.A.to_dense(), p.b, lb, p.ub))
         points = _kkt_profile(game, regions)
         for i, (p, region) in enumerate(zip(game.players, regions)):
             opp = opponents_vector(game, points, i)
@@ -272,7 +272,7 @@ def test_nash_lcp_scale_invariance():
     # scaling one player's objective by a positive factor leaves the
     # equilibrium conditions intact
     game = canonical_knapsack_game().game()
-    regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+    regions = [Polyhedron(p.A.to_dense(), p.b, p.lb, p.ub) for p in game.players]
     base = _kkt_profile(game, regions)
     for lam in (2.0, 5.0):
         blue, red = game.players
@@ -280,7 +280,7 @@ def test_nash_lcp_scale_invariance():
             PlayerProgram(
                 name=blue.name, c=lam * blue.c,
                 C=type(blue.C).from_dense(lam * blue.C.to_dense()),
-                A=blue._dense_A, b=blue.b, integers=blue.integers, lb=blue.lb, ub=blue.ub,
+                A=blue.A.to_dense(), b=blue.b, integers=blue.integers, lb=blue.lb, ub=blue.ub,
             ),
             red,
         ])
@@ -308,8 +308,8 @@ def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
     first, second = game.players
     lb, ub = first.lb.copy(), first.ub.copy()
     lb[1] = ub[1] = 1.0
-    fixed = Polyhedron(first._dense_A, first.b, lb, ub)
-    implied = Polyhedron(np.vstack([second._dense_A, np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
+    fixed = Polyhedron(first.A.to_dense(), first.b, lb, ub)
+    implied = Polyhedron(np.vstack([second.A.to_dense(), np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
     assert encode_region_reference(fixed).nvars == 4 and encode_region_reference(implied).g.size == 1
     cases.append((game, [fixed, implied]))
     for game, regions in cases:
@@ -346,17 +346,17 @@ def test_nash_lcp_matches_the_reference_builder_bitwise():
     first, second = game.players
     lb, ub = first.lb.copy(), first.ub.copy()
     lb[1] = ub[1] = 1.0
-    implied = Polyhedron(np.vstack([second._dense_A, np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
-    cases.append((game, [Polyhedron(first._dense_A, first.b, lb, ub), implied]))
+    implied = Polyhedron(np.vstack([second.A.to_dense(), np.ones((1, 3))]), np.append(second.b, 3.0), second.lb, second.ub)
+    cases.append((game, [Polyhedron(first.A.to_dense(), first.b, lb, ub), implied]))
     game = random_knapsack_game(4).game()
-    cases.append((game, [Polyhedron(p._dense_A, p.b, p.lb - 1.0, p.ub) for p in game.players]))
+    cases.append((game, [Polyhedron(p.A.to_dense(), p.b, p.lb - 1.0, p.ub) for p in game.players]))
     drift = PlayerProgram(name="drift", c=np.array([-1.0, 0.0]), C=np.array([[0.5, -1.0]]),
                           A=np.array([[0.0, 1.0], [1.0, 1.0]]), b=np.array([1.0, 2.5]), integers=(1,),
                           lb=np.zeros(2), ub=np.array([np.inf, 1.0]))
     other = PlayerProgram(name="other", c=np.array([1.0]), C=np.array([[1.0], [-2.0]]), A=np.zeros((0, 1)),
                           b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1))
     game = GameModel([drift, other])
-    regions = [Polyhedron(p._dense_A, p.b, p.lb, p.ub) for p in game.players]
+    regions = [Polyhedron(p.A.to_dense(), p.b, p.lb, p.ub) for p in game.players]
     cases.append((game, regions))
     assert regions[0].bounding_box()[1][0] == 2.5
     for game, regions in cases:

@@ -1,11 +1,13 @@
 """Every module of the package uses each name it imports, every
-private function of the package has a caller in it, and every
-``__slots__`` entry of a package class is read in it.
+private function of the package has a caller in it, every
+``__slots__`` entry of a package class is read in it, and every private
+module-level constant is read by its module or imported from it.
 
 No linter ships with the package, so a stray import or helper left
-behind when a name is deleted, or a cache slot that is only written,
-would otherwise go unnoticed.  ``__init__.py`` imports to re-export and
-is exempt; its ``__all__`` must list exactly what it imports instead.
+behind when a name is deleted, a cache slot that is only written, or a
+tolerance left over when two are merged would otherwise go unnoticed.
+``__init__.py`` imports to re-export and is exempt; its ``__all__``
+must list exactly what it imports instead.
 """
 
 import ast
@@ -110,3 +112,34 @@ def test_the_check_sees_unread_slots():
 def test_every_slot_of_a_package_class_is_read_in_the_package():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_slots(sources) == []
+
+
+def unread_private_constants(sources):
+    """(module, name) pairs for the private upper-case constants that a
+    module of ``sources`` (module name -> source) assigns at top level,
+    that it never reads and that no module imports from it."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            defined.update((module, t.id) for t in targets
+                           if isinstance(t, ast.Name) and t.id.startswith("_") and t.id.isupper())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, alias.name) for alias in node.names)
+    return sorted(defined - read)
+
+
+def test_the_check_sees_unread_private_constants():
+    sources = {"m": "_KEPT = 1\n_LEFT = 2\n_SHARED = 3\n\ndef f():\n    _LOCAL = 4\n    return _KEPT\n",
+               "n": "from .m import _SHARED\n_LEFT: int = 5\nprint(_LEFT, _SHARED)\n"}
+    assert unread_private_constants(sources) == [("m", "_LEFT")]
+
+
+def test_every_private_constant_of_the_package_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert "ip" in sources
+    assert unread_private_constants(sources) == []

@@ -121,6 +121,13 @@ def test_shape_validation():
         )
 
 
+def test_integer_indexes_must_be_integral():
+    data = dict(c=np.array([1.0, 2.0]), C=np.zeros((0, 2)), A=np.zeros((0, 2)), b=np.zeros(0))
+    with pytest.raises(ValueError):
+        PlayerProgram(name="frac", integers=[1.7], **data)
+    assert PlayerProgram(name="whole", integers=[np.int64(1), 0.0], **data).integers == (0, 1)
+
+
 def _seeded_best_responses(seeds):
     """(program, opponents) pairs: seeded knapsack players against 0/1,
     uniform and quarter-step opponents, plus one program per seed with
@@ -134,7 +141,7 @@ def _seeded_best_responses(seeds):
                 yield p, rng.random(p.opp_vars)
                 yield p, np.round(rng.random(p.opp_vars) * 4) / 4
             p = game.players[0]
-            wide = PlayerProgram(name="wide", c=p.c, C=p.C, A=p._dense_A, b=2 * p.b, integers=p.integers,
+            wide = PlayerProgram(name="wide", c=p.c, C=p.C, A=p.A.to_dense(), b=2 * p.b, integers=p.integers,
                                  lb=np.zeros(p.nvars), ub=np.full(p.nvars, 3.0))
             yield wide, rng.random(wide.opp_vars)
 

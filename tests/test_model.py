@@ -178,7 +178,8 @@ def test_result_document_shape(tmp_path):
             else:
                 assert "support" not in pdoc
     stats = doc["stats"]
-    assert set(stats) == {"iterations", "cuts", "lcpNodes", "wallTimeMs"}
+    assert set(stats) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    assert stats["reason"] is None
     out = tmp_path / "result.json"
     save_result(results, names, out)
     parsed = json.loads(out.read_text())

@@ -66,7 +66,30 @@ def test_sparse_matrix_rejects_bad_entries():
 def test_sparse_matrix_stores_integer_indexes_and_float_values():
     for entries in ([], [(1, 0, 2), (0, 1, -1.5)]):
         m = SparseMatrix(2, 2, entries)
-        assert (m.rows.dtype, m.cols.dtype, m.vals.dtype) == (np.int64, np.int64, np.float64)
+        assert m.to_dense().dtype == np.float64
+        assert [tuple(map(type, e)) for e in m.entries()] == [(int, int, float)] * len(entries)
+
+
+def test_sparse_matrix_rejects_non_integral_indexes():
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, [(0.5, 1.9, 3.0)])
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, [(1, np.nan, 3.0)])
+    # an integral float is an index like any other
+    assert SparseMatrix(2, 2, [(1.0, 0.0, 3.0)]).entries() == [(1, 0, 3.0)]
+
+
+def test_sparse_matrix_dense_array_is_read_only_and_shared():
+    m = SparseMatrix(2, 2, [(0, 1, 2.0)])
+    assert m.to_dense() is m.to_dense()
+    with pytest.raises(ValueError):
+        m.to_dense()[0, 0] = 1.0
+    # from_dense copies, so its input stays the caller's
+    dense = np.array([[1.0, 0.0], [-0.0, 4.0]])
+    m = SparseMatrix.from_dense(dense)
+    dense[0, 0] = 7.0
+    assert m.entries() == [(0, 0, 1.0), (1, 1, 4.0)]
+    assert dense.flags.writeable
 
 
 def test_sparse_matrix_is_immutable():
