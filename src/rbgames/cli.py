@@ -73,8 +73,8 @@ def _report(results, names, out):
                     print(f"    {w:.6g} * [{pvec}]", file=out)
     stats = head.stats
     print(
-        f"iterations: {stats.iterations}  cuts: {stats.cuts}"
-        f"  lcp nodes: {stats.lcp_nodes}  wall ms: {stats.wall_ms:.1f}",
+        f"iterations: {stats.iterations}  cuts: {stats.cuts}  lcp nodes: {stats.lcp_nodes}"
+        f"  warm rounds: {stats.warm_rounds}  cold restarts: {stats.cold_restarts}  wall ms: {stats.wall_ms:.1f}",
         file=out,
     )
 

@@ -16,6 +16,13 @@ whose lattice is not enumerated works on a set of its integer points
 grown by column generation, whose branch-and-bound pricing proves
 every cut, and certifies by branch and bound.
 
+A round only adds cut rows, so each round's Nash LCP is the last
+round's bordered by the new rows (``build_nash_lcp``), and Lemke starts
+from the last round's final basis (``lcp.solve_lcp``'s ``start``).  That
+warm path carries no guarantee: a warm attempt that ends on a ray or
+uses up its budget of one pivot per index restarts the round cold from
+the identity, the path that copositive-plus M guarantees.
+
 No solve runs whose answer is already known: there is no start-of-solve
 probe, so an enumerated player's run solves no integer program at all;
 a violated cover cut decides Cuts without the LP; and emptiness tests
@@ -198,7 +205,7 @@ def separation_oracle(state, sigma, deadline=None):
     snapped[ints] = np.round(snapped[ints])
     integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
     if integral and state.relaxation.contains(snapped):
-        return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
+        return Member(PlayerStrategy(snapped, [(1.0, snapped)]), pure=True)
 
     region = state.region()
     found = cutgen.cover_cuts(region.A, region.b, sigma, state.binary)
@@ -275,18 +282,14 @@ def cut_and_play(game, opts=None, watcher=None):
 
 def _rounds(game, opts, deadline, stats, finish, watcher):
     outer = OuterApproximation(game, deadline)
+    last, sol = None, None  # the last round's (LCP, index map) and solution
     for iteration in range(1, opts.max_iterations + 1):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
             return finish(EqStatus.TIME_LIMIT, reason="deadline")
-        problem, index_map = build_nash_lcp(game, outer.regions())
-        try:
-            sol = solve_lcp(problem, deadline=deadline)
-        except BudgetExhausted as exc:
-            stats.lcp_nodes += exc.nodes
-            raise
-        stats.lcp_nodes += sol.nodes
-        del problem  # the next round's LCP is built without this one alive
+        last = build_nash_lcp(game, outer.regions(), last)
+        problem, index_map = last
+        sol = _lemke(problem, sol if index_map.bordered else None, deadline, stats)
         if isinstance(sol, NoSolution):
             # each round's game has an equilibrium, so its LCP a solution
             return finish(EqStatus.NUMERICAL_FAILURE, reason=sol.reason)
@@ -305,6 +308,27 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
             watcher(outer, iteration)
 
     return finish(EqStatus.NUMERICAL_FAILURE, reason="round cap")
+
+
+def _lemke(problem, start, deadline, stats):
+    """Solve one round's LCP, warm from ``start``, the last round's
+    solution, when the LCP borders that round's.  A warm attempt that
+    ends on a ray or at its budget proves nothing, so the round restarts
+    cold, on the path whose end copositive-plus M guarantees.  Every
+    pivot counts in ``stats.lcp_nodes``, a deadline's included."""
+    if start is not None:
+        stats.warm_rounds += 1
+    while True:
+        try:
+            sol = solve_lcp(problem, deadline=deadline, start=start)
+        except BudgetExhausted as exc:
+            stats.lcp_nodes += exc.nodes
+            raise
+        stats.lcp_nodes += sol.nodes
+        if start is None or not isinstance(sol, NoSolution):
+            return sol
+        stats.cold_restarts += 1
+        start = None
 
 
 def _certify(game, outer, members, opts, deadline, finish):

@@ -7,13 +7,14 @@ over the free coordinates of its bounding box, as nonnegative
 variables below and above the lower corner; it pairs every variable
 with its stationarity row, each box equality with a split multiplier
 and each row the box does not imply with one multiplier.  It is built
-copositive-plus, so Lemke's method solves it.
+copositive-plus, so Lemke's method solves it.  A round only adds rows,
+so each round's LCP borders the last one's.
 One LP over a finite set of pure strategies, ``support_from_points``,
 answers the separation question: it writes a mixed strategy as weights
 over them, or returns a hyperplane that cuts the point off their hull.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -55,7 +56,7 @@ def opponents_vector(game, barycenters, i):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlayerStrategy:
     """Barycenter point plus an optional finite support behind it."""
 
@@ -68,7 +69,7 @@ class PlayerStrategy:
             self.support = [(float(w), np.asarray(p, dtype=float)) for w, p in self.support]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class StrategyProfile:
     strategies: list
 
@@ -85,7 +86,7 @@ class EqStatus(Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SolveStats:
     """Counters of one solve.  ``reason`` says why a run ended without
     an equilibrium; it is None on PNE and MNE.  Under cut-and-play it
@@ -93,17 +94,26 @@ class SolveStats:
     at certification), "deadline", or the message of the failure that
     stopped it.  Under full enumeration it is "deadline", the message of
     the exhausted profile cap or of the empty player's feasible set, or
-    "enumeration found no equilibrium"."""
+    "enumeration found no equilibrium".  ``lcp_nodes`` counts Lemke
+    pivots, those of failed warm attempts included; ``warm_rounds``
+    counts the rounds whose Lemke started from the last round's basis,
+    and ``cold_restarts`` those of them that fell back to the cold
+    start."""
 
     iterations: int = 0
     cuts: int = 0
     lcp_nodes: int = 0
+    warm_rounds: int = 0
+    cold_restarts: int = 0
     wall_ms: float = 0.0
     reason: str = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EquilibriumResult:
+    """One answer of a solve.  It and the classes it holds keep slots,
+    not a dict, as a caller may keep many answers."""
+
     status: EqStatus
     profile: StrategyProfile = None
     payoffs: list = None
@@ -113,11 +123,17 @@ class EquilibriumResult:
 @dataclass(eq=False)
 class LCPIndexMap:
     """Maps each player's block (y_i, ybar_i) of the stacked z vector to
-    its strategy: lo_i, plus y_i on the free coordinates F_i."""
+    its strategy: lo_i, plus y_i on the free coordinates F_i.  ``highs``
+    completes each box (lo_i, hi_i), ``rows`` counts each region's rows
+    that the LCP has taken in, and ``bordered`` says that the LCP
+    borders the one it was built from."""
 
     var_slices: list
     lows: list
+    highs: list
     free: list
+    rows: list
+    bordered: bool = False
 
     def extract(self, z):
         out = []
@@ -128,7 +144,7 @@ class LCPIndexMap:
         return out
 
 
-def build_nash_lcp(game, regions):
+def build_nash_lcp(game, regions, last=None):
     """Stack every player's KKT system over its region into one LCP.
 
     Region i, with bounding box (lo_i, hi_i) and free coordinates
@@ -155,27 +171,42 @@ def build_nash_lcp(game, regions):
     equilibrium, so the LCP is feasible, and Lemke's method ends at a
     solution.  A solution's strategy blocks are simultaneous LP
     minimizers of each player's parametrized objective over its region.
+
+    The rows of G, and so lam, go in the order they were taken in: the
+    rows of the first build player by player, then each later build's
+    new rows player by player, each player's in its region's row order.
+    Given ``last``, the (LCP, LCPIndexMap) of the previous round, whose
+    regions had the same boxes and now have more rows, the LCP is that
+    one bordered by the new rows: the old (M, q) is its leading
+    principal block, P, alpha, E and e are unchanged, and the map says
+    ``bordered``.  When a box has changed (a box from LPs can shrink
+    under a cut), or without ``last``, the LCP is built whole.
     """
     if len(regions) != game.n_players:
         raise ValueError("one region per player required")
-    lows, free, spans, ineqs = [], [], [], []
+    boxes = []
     for region, p in zip(regions, game.players):
         if region.dim != p.nvars:
             raise ValueError("region dimension does not match the player")
-        lo, hi = region.bounding_box()
-        F = np.nonzero(hi > lo)[0]
-        kept = np.maximum(region.A * lo, region.A * hi).sum(axis=1) > region.b
-        A = region.A[kept]
-        lows.append(lo)
-        free.append(F)
-        spans.append((hi - lo)[F])
-        ineqs.append((A[:, F], region.b[kept] - A @ lo))
-    sizes = [(2 * F.size, F.size, g.size) for F, (_, g) in zip(free, ineqs)]
-    offsets = np.vstack([[0, 0, 0], np.cumsum(sizes, axis=0)])
-    voff, eoff, goff = offsets.T
-    nv, ne, ng = (int(total) for total in offsets[-1])
-    M = np.zeros((nv + 2 * ne + ng, nv + 2 * ne + ng))
-    q = np.zeros(nv + 2 * ne + ng)
+        boxes.append(region.bounding_box())
+    if last is not None and all(
+        np.array_equal(lo, l0) and np.array_equal(hi, h0)
+        for (lo, hi), l0, h0 in zip(boxes, last[1].lows, last[1].highs)
+    ):
+        return _border(*last, regions, bordered=True)
+    return _border(*_box_lcp(game, boxes), regions, bordered=False)
+
+
+def _box_lcp(game, boxes):
+    """The Nash LCP over the boxes alone, z = (v, mu+, mu-): no region
+    row taken in yet."""
+    lows = [lo for lo, _ in boxes]
+    free = [np.nonzero(hi > lo)[0] for lo, hi in boxes]
+    voff = np.concatenate([[0], np.cumsum([2 * F.size for F in free])])
+    eoff = voff // 2
+    nv, ne = int(voff[-1]), int(eoff[-1])
+    M = np.zeros((nv + 2 * ne, nv + 2 * ne))
+    q = np.zeros(nv + 2 * ne)
     # the box row of each entry of v, as y_i and then ybar_i run over F_i
     v = np.arange(nv)
     box = nv + np.concatenate([eoff[i] + np.arange(F.size) for i, F in enumerate(free) for _ in range(2)])
@@ -183,11 +214,11 @@ def build_nash_lcp(game, regions):
     M[box, v] = 1.0
     M[v, box + ne] = 1.0
     M[box + ne, v] = -1.0
-    span = np.concatenate(spans)
+    span = np.concatenate([(hi - lo)[F] for (lo, hi), F in zip(boxes, free)])
     q[nv : nv + ne] = -span
-    q[nv + ne : nv + 2 * ne] = span
+    q[nv + ne :] = span
     P = M[:nv, :nv]
-    for i, (p, F, (G, g)) in enumerate(zip(game.players, free, ineqs)):
+    for i, (p, F) in enumerate(zip(game.players, free)):
         y = slice(voff[i], voff[i] + F.size)
         Ct = p.C.to_dense().T
         CtF = Ct[F]
@@ -198,14 +229,35 @@ def build_nash_lcp(game, regions):
             P[y, voff[j] : voff[j] + free[j].size] = CtF[:, col + free[j]]
             col += lo.size
         q[y] = (p.c + Ct @ opponents_vector(game, lows, i))[F]
-        gs = slice(nv + 2 * ne + goff[i], nv + 2 * ne + goff[i + 1])
-        M[y, gs] = G.T
-        M[gs, y] = -G
-        q[gs] = g
     # alpha > -min P makes P entrywise positive
     P += 2.0 * -float(np.min(P, initial=0.0)) + _ALPHA_MARGIN
     blocks = [slice(voff[i], voff[i + 1]) for i in range(game.n_players)]
-    return LCP(M=M, q=q), LCPIndexMap(var_slices=blocks, lows=lows, free=free)
+    return LCP(M=M, q=q), LCPIndexMap(var_slices=blocks, lows=lows, highs=[hi for _, hi in boxes], free=free,
+                                      rows=[0] * game.n_players)
+
+
+def _border(problem, index_map, regions, bordered):
+    """``problem`` bordered by the region rows that ``index_map`` has not
+    taken in, each player's that the box does not imply, player by
+    player: (LCP, LCPIndexMap)."""
+    n = problem.order
+    ineqs = []
+    for region, lo, hi, F, seen in zip(regions, index_map.lows, index_map.highs, index_map.free, index_map.rows):
+        A, b = region.A[seen:], region.b[seen:]
+        kept = np.maximum(A * lo, A * hi).sum(axis=1) > b
+        A = A[kept]
+        ineqs.append((A[:, F], b[kept] - A @ lo))
+    q = np.concatenate([problem.q] + [g for _, g in ineqs])
+    M = np.zeros((q.size, q.size))
+    M[:n, :n] = problem.M
+    at = n
+    for s, F, (G, g) in zip(index_map.var_slices, index_map.free, ineqs):
+        y = slice(s.start, s.start + F.size)
+        lam = slice(at, at + g.size)
+        M[y, lam] = G.T
+        M[lam, y] = -G
+        at = lam.stop
+    return LCP(M=M, q=q), replace(index_map, rows=[region.nrows for region in regions], bordered=bordered)
 
 
 @dataclass(eq=False)

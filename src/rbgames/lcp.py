@@ -1,28 +1,48 @@
 """Linear complementarity:  0 <= z  perp  M z + q >= 0.
 
-One path: Lemke's method with the all-ones covering vector and a
-lexicographic ratio test.  On a feasible LCP whose M is copositive-plus,
-that method ends at a solution (Lemke 1965; Cottle, Pang & Stone, *The
-Linear Complementarity Problem*, 1992, ch. 4).  Every Nash LCP of
-``game.build_nash_lcp`` is one: its off-diagonal blocks are skew, so
-z'Mz = v'Pv for its strategy block P, which is entrywise positive.  On
-other LCPs it may end on a secondary ray, which proves nothing.  A ray
-and the pivot cap both give NoSolution.
+One path: Lemke's method with a covering vector and a lexicographic
+ratio test, started from a complementary basis.  The cold start is the
+identity basis with the all-ones covering vector.  On a feasible LCP
+whose M is copositive-plus, that method ends at a solution (Lemke 1965;
+Cottle, Pang & Stone, *The Linear Complementarity Problem*, 1992,
+ch. 4).  Every Nash LCP of ``game.build_nash_lcp`` is one: its
+off-diagonal blocks are skew, so z'Mz = v'Pv for its strategy block P,
+which is entrywise positive.  On other LCPs it may end on a secondary
+ray, which proves nothing.  A ray and the pivot cap both give
+NoSolution.
+
+A warm start (``solve_lcp``'s ``start``) solves an LCP whose (M, q)
+borders a solved one: the old (M, q) is its leading principal block.
+It starts from the old solution's basis B with the new rows' w basic,
+whose inverse is the old one bordered, [[B^{-1}, 0], [-X B^{-1}, I]]
+with X the new rows of B's columns; nothing is factored.  That basis
+is complementary and fails only where the new rows' w is negative.
+Its covering vector is B 1, so z0's column is -1 at the start, as the
+identity's is in the cold start: z0 enters in the row of the
+lexicographic minimum of [x | B^{-1}], which leaves every row of
+[x | B^{-1}] lexicographically positive.  The lexicographic ratio test
+keeps them so, so no basis repeats and the path is finite: this is the
+lexicographic argument of the cold start, read from another starting
+basis (van den Elzen & Talman 1991 start Lemke from a point in the
+same way).  B 1 need not be positive, so a warm path may end on a
+ray that proves nothing, and its length has no useful bound: a warm
+attempt gets at most n pivots, and its caller restarts cold when it
+ends on a ray or at that budget.
 
 The solver keeps an explicit inverse of the whole basis B of
-w - M z - z0 1 = q (``_Basis``), kept by columns: each row of ``invT``
-is one column of B^{-1}.  It starts as the identity and is never
-factored.  The entering direction B^{-1} a is one row of ``invT`` for a
-w and one product with it for a z.  A basic w_j's column of B^{-1} is
-the unit vector at its row, so the pivot row of B^{-1} is nonzero only
-on the k nonbasic w's and on a w basic in that row.  ``invT`` keeps the
-columns of the nonbasic w's, the leaving w's included, as its first
-rows, right under the basic values x: a pivot is one rank-1 step on
-that block.  The lexicographic tie-break reads only those k rows, plus
-the known unit column of each tied row that holds a w.
-Only the basic values are refined: against B every 16 pivots and at the
-end, where a residual costs products with M's columns only.  The
-deadline is checked at every pivot.
+w - M z - z0 d = q (``_Basis``), kept by columns: each row of ``invT``
+is one column of B^{-1}.  It is never factored.  The entering
+direction B^{-1} a is one row of ``invT`` for a w and one product with
+it for a z.  A basic w_j's column of B^{-1} is the unit vector at its
+row, so the pivot row of B^{-1} is nonzero only on the k nonbasic w's
+and on a w basic in that row.  ``invT`` keeps the columns of the
+nonbasic w's, the leaving w's included, as its first rows, right under
+the basic values x: a pivot is one rank-1 step on that block.  The
+lexicographic tie-break reads only those k rows, plus the known unit
+column of each tied row that holds a w.  Only the basic values are
+refined: against B every 16 pivots and at the end, where a residual
+costs products with M's columns only.  The deadline is checked at
+every pivot.
 
 ``solve_lcp_with_fixings``, the LP relaxation of the LCP under
 per-index fixings, is a separate helper; ``solve_lcp`` does not use it.
@@ -68,9 +88,13 @@ class LCP:
 
 @dataclass(eq=False)
 class LCPSolution:
+    """``basis`` is Lemke's final basis, from which ``solve_lcp`` can
+    start on an LCP that borders this one."""
+
     z: np.ndarray
     w: np.ndarray
     nodes: int = 0
+    basis: object = None
 
     def residuals(self):
         """(min z, min w, z.w) for quick invariant checks."""
@@ -127,26 +151,28 @@ def solve_lcp_with_fixings(problem, fixings, deadline=None):
 
 
 class _Basis:
-    """A basis of Lemke's system  w - M z - z0 1 = q, and its inverse.
+    """A basis of Lemke's system  w - M z - z0 d = q, and its inverse.
 
     Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  Row r of
-    the system holds the basic variable ``basic[r]``, w_r at the start, so
-    B starts as the identity.  The inverse is explicit and kept by
-    columns: row i of ``invT`` is column ``order[i]`` of B^{-1}, and
-    ``slot`` is the inverse permutation.  A basic w_j's column of B^{-1}
-    is the unit vector at its row, so row r of B^{-1} is nonzero only on
-    the k nonbasic w's and on a w basic in row r.  The columns of the
-    nonbasic w's are kept in rows [0, k) of ``invT``.  The basic values
-    ``x`` = B^{-1} q sit just above them, as row 0 of ``blk`` = [x; invT],
-    so the rows a pivot rewrites are the one block ``blk[:k + 1]``.
-    ``basic`` and ``slot`` are lists: the pivot path reads them one entry
-    at a time.
+    the system holds the basic variable ``basic[r]``.  A cold basis holds
+    w_r in row r, so B is the identity, and its covering vector ``cover``
+    d is all ones; ``bordered`` gives a warm one.  The inverse is explicit
+    and kept by columns: row i of ``invT`` is column ``order[i]`` of
+    B^{-1}, and ``slot`` is the inverse permutation.  A basic w_j's column
+    of B^{-1} is the unit vector at its row, so row r of B^{-1} is nonzero
+    only on the k nonbasic w's and on a w basic in row r.  The columns of
+    the nonbasic w's are kept in rows [0, k) of ``invT``.  The basic
+    values ``x`` = B^{-1} q sit just above them, as row 0 of ``blk`` =
+    [x; invT], so the rows a pivot rewrites are the one block
+    ``blk[:k + 1]``.  ``basic`` and ``slot`` are lists: the pivot path
+    reads them one entry at a time.
     """
 
     def __init__(self, problem):
         self.M, self.q = problem.M, problem.q
         n = self.n = problem.order
         self.negMT = -np.ascontiguousarray(self.M.T)  # row j: z_j's column
+        self.cover = np.ones(n)
         self.blk = np.eye(n + 1, n, -1)
         self.blk[0] = self.q
         self.x, self.invT = self.blk[0], self.blk[1:]
@@ -156,12 +182,49 @@ class _Basis:
         self.k = 0
         self.z0 = -1  # the row of z0 while it is basic
 
+    def bordered(self, problem):
+        """This final basis, z0 nonbasic, carried to ``problem``, whose
+        (M, q) borders its own: the new rows' w are basic in their rows.
+
+        With X the new rows of B's columns (-M's new rows on the basic
+        z's, 0 on the basic w's), the new basis is [[B, 0], [X, I]] and
+        its inverse [[B^{-1}, 0], [-X B^{-1}, I]].  A basic w's column of
+        B^{-1} is a unit vector at a row where X is 0, so only the k
+        nonbasic w's rows of ``invT`` gain entries.  The basic values are
+        x and the new rows' w at the old point, q_new - X x, and the
+        covering vector is B 1, so that z0's direction is -1.
+        """
+        n, m, k = self.n, problem.order, self.k
+        out = _Basis.__new__(_Basis)
+        out.M, out.q, out.n = problem.M, problem.q, m
+        out.negMT = -np.ascontiguousarray(problem.M.T)
+        basic = np.array(self.basic)
+        is_z = basic >= n
+        zs = basic[is_z] - n
+        X = np.zeros((m - n, n))
+        X[:, is_z] = -problem.M[n:, zs]
+        out.blk = np.zeros((m + 1, m))
+        out.blk[: n + 1, :n] = self.blk
+        out.blk[0, n:] = problem.q[n:] - X @ self.x
+        out.blk[1 : k + 1, n:] = -(self.invT[:k] @ X.T)
+        out.blk[n + 1 :, n:] = np.eye(m - n)
+        out.x, out.invT = out.blk[0], out.blk[1:]
+        out.basic = [j + m - n if j >= n else j for j in self.basic] + list(range(n, m))
+        out.order = np.concatenate([self.order, np.arange(n, m)])
+        out.slot = self.slot + list(range(n, m))
+        out.k, out.z0 = k, -1
+        # B 1: the unit columns of the basic w's, -M's columns of the basic z's
+        out.cover = -problem.M[:, zs].sum(axis=1)
+        out.cover[basic[~is_z]] += 1.0
+        out.cover[n:] += 1.0
+        return out
+
     def direction(self, var):
         """B^{-1} times the column of var."""
         n = self.n
         if var < n:
             return self.invT[self.slot[var]].copy()
-        a = self.negMT[var - n] if var < 2 * n else -np.ones(n)
+        a = self.negMT[var - n] if var < 2 * n else -self.cover
         return a[self.order] @ self.invT
 
     def pivot(self, var, d, r):
@@ -208,30 +271,38 @@ class _Basis:
         z = np.zeros(n)
         is_z = (basic >= n) & (basic < 2 * n)
         z[basic[is_z] - n] = x[is_z]
-        res = q + self.M @ z + x[basic == 2 * n].sum()
+        res = q + self.M @ z + x[basic == 2 * n].sum() * self.cover
         is_w = basic < n
         res[basic[is_w]] -= x[is_w]
         self.x[:] = x + res[order] @ self.invT
 
 
-def solve_lcp(problem, deadline=None):
+def solve_lcp(problem, deadline=None, start=None):
     """Solve the LCP by lexicographic Lemke; LCPSolution or NoSolution.
 
-    ``nodes`` counts Lemke pivots.  NoSolution comes from a secondary ray
-    or the cap of 200 + 30 n pivots, and its ``reason`` says which.
-    Raises BudgetExhausted, carrying the pivots spent, once the
+    Cold from the identity basis, or warm from ``start``, the solution
+    of an LCP whose (M, q) is the leading principal block of this one's
+    (see the module docstring).  ``nodes`` counts Lemke pivots.
+    NoSolution comes from a secondary ray or the pivot cap, 200 + 30 n
+    pivots cold and n warm, and its ``reason`` says which.  Raises
+    BudgetExhausted, carrying the pivots spent, once the
     ``time.monotonic()`` value ``deadline`` has passed, and
     NumericalFailure when the end point misses the residual tolerance.
     """
-    n = problem.order
-    if np.all(problem.q >= 0.0):
-        return LCPSolution(z=np.zeros(n), w=problem.q.copy())
-    basis = _Basis(problem)
-    # z0 enters and w leaves from the last row holding min q, which leaves
-    # every row of [x | B^{-1}] lexicographically positive
-    var, r = 2 * n, n - 1 - int(np.argmin(problem.q[::-1]))
-    d = basis.direction(var)
-    cap = 200 + 30 * n
+    n, var = problem.order, 2 * problem.order
+    if start is None:
+        basis = _Basis(problem)
+        # z0 enters and w leaves from the last row holding min q, which
+        # leaves every row of [x | B^{-1}] lexicographically positive
+        r = n - 1 - int(np.argmin(problem.q[::-1]))
+        d = basis.direction(var)
+        cap = 200 + 30 * n
+    else:
+        basis = start.basis.bordered(problem)
+        r, d = _lowest(basis), -np.ones(n)
+        cap = n
+    if np.all(basis.x >= 0.0):
+        return _solution(problem, basis, 0)
     for pivots in range(1, cap + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
@@ -250,20 +321,20 @@ def solve_lcp(problem, deadline=None):
     return NoSolution(nodes=cap, reason="pivot cap")
 
 
+def _lowest(basis):
+    """Row of the lexicographic minimum of [x | B^{-1}], where z0 enters
+    a warm basis: the least x, ties broken by ``_lexmin``."""
+    x = basis.x
+    least = float(x.min())
+    tied = (x <= least + _TIE_TOL * (1.0 + abs(least))).nonzero()[0]
+    return int(tied[0]) if tied.size == 1 else _lexmin(basis, tied, np.ones(tied.size))
+
+
 def _leaving(basis, d):
     """Row of the lexicographic minimum ratio for direction d; -1 on a ray.
 
     Ties in x_r / d_r go to z0's row when it is among them, else to the
-    least row of B^{-1} / d_r in lexicographic order, which is unique
-    because B^{-1} is nonsingular.  That order is read column by column,
-    in index order j, over the tied rows, and a column on which all tied
-    rows agree within the tolerance decides nothing.  Only the k
-    nonbasic w's columns, ``invT[:k]``, need reading: a basic w_j's
-    column of B^{-1} is the unit vector at its row, so on the tied rows
-    it is 1/d_r at the row r holding w_j, when that row is tied, and
-    exactly 0 elsewhere.  Such a column is decisive iff 1/d_r exceeds the
-    tolerance, and then it drops exactly row r from the rows still kept:
-    at least one other row is kept, at 0.
+    row that ``_lexmin`` picks.
     """
     size = np.abs(d)
     cand = (d > _PIVOT_TOL * size[size.argmax()]).nonzero()[0]
@@ -276,10 +347,28 @@ def _leaving(basis, d):
     tied = (ratios <= least + _TIE_TOL * (1.0 + least)).nonzero()[0]
     if tied.size == 1:
         return int(cand[first])
-    cand, dc = cand[tied], dc[tied]
-    rows = cand.tolist()
-    if basis.z0 in rows:
+    cand = cand[tied]
+    if basis.z0 in cand.tolist():
         return basis.z0
+    return _lexmin(basis, cand, dc[tied])
+
+
+def _lexmin(basis, cand, dc):
+    """The row r of ``cand`` whose row of B^{-1} / d_r, d_r > 0 from
+    ``dc``, is least in lexicographic order; it is unique because
+    B^{-1} is nonsingular.
+
+    That order is read column by column, in index order j, over the rows
+    of ``cand``, and a column on which they all agree within the
+    tolerance decides nothing.  Only the k nonbasic w's columns,
+    ``invT[:k]``, need reading: a basic w_j's column of B^{-1} is the
+    unit vector at its row, so on these rows it is 1/d_r at the row r
+    holding w_j, when that row is among them, and exactly 0 elsewhere.
+    Such a column is decisive iff 1/d_r exceeds the tolerance, and then
+    it drops exactly row r from the rows still kept: at least one other
+    row is kept, at 0.
+    """
+    rows = cand.tolist()
     lex = basis.invT[: basis.k, cand] / dc
     decisive = lex.max(axis=1) - lex.min(axis=1) > _TIE_TOL
     cols = dict(zip(basis.order[: basis.k][decisive].tolist(), lex[decisive].tolist()))
@@ -307,7 +396,7 @@ def _solution(problem, basis, pivots):
     var, x = np.array(basis.basic), basis.x
     is_z = (var >= n) & (var < 2 * n)
     z[var[is_z] - n] = np.maximum(x[is_z], 0.0)
-    out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots)
+    out = LCPSolution(z=z, w=problem.M @ z + problem.q, nodes=pivots, basis=basis)
     zmin, wmin, gap = out.residuals()
     eps = COMPLEMENTARITY_TOL
     norm = 1.0 + float(np.max(np.abs(out.z), initial=0.0)) * float(np.max(np.abs(out.w), initial=0.0))

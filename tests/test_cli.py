@@ -11,6 +11,7 @@ from rbgames.generators import (
     canonical_knapsack_game,
     cyclic_matching_game,
     infeasible_game,
+    random_knapsack_game,
 )
 from rbgames.model import Instance, save_instance
 
@@ -83,7 +84,9 @@ def test_no_equilibrium_exits_two(tmp_path, capsys):
 
 
 def test_time_limit_exits_three(canonical_path, capsys):
-    code = main(["--instance", canonical_path, "--timelimit", "0.001"])
+    # the canonical game solves in about 1 ms (2-core host), so the limit
+    # is a tenth of that
+    code = main(["--instance", canonical_path, "--timelimit", "0.0001"])
     out = capsys.readouterr().out
     assert code == 3
     assert "status: TimeLimit" in out
@@ -109,6 +112,18 @@ def test_the_report_says_why_no_equilibrium_was_found(tmp_path, capsys):
     assert set(doc) == {"status", "players", "equilibria", "stats"}
     assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
     assert doc["stats"]["reason"] == "player stuck: region emptied by its own rows"
+
+
+def test_the_stats_line_counts_warm_rounds_and_cold_restarts(tmp_path, capsys):
+    # 2x3 seed 7 starts four of its five rounds warm, and two of those
+    # restart cold; the result document keeps its key set
+    path, dest = tmp_path / "game.json", tmp_path / "result.json"
+    save_instance(random_knapsack_game(7, 2, 3), path)
+    code = main(["--instance", str(path), "--tolerance", "3e-4", "--output", str(dest)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert re.search(r"iterations: 5 {2}cuts: \d+ {2}lcp nodes: 105 {2}warm rounds: 4 {2}cold restarts: 2 {2}wall ms: ", out)
+    assert set(json.loads(dest.read_text())["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
 
 
 def test_missing_file_exits_one(capsys):

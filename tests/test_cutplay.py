@@ -120,8 +120,10 @@ def test_small_ladder_games_end_in_an_equilibrium(seed):
 
 def test_ten_players_end_in_an_equilibrium():
     # 10x10 seed 0: four rounds, their LCPs of order up to 421 solved in
-    # 32,103 pivots in all, each under Lemke's pivot cap (about 9 s on a
-    # 2-core host)
+    # 33,355 pivots in all (about 7 s on a 2-core host): 32,103 in four
+    # cold solves, each under Lemke's pivot cap, and 1,252 in the three
+    # warm attempts, each of which used up its budget of one pivot per
+    # index and restarted cold
     game = random_knapsack_game(0, 10, 10).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=120.0))
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
@@ -147,15 +149,16 @@ def _recording_solve_lcp(monkeypatch):
 
 
 def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
-    # Lemke's 100th deadline check across the run sleeps past the limit,
+    # Lemke's 43rd deadline check across the run sleeps past the limit,
     # so the deadline falls while it pivots in the last of the game's
-    # three rounds (115 pivots in all)
+    # three rounds, after 37 pivots in the first, 3 in the second and 2
+    # in the third (45 in all without the limit)
     nodes = _recording_solve_lcp(monkeypatch)
     checks = [0]
 
     def monotonic():
         checks[0] += 1
-        if checks[0] == 100:
+        if checks[0] == 43:
             time.sleep(1.0)
         return time.monotonic()
 
@@ -165,7 +168,71 @@ def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
     assert result.stats.reason == "deadline"
-    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 99
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 42
+    assert result.stats.iterations == 3 and result.stats.warm_rounds == 2
+
+
+def test_a_deadline_in_a_warm_attempt_ends_time_limit_with_its_pivots_counted(monkeypatch):
+    # 3x5 seed 3 solves its first round cold in 103 pivots and its second
+    # warm in 27; the warm attempt's 10th deadline check sleeps past the
+    # limit, so the run ends TimeLimit within the slack of a deadline
+    # check, counting the warm attempt's 9 pivots and the warm round
+    real = cutplay_module.solve_lcp
+    calls = []
+
+    def recorded(problem, deadline=None, start=None):
+        calls.append([start is not None, 0, None])
+        try:
+            out = real(problem, deadline, start)
+        except BudgetExhausted as exc:
+            calls[-1][2] = exc.nodes
+            raise
+        calls[-1][1] = out.nodes
+        return out
+
+    def monotonic():
+        if calls and calls[-1][0]:
+            calls[-1][1] += 1
+            if calls[-1][1] == 10:
+                time.sleep(1.0)
+        return time.monotonic()
+
+    monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
+    monkeypatch.setattr(lcp_module, "time", SimpleNamespace(monotonic=monotonic))
+    game = random_knapsack_game(3, 3, 5).game()
+    start = time.monotonic()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
+    assert time.monotonic() - start <= 0.9 + 0.5
+    assert result.status is EqStatus.TIME_LIMIT and result.stats.reason == "deadline"
+    assert calls == [[False, 103, None], [True, 10, 9]]
+    assert result.stats.lcp_nodes == 103 + 9
+    assert result.stats.warm_rounds == 1 and result.stats.cold_restarts == 0
+
+
+def test_a_warm_attempt_that_ends_on_a_ray_restarts_cold(monkeypatch):
+    # corpus game 2x3 seed 7: the warm attempts of its third and fourth
+    # rounds end on rays, which prove nothing, so each round restarts
+    # cold on the same LCP and solves it; the game ends PNE with a clean
+    # deviation check, and every attempt's pivots count
+    real = cutplay_module.solve_lcp
+    calls = []
+
+    def recorded(problem, deadline=None, start=None):
+        out = real(problem, deadline, start)
+        calls.append((problem, start is not None, getattr(out, "reason", None), out.nodes))
+        return out
+
+    monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
+    game = random_knapsack_game(7, 2, 3).game()
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    assert result.status is EqStatus.PNE
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+    assert [(warm, reason) for _, warm, reason, _ in calls] == [
+        (False, None), (True, None), (True, "ray"), (False, None), (True, "ray"), (False, None), (True, None)]
+    for t in (2, 4):
+        assert calls[t + 1][0] is calls[t][0] and 0 < calls[t][3] < calls[t][0].order
+    assert result.stats.iterations == 5 and result.stats.warm_rounds == 4 and result.stats.cold_restarts == 2
+    assert result.stats.lcp_nodes == sum(nodes for *_, nodes in calls) == 105
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
@@ -212,7 +279,8 @@ def _pivot_cap(monkeypatch):
     # its cap of 200 + 30 * 9
     real = cutplay_module.solve_lcp
     capped = LCP(M=np.eye(9) + 2.0 * np.tril(np.ones((9, 9)), -1), q=-np.ones(9))
-    monkeypatch.setattr(cutplay_module, "solve_lcp", lambda problem, deadline=None: real(capped, deadline))
+    monkeypatch.setattr(cutplay_module, "solve_lcp",
+                        lambda problem, deadline=None, start=None: real(capped, deadline))
 
 
 def _residuals(monkeypatch):

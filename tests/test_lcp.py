@@ -1,3 +1,4 @@
+import copy
 import time
 
 import numpy as np
@@ -22,7 +23,8 @@ from rbgames.generators import nondegenerate_seeds, random_knapsack_game
 
 from rbgames.errors import BudgetExhausted
 
-from oracles import brute_force_lcp, leaving_full_block_reference, lemke_reference, lemke_row_loop
+from oracles import (brute_force_lcp, encode_region_reference, leaving_full_block_reference, lemke_reference,
+                     lemke_row_loop, nash_lcp_reference)
 
 _RES_TOL = 1e-7
 
@@ -185,6 +187,34 @@ def test_vectorized_lemke_matches_the_row_loop_reference():
     assert outcomes == {"solution", "ray"}
 
 
+def test_a_warm_start_solves_a_bordered_lcp_or_stops_within_its_order():
+    # 400 copositive-plus LCPs of order m = n + k, each started warm from
+    # the cold solution of its leading block of order n: a warm attempt
+    # ends at a solution, or on a ray or at its budget of m pivots, which
+    # prove nothing, and the cold start then decides
+    rng = seeded_rng(71)
+    ends = {"solution": 0, "ray": 0, "pivot cap": 0}
+    for trial in range(400):
+        n, k = int(rng.integers(3, 16)), int(rng.integers(1, 4))
+        M, q = _copositive_plus(rng, n + k), np.round(rng.normal(size=n + k) * 2, 1)
+        small = solve_lcp(LCP(M=M[:n, :n], q=q[:n]))
+        if not isinstance(small, LCPSolution):
+            continue
+        problem = LCP(M=M, q=q)
+        out = solve_lcp(problem, start=small)
+        if isinstance(out, LCPSolution):
+            ends["solution"] += 1
+            scale = 1.0 + np.abs(out.z).max() * np.abs(out.w).max()
+            assert out.z.min() >= 0.0 and out.w.min() >= -1e-9 * scale, trial
+            assert abs(out.z @ out.w) <= 1e-9 * scale * (n + k), trial
+            assert np.allclose(out.w, M @ out.z + q, atol=1e-9), trial
+            assert out.nodes <= n + k
+        else:
+            ends[out.reason] += 1
+            assert out.nodes == n + k if out.reason == "pivot cap" else out.nodes < n + k, trial
+    assert ends["solution"] >= 300 and ends["ray"] >= 2 and ends["pivot cap"] >= 2, ends
+
+
 def test_lemke_honors_the_deadline():
     rng = seeded_rng(7)
     problem = LCP(M=_copositive_plus(rng, 30), q=-np.ones(30))
@@ -225,13 +255,15 @@ def test_node_lps_honor_the_deadline():
 
 
 def _nash_lcps(monkeypatch, games):
-    """The Nash LCP of every cut-and-play round of the games, in order."""
+    """The Nash LCP of every cut-and-play round of the games, in order,
+    each once: a round that restarts cold solves its LCP twice."""
     problems = []
     real = cutplay_module.solve_lcp
 
-    def recorded(problem, deadline=None):
-        problems.append(problem)
-        return real(problem, deadline)
+    def recorded(problem, deadline=None, start=None):
+        if not problems or problems[-1] is not problem:
+            problems.append(problem)
+        return real(problem, deadline, start)
 
     monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
     for game in games:
@@ -240,15 +272,60 @@ def _nash_lcps(monkeypatch, games):
 
 
 @pytest.fixture(scope="module")
-def reference_nash_lcps():
-    """Every round's Nash LCP of 20 corpus games, 3 ladder games and one
-    5x5 game, whose LCP has order 105."""
+def reference_rounds():
+    """(game, regions, LCP, index map) of every cut-and-play round of 20
+    corpus games, 3 ladder games and one 5x5 game, whose LCP has order
+    105, as ``build_nash_lcp`` built them."""
     shapes = [(2, 2, s) for s in nondegenerate_seeds(2, 14)] + [(2, 3, s) for s in nondegenerate_seeds(3, 6)]
     shapes += [(2, 6, 0), (3, 5, 2), (4, 4, 1), (5, 5, 0)]
+    rounds = []
+    real = cutplay_module.build_nash_lcp
+
+    def recorded(game, regions, last=None):
+        out = real(game, regions, last)
+        rounds.append((game, regions, *out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        problems = _nash_lcps(mp, [random_knapsack_game(s, p, m).game() for p, m, s in shapes])
+        mp.setattr(cutplay_module, "build_nash_lcp", recorded)
+        for p, m, s in shapes:
+            cut_and_play(random_knapsack_game(s, p, m).game(), SolverOptions(deviation_eps=3e-4))
+    return rounds
+
+
+@pytest.fixture(scope="module")
+def reference_nash_lcps(reference_rounds):
+    """Every round's Nash LCP of the reference games."""
+    problems = [problem for _, _, problem, _ in reference_rounds]
     assert len(problems) >= 60 and max(p.order for p in problems) >= 100
     return problems
+
+
+def test_each_round_borders_the_last_and_matches_the_reference_builder(reference_rounds):
+    # a round's LCP borders the last round's, whose (M, q) is its leading
+    # principal block, and equals the reference builder's on the same
+    # regions bitwise, once lam is put in the reference's order: player
+    # by player, each player's rows in region order.  The built LCP lays
+    # lam out in the order the rows came in: the first round's player by
+    # player, then each round's new rows player by player
+    bordered = 0
+    for game, regions, problem, index_map in reference_rounds:
+        M, q, _ = nash_lcp_reference(game, regions)
+        kept = [encode_region_reference(region).g.size for region in regions]
+        if index_map.bordered:
+            n = last.order
+            assert np.array_equal(problem.M[:n, :n], last.M) and np.array_equal(problem.q[:n], last.q)
+            chunks += [(i, seen[i], kept[i]) for i in range(len(regions))]
+            bordered += 1
+        else:
+            chunks = [(i, 0, kept[i]) for i in range(len(regions))]
+        boxes = M.shape[0] - sum(kept)  # the order of (v, mu+, mu-)
+        starts = boxes + np.concatenate([[0], np.cumsum(kept)])
+        perm = np.concatenate([np.arange(boxes)] + [starts[i] + np.arange(a, b) for i, a, b in chunks])
+        assert np.array_equal(problem.M, M[np.ix_(perm, perm)]) and np.array_equal(problem.q, q[perm])
+        assert index_map.rows == [region.nrows for region in regions]
+        last, seen = problem, kept
+    assert bordered >= 30
 
 
 def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch, reference_nash_lcps):
@@ -301,22 +378,60 @@ def test_the_tie_break_matches_the_full_block_reference(monkeypatch, reference_n
     assert decided["unit"] >= 50 and decided["nonbasic"] >= 50, decided
 
 
-def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
-    # every round of a 5x5 game (order 105, 207 pivots) and of a 3x5
-    # game: B^{-1} kept by columns stays an inverse of B, the basic values
-    # kept above it in the pivot block stay B^{-1} q, the nonbasic w's
-    # fill the first k rows of invT, and each basic w_j keeps the exact
-    # unit column that lets a pivot leave its row alone
-    problems = _nash_lcps(monkeypatch, [random_knapsack_game(0, 5, 5).game(), random_knapsack_game(2, 3, 5).game()])
-    assert len(problems) >= 4 and max(p.order for p in problems) >= 100
-    checks = [0]
-    real = lcp_module._Basis.refine
+def test_a_warm_start_enters_z0_at_the_lexicographic_minimum(monkeypatch):
+    # every warm start of 200 corpus games and the ladder shapes at seed
+    # 0: z0 enters in the row of the least row of [x | B^{-1}], read over
+    # the full block, and after that pivot every row of [x | B^{-1}] is
+    # lexicographically positive, so no basis of the path repeats.  Some
+    # starts tie in x and are broken on B^{-1}
+    real = lcp_module._lowest
+    seen = {"starts": 0, "ties": 0}
 
     def checked(basis):
+        block = np.column_stack([basis.x, basis.invT[basis.slot].T])
+        keep = np.arange(basis.n)
+        for col in block.T:
+            least = col[keep].min()
+            keep = keep[col[keep] <= least + 1e-9 * (1.0 + abs(least))]
+            if keep.size == 1:
+                break
+        r = real(basis)
+        assert r == keep[0]
+        seen["starts"] += 1
+        seen["ties"] += int(np.count_nonzero(block[:, 0] <= block[r, 0] + 1e-9 * (1.0 + abs(block[r, 0]))) > 1)
+        after = copy.deepcopy(basis)
+        after.x, after.invT = after.blk[0], after.blk[1:]  # views again, as a copy drops them
+        after.pivot(2 * after.n, -np.ones(after.n), r)
+        for row in np.column_stack([after.x, after.invT[after.slot].T]):
+            lead = row[np.abs(row) > 1e-9]
+            assert lead.size and lead[0] > 0.0
+        return r
+
+    monkeypatch.setattr(lcp_module, "_lowest", checked)
+    games = [random_knapsack_game(s, 2, 2) for s in nondegenerate_seeds(2, 200)]
+    games += [random_knapsack_game(0, p, m) for p, m in ((2, 6), (2, 10), (3, 3), (3, 5), (4, 4))]
+    for game in games:
+        cut_and_play(game.game(), SolverOptions(deviation_eps=3e-4))
+    assert seen["starts"] >= 150 and seen["ties"] >= 3, seen
+
+
+def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
+    # every round of a 5x5 game (order 105, 207 pivots) and of a 3x5
+    # game, solved as cut-and-play solves them, warm from the last
+    # round's basis, and then cold: B^{-1} kept by columns stays an
+    # inverse of B, the basic values kept above it in the pivot block
+    # stay B^{-1} q, the nonbasic w's fill the first k rows of invT, and
+    # each basic w_j keeps the exact unit column that lets a pivot leave
+    # its row alone.  A warm basis holds at its start too, where z0's
+    # direction, B^{-1} times its column -B 1, is -1
+    checks = {"warm": 0, "cold": 0, "start": 0}
+    real_refine, real_bordered = lcp_module._Basis.refine, lcp_module._Basis.bordered
+
+    def check(basis, kind):
         n, k = basis.n, basis.k
         basic, slot = np.array(basis.basic), np.array(basis.slot)
-        # the columns of w, z and z0 in  w - M z - z0 1 = q
-        B = np.hstack([np.eye(n), -basis.M, -np.ones((n, 1))])[:, basic]
+        # the columns of w, z and z0 in  w - M z - z0 d = q
+        B = np.hstack([np.eye(n), -basis.M, -basis.cover[:, None]])[:, basic]
         assert np.abs(B @ basis.invT[slot].T - np.eye(n)).max() <= 1e-9
         assert np.abs(basis.x - np.linalg.solve(B, basis.q)).max() <= 1e-9
         # the first k rows of invT hold the nonbasic w's
@@ -326,13 +441,26 @@ def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
             unit = np.zeros(n)
             unit[r] = 1.0
             assert basis.invT[slot[basic[r]]].tobytes() == unit.tobytes()
-        checks[0] += 1
-        real(basis)
+        checks[kind] += 1
 
-    monkeypatch.setattr(lcp_module._Basis, "refine", checked)
+    def checked_refine(basis):
+        check(basis, "cold" if np.all(basis.cover == 1.0) else "warm")
+        real_refine(basis)
+
+    def checked_bordered(basis, problem):
+        out = real_bordered(basis, problem)
+        check(out, "start")
+        assert np.abs(out.direction(2 * out.n) + 1.0).max() <= 1e-9
+        return out
+
+    monkeypatch.setattr(lcp_module._Basis, "refine", checked_refine)
+    monkeypatch.setattr(lcp_module._Basis, "bordered", checked_bordered)
+    problems = _nash_lcps(monkeypatch, [random_knapsack_game(0, 5, 5).game(), random_knapsack_game(2, 3, 5).game()])
+    assert len(problems) >= 4 and max(p.order for p in problems) >= 100
+    assert checks["start"] >= 2 and checks["warm"] >= 2
     for problem in problems:
         assert isinstance(solve_lcp(problem), LCPSolution)
-    assert checks[0] >= 2 * len(problems)
+    assert checks["cold"] >= 2 * len(problems)
 
 
 def test_lemke_makes_no_concatenate_call(monkeypatch):
