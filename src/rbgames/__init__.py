@@ -19,7 +19,7 @@ from .cutplay import (
     separation_oracle,
     solve_game,
 )
-from .cuts import cover_cuts, gomory_cuts
+from .cuts import cover_cuts, gomory_cuts, knapsack_rows
 from .enumeration import full_enumeration, lattice_points
 from .errors import (
     BudgetExhausted,
@@ -136,6 +136,7 @@ __all__ = [
     "dumps_canonical",
     "instance_from_document",
     "instance_to_document",
+    "knapsack_rows",
     "lattice_points",
     "load_instance",
     "opponents_vector",

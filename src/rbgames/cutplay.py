@@ -106,8 +106,9 @@ class PlayerState:
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
     and UnsupportedGame naming the player when it is unbounded.
     ``pieces`` holds the one polyhedron of the region.  ``relaxation``,
-    ``integers`` and ``binary`` (a mask of the 0/1 integer variables)
-    are the player's fixed data that the oracle reads on every call.
+    ``integers``, ``binary`` (a mask of the 0/1 integer variables) and
+    ``knapsacks`` are the player's fixed data that the oracle reads on
+    every call.
     ``deadline`` bounds every LP and IP that the state runs.
     """
 
@@ -127,6 +128,13 @@ class PlayerState:
 
     def region(self):
         return self.pieces[0]
+
+    @cached_property
+    def knapsacks(self):
+        """The rows of the player's program that cover separation can
+        use (``cuts.knapsack_rows``), classified when the oracle first
+        asks."""
+        return cutgen.knapsack_rows(self.relaxation.A, self.relaxation.b, self.binary)
 
     @cached_property
     def lattice(self):
@@ -189,7 +197,16 @@ def separation_oracle(state, sigma, deadline=None):
     Hoelder's inequality no point violates it by more than its L1
     distance to the hull, and ``cover_cuts`` reports only violations
     above FEAS_TOL, the distance up to which the LP accepts a member:
-    a reported cover cut decides Cuts before any LP.  Otherwise one LP
+    a reported cover cut decides Cuts before any LP.  Cover cuts come
+    from the knapsack rows of the player's own program alone
+    (``PlayerState.knapsacks``); a cut row would add none.  An eligible
+    cut row has positive integral coefficients of at most 1 (a cover
+    cut's are 0/1 and an exact cut has |pi_j| <= 1), so it reads
+    sum_S x_j <= b over binaries.  Its minimal covers have b + 1 items
+    and yield sum_C x_j <= b with C in S, which on nonnegative binaries
+    sums to at most the row itself; sigma, the round's LCP point, meets
+    that row within the LCP's tolerance, COMPLEMENTARITY_TOL = FEAS_TOL,
+    so none of those covers is violated past FEAS_TOL.  Otherwise one LP
     (``support_from_points``) gives Member or the exact cut
     pi x <= pi0 from its dual.  For an enumerated player pi0 is the
     maximum of pi over the lattice.  For any other player branch and
@@ -207,8 +224,7 @@ def separation_oracle(state, sigma, deadline=None):
     if integral and state.relaxation.contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped)]), pure=True)
 
-    region = state.region()
-    found = cutgen.cover_cuts(region.A, region.b, sigma, state.binary)
+    found = cutgen.cover_cuts(state.knapsacks, sigma)
     if found:
         return Cuts(found)
 

@@ -1,7 +1,8 @@
 """Valid inequalities for the integer points of a player's region.
 
 Two families: knapsack cover cuts from single <= rows over binary
-variables, and Gomory fractional cuts read off an optimal simplex
+variables (``knapsack_rows`` picks the rows, ``cover_cuts`` separates
+on them), and Gomory fractional cuts read off an optimal simplex
 tableau of the integer-data subsystem.  Every cut returned here keeps
 all integer-feasible points and strictly separates the queried point.
 """
@@ -18,26 +19,37 @@ def _is_integral(arr, tol=1e-9):
     return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
 
 
-def cover_cuts(A, b, sigma, binary):
-    """Greedy minimal-cover separation on each eligible knapsack row.
+def knapsack_rows(A, b, binary):
+    """The rows of A x <= b that cover separation can use, each as
+    (a, support, bi): rounded coefficients, the indexes of their
+    nonzeros and the rounded right-hand side.
 
     A row is eligible when its data is integral to 1e-9, every variable
-    it touches is binary and its coefficients are positive; it is used
-    rounded to those integers.  Returns (pi, pi0) pairs with pi.sigma >
-    pi0 + FEAS_TOL.
+    it touches is binary, it touches at least two, its coefficients are
+    positive and their sum exceeds its right-hand side, so that it has
+    a cover.  It is used rounded to those integers: sums of raw floats
+    could miscount a cover by one ulp.
     """
-    sigma = np.asarray(sigma, dtype=float)
     out = []
     for i in range(A.shape[0]):
         if not (_is_integral(A[i]) and _is_integral(b[i : i + 1])):
             continue
-        # sums of raw floats could miscount a cover by one ulp
         a, bi = np.round(A[i]), float(np.round(b[i]))
         sup = np.nonzero(a)[0]
-        if sup.size < 2 or not np.all(binary[sup]) or np.any(a[sup] < 0):
+        if sup.size < 2 or not np.all(binary[sup]) or np.any(a[sup] < 0) or a[sup].sum() <= bi:
             continue
-        if a[sup].sum() <= bi:
-            continue
+        out.append((a, sup, bi))
+    return out
+
+
+def cover_cuts(rows, sigma):
+    """Greedy minimal-cover separation on each row of ``rows``, as
+    ``knapsack_rows`` gives them.  Returns (pi, pi0) pairs with
+    pi.sigma > pi0 + FEAS_TOL.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    out = []
+    for a, sup, bi in rows:
         # take items by descending sigma until the weights overflow b
         order = sup[np.argsort(-sigma[sup], kind="stable")]
         cover, weight = [], 0.0
@@ -54,7 +66,7 @@ def cover_cuts(A, b, sigma, binary):
                 cover.remove(j)
                 weight -= a[j]
         if sigma[cover].sum() > len(cover) - 1 + FEAS_TOL:
-            pi = np.zeros(A.shape[1])
+            pi = np.zeros(a.size)
             pi[cover] = 1.0
             out.append((pi, float(len(cover) - 1)))
     return out
@@ -68,9 +80,9 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
     rest are rounded, which keeps the generated cuts valid for all
     integer points.  The LP is solved with the supplied cost (sigma's
     supporting objective), and cuts come from fractional basic rows of
-    its optimal tableau, read off the final simplex state over the
-    structural and slack columns (the frozen phase-1 artificials are
-    left out).  ``deadline`` bounds that LP.
+    its optimal tableau, each row B^{-1}[r] A read off the final simplex
+    state over the structural and slack columns (the frozen phase-1
+    artificials are left out).  ``deadline`` bounds that LP.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
@@ -88,7 +100,7 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
         return []
     sx = res._state
     cols = n + sx.m
-    status, T, x = sx.status[:cols], sx.T[:, :cols], sx.x[:cols]
+    status, x = sx.status[:cols], sx.x[:cols]
     out = []
     for r in range(sx.m):
         bvar = int(sx.basis[r])
@@ -98,6 +110,7 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
         f0 = val - np.floor(val)
         if f0 < _FRAC_TOL or f0 > 1 - _FRAC_TOL:
             continue
+        tab = sx.row(r)
         pi = np.zeros(n)
         pi0 = -f0
         ok = True
@@ -105,7 +118,7 @@ def gomory_cuts(A, b, lb, ub, integers, cost, sigma, deadline=None):
             st = status[j]
             if st == _BASIC:
                 continue
-            t = T[r, j]
+            t = tab[j]
             if st == _AT_LB:
                 abar = t
             elif st == _AT_UB:

@@ -319,16 +319,16 @@ def support_from_points(points, sigma, deadline=None):
     off their hull.
 
     The LP  min sum(s+ + s-)  s.t.  P'w + s+ - s- = sigma,  sum w = 1,
-    w, s >= 0, each equality a pair of <= rows, gives the L1 distance
-    from sigma to the hull of the points p_k.  At a distance of at most
-    FEAS_TOL it returns (support, None): the (weight, point) pairs of
-    the weights above ZERO_TOL, renormalized, at most dim + 1 of them
-    as the solution is basic.  Farther out it returns (None, pi), with
-    pi the difference of the row duals of the two sigma row blocks, so
-    |pi_j| <= 1 and, by LP duality, pi.sigma - max_k pi.p_k is that
-    distance: the cut pi x <= max_k pi.p_k removes sigma.  Raises
-    NumericalFailure when the LP ends other than Optimal.  ``deadline``
-    bounds the LP.
+    w, s >= 0, its m + 1 rows stated as equalities, gives the L1
+    distance from sigma to the hull of the points p_k.  At a distance of
+    at most FEAS_TOL it returns (support, None): the (weight, point)
+    pairs of the weights above ZERO_TOL, renormalized, at most dim + 1
+    of them as the solution is basic.  Farther out it returns
+    (None, pi), with pi the negated row duals u of the sigma rows: the
+    columns of s+ and s- bound |u_j| <= 1 and, by LP duality,
+    pi.sigma - max_k pi.p_k is that distance, so the cut
+    pi x <= max_k pi.p_k removes sigma.  Raises NumericalFailure when
+    the LP ends other than Optimal.  ``deadline`` bounds the LP.
     """
     pts = np.asarray(points, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -336,8 +336,8 @@ def support_from_points(points, sigma, deadline=None):
     eye = np.eye(m)
     rows = np.vstack([np.hstack([pts.T, eye, -eye]), np.concatenate([np.ones(K), np.zeros(2 * m)])])
     n = K + 2 * m
-    lp = LinearProgram(np.concatenate([np.zeros(K), np.ones(2 * m)]), np.vstack([rows, -rows]),
-                       np.concatenate([sigma, [1.0], -sigma, [-1.0]]), np.zeros(n), np.full(n, np.inf))
+    lp = LinearProgram(np.concatenate([np.zeros(K), np.ones(2 * m)]), rows, np.append(sigma, 1.0),
+                       np.zeros(n), np.full(n, np.inf), eq=np.ones(m + 1, dtype=bool))
     res = solve_lp(lp, deadline=deadline)
     if res.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"separation LP ended {res.status.value}")
@@ -346,5 +346,4 @@ def support_from_points(points, sigma, deadline=None):
         keep = np.nonzero(w > ZERO_TOL)[0]
         total = float(w[keep].sum())
         return [(float(w[k] / total), pts[k].copy()) for k in keep], None
-    y = res.row_duals
-    return None, y[m + 1 : 2 * m + 1] - y[:m]
+    return None, -res.row_duals[:m]

@@ -24,10 +24,16 @@ lexicographic minimum of [x | B^{-1}], which leaves every row of
 keeps them so, so no basis repeats and the path is finite: this is the
 lexicographic argument of the cold start, read from another starting
 basis (van den Elzen & Talman 1991 start Lemke from a point in the
-same way).  B 1 need not be positive, so a warm path may end on a
-ray that proves nothing, and its length has no useful bound: a warm
-attempt gets at most n pivots, and its caller restarts cold when it
-ends on a ray or at that budget.
+same way).  B 1 is not positive once B holds a z (below), so a warm
+path may end on a ray that proves nothing, and its length has no
+useful bound: a warm attempt gets at most n pivots, and its caller
+restarts cold when it ends on a ray or at that budget.  No other
+covering vector mends this.  When M is copositive, no complementary basis B with a basic z admits a d > 0
+with t = B^{-1} d > 0: the point h whose basic variables are t, and
+whose others are 0, solves w^h - M z^h = d and is complementary, so
+z^h'M z^h = z^h'(w^h - d) = -z^h'd < 0 with z^h >= 0 nonzero.  So B 1
+is never positive on a warm basis that holds a z, and no covering
+vector carries the copositive-plus guarantee to a warm start.
 
 The solver keeps an explicit inverse of the whole basis B of
 w - M z - z0 d = q (``_Basis``), kept by columns: each row of ``invT``
@@ -127,21 +133,13 @@ def solve_lcp_with_fixings(problem, fixings, deadline=None):
     if fixings.shape != (n,):
         raise ValueError("one fixing per index required")
     M, q = problem.M, problem.q
-    # rows: -(M z) <= q  encodes w >= 0;  w_j = 0 adds the opposite row
-    rows = [-M]
-    rhs = [q]
-    wzero = np.nonzero(fixings == FIX_W_ZERO)[0]
-    if wzero.size:
-        rows.append(M[wzero])
-        rhs.append(-q[wzero])
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    # rows: -(M z) <= q  encodes w >= 0, an equality where w_j = 0
     lb = np.zeros(n)
     ub = np.full(n, np.inf)
     ub[fixings == FIX_Z_ZERO] = 0.0
     free = fixings == FIX_FREE
     cost = free.astype(float) + M[free].sum(axis=0)
-    res = solve_lp(LinearProgram(cost, A, b, lb, ub), deadline=deadline)
+    res = solve_lp(LinearProgram(cost, -M, q, lb, ub, eq=fixings == FIX_W_ZERO), deadline=deadline)
     if res.status is LPStatus.INFEASIBLE:
         return None
     if res.status is LPStatus.UNBOUNDED:

@@ -1,20 +1,25 @@
-"""Bounded-variable simplex.
+"""Bounded-variable revised simplex.
 
-Solves  min c.x  subject to  A x <= b  and  lb <= x <= ub,  where bounds
-may be infinite.  Rows get slack variables, infeasible starting rows get
-phase-1 artificials, and variable bounds are handled directly by the
-ratio test instead of being expanded into rows.  Dantzig pricing runs
-first; after a pivot budget the solver falls back to Bland's rule, and
-if that also stalls it raises NumericalFailure rather than returning a
-wrong answer.
+Solves  min c.x  subject to  A x <= b  (with equality on the rows that
+``eq`` marks)  and  lb <= x <= ub,  where bounds may be infinite.  Every
+row gets a slack variable, bounded below by 0 on a <= row and fixed at 0
+on an equality row; a row that the start point misses gets a phase-1
+artificial, and variable bounds are handled directly by the ratio test
+instead of being expanded into rows.  Dantzig pricing runs first; after
+a pivot budget the solver falls back to Bland's rule, and if that also
+stalls it raises NumericalFailure rather than returning a wrong answer.
 
+The solver keeps an explicit inverse of the m x m basis B (the revised
+simplex of Dantzig & Orchard-Hays, 1954), as ``lcp._Basis`` does for
+Lemke.  Each pivot prices from y = c_B B^{-1} and d = c - y A, takes the
+entering column as B^{-1} a_e and updates B^{-1} by one rank-1 step.
 ``solve_lp`` starts from the slack basis, with an artificial in place of
-the slack of each row phase 1 needs: the identity up to signs, so its
-tableau is the columns themselves.  A basis is factored only to refresh
-the tableau after pivots (at the end, after phase 1 and every 64
-pivots), and duals are computed from the final basis when first read.
-An optimal result keeps its final simplex state, from which the duals
-and the Gomory cuts of ``cuts.gomory_cuts`` are read.
+the slack of each row phase 1 needs: the identity up to signs, which is
+its own inverse.  B^{-1} and the basic values, with one refinement
+step, are recomputed from the basis every 64 pivots, after phase 1 and
+at the end.  An optimal result keeps its final simplex state: its row
+duals are -y, read when first asked for, and ``cuts.gomory_cuts``
+reads its tableau rows B^{-1}[r] A.
 """
 
 import time
@@ -45,13 +50,15 @@ class LPStatus(Enum):
 
 @dataclass(eq=False)
 class LinearProgram:
-    """min c.x  s.t.  A x <= b,  lb <= x <= ub."""
+    """min c.x  s.t.  A x <= b,  lb <= x <= ub;  ``eq`` marks the rows
+    that hold with equality (none when it is None)."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    eq: np.ndarray = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -66,6 +73,9 @@ class LinearProgram:
             raise ValueError(f"A must have shape (m, {n})")
         if self.b.shape != (self.A.shape[0],):
             raise ValueError("b length must match the row count of A")
+        self.eq = np.zeros(self.b.size, dtype=bool) if self.eq is None else np.asarray(self.eq, dtype=bool)
+        if self.eq.shape != self.b.shape:
+            raise ValueError("eq must mark each row of A")
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ValueError("bounds must match the variable count")
         if not (np.isfinite(self.c).all() and np.isfinite(self.A).all() and np.isfinite(self.b).all()):
@@ -88,11 +98,12 @@ class LinearProgram:
 class LPResult:
     """Solver outcome.
 
-    ``row_duals`` are the nonnegative multipliers of the A x <= b rows;
-    ``reduced_costs`` carry the bound multipliers (positive at an active
-    lower bound, negative at an active upper bound).  Both are None
-    unless the status is Optimal, and are computed from the final basis
-    when first read.
+    ``row_duals`` are the multipliers of the rows, nonnegative on the
+    A x <= b rows and free on the equality rows; ``reduced_costs`` carry
+    the bound multipliers (positive at an active lower bound, negative
+    at an active upper bound).  Both are None unless the status is
+    Optimal, and are computed from the final basis inverse when first
+    read.
     """
 
     status: LPStatus
@@ -114,25 +125,30 @@ class LPResult:
         return self._duals[1]
 
     def dual_value(self, lp):
-        """Dual objective -y.b + sum of active-bound terms (weak duality)."""
+        """Dual objective -y.b + sum of active-bound terms (weak duality).
+
+        A reduced cost within the pricing tolerance of 0 is rounding
+        noise, so it activates no bound, which may be infinite.
+        """
         if self.status is not LPStatus.OPTIMAL:
             raise ValueError("dual value only defined for optimal results")
         d = self.reduced_costs
         val = -float(self.row_duals @ lp.b)
-        at_lo = d > 0
-        at_up = d < 0
+        at_lo = d > _PRICE_TOL
+        at_up = d < -_PRICE_TOL
         val += float(np.sum(d[at_lo] * lp.lb[at_lo]))
         val += float(np.sum(d[at_up] * lp.ub[at_up]))
         return val
 
 
 class _Simplex:
-    """Tableau state over the full column set (n structurals, then slacks).
+    """Basis state over the full column set (n structurals, then slacks).
 
     ``lp`` is the LinearProgram solved, ``c`` the phase-2 cost over every
-    column and ``feas_tol`` the primal feasibility tolerance.  ``fresh``
-    says that T and the basic values are what refresh() would compute
-    for the current basis.
+    column and ``feas_tol`` the primal feasibility tolerance.  ``Binv``
+    is the inverse of the basis matrix A[:, basis], whose row r belongs
+    to the variable basic in row r.  ``fresh`` says that Binv and the
+    basic values are what refresh() would compute for the current basis.
     """
 
     def __init__(self, lp, Acols, lb, ub, feas_tol):
@@ -148,40 +164,48 @@ class _Simplex:
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.status = np.zeros(self.N, dtype=np.int8)
         self.x = np.zeros(self.N)
-        self.T = np.zeros((self.m, self.N))
+        self.Binv = np.eye(self.m)
         self.pivots = 0
         self.fresh = False
 
     def refresh(self):
-        """Recompute tableau and basic values from the current basis."""
+        """Re-invert the basis and recompute the basic values, with one
+        refinement step."""
         if self.m:
             B = self.A[:, self.basis]
             try:
-                self.T = np.linalg.solve(B, self.A)
-                xn = self.x.copy()
-                xn[self.basis] = 0.0
-                self.x[self.basis] = np.linalg.solve(B, self.b - self.A @ xn)
+                self.Binv = np.linalg.inv(B)
             except np.linalg.LinAlgError:
                 raise NumericalFailure("singular basis in simplex refresh")
+            xn = self.x.copy()
+            xn[self.basis] = 0.0
+            rhs = self.b - self.A @ xn
+            xb = self.Binv @ rhs
+            self.x[self.basis] = xb + self.Binv @ (rhs - B @ xb)
         self.fresh = True
+
+    def column(self, e):
+        """B^{-1} a_e, the tableau column of column e."""
+        return self.Binv @ self.A[:, e]
+
+    def row(self, r):
+        """B^{-1}[r] A, the tableau row of basis row r."""
+        return self.Binv[r] @ self.A
 
     def duals(self):
         """(row duals, reduced costs of the structurals) at the current basis."""
         if self.m == 0:
             return np.zeros(0), self.lp.c.copy()
-        B = self.A[:, self.basis]
-        try:
-            y = np.linalg.solve(B.T, self.c[self.basis])
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("singular basis when extracting duals")
-        return -y, self.lp.c - self.lp.A.T @ y
+        y = self.c[self.basis] @ self.Binv
+        return -y, self.lp.c - y @ self.lp.A
 
     def optimum(self):
         """The Optimal LPResult at the current basis; it keeps this state."""
         n, lp = self.n, self.lp
         x = self.x[:n].copy()
         if self.m:
-            worst = float(np.max(lp.A @ x - lp.b))
+            resid = lp.A @ x - lp.b
+            worst = float(np.max(np.where(lp.eq, np.abs(resid), resid)))
             if worst > self.feas_tol * 10:
                 raise NumericalFailure(f"optimal point violates rows by {worst:.3e}")
         np.clip(x, self.lb[:n], self.ub[:n], out=x)
@@ -192,7 +216,7 @@ class _Simplex:
         m, N = self.m, self.N
         soft = 400 + 20 * N
         hard = 4 * soft + 4000
-        movable = self.ub - self.lb > 0
+        fixed = ~(self.ub - self.lb > 0)
         # no column becomes free during a run
         free = self.status == _FREE
         if not free.any():
@@ -203,24 +227,30 @@ class _Simplex:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhausted("simplex ran past the deadline")
             bland = self.pivots >= soft
-            d = self._reduced(c) if m else c.copy()
+            if m:
+                d = c - (c[self.basis] @ self.Binv) @ self.A
+                d[self.basis] = 0.0
+            else:
+                d = c.copy()
             # the cost decrease per unit move of each column off its
-            # bound: |d| where d has the improving sign, else <= 0
+            # bound: |d| where d has the improving sign, else <= 0, and
+            # 0 on a fixed column
             gain = np.where(self.status == _AT_UB, d, -d)
             if free is not None:
                 gain[free] = np.abs(d[free])
-            elig = movable & (gain > _PRICE_TOL)
-            if not elig.any():
-                return LPStatus.OPTIMAL
+            gain[fixed] = 0.0
             # Dantzig: the largest gain, lowest index on ties; Bland: the
             # lowest eligible index
-            e = int(elig.argmax()) if bland else int(np.where(elig, gain, 0.0).argmax())
+            e = int((gain > _PRICE_TOL).argmax()) if bland else int(gain.argmax())
+            if not gain[e] > _PRICE_TOL:
+                return LPStatus.OPTIMAL
             if self.status[e] == _AT_UB or (self.status[e] == _FREE and d[e] > 0):
                 direction = -1.0
             else:
                 direction = 1.0
 
-            g = direction * self.T[:, e] if m else np.zeros(0)
+            col = self.column(e) if m else np.zeros(0)
+            g = direction * col
             t_basic = np.inf
             r = -1
             if m:
@@ -257,38 +287,29 @@ class _Simplex:
                     self.x[leave] = self.ub[leave]
                 self.status[e] = _BASIC
                 self.basis[r] = e
-                self.pivot(r, e)
+                self.pivot(r, col)
             self.pivots += 1
             self.fresh = False
             if self.pivots % _REFRESH_EVERY == 0:
                 self.refresh()
 
-    def _reduced(self, c):
-        d = c - c[self.basis] @ self.T
-        d[self.basis] = 0.0
-        return d
-
-    def pivot(self, r, e):
-        piv = self.T[r, e]
-        if abs(piv) < _PIVOT_TOL:
-            self.refresh()
-            piv = self.T[r, e]
-            if abs(piv) < _PIVOT_TOL:
-                raise NumericalFailure("degenerate pivot element")
-        self.T[r] /= piv
-        col = self.T[:, e].copy()
+    def pivot(self, r, col):
+        """Rank-1 update of B^{-1} for the column whose B^{-1} a is
+        ``col`` entering in row r, where |col[r]| exceeds the pivot
+        tolerance."""
+        Binv = self.Binv
+        Binv[r] /= col[r]
+        col = col.copy()
         col[r] = 0.0
-        self.T -= np.outer(col, self.T[r])
-        self.T[:, e] = 0.0
-        self.T[r, e] = 1.0
+        Binv -= np.multiply.outer(col, Binv[r])
 
     def pivot_out(self, r, forbidden):
         """Degenerate pivot to remove basis[r]; returns False if no column works.
 
         The entering column is the first nonbasic, movable column outside
-        the index array ``forbidden`` with the largest |T[r, j]|.
+        the index array ``forbidden`` with the largest |B^{-1}[r] a_j|.
         """
-        mag = np.abs(self.T[r])
+        mag = np.abs(self.row(r))
         mag[(self.status == _BASIC) | (self.ub <= self.lb)] = 0.0
         mag[forbidden] = 0.0
         best = int(np.argmax(mag))
@@ -299,7 +320,7 @@ class _Simplex:
         self.x[leave] = self.lb[leave]
         self.status[best] = _BASIC
         self.basis[r] = best
-        self.pivot(r, best)
+        self.pivot(r, self.column(best))
         self.fresh = False
         return True
 
@@ -315,49 +336,44 @@ def solve_lp(lp, deadline=None):
     n, m = lp.nvars, lp.nrows
     feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(lp.b))) if m else 0.0))
 
-    # columns: n structurals, then m slacks
-    Acols = np.hstack([lp.A, np.eye(m)]) if m else np.zeros((0, n))
-    lb = np.concatenate([lp.lb, np.zeros(m)])
-    ub = np.concatenate([lp.ub, np.full(m, np.inf)])
-    sx = _Simplex(lp, Acols, lb, ub, feas_tol)
-
     # each structural starts at its finite lower bound, else its finite
-    # upper bound, else free at 0; every slack starts basic
+    # upper bound, else free at 0
     has_lb, has_ub = np.isfinite(lp.lb), np.isfinite(lp.ub)
-    sx.status[:n] = np.where(has_lb, _AT_LB, np.where(has_ub, _AT_UB, _FREE))
-    sx.x[:n] = np.where(has_lb, lp.lb, np.where(has_ub, lp.ub, 0.0))
-    sx.basis[:] = np.arange(n, n + m)
-
-    resid = lp.b - lp.A @ sx.x[:n] if m else np.zeros(0)
-    bad = np.nonzero(resid < 0)[0]
+    x0 = np.where(has_lb, lp.lb, np.where(has_ub, lp.ub, 0.0))
+    resid = lp.b - lp.A @ x0
+    # the start point misses a row whose slack it would put below 0, or
+    # an equality row's off 0; phase 1 gives each such row i an
+    # artificial column sign_i e_i, basic in the place of its slack at
+    # the value |resid_i|
+    bad = np.nonzero((resid < 0) | (lp.eq & (resid > 0)))[0]
+    sign = np.where(resid < 0, -1.0, 1.0)
     art = np.arange(n + m, n + m + bad.size)
-    if bad.size:
-        # phase 1: an artificial column -e_i for each violated row i,
-        # basic in the place of its slack
-        extra = np.zeros((m, bad.size))
-        extra[bad, np.arange(bad.size)] = -1.0
-        sx.A = np.hstack([sx.A, extra])
-        sx.lb = np.concatenate([sx.lb, np.zeros(bad.size)])
-        sx.ub = np.concatenate([sx.ub, np.full(bad.size, np.inf)])
-        sx.x = np.concatenate([sx.x, np.zeros(bad.size)])
-        sx.status = np.concatenate([sx.status, np.zeros(bad.size, dtype=np.int8)])
-        sx.N = sx.A.shape[1]
-        sx.status[n + bad] = _AT_LB
-        sx.basis[bad] = art
-    # the start basis is the identity up to the artificials' signs, so
-    # the tableau and basic values that refresh() would compute need no
-    # factorization (every basic value is still 0 here)
-    sign = np.ones(m)
-    sign[bad] = -1.0
-    sx.T = sign[:, None] * sx.A
-    sx.x[sx.basis] = sign * (lp.b - sx.A @ sx.x)
+
+    # columns: n structurals, m slacks (an equality row's fixed at 0),
+    # then the artificials
+    Acols = np.zeros((m, n + m + bad.size))
+    Acols[:, :n] = lp.A
+    Acols[np.arange(m), n + np.arange(m)] = 1.0
+    Acols[bad, art] = sign[bad]
+    lb = np.concatenate([lp.lb, np.zeros(m + bad.size)])
+    ub = np.concatenate([lp.ub, np.where(lp.eq, 0.0, np.inf), np.full(bad.size, np.inf)])
+    sx = _Simplex(lp, Acols, lb, ub, feas_tol)
+    sx.status[:n] = np.where(has_lb, _AT_LB, np.where(has_ub, _AT_UB, _FREE))
+    sx.status[n + bad] = _AT_LB
+    sx.x[:n] = x0
+    sx.basis[:] = np.arange(n, n + m)
+    sx.basis[bad] = art
+    # the start basis is diag(sign), its own inverse
+    sx.Binv = np.diag(sign)
+    sx.x[sx.basis] = sign * resid
     sx.fresh = True
     if bad.size:
         c1 = np.zeros(sx.N)
         c1[art] = 1.0
         if sx.run(c1, deadline=deadline) is not LPStatus.OPTIMAL:
             raise NumericalFailure("phase 1 reported unbounded")
-        sx.refresh()
+        if not sx.fresh:
+            sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
             return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
         for r in np.nonzero(sx.basis >= n + m)[0]:

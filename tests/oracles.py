@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, opponents_vector,
-                     parametrized_objective, payoff, solve_lp)
+from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, knapsack_rows,
+                     opponents_vector, parametrized_objective, payoff, solve_lp)
 from rbgames.cutplay import _INT_TOL, Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
 from rbgames.errors import NumericalFailure
@@ -18,12 +18,22 @@ from rbgames.lp import _AT_LB, _BASIC, _PIVOT_TOL
 from rbgames.numerics import FEAS_TOL, ZERO_TOL
 
 
-def scipy_lp(c, A, b, lb, ub):
-    """Reference LP solve; returns (status, value, x)."""
+def scipy_lp(c, A, b, lb, ub, eq=None):
+    """Reference LP solve; returns (status, value, x).  ``eq`` marks the
+    rows of A x <= b that hold with equality.  HiGHS's presolve may call
+    an unbounded LP infeasible, so an infeasible verdict is checked on
+    the zero objective."""
     bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None) for lo, hi in zip(lb, ub)]
-    res = linprog(c, A_ub=A if A.size else None, b_ub=b if A.size else None,
-                  bounds=bounds, method="highs")
+    eq = np.zeros(len(b), dtype=bool) if eq is None else np.asarray(eq, dtype=bool)
+    A = np.asarray(A, dtype=float).reshape(len(b), len(c))
+    b = np.asarray(b, dtype=float)
+    le = ~eq
+    rows = dict(A_ub=A[le] if le.any() else None, b_ub=b[le] if le.any() else None,
+                A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None)
+    res = linprog(c, **rows, bounds=bounds, method="highs")
     if res.status == 2:
+        if linprog(np.zeros(len(c)), **rows, bounds=bounds, method="highs").status == 0:
+            return "unbounded", None, None
         return "infeasible", None, None
     if res.status == 3:
         return "unbounded", None, None
@@ -398,11 +408,12 @@ def pivot_out_reference(sx, r, forbidden):
     """``lp._Simplex.pivot_out`` as a loop over the columns.
 
     The entering column is the first nonbasic, movable column outside
-    ``forbidden`` whose |T[r, j]| beats every earlier one and 10 times
-    the pivot tolerance.  Returns False when there is none.
+    ``forbidden`` whose tableau entry |B^{-1}[r] a_j| beats every earlier
+    one and 10 times the pivot tolerance.  Returns False when there is
+    none.
     """
     forbidden = set(np.asarray(forbidden).tolist())
-    row = sx.T[r]
+    row = sx.row(r)
     best, best_mag = -1, _PIVOT_TOL * 10
     for j in range(sx.N):
         if j in forbidden or sx.status[j] == _BASIC:
@@ -419,7 +430,7 @@ def pivot_out_reference(sx, r, forbidden):
     sx.x[leave] = sx.lb[leave]
     sx.status[best] = _BASIC
     sx.basis[r] = best
-    sx.pivot(r, best)
+    sx.pivot(r, sx.column(best))
     sx.fresh = False
     return True
 
@@ -812,7 +823,7 @@ def separation_oracle_reference(state, sigma):
     binary = np.zeros(p.nvars, dtype=bool)
     for j in ints:
         binary[j] = p.lb[j] == 0.0 and p.ub[j] == 1.0
-    found = cover_cuts(region.A, region.b, sigma, binary)
+    found = cover_cuts(knapsack_rows(region.A, region.b, binary), sigma)
     if found:
         return Cuts(found)
     pi = separating_direction(pure, sigma)

@@ -642,13 +642,14 @@ def test_player_without_an_integer_point_past_the_lattice_cap_is_infeasible(monk
 
 
 def test_a_player_past_the_lattice_cap_is_certified_by_branch_and_bound():
-    # 2^17 binary points a player, past the oracle's cap: pricing proves
-    # every cut, and certification solves each best response by branch
-    # and bound
-    game = random_knapsack_game(1, 2, 17).game()
-    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=30.0))
-    assert result.status in (EqStatus.PNE, EqStatus.MNE)
-    assert deviation_check(game, result.profile, eps=3e-4) == []
+    # 2^17 binary points a player, past the oracle's cap, at seeds 0-2:
+    # pricing proves every cut, and certification solves each best
+    # response by branch and bound
+    for seed in range(3):
+        game = random_knapsack_game(seed, 2, 17).game()
+        result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=30.0))
+        assert result.status in (EqStatus.PNE, EqStatus.MNE), seed
+        assert deviation_check(game, result.profile, eps=3e-4) == [], seed
 
 
 def test_unbounded_player_raises_a_value_error_naming_it():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 
 from rbgames import lattice_points, seeded_rng
-from rbgames.cuts import cover_cuts, gomory_cuts
+from rbgames.cuts import cover_cuts, gomory_cuts, knapsack_rows
 from rbgames.generators import canonical_knapsack_game, random_knapsack_game
 
 _CUT_EPS = 1e-7
@@ -15,7 +15,7 @@ def test_cover_cut_on_the_knapsack_row():
     A = np.array([[3.0, 4.0]])
     b = np.array([5.0])
     sigma = np.array([1.0, 0.5])
-    cuts = cover_cuts(A, b, sigma, binary=np.array([True, True]))
+    cuts = cover_cuts(knapsack_rows(A, b, np.array([True, True])), sigma)
     assert len(cuts) == 1
     pi, pi0 = cuts[0]
     assert np.allclose(pi, [1.0, 1.0])
@@ -26,17 +26,17 @@ def test_cover_cut_on_the_knapsack_row():
 def test_cover_cut_ignores_satisfied_points():
     A = np.array([[3.0, 4.0]])
     b = np.array([5.0])
-    assert cover_cuts(A, b, np.array([0.0, 1.0]), binary=np.array([True, True])) == []
-    assert cover_cuts(A, b, np.array([1.0, 0.0]), binary=np.array([True, True])) == []
+    assert cover_cuts(knapsack_rows(A, b, np.array([True, True])), np.array([0.0, 1.0])) == []
+    assert cover_cuts(knapsack_rows(A, b, np.array([True, True])), np.array([1.0, 0.0])) == []
 
 
 def test_cover_cut_skips_noninteger_rows():
     A = np.array([[3.5, 4.0]])
     b = np.array([5.0])
-    assert cover_cuts(A, b, np.array([1.0, 0.5]), binary=np.array([True, True])) == []
+    assert cover_cuts(knapsack_rows(A, b, np.array([True, True])), np.array([1.0, 0.5])) == []
     # continuous variables disqualify the row as well
     A = np.array([[3.0, 4.0]])
-    assert cover_cuts(A, b, np.array([1.0, 0.5]), binary=np.array([True, False])) == []
+    assert cover_cuts(knapsack_rows(A, b, np.array([True, False])), np.array([1.0, 0.5])) == []
 
 
 def test_cover_cut_rounds_a_nearly_integral_row():
@@ -50,10 +50,10 @@ def test_cover_cut_rounds_a_nearly_integral_row():
     feasible = points[points @ np.round(A[0]) <= 6.0]
     assert any(np.array_equal(p, [1, 0, 0, 1, 1, 0]) for p in feasible)
     binary = np.ones(6, dtype=bool)
-    for pi, pi0 in cover_cuts(A, b, sigma, binary):
+    for pi, pi0 in cover_cuts(knapsack_rows(A, b, binary), sigma):
         assert np.all(feasible @ pi <= pi0 + 1e-9), (pi, pi0)
     # the rounded row still yields its true cover, x0 + x2 + x3 + x4 <= 3
-    [(pi, pi0)] = cover_cuts(A, b, np.array([1.0, 0.0, 0.9, 1.0, 1.0, 0.0]), binary)
+    [(pi, pi0)] = cover_cuts(knapsack_rows(A, b, binary), np.array([1.0, 0.0, 0.9, 1.0, 1.0, 0.0]))
     assert np.array_equal(pi, [1, 0, 1, 1, 1, 0]) and pi0 == 3.0
     assert np.all(feasible @ pi <= pi0)
 
@@ -107,7 +107,7 @@ def test_cuts_never_remove_lattice_points():
             binary[list(p.integers)] = np.array(
                 [p.lb[j] == 0.0 and p.ub[j] == 1.0 for j in p.integers]
             )
-            for pi, pi0 in cover_cuts(A, p.b, sigma, binary):
+            for pi, pi0 in cover_cuts(knapsack_rows(A, p.b, binary), sigma):
                 produced += 1
                 for x in pts:
                     assert float(pi @ x) <= pi0 + _CUT_EPS, (seed, p.name, "cover")
@@ -123,5 +123,5 @@ def test_canonical_game_cut_matches_the_worked_example():
     game = canonical_knapsack_game().game()
     blue = game.players[0]
     sigma = np.array([1.0, 0.5])
-    cuts = cover_cuts(blue.A.to_dense(), blue.b, sigma, binary=np.array([True, True]))
+    cuts = cover_cuts(knapsack_rows(blue.A.to_dense(), blue.b, np.array([True, True])), sigma)
     assert any(np.allclose(pi, [1.0, 1.0]) and abs(pi0 - 1.0) < 1e-9 for pi, pi0 in cuts)

@@ -21,9 +21,11 @@ from rbgames import (
     solve_lcp,
     support_from_points,
 )
+import rbgames.game as game_module
 from rbgames.cutplay import OuterApproximation
 from rbgames.generators import canonical_knapsack_game, infeasible_game, nondegenerate_seeds, random_knapsack_game
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
+from rbgames.numerics import FEAS_TOL
 from rbgames.poly import Polyhedron
 
 from oracles import (encode_region_reference, encoding_holds, in_convex_hull_of, nash_lcp_reference,
@@ -188,6 +190,47 @@ def test_support_from_points_contract():
         else:
             assert distance > 1e-7 - 1e-12
             assert abs(float(pi @ sigma) - float(np.max(pts @ pi)) - distance) <= 1e-9
+    assert outcomes == {True, False}
+
+
+def test_the_oracle_lp_states_m_plus_one_equalities_and_is_exact_on_a_ladder_lattice(monkeypatch):
+    # a 2x10 ladder player's lattice; sigma is a convex combination of
+    # lattice points on odd trials and a random point of the box on even
+    # ones.  A Member's weights reproduce sigma; a cut has |pi_j| <= 1
+    # and, over every lattice point, depth equal to the LP's L1 distance
+    player = random_knapsack_game(0, 2, 10).game().players[0]
+    pts = lattice_points(player)
+    K, m = pts.shape
+    assert K > 100
+    lps = []
+    real = game_module.solve_lp
+
+    def recording(lp, deadline=None):
+        lps.append((lp, real(lp, deadline=deadline)))
+        return lps[-1][1]
+
+    monkeypatch.setattr(game_module, "solve_lp", recording)
+    rng = seeded_rng(3)
+    outcomes = set()
+    for trial in range(16):
+        if trial % 2:
+            w = rng.random(4)
+            sigma = w @ pts[rng.choice(K, 4, replace=False)] / w.sum()
+        else:
+            sigma = rng.random(m)
+        support, pi = support_from_points(pts, sigma)
+        lp, res = lps[-1]
+        assert lp.nrows == m + 1 and lp.eq.all()
+        outcomes.add(support is None)
+        if support is not None:
+            weights = np.array([w for w, _ in support])
+            assert np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12
+            assert all(np.any(np.all(pts == p, axis=1)) for _, p in support)
+            assert np.abs(sum(w * p for w, p in support) - sigma).max() <= 1e-9
+        else:
+            assert np.abs(pi).max() <= 1.0 + 1e-12
+            depth = float(pi @ sigma) - max(float(pi @ p) for p in pts)
+            assert res.value > FEAS_TOL and abs(depth - res.value) <= 1e-9
     assert outcomes == {True, False}
 
 

@@ -69,10 +69,32 @@ def test_duals_on_knapsack_vertex():
     assert abs(res.dual_value(lp) - res.value) < 1e-6
 
 
+def _check_optimal(lp, res, val, trial):
+    """An optimal result against the reference optimum val: the value,
+    primal feasibility, dual signs, complementary slackness and strong
+    duality."""
+    tol = 1e-6 * (1 + abs(val))
+    assert abs(res.value - val) < tol, (trial, res.value, val)
+    if lp.nrows:
+        slack = lp.b - lp.A @ res.x
+        assert np.all(slack >= -1e-7) and np.all(np.abs(slack[lp.eq]) <= 1e-7), trial
+        y = res.row_duals
+        assert np.all(y[~lp.eq] >= -1e-9), trial
+        assert np.all(np.abs(y * slack) <= 1e-6), trial
+    assert np.all(res.x >= lp.lb - 1e-9) and np.all(res.x <= lp.ub + 1e-9), trial
+    d = res.reduced_costs
+    # a reduced cost past 1e-9 holds its variable at the matching bound
+    assert np.all(np.abs(d * np.where(d > 1e-9, res.x - lp.lb, 0.0)) <= 1e-6), trial
+    assert np.all(np.abs(d * np.where(d < -1e-9, lp.ub - res.x, 0.0)) <= 1e-6), trial
+    assert abs(res.dual_value(lp) - res.value) < tol, (trial, res.dual_value(lp), res.value)
+
+
 def test_random_lps_match_reference():
+    # every other trial states up to three rows as equalities, most of
+    # them met by an integral point of the box
     rng = seeded_rng(11)
-    solved = 0
-    for trial in range(300):
+    solved = [0, 0]
+    for trial in range(600):
         n = int(rng.integers(1, 7))
         k = int(rng.integers(0, 7))
         c = np.round(rng.normal(size=n) * 5)
@@ -81,25 +103,25 @@ def test_random_lps_match_reference():
         lb = np.where(rng.random(n) < 0.8, 0.0, -np.inf)
         ub = np.where(rng.random(n) < 0.8, rng.integers(1, 5, size=n).astype(float), np.inf)
         ub = np.maximum(ub, lb)
-        lp = _lp(c, A, b, lb, ub)
+        eq = np.zeros(k, dtype=bool)
+        if trial % 2:
+            eq[: int(rng.integers(0, 4))] = True
+            x0 = np.clip(rng.integers(-1, 4, size=n).astype(float), lb, ub)
+            met = eq & (rng.random(k) < 0.8)
+            b[met] = A[met] @ x0
+        lp = LinearProgram(c, A.reshape(k, n), b, lb, ub, eq=eq)
         res = solve_lp(lp)
-        status, val, _ = scipy_lp(c, lp.A, b, lb, ub)
+        status, val, _ = scipy_lp(c, lp.A, b, lb, ub, eq=eq)
         if status == "infeasible":
             assert res.status is LPStatus.INFEASIBLE, trial
         elif status == "unbounded":
             assert res.status is LPStatus.UNBOUNDED, trial
         else:
             assert res.status is LPStatus.OPTIMAL, (trial, res.status)
-            assert abs(res.value - val) < 1e-6 * (1 + abs(val)), (trial, res.value, val)
-            solved += 1
-            # primal feasibility of the returned point
-            if lp.A.size:
-                assert np.all(lp.A @ res.x <= b + 1e-7)
-            assert np.all(res.x >= lb - 1e-9)
-            assert np.all(res.x <= ub + 1e-9)
-            # weak duality: the dual certificate never exceeds the optimum
-            assert res.dual_value(lp) <= res.value + 1e-6 * (1 + abs(res.value))
-    assert solved > 150  # the generator must exercise plenty of optimal cases
+            _check_optimal(lp, res, val, trial)
+            solved[int(eq.any())] += 1
+    # the generator must exercise plenty of optimal cases of both kinds
+    assert solved[0] > 150 and solved[1] > 60, solved
 
 
 def test_validation_rejects_bad_shapes():
@@ -112,29 +134,38 @@ def test_validation_rejects_bad_shapes():
 
 
 def test_duals_are_computed_only_when_read(monkeypatch):
-    solves = [0]
-    real = np.linalg.solve
+    calls = {"inv": 0, "solve": 0, "duals": 0}
+    for name in ("inv", "solve"):
+        def counting(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counting(*args):
-        solves[0] += 1
-        return real(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    real_duals = lp_module._Simplex.duals
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    def duals(sx):
+        calls["duals"] += 1
+        return real_duals(sx)
+
+    monkeypatch.setattr(lp_module._Simplex, "duals", duals)
     lp = _lp([-1.0, -2.0], [[3.0, 4.0]], [5.0], [0.0, 0.0], [1.0, 1.0])
     res = solve_lp(lp)
-    assert solves[0] == 2  # one refresh at the end: tableau and basic values
+    # one re-inversion at the end, and no solve at all
+    assert calls == {"inv": 1, "solve": 0, "duals": 0}
     assert res.row_duals[0] > 0 and res.reduced_costs.shape == (2,)
-    assert solves[0] == 3
+    # the duals are y = c_B B^-1, read off the kept inverse
+    assert calls == {"inv": 1, "solve": 0, "duals": 1}
     assert abs(res.dual_value(lp) - res.value) < 1e-9
-    assert solves[0] == 3
-    # from the slack basis with nothing to improve, no basis is factored
+    assert calls == {"inv": 1, "solve": 0, "duals": 1}
+    # from the slack basis with nothing to improve, no basis is inverted
     assert solve_lp(_lp([1.0, 2.0], [[3.0, 4.0]], [5.0], [0.0, 0.0], [1.0, 1.0])).value == 0.0
-    assert solves[0] == 3
+    assert calls == {"inv": 1, "solve": 0, "duals": 1}
 
 
 def _phase1_lps(rng, count):
-    """LPs with equality rows written as pairs of <= rows, some of them
-    repeated: phase 1 ends with artificials still basic at zero."""
+    """LPs with equality rows, some of them repeated, stated as
+    equalities on odd trials and as pairs of <= rows on even ones: phase
+    1 ends with artificials still basic at zero."""
     for trial in range(count):
         n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
         E = np.round(rng.normal(size=(k, n)) * 2)
@@ -143,9 +174,14 @@ def _phase1_lps(rng, count):
         x0 = rng.integers(0, 3, size=n).astype(float)
         G = np.round(rng.normal(size=(2, n)) * 2)
         g = G @ x0 + rng.integers(0, 2, size=2)
-        A, b = np.vstack([E, -E, G]), np.concatenate([E @ x0, -(E @ x0), g])
         ub = np.where(rng.random(n) < 0.7, 3.0, np.inf)
-        yield LinearProgram(np.round(rng.normal(size=n) * 3), A, b, np.zeros(n), ub)
+        c = np.round(rng.normal(size=n) * 3)
+        if trial % 2:
+            eq = np.arange(E.shape[0] + 2) < E.shape[0]
+            yield LinearProgram(c, np.vstack([E, G]), np.concatenate([E @ x0, g]), np.zeros(n), ub, eq=eq)
+        else:
+            A, b = np.vstack([E, -E, G]), np.concatenate([E @ x0, -(E @ x0), g])
+            yield LinearProgram(c, A, b, np.zeros(n), ub)
 
 
 def test_vectorized_pivot_out_matches_the_column_loop(monkeypatch):
