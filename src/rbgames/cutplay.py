@@ -10,18 +10,18 @@ within FEAS_TOL its weights certify a Member, and past it its dual
 gives the exact cut, so nothing branches.  A Member verdict carries
 its certificate, the player's strategy (a feasible integral point or
 weights over pure strategies); once every player is a member, those
-strategies face the final best-response check.  Both work on the
-player's enumerated lattice points (``PlayerState.lattice``).  A player
-whose lattice is not enumerated works on a set of its integer points
-grown by column generation, whose branch-and-bound pricing proves
-every cut, and certifies by branch and bound.
+strategies face the final best-response check.  Pricing a cut and that
+check are one step, a player's best response (``ip.best_response``):
+over its enumerated lattice (``PlayerState.lattice``), or by branch and
+bound for a player whose working set grows by column generation.
 
 A round only adds cut rows, so each round's Nash LCP is the last
-round's bordered by the new rows (``build_nash_lcp``), and Lemke starts
-from the last round's final basis (``lcp.solve_lcp``'s ``start``).  That
-warm path carries no guarantee: a warm attempt that ends on a ray or
-uses up its budget of one pivot per index restarts the round cold from
-the identity, the path that copositive-plus M guarantees.
+round's, on the same boxes, bordered by the new rows
+(``build_nash_lcp``), and Lemke starts from the last round's final
+basis (``lcp.solve_lcp``'s ``start``).  That warm path carries no
+guarantee: a warm attempt that ends on a ray or uses up its budget of
+one pivot per index restarts the round cold from the identity, the
+path that copositive-plus M guarantees.
 
 No solve runs whose answer is already known: there is no start-of-solve
 probe, so an enumerated player's run solves no integer program at all;
@@ -43,12 +43,13 @@ from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, Unsupport
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, profile_payoffs, support_from_points)
-from .ip import _INT_TOL, _PRUNE_TOL, solve_ip
+from .ip import _INT_TOL, _PRUNE_TOL, best_response, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
 
 _ORACLE_CAP = 1 << 16
+_DEPTH_MARGIN = 1e-8  # how far a cut's depth may fall below the LP's distance: _PRUNE_TOL and rounding
 
 
 class Algorithm:
@@ -208,11 +209,13 @@ def separation_oracle(state, sigma, deadline=None):
     that row within the LCP's tolerance, COMPLEMENTARITY_TOL = FEAS_TOL,
     so none of those covers is violated past FEAS_TOL.  Otherwise one LP
     (``support_from_points``) gives Member or the exact cut
-    pi x <= pi0 from its dual.  For an enumerated player pi0 is the
-    maximum of pi over the lattice.  For any other player branch and
-    bound prices pi: a better point joins the working set and the LP
-    runs again, until the IP's optimum proves pi0.  ``deadline`` bounds
-    every LP and IP.
+    pi x <= pi0 from its dual.  The player's best response to -pi
+    (``ip.best_response``) prices it: a better point joins the working
+    set, the whole lattice of an enumerated player, and the LP runs
+    again; else pi0 is the larger of the set's and the priced maximum
+    of pi.  The LP rejects only points farther than FEAS_TOL, so a cut
+    no deeper than FEAS_TOL less ``_DEPTH_MARGIN`` raises
+    NumericalFailure.  ``deadline`` bounds every LP and IP.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -233,15 +236,13 @@ def separation_oracle(state, sigma, deadline=None):
         support, pi = support_from_points(points, sigma, deadline)
         if support is not None:
             return Member(PlayerStrategy(sigma, support))
-        pi0 = float(np.max(points @ pi))
-        if state.lattice is not None:
-            break
-        best = solve_ip(p, -pi, deadline=deadline)
-        if -best.value <= pi0 + _PRUNE_TOL:
-            pi0 = -best.value
+        known = float(np.max(points @ pi))
+        best = best_response(p, -pi, state.lattice, deadline)
+        if -best.value <= known + _PRUNE_TOL:
             break
         points = state.points = np.vstack([points, best.x])
-    if float(pi @ sigma) - pi0 <= FEAS_TOL * (1.0 + float(np.abs(pi).sum())):
+    pi0 = max(known, -best.value)
+    if float(pi @ sigma) - pi0 <= FEAS_TOL - _DEPTH_MARGIN:
         raise NumericalFailure(f"player {p.name}: the separation LP's cut does not remove the point")
     return Cuts([(pi, pi0)])
 
@@ -305,7 +306,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
             return finish(EqStatus.TIME_LIMIT, reason="deadline")
         last = build_nash_lcp(game, outer.regions(), last)
         problem, index_map = last
-        sol = _lemke(problem, sol if index_map.bordered else None, deadline, stats)
+        sol = _lemke(problem, sol, deadline, stats)
         if isinstance(sol, NoSolution):
             # each round's game has an equilibrium, so its LCP a solution
             return finish(EqStatus.NUMERICAL_FAILURE, reason=sol.reason)
@@ -328,7 +329,7 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
 
 def _lemke(problem, start, deadline, stats):
     """Solve one round's LCP, warm from ``start``, the last round's
-    solution, when the LCP borders that round's.  A warm attempt that
+    solution (None in a game's first round).  A warm attempt that
     ends on a ray or at its budget proves nothing, so the round restarts
     cold, on the path whose end copositive-plus M guarantees.  Every
     pivot counts in ``stats.lcp_nodes``, a deadline's included."""

@@ -106,25 +106,25 @@ def _check_deadline(deadline, what):
         raise BudgetExhausted(f"{what} timed out")
 
 
-def _lattices(game, profile_cap, deadline):
+def _lattices(game, deadline):
     """Every player's lattice points; raises as ``full_enumeration`` documents."""
     sets = []
     for i, p in enumerate(game.players):
         if tuple(p.integers) != tuple(range(p.nvars)):
             raise UnsupportedGame(f"player {i} ({p.name}) has continuous variables; the strategy set is not finite")
-        pts = lattice_points(p, cap=profile_cap)
+        pts = lattice_points(p, cap=PROFILE_CAP)
         if pts is None:
-            raise BudgetExhausted(f"player {i} ({p.name}) has more than {profile_cap} lattice points")
+            raise BudgetExhausted(f"player {i} ({p.name}) has more than {PROFILE_CAP} lattice points")
         if pts.shape[0] == 0:
             raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
         sets.append(pts)
         _check_deadline(deadline, "full enumeration")
-    if math.prod(pts.shape[0] for pts in sets) > profile_cap:
-        raise BudgetExhausted(f"profile count exceeds {profile_cap}")
+    if math.prod(pts.shape[0] for pts in sets) > PROFILE_CAP:
+        raise BudgetExhausted(f"profile count exceeds {PROFILE_CAP}")
     return sets
 
 
-def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
+def full_enumeration(game, deadline=None):
     """Every pure equilibrium, plus every mixed one when n = 2.
 
     Raises BudgetExhausted when the profile count exceeds the cap or the
@@ -133,7 +133,7 @@ def full_enumeration(game, deadline=None, profile_cap=PROFILE_CAP):
     variable.
     """
     t0 = time.monotonic()
-    sets = _lattices(game, profile_cap, deadline)
+    sets = _lattices(game, deadline)
     if game.n_players == 2:
         (S1, S2), (p1, p2) = sets, game.players
         costs = _cost_matrices(S1, S2, p1.c, p1.C.to_dense(), p2.c, p2.C.to_dense())
@@ -351,7 +351,7 @@ def degenerate_bimatrix(game):
     if game.n_players != 2:
         raise ValueError("degeneracy test covers two-player games only")
     try:
-        S1, S2 = _lattices(game, PROFILE_CAP, None)
+        S1, S2 = _lattices(game, None)
     except (BudgetExhausted, InfeasibleGame) as exc:
         raise ValueError("players must have finite nonempty pure-strategy sets") from exc
     p1, p2 = game.players

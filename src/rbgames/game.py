@@ -3,12 +3,12 @@
 Players are ordered; player i's coupling matrix C has one block of rows
 per opponent, stacked by ascending player index with i skipped.  The
 Nash LCP of the convexified game (``build_nash_lcp``) writes each region
-over the free coordinates of its bounding box, as nonnegative
-variables below and above the lower corner; it pairs every variable
-with its stationarity row, each box equality with a split multiplier
-and each row the box does not imply with one multiplier.  It is built
-copositive-plus, so Lemke's method solves it.  A round only adds rows,
-so each round's LCP borders the last one's.
+over the free coordinates of the bounding box of its first round, as
+nonnegative variables below and above the lower corner; it pairs every
+variable with its stationarity row, each box equality with a split
+multiplier and each row the box does not imply with one multiplier.
+It is built copositive-plus, so Lemke's method solves it.  A round only
+adds rows, so each round's LCP borders the last one's.
 One LP over a finite set of pure strategies, ``support_from_points``,
 answers the separation question: it writes a mixed strategy as weights
 over them, or returns a hyperplane that cuts the point off their hull.
@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleGame, NumericalFailure, UnsupportedGame
-from .ip import parametrized_objective, payoff, solve_ip
+from .ip import best_response, parametrized_objective, payoff
 from .lcp import LCP
 from .lp import LinearProgram, LPStatus, solve_lp
 from .numerics import DEVIATION_EPS, FEAS_TOL, ZERO_TOL
@@ -124,16 +124,14 @@ class EquilibriumResult:
 class LCPIndexMap:
     """Maps each player's block (y_i, ybar_i) of the stacked z vector to
     its strategy: lo_i, plus y_i on the free coordinates F_i.  ``highs``
-    completes each box (lo_i, hi_i), ``rows`` counts each region's rows
-    that the LCP has taken in, and ``bordered`` says that the LCP
-    borders the one it was built from."""
+    completes each box (lo_i, hi_i), kept from the game's first build,
+    and ``rows`` counts each region's rows that the LCP has taken in."""
 
     var_slices: list
     lows: list
     highs: list
     free: list
     rows: list
-    bordered: bool = False
 
     def extract(self, z):
         out = []
@@ -175,26 +173,21 @@ def build_nash_lcp(game, regions, last=None):
     The rows of G, and so lam, go in the order they were taken in: the
     rows of the first build player by player, then each later build's
     new rows player by player, each player's in its region's row order.
-    Given ``last``, the (LCP, LCPIndexMap) of the previous round, whose
-    regions had the same boxes and now have more rows, the LCP is that
-    one bordered by the new rows: the old (M, q) is its leading
-    principal block, P, alpha, E and e are unchanged, and the map says
-    ``bordered``.  When a box has changed (a box from LPs can shrink
-    under a cut), or without ``last``, the LCP is built whole.
+    Without ``last`` the LCP is built whole on each region's bounding
+    box.  Given ``last``, the previous round's (LCP, LCPIndexMap), it is
+    that one bordered by the regions' new rows: the old (M, q) is its
+    leading principal block, and P, alpha, E and e are unchanged.  A
+    region only gains rows, so its first box still contains it, and
+    with the region's rows still gives exactly the region.
     """
     if len(regions) != game.n_players:
         raise ValueError("one region per player required")
-    boxes = []
     for region, p in zip(regions, game.players):
         if region.dim != p.nvars:
             raise ValueError("region dimension does not match the player")
-        boxes.append(region.bounding_box())
-    if last is not None and all(
-        np.array_equal(lo, l0) and np.array_equal(hi, h0)
-        for (lo, hi), l0, h0 in zip(boxes, last[1].lows, last[1].highs)
-    ):
-        return _border(*last, regions, bordered=True)
-    return _border(*_box_lcp(game, boxes), regions, bordered=False)
+    if last is None:
+        last = _box_lcp(game, [region.bounding_box() for region in regions])
+    return _border(*last, regions)
 
 
 def _box_lcp(game, boxes):
@@ -236,7 +229,7 @@ def _box_lcp(game, boxes):
                                       rows=[0] * game.n_players)
 
 
-def _border(problem, index_map, regions, bordered):
+def _border(problem, index_map, regions):
     """``problem`` bordered by the region rows that ``index_map`` has not
     taken in, each player's that the box does not imply, player by
     player: (LCP, LCPIndexMap)."""
@@ -257,7 +250,7 @@ def _border(problem, index_map, regions, bordered):
         M[y, lam] = G.T
         M[lam, y] = -G
         at = lam.stop
-    return LCP(M=M, q=q), replace(index_map, rows=[region.nrows for region in regions], bordered=bordered)
+    return LCP(M=M, q=q), replace(index_map, rows=[region.nrows for region in regions])
 
 
 @dataclass(eq=False)
@@ -271,10 +264,8 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
     """Profitable deviations against a profile of barycenters.
 
     Player i is reported iff its current payoff exceeds its best
-    response by more than eps.  ``lattices`` may give, per player, its
-    enumerated integer points or None; a player with points takes its
-    best response as the first minimizer of its parametrized cost over
-    them, and every other player solves one best-response IP.  Raises
+    response (``ip.best_response``) by more than eps.  ``lattices`` may
+    give, per player, its enumerated integer points or None.  Raises
     InfeasibleGame when a player has no feasible strategy at all, and
     UnsupportedGame naming a player whose best response is unbounded.
     """
@@ -286,22 +277,14 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
     out = []
     for i, (p, pts) in enumerate(zip(game.players, lattices)):
         opp = opponents_vector(game, points, i)
-        if pts is None:
-            best = solve_ip(p, parametrized_objective(p, opp), deadline=deadline)
-            if best.status is LPStatus.INFEASIBLE:
-                raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
-            if best.status is not LPStatus.OPTIMAL:
-                raise UnsupportedGame(f"player {i} ({p.name}) has an unbounded best response")
-            best_x, best_value = best.x, best.value
-        elif not len(pts):
+        best = best_response(p, parametrized_objective(p, opp), pts, deadline)
+        if best.status is LPStatus.INFEASIBLE:
             raise InfeasibleGame(f"player {i} ({p.name}) has an empty feasible set")
-        else:
-            cost = parametrized_objective(p, opp)
-            best_x = pts[int(np.argmin(pts @ cost))]
-            best_value = float(cost @ best_x)
-        gain = payoff(p, points[i], opp) - best_value
+        if best.status is not LPStatus.OPTIMAL:
+            raise UnsupportedGame(f"player {i} ({p.name}) has an unbounded best response")
+        gain = payoff(p, points[i], opp) - best.value
         if gain > eps:
-            out.append(Deviation(player=i, strategy=best_x, improvement=float(gain)))
+            out.append(Deviation(player=i, strategy=best.x, improvement=float(gain)))
     return out
 
 

@@ -6,9 +6,9 @@ best response is a plain IP with the parametrized cost vector.
 
 Branch and bound solves every node LP cold with ``lp.solve_lp``; an
 open node keeps only its bounds and its LP point in the heap.
-Cut-and-play works on a player's enumerated lattice, so within a solve
-branch and bound runs only for a player whose lattice is not
-enumerated: to price its cuts and to certify its best response.
+``best_response`` alone chooses between the player's enumerated lattice
+and branch and bound; cut-and-play prices its cuts and certifies its
+answer with it.
 """
 
 import heapq
@@ -25,6 +25,7 @@ from .poly import Polyhedron
 
 _INT_TOL = 1e-6  # a value this close to an integer counts as integral
 _PRUNE_TOL = 1e-9
+_NODE_LIMIT = 200000  # branch-and-bound nodes before BudgetExhausted
 _EXHAUSTED = "branch-and-bound budget exhausted"
 
 
@@ -107,13 +108,28 @@ def payoff(program, own, opponents):
     return float(parametrized_objective(program, opponents) @ own)
 
 
-def solve_ip(program, cost=None, node_limit=200000, deadline=None):
+def best_response(program, cost, lattice=None, deadline=None):
+    """Minimize ``cost`` over the player's integer points: an LPResult.
+
+    Over ``lattice``, its enumerated points, the first minimizer, valued
+    as ``cost @ x``, or Infeasible when there are none; without one,
+    ``solve_ip`` under ``deadline``.
+    """
+    if lattice is None:
+        return solve_ip(program, cost, deadline=deadline)
+    if not len(lattice):
+        return LPResult(LPStatus.INFEASIBLE)
+    x = lattice[int(np.argmin(lattice @ cost))]
+    return LPResult(LPStatus.OPTIMAL, x=x, value=float(cost @ x))
+
+
+def solve_ip(program, cost=None, deadline=None):
     """Minimize ``cost`` (None: the player's ``c``) by branch and bound.
 
     Most-fractional branching with lowest-index ties, best-bound node
     selection; the optimum is proved to within ``_PRUNE_TOL``.  Returns
     an LPResult (Optimal, Infeasible or Unbounded); raises
-    BudgetExhausted when the node limit is hit or the
+    BudgetExhausted when ``_NODE_LIMIT`` nodes are used up or the
     ``time.monotonic()`` value ``deadline`` passes, also inside a node
     LP.
     """
@@ -155,7 +171,7 @@ def solve_ip(program, cost=None, node_limit=200000, deadline=None):
         else:
             # most fractional first, lowest index on ties
             j = int(ints[np.argmax(frac)])
-        if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
+        if nodes >= _NODE_LIMIT or (deadline is not None and time.monotonic() > deadline):
             raise BudgetExhausted(_EXHAUSTED)
         xj = x[j]
         for lo_j, hi_j in ((lo[j], math.floor(xj)), (math.ceil(xj), hi[j])):

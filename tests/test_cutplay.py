@@ -592,11 +592,15 @@ def test_outer_approximation_starts_at_the_relaxations():
 
 def _record_solve_ip(monkeypatch):
     """Names of the functions that call solve_ip, one entry per call,
-    through every module of the package that binds it."""
+    through every module of the package that binds it.  A call made by
+    ``best_response`` names the function that called it."""
     real, callers = ip_module.solve_ip, []
 
     def recorded(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        if frame.f_code is ip_module.best_response.__code__:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -694,6 +698,56 @@ def test_a_mixed_integer_player_is_certified_by_column_generation(monkeypatch):
         for _, pt in strategy.support:
             assert program.relaxation().contains(pt)
             assert np.allclose(pt[ints], np.round(pt[ints]), atol=1e-9, rtol=0)
+
+
+def _with_an_lp_boxed_variable(game, i):
+    """The game with player i's first variable made continuous with no
+    declared upper bound, bounded instead by the rows x0 + x1 <= 3/2 and
+    x0 - x1 <= 1/2.  Its box is found by LPs, at the fractional
+    x1 = 1/2, while no point with an integral x1 has x0 above 1/2, so a
+    cut can shrink the box LPs would find."""
+    players = list(game.players)
+    p = players[i]
+    ub = p.ub.copy()
+    ub[0] = np.inf
+    rows = np.zeros((2, p.nvars))
+    rows[:, :2] = [[1.0, 1.0], [1.0, -1.0]]
+    players[i] = PlayerProgram(name=p.name, c=p.c, C=p.C, A=np.vstack([p.A.to_dense(), rows]),
+                               b=np.concatenate([p.b, [1.5, 0.5]]), integers=p.integers[1:], lb=p.lb, ub=ub)
+    return GameModel(players)
+
+
+@pytest.mark.parametrize("seed, items", [(7, 2), (17, 3)], ids=["2x2-seed7", "2x3-seed17"])
+def test_an_lp_boxed_player_keeps_its_first_box_and_every_round_borders(monkeypatch, seed, items):
+    # player 1's box comes from LPs; every round after the first borders
+    # the last on the first round's box, also where the box LPs would
+    # find for the cut region has shrunk, and the run ends certified
+    game = _with_an_lp_boxed_variable(random_knapsack_game(seed, 2, items).game(), 1)
+    rounds = []
+    real = cutplay_module.build_nash_lcp
+
+    def recorded(game, regions, last=None):
+        out = real(game, regions, last)
+        rounds.append((regions, last, *out))
+        return out
+
+    monkeypatch.setattr(cutplay_module, "build_nash_lcp", recorded)
+    result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
+    assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert deviation_check(game, result.profile, eps=3e-4) == []
+    assert len(rounds) == result.stats.iterations >= 3  # two cut rounds at least
+    assert rounds[0][1] is None and result.stats.warm_rounds == len(rounds) - 1
+    first = rounds[0][3]
+    assert game.players[1].ub[0] == np.inf and 0.5 < first.highs[1][0] <= 1.0  # found by LPs
+    shrunk = 0
+    for (_, _, prev, _), (regions, last, problem, index_map) in zip(rounds, rounds[1:]):
+        assert last[0] is prev
+        n = prev.order
+        assert np.array_equal(problem.M[:n, :n], prev.M) and np.array_equal(problem.q[:n], prev.q)
+        for got, want in ((index_map.lows, first.lows), (index_map.highs, first.highs)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        shrunk += regions[1].bounding_box()[1][0] < first.highs[1][0]
+    assert shrunk
 
 
 @pytest.mark.parametrize("make, ips", [
@@ -841,6 +895,21 @@ def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, sc
         assert [(w, pt.tolist()) for w, pt in got.strategy.support] == [(w, pt.tolist()) for w, pt in support]
     else:
         assert [(a.tolist(), a0) for a, a0 in got.cuts] == [([1.0, 1.0], 1.0)]
+
+
+@pytest.mark.parametrize("distance", [1.5e-7, 2e-7, 2.9e-7])
+def test_a_point_just_past_the_member_threshold_gets_its_exact_cut(distance):
+    # x0 - x1 <= 0 has a negative coefficient, so no cover cut decides
+    # first; the LP rejects the point, at an L1 distance past FEAS_TOL
+    # from the hull x0 = x1, and its cut is that deep, below the
+    # FEAS_TOL (1 + |pi|_1) that once judged it
+    lean = PlayerProgram(name="lean", c=np.zeros(2), C=np.zeros((0, 2)), A=np.array([[1.0, -1.0]]),
+                         b=np.zeros(1), integers=(0, 1), lb=np.zeros(2), ub=np.ones(2))
+    sigma = np.array([0.5 + distance / 2.0, 0.5 - distance / 2.0])
+    action = separation_oracle(PlayerState(lean), sigma)
+    assert isinstance(action, Cuts)
+    [(pi, pi0)] = action.cuts
+    assert pi.tolist() == [1.0, -1.0] and pi0 == 0.0
 
 
 # -- the oracle's LPs honor the deadline ------------------------------------

@@ -173,10 +173,11 @@ def test_infeasible_player_raises():
         full_enumeration(game)
 
 
-def test_profile_cap_raises_budget_exhausted():
+def test_profile_cap_raises_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(enumeration, "PROFILE_CAP", 4)
     game = random_knapsack_game(1, n_items=6).game()
     with pytest.raises(BudgetExhausted):
-        full_enumeration(game, profile_cap=4)
+        full_enumeration(game)
 
 
 def test_degeneracy_detector():

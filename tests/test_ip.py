@@ -90,11 +90,12 @@ def test_solver_matches_lattice_enumeration_on_seeded_knapsacks():
     assert checked == 1000
 
 
-def test_a_node_limit_raises_budget_exhausted():
+def test_a_node_limit_raises_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(ip_module, "_NODE_LIMIT", 2)
     game = random_knapsack_game(3, n_items=12).game()
     p = game.players[0]
     with pytest.raises(BudgetExhausted, match="branch-and-bound"):
-        solve_ip(p, node_limit=2)
+        solve_ip(p)
 
 
 def test_shape_validation():

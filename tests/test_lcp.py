@@ -302,17 +302,18 @@ def reference_nash_lcps(reference_rounds):
 
 
 def test_each_round_borders_the_last_and_matches_the_reference_builder(reference_rounds):
-    # a round's LCP borders the last round's, whose (M, q) is its leading
-    # principal block, and equals the reference builder's on the same
-    # regions bitwise, once lam is put in the reference's order: player
-    # by player, each player's rows in region order.  The built LCP lays
-    # lam out in the order the rows came in: the first round's player by
-    # player, then each round's new rows player by player
-    bordered = 0
+    # every round after a game's first borders the last round's LCP,
+    # whose (M, q) is its leading principal block, and equals the
+    # reference builder's on the same regions bitwise, once lam is put in
+    # the reference's order: player by player, each player's rows in
+    # region order.  The built LCP lays lam out in the order the rows
+    # came in: the first round's player by player, then each round's new
+    # rows player by player
+    bordered, last_game = 0, None
     for game, regions, problem, index_map in reference_rounds:
         M, q, _ = nash_lcp_reference(game, regions)
         kept = [encode_region_reference(region).g.size for region in regions]
-        if index_map.bordered:
+        if game is last_game:
             n = last.order
             assert np.array_equal(problem.M[:n, :n], last.M) and np.array_equal(problem.q[:n], last.q)
             chunks += [(i, seen[i], kept[i]) for i in range(len(regions))]
@@ -324,7 +325,7 @@ def test_each_round_borders_the_last_and_matches_the_reference_builder(reference
         perm = np.concatenate([np.arange(boxes)] + [starts[i] + np.arange(a, b) for i, a, b in chunks])
         assert np.array_equal(problem.M, M[np.ix_(perm, perm)]) and np.array_equal(problem.q, q[perm])
         assert index_map.rows == [region.nrows for region in regions]
-        last, seen = problem, kept
+        last, seen, last_game = problem, kept, game
     assert bordered >= 30
 
 
