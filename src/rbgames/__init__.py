@@ -11,7 +11,6 @@ from .cutplay import (
     Algorithm,
     Cuts,
     Member,
-    OuterApproximation,
     PlayerState,
     SolverOptions,
     cut_and_play,
@@ -110,7 +109,6 @@ __all__ = [
     "Member",
     "NoSolution",
     "NumericalFailure",
-    "OuterApproximation",
     "PlayerProgram",
     "PlayerState",
     "PlayerStrategy",

@@ -3,7 +3,8 @@
 Exit codes: 0 when an equilibrium is found (PNE or MNE), 2 when the
 solver proves there is none, 3 on time limit, 4 when a player's
 feasible set is empty, 5 on numerical failure, 1 for usage or
-document errors and for a game the chosen algorithm cannot take (a
+document errors, for an instance that cannot be read or an output that
+cannot be written, and for a game the chosen algorithm cannot take (a
 player with a continuous variable under fullenum, an unbounded player).
 """
 
@@ -109,6 +110,9 @@ def main(argv=None):
     except FileNotFoundError:
         print(f"error: no such file: {args.instance}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot read {args.instance}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -129,7 +133,11 @@ def main(argv=None):
         return 1
 
     if args.output is not None:
-        save_result(results, names, args.output)
+        try:
+            save_result(results, names, args.output)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     if not args.quiet:
         _report(results, names, sys.stdout)
 

@@ -1,7 +1,10 @@
 """Equilibria by outer approximation: cut and play.
 
 Each player's mixed-strategy hull is approximated from outside by one
-polyhedron, starting from the LP relaxation.  Each round solves the
+polyhedron, starting from the LP relaxation.  A ``PlayerState`` per
+player owns that player's part of a run: its region, the fixed data
+the oracle reads (worked out once, when the state is built) and the
+run's deadline.  Each round, at most ``_MAX_ROUNDS`` of them, solves the
 stacked KKT complementarity system of the convexified game, then asks a
 separation oracle whether every player's strategy point really lies in
 its hull.  The oracle's one LP, ``game.support_from_points``, measures
@@ -33,7 +36,6 @@ takes the run's deadline.
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .lp import LPStatus
 from .numerics import DEVIATION_EPS, FEAS_TOL
 
 _ORACLE_CAP = 1 << 16
+_MAX_ROUNDS = 100
 _DEPTH_MARGIN = 1e-8  # how far a cut's depth may fall below the LP's distance: _PRUNE_TOL and rounding
 
 
@@ -62,15 +65,14 @@ class SolverOptions:
     """Knobs shared by both algorithms; the solvers are deterministic.
 
     ``deviation_eps`` is the payoff gain that counts as a profitable
-    deviation, ``time_limit`` the wall clock limit in seconds (None: no
-    limit) and ``max_iterations`` the cap on cut-and-play rounds.  Every
-    other tolerance is a constant of ``numerics``.
+    deviation and ``time_limit`` the wall clock limit in seconds (None:
+    no limit).  Every other tolerance is a constant of ``numerics``, and
+    cut and play stops after ``_MAX_ROUNDS`` rounds.
     """
 
     algorithm: str = Algorithm.CUT_AND_PLAY
     deviation_eps: float = DEVIATION_EPS
     time_limit: float = None
-    max_iterations: int = 100
 
     def __post_init__(self):
         if self.algorithm not in (Algorithm.CUT_AND_PLAY, Algorithm.FULL_ENUMERATION):
@@ -81,8 +83,6 @@ class SolverOptions:
             raise ValueError("deviation_eps must be positive and finite")
         if self.time_limit is not None and not (math.isfinite(self.time_limit) and self.time_limit > 0):
             raise ValueError("time_limit must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(eq=False)
@@ -106,11 +106,15 @@ class PlayerState:
 
     Starts at the LP relaxation: raises InfeasibleGame when it is empty
     and UnsupportedGame naming the player when it is unbounded.
-    ``pieces`` holds the one polyhedron of the region.  ``relaxation``,
-    ``integers``, ``binary`` (a mask of the 0/1 integer variables) and
-    ``knapsacks`` are the player's fixed data that the oracle reads on
-    every call.
-    ``deadline`` bounds every LP and IP that the state runs.
+    ``pieces`` holds the one polyhedron of the region.  The player's
+    fixed data, which the oracle reads on every call, are worked out
+    once, here: ``relaxation``; ``integers``; ``knapsacks``, the rows
+    of the player's program that cover separation can use
+    (``cuts.knapsack_rows`` over its 0/1 integer variables); and
+    ``lattice``, the player's lattice points, or None when they are not
+    enumerated (past ``_ORACLE_CAP`` or with a continuous variable).
+    ``deadline`` bounds every LP and IP that the state and the oracle
+    run.
     """
 
     def __init__(self, program, deadline=None):
@@ -119,29 +123,18 @@ class PlayerState:
         self.points = None  # the oracle's pure strategies, once pure_points() has run
         self.relaxation = program.relaxation()
         self.integers = np.array(program.integers, dtype=np.int64)
-        self.binary = np.zeros(program.nvars, dtype=bool)
-        self.binary[self.integers] = (program.lb[self.integers] == 0.0) & (program.ub[self.integers] == 1.0)
         self._set_region(self.relaxation, "its own rows")
         try:
             self.pieces[0].bounding_box(deadline)
         except ValueError as exc:
             raise UnsupportedGame(f"player {program.name} must have a bounded feasible set: {exc}") from None
+        binary = np.zeros(program.nvars, dtype=bool)
+        binary[self.integers] = (program.lb[self.integers] == 0.0) & (program.ub[self.integers] == 1.0)
+        self.knapsacks = cutgen.knapsack_rows(self.relaxation.A, self.relaxation.b, binary)
+        self.lattice = lattice_points(program, cap=_ORACLE_CAP)
 
     def region(self):
         return self.pieces[0]
-
-    @cached_property
-    def knapsacks(self):
-        """The rows of the player's program that cover separation can
-        use (``cuts.knapsack_rows``), classified when the oracle first
-        asks."""
-        return cutgen.knapsack_rows(self.relaxation.A, self.relaxation.b, self.binary)
-
-    @cached_property
-    def lattice(self):
-        """The player's lattice points, or None when they are not
-        enumerated (past ``_ORACLE_CAP`` or with a continuous variable)."""
-        return lattice_points(self.program, cap=_ORACLE_CAP)
 
     def pure_points(self):
         """The oracle's pure strategies, one per row: ``lattice`` when it
@@ -177,18 +170,7 @@ class PlayerState:
         self.pieces = [region]
 
 
-class OuterApproximation:
-    """Per-player refinement state for one cut-and-play run."""
-
-    def __init__(self, game, deadline=None):
-        self.game = game
-        self.states = [PlayerState(p, deadline) for p in game.players]
-
-    def regions(self):
-        return [s.region() for s in self.states]
-
-
-def separation_oracle(state, sigma, deadline=None):
+def separation_oracle(state, sigma):
     """Decide Member or Cuts for a strategy point.
 
     Member carries its certificate: the point snapped to integers when
@@ -215,7 +197,7 @@ def separation_oracle(state, sigma, deadline=None):
     again; else pi0 is the larger of the set's and the priced maximum
     of pi.  The LP rejects only points farther than FEAS_TOL, so a cut
     no deeper than FEAS_TOL less ``_DEPTH_MARGIN`` raises
-    NumericalFailure.  ``deadline`` bounds every LP and IP.
+    NumericalFailure.  The state's ``deadline`` bounds every LP and IP.
     """
     p = state.program
     sigma = np.array(sigma, dtype=float)
@@ -233,11 +215,11 @@ def separation_oracle(state, sigma, deadline=None):
 
     points = state.pure_points()
     while True:
-        support, pi = support_from_points(points, sigma, deadline)
+        support, pi = support_from_points(points, sigma, state.deadline)
         if support is not None:
             return Member(PlayerStrategy(sigma, support))
         known = float(np.max(points @ pi))
-        best = best_response(p, -pi, state.lattice, deadline)
+        best = best_response(p, -pi, state.lattice, state.deadline)
         if -best.value <= known + _PRUNE_TOL:
             break
         points = state.points = np.vstack([points, best.x])
@@ -268,11 +250,9 @@ def _exhausted(deadline, exc):
     return EqStatus.NUMERICAL_FAILURE, str(exc)
 
 
-def cut_and_play(game, opts=None, watcher=None):
+def cut_and_play(game, opts=None):
     """Find one equilibrium of the game by outer approximation.
 
-    ``watcher(outer, iteration)`` runs after every refinement round, a
-    hook used by the test suite to audit the outer-ness invariant.
     Every exit, a solver failure included, returns its SolveStats, and
     every exit without an equilibrium sets its ``reason``.
     """
@@ -287,7 +267,7 @@ def cut_and_play(game, opts=None, watcher=None):
         return _result(status, stats, profile, payoffs)
 
     try:
-        return _rounds(game, opts, deadline, stats, finish, watcher)
+        return _rounds(game, opts, deadline, stats, finish)
     except BudgetExhausted as exc:
         status, reason = _exhausted(deadline, exc)
         return finish(status, reason=reason)
@@ -297,14 +277,14 @@ def cut_and_play(game, opts=None, watcher=None):
         return finish(EqStatus.NUMERICAL_FAILURE, reason=str(exc))
 
 
-def _rounds(game, opts, deadline, stats, finish, watcher):
-    outer = OuterApproximation(game, deadline)
+def _rounds(game, opts, deadline, stats, finish):
+    states = [PlayerState(p, deadline) for p in game.players]
     last, sol = None, None  # the last round's (LCP, index map) and solution
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, _MAX_ROUNDS + 1):
         stats.iterations = iteration
         if deadline is not None and time.monotonic() > deadline:
             return finish(EqStatus.TIME_LIMIT, reason="deadline")
-        last = build_nash_lcp(game, outer.regions(), last)
+        last = build_nash_lcp(game, [s.region() for s in states], last)
         problem, index_map = last
         sol = _lemke(problem, sol, deadline, stats)
         if isinstance(sol, NoSolution):
@@ -312,17 +292,15 @@ def _rounds(game, opts, deadline, stats, finish, watcher):
             return finish(EqStatus.NUMERICAL_FAILURE, reason=sol.reason)
 
         sigmas = index_map.extract(sol.z)
-        actions = [separation_oracle(state, sigma, deadline) for state, sigma in zip(outer.states, sigmas)]
+        actions = [separation_oracle(state, sigma) for state, sigma in zip(states, sigmas)]
 
         if all(isinstance(a, Member) for a in actions):
-            return _certify(game, outer, actions, opts, deadline, finish)
+            return _certify(game, states, actions, opts, deadline, finish)
 
-        for state, action in zip(outer.states, actions):
+        for state, action in zip(states, actions):
             if isinstance(action, Cuts):
                 stats.cuts += len(action.cuts)
                 refine_region(state, action)
-        if watcher is not None:
-            watcher(outer, iteration)
 
     return finish(EqStatus.NUMERICAL_FAILURE, reason="round cap")
 
@@ -348,11 +326,11 @@ def _lemke(problem, start, deadline, stats):
         start = None
 
 
-def _certify(game, outer, members, opts, deadline, finish):
+def _certify(game, states, members, opts, deadline, finish):
     """Every oracle call said Member: deviation-check their strategies,
     on each player's enumerated lattice where there is one."""
     profile = StrategyProfile([m.strategy for m in members])
-    lattices = [state.lattice for state in outer.states]
+    lattices = [state.lattice for state in states]
     if deviation_check(game, profile, eps=opts.deviation_eps, deadline=deadline, lattices=lattices):
         return finish(EqStatus.NUMERICAL_FAILURE, reason="deviation")
     status = EqStatus.PNE if all(m.pure for m in members) else EqStatus.MNE

@@ -73,6 +73,8 @@ class PlayerProgram:
         self.ub = np.ones(m) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.shape != (m,) or self.ub.shape != (m,):
             raise ValueError("bounds must match the variable count")
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+            raise ValueError("bounds must not be NaN")  # NaN passes "lb > ub"
         if np.any(self.lb > self.ub):
             raise ValueError("lb must not exceed ub")
         for j in self.integers:

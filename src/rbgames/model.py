@@ -246,7 +246,10 @@ def save_instance(inst, path):
 
 def load_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(".", f"not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+import rbgames.cutplay as cutplay
 from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, knapsack_rows,
                      opponents_vector, parametrized_objective, payoff, solve_lp)
 from rbgames.cutplay import _INT_TOL, Cuts, Member
@@ -828,3 +829,30 @@ def separation_oracle_reference(state, sigma):
         return Cuts(found)
     pi = separating_direction(pure, sigma)
     return Cuts([(pi, float(np.max(pure @ pi)))])
+
+
+class RoundSpy:
+    """What a cut-and-play run shows through the two bindings that the
+    benchmark's tracer wraps too, recorded while ``monkeypatch`` holds:
+
+    - ``rounds``: (game, regions) for each round's Nash LCP, one region
+      per player, the first round's relaxations included, by wrapping
+      ``cutplay.build_nash_lcp``;
+    - ``refined``: (state, pieces) for each ``cutplay.refine_region``
+      call, the state and a copy of its pieces once the cuts are in.
+    """
+
+    def __init__(self, monkeypatch):
+        self.rounds, self.refined = [], []
+        build, refine = cutplay.build_nash_lcp, cutplay.refine_region
+
+        def built(game, regions, last=None):
+            self.rounds.append((game, list(regions)))
+            return build(game, regions, last)
+
+        def refined(state, action):
+            refine(state, action)
+            self.refined.append((state, list(state.pieces)))
+
+        monkeypatch.setattr(cutplay, "build_nash_lcp", built)
+        monkeypatch.setattr(cutplay, "refine_region", refined)

@@ -40,7 +40,7 @@ from rbgames.generators import (
 )
 from rbgames.lp import LPStatus
 
-from oracles import brute_force_lcp, in_convex_hull_of, polyhedron_vertices
+from oracles import RoundSpy, brute_force_lcp, in_convex_hull_of, polyhedron_vertices
 
 _EXACT = [
     np.array([0.0, 1.0, 1.0, 0.0]),
@@ -73,18 +73,23 @@ def corpus_sweep():
 
     for m, seed in seeds:
         game = random_knapsack_game(seed, 2, m).game()
-        pure_sets = [lattice_points(p) for p in game.players]
-
-        def watcher(outer, iteration, _sets=pure_sets, _tag=(m, seed)):
-            for i, state in enumerate(outer.states):
-                for point in _sets[i]:
-                    if any(piece.contains(point, eps=1e-7) for piece in state.pieces):
-                        continue
-                    hull = convex_hull(state.pieces)
-                    if not hull_contains(hull, point, eps=1e-7):
-                        region_violations.append((_tag, iteration, i, tuple(point)))
-
-        result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=30.0), watcher=watcher)
+        pure_sets = {id(p): lattice_points(p) for p in game.players}
+        with pytest.MonkeyPatch.context() as mp:
+            spy = RoundSpy(mp)
+            result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=30.0))
+        # every round's regions, the first round's relaxations included,
+        # and every refined state keep each lattice point
+        if len(spy.rounds) != result.stats.iterations:
+            region_violations.append(((m, seed), "rounds seen", len(spy.rounds), result.stats.iterations))
+        seen = [(f"round {t}", p, [region]) for t, (_, regions) in enumerate(spy.rounds, 1)
+                for p, region in zip(game.players, regions)]
+        seen += [(f"refinement {k}", state.program, pieces) for k, (state, pieces) in enumerate(spy.refined, 1)]
+        for when, program, pieces in seen:
+            for point in pure_sets[id(program)]:
+                if any(piece.contains(point, eps=1e-7) for piece in pieces):
+                    continue
+                if not hull_contains(convex_hull(pieces), point, eps=1e-7):
+                    region_violations.append(((m, seed), when, program.name, tuple(point)))
         statuses.append(result.status)
         if result.status not in (EqStatus.PNE, EqStatus.MNE):
             mismatches.append(((m, seed), result.status.value))
@@ -256,7 +261,7 @@ def test_criterion_5_outer_approximation_invariant(corpus_sweep):
     seeds, _, region_violations = corpus_sweep
     total = len(seeds)
     ok = total >= 200 and not region_violations
-    _verdict(5, ok, f"{total} games audited after every refinement, {len(region_violations)} lost points")
+    _verdict(5, ok, f"{total} games audited at every round and refinement, {len(region_violations)} lost points")
 
 
 def test_criterion_6_degenerate_handling():

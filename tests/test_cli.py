@@ -13,7 +13,7 @@ from rbgames.generators import (
     infeasible_game,
     random_knapsack_game,
 )
-from rbgames.model import Instance, save_instance
+from rbgames.model import Instance, instance_to_document, save_instance
 
 _INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -131,6 +131,38 @@ def test_missing_file_exits_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "no such file" in err
+
+
+def _exits_one_with_an_error(argv, capsys, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    _exits_one_with_an_error(["--instance", str(path)], capsys, "not UTF-8 text")
+
+
+def test_a_directory_as_instance_exits_one(tmp_path, capsys):
+    _exits_one_with_an_error(["--instance", str(tmp_path)], capsys, f"cannot read {tmp_path}")
+
+
+def test_an_output_path_in_a_missing_directory_exits_one(canonical_path, tmp_path, capsys):
+    dest = tmp_path / "missing" / "result.json"
+    _exits_one_with_an_error(["--instance", canonical_path, "--output", str(dest)], capsys, f"cannot write {dest}")
+
+
+def test_a_nan_bound_exits_one(tmp_path, capsys):
+    doc = instance_to_document(canonical_knapsack_game())
+    doc["players"][0]["integers"] = [1]
+    doc["players"][0]["bounds"][0][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes the bare NaN that Python's json reads back
+    _exits_one_with_an_error(["--instance", str(path)], capsys, "error: players[0]: bounds must not be NaN")
 
 
 def test_bad_document_exits_one(tmp_path, capsys):

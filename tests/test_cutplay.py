@@ -29,12 +29,12 @@ from rbgames import (
     solve_game,
 )
 from rbgames.errors import BudgetExhausted, InfeasibleGame, NumericalFailure
-from rbgames.cutplay import Cuts, Member, OuterApproximation, PlayerState, refine_region, separation_oracle
+from rbgames.cutplay import Cuts, Member, PlayerState, refine_region, separation_oracle
 from rbgames.enumeration import degenerate_bimatrix
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds
 from rbgames.poly import hull_contains, convex_hull
 
-from oracles import separation_oracle_reference
+from oracles import RoundSpy, separation_oracle_reference
 
 _KNOWN = [
     (np.array([0.0, 1.0, 1.0, 0.0]), (-2.0, -3.0)),
@@ -356,9 +356,10 @@ def test_region_emptied_mid_run_keeps_its_stats(monkeypatch):
     assert result.stats.wall_ms > 0.0
 
 
-def test_iteration_cap_reports_numerical_failure():
+def test_iteration_cap_reports_numerical_failure(monkeypatch):
+    monkeypatch.setattr(cutplay_module, "_MAX_ROUNDS", 1)
     game = canonical_knapsack_game().game()
-    result = cut_and_play(game, SolverOptions(max_iterations=1))
+    result = cut_and_play(game, SolverOptions())
     assert result.status is EqStatus.NUMERICAL_FAILURE
     assert result.stats.reason == "round cap"
 
@@ -532,20 +533,22 @@ def test_the_wide_player_gets_one_exact_cut():
         assert state.region().contains(point, eps=1e-9), point
 
 
-def test_refinement_only_shrinks_regions():
-    # regions must be nested across iterations: every later region is a
-    # subset of every earlier one (sampled), and lattice points survive
+def test_refinement_only_shrinks_regions(monkeypatch):
+    # regions must be nested across rounds, from the relaxations of the
+    # first: every later region is a subset of every earlier one
+    # (sampled), and lattice points survive
     game = canonical_knapsack_game().game()
-    history = [[] for _ in game.players]
     rng = np.random.default_rng(3)
     samples = rng.random((60, 2)) * 1.2 - 0.1
 
-    def watcher(outer, iteration):
-        for i, state in enumerate(outer.states):
-            history[i].append(list(state.pieces))
-
-    result = cut_and_play(game, SolverOptions(), watcher=watcher)
+    spy = RoundSpy(monkeypatch)
+    result = cut_and_play(game, SolverOptions())
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
+    assert len(spy.rounds) == result.stats.iterations >= 2
+    for region, p in zip(spy.rounds[0][1], game.players):  # the first round's are the relaxations
+        relaxation = p.relaxation()
+        assert all(np.array_equal(getattr(region, f), getattr(relaxation, f)) for f in ("A", "b", "lb", "ub"))
+    history = [[[regions[i]] for _, regions in spy.rounds] for i in range(len(game.players))]
     for i, p in enumerate(game.players):
         pure = lattice_points(p)
         for t, pieces in enumerate(history[i]):
@@ -567,8 +570,6 @@ def test_options_validation():
         SolverOptions(deviation_eps=0.0)
     with pytest.raises(ValueError):
         SolverOptions(time_limit=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iterations=0)
 
 
 @pytest.mark.parametrize("field", ["deviation_eps", "time_limit"])
@@ -580,8 +581,8 @@ def test_options_reject_non_finite_tolerance_and_time_limit(field, value):
 
 def test_outer_approximation_starts_at_the_relaxations():
     game = canonical_knapsack_game().game()
-    outer = OuterApproximation(game)
-    for state, p in zip(outer.states, game.players):
+    for p in game.players:
+        state = PlayerState(p)
         assert len(state.pieces) == 1
         region = state.region()
         assert region.contains(np.array([1.0, 0.5]))  # LP vertex, not a strategy
@@ -639,7 +640,8 @@ def test_player_without_an_integer_point_past_the_lattice_cap_is_infeasible(monk
     wide = PlayerProgram(name="wide", c=np.ones(n), C=np.zeros((0, n)), A=A, b=np.array([1.0, -1.0]),
                          integers=tuple(range(n)), lb=np.zeros(n), ub=np.ones(n))
     callers = _record_solve_ip(monkeypatch)
-    result = cut_and_play(GameModel([wide]), SolverOptions(max_iterations=1))
+    monkeypatch.setattr(cutplay_module, "_MAX_ROUNDS", 1)
+    result = cut_and_play(GameModel([wide]), SolverOptions())
     assert result.status is EqStatus.INFEASIBLE
     assert result.stats.iterations == 1
     assert callers == ["pure_points"]
@@ -680,8 +682,8 @@ def test_a_mixed_integer_player_is_certified_by_column_generation(monkeypatch):
     verdicts = []
     real = cutplay_module.separation_oracle
 
-    def recording(state, sigma, deadline=None):
-        verdict = real(state, sigma, deadline)
+    def recording(state, sigma):
+        verdict = real(state, sigma)
         if isinstance(verdict, Member) and state.lattice is None and not verdict.pure:
             verdicts.append((state.program, list(state.program.integers), len(state.points), verdict.strategy))
         return verdict
@@ -816,10 +818,10 @@ def test_separation_oracle_matches_the_support_lp_first_order(monkeypatch):
         tally["support"] += 1
         return real_support(*args, **kwargs)
 
-    def compared(state, sigma, deadline=None):
+    def compared(state, sigma):
         want = separation_oracle_reference(state, sigma)
         before = tally["support"]
-        got = real_oracle(state, sigma, deadline)
+        got = real_oracle(state, sigma)
         _same_verdict(got, want)
         if isinstance(got, Member):
             _certifies(got, [got.strategy.barycenter] if got.pure else state.pure_points())
@@ -897,22 +899,36 @@ def test_separation_oracle_near_the_margin_matches_the_old_order(monkeypatch, sc
         assert [(a.tolist(), a0) for a, a0 in got.cuts] == [([1.0, 1.0], 1.0)]
 
 
+def _lean():
+    """A binary player with the one row x0 - x1 <= 0, which has no cover."""
+    return PlayerProgram(name="lean", c=np.zeros(2), C=np.zeros((0, 2)), A=np.array([[1.0, -1.0]]),
+                         b=np.zeros(1), integers=(0, 1), lb=np.zeros(2), ub=np.ones(2))
+
+
 @pytest.mark.parametrize("distance", [1.5e-7, 2e-7, 2.9e-7])
 def test_a_point_just_past_the_member_threshold_gets_its_exact_cut(distance):
     # x0 - x1 <= 0 has a negative coefficient, so no cover cut decides
     # first; the LP rejects the point, at an L1 distance past FEAS_TOL
     # from the hull x0 = x1, and its cut is that deep, below the
     # FEAS_TOL (1 + |pi|_1) that once judged it
-    lean = PlayerProgram(name="lean", c=np.zeros(2), C=np.zeros((0, 2)), A=np.array([[1.0, -1.0]]),
-                         b=np.zeros(1), integers=(0, 1), lb=np.zeros(2), ub=np.ones(2))
     sigma = np.array([0.5 + distance / 2.0, 0.5 - distance / 2.0])
-    action = separation_oracle(PlayerState(lean), sigma)
+    action = separation_oracle(PlayerState(_lean()), sigma)
     assert isinstance(action, Cuts)
     [(pi, pi0)] = action.cuts
     assert pi.tolist() == [1.0, -1.0] and pi0 == 0.0
 
 
 # -- the oracle's LPs honor the deadline ------------------------------------
+
+
+def test_the_oracle_runs_its_lp_with_the_state_deadline():
+    # (1/2, 1/2) is fractional and x0 - x1 <= 0 has no cover, so only the
+    # support LP can decide it, and it runs with the state's deadline,
+    # which has passed
+    state = PlayerState(_lean(), deadline=time.monotonic() - 1.0)
+    assert state.knapsacks == []
+    with pytest.raises(BudgetExhausted):
+        separation_oracle(state, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("module_name, caller, make", [

@@ -22,13 +22,12 @@ from rbgames import (
     support_from_points,
 )
 import rbgames.game as game_module
-from rbgames.cutplay import OuterApproximation
 from rbgames.generators import canonical_knapsack_game, infeasible_game, nondegenerate_seeds, random_knapsack_game
 from rbgames.lp import LinearProgram, LPStatus, solve_lp
 from rbgames.numerics import FEAS_TOL
 from rbgames.poly import Polyhedron
 
-from oracles import (encode_region_reference, encoding_holds, in_convex_hull_of, nash_lcp_reference,
+from oracles import (RoundSpy, encode_region_reference, encoding_holds, in_convex_hull_of, nash_lcp_reference,
                      polyhedron_vertices, scipy_lp)
 
 
@@ -337,16 +336,16 @@ def test_nash_lcp_scale_invariance():
     assert base is not None
 
 
-def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
-    # regions after cuts, a coordinate fixed by its bounds and a row that
-    # the box implies: M is skew outside the v block, P is entrywise
-    # positive, and a solution gives simultaneous LP optima
-    cases = []
+def test_nash_lcp_structure_on_cut_fixed_and_implied_regions(monkeypatch):
+    # every round's regions, the relaxations and those after cuts, a
+    # coordinate fixed by its bounds and a row that the box implies: M is
+    # skew outside the v block, P is entrywise positive, and a solution
+    # gives simultaneous LP optima
+    spy = RoundSpy(monkeypatch)
     for seed in (0, 1, 2):
-        game = random_knapsack_game(seed, 3, 5).game()
-        cut_and_play(game, SolverOptions(deviation_eps=3e-4),
-                     watcher=lambda outer, iteration: cases.append((game, outer.regions())))
-    assert len(cases) >= 6
+        cut_and_play(random_knapsack_game(seed, 3, 5).game(), SolverOptions(deviation_eps=3e-4))
+    cases = spy.rounds
+    assert len(cases) >= 9
     game = random_knapsack_game(0, 2, 3).game()
     first, second = game.players
     lb, ub = first.lb.copy(), first.ub.copy()
@@ -374,16 +373,14 @@ def test_nash_lcp_structure_on_cut_fixed_and_implied_regions():
     assert points[0][1] == 1.0  # the last case's fixed coordinate, exactly
 
 
-def test_nash_lcp_matches_the_reference_builder_bitwise():
-    # every round of three 3x5 runs, a fixed coordinate, a row the box
-    # implies, shifted boxes, and a continuous coordinate with ub = inf
-    # whose box comes from the bounding-box LPs
-    cases = []
+def test_nash_lcp_matches_the_reference_builder_bitwise(monkeypatch):
+    # every round of three 3x5 runs, the first included, a fixed
+    # coordinate, a row the box implies, shifted boxes, and a continuous
+    # coordinate with ub = inf whose box comes from the bounding-box LPs
+    spy = RoundSpy(monkeypatch)
     for seed in (0, 1, 2):
-        game = random_knapsack_game(seed, 3, 5).game()
-        cases.append((game, OuterApproximation(game).regions()))
-        cut_and_play(game, SolverOptions(deviation_eps=3e-4),
-                     watcher=lambda outer, iteration: cases.append((game, outer.regions())))
+        cut_and_play(random_knapsack_game(seed, 3, 5).game(), SolverOptions(deviation_eps=3e-4))
+    cases = spy.rounds
     assert len(cases) >= 9
     game = random_knapsack_game(0, 2, 3).game()
     first, second = game.players

@@ -119,6 +119,30 @@ def test_validation_paths():
     assert "at least one player" in str(err)
 
 
+def _with_a_nan_bound(side):
+    """The canonical document with blue's first variable continuous and
+    its lower (side 0) or upper (side 1) bound NaN."""
+    doc = instance_to_document(canonical_knapsack_game())
+    blue = doc["players"][0]
+    blue["integers"] = [1]
+    blue["bounds"][0][side] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["lb", "ub"])
+def test_a_nan_bound_is_rejected(side):
+    # NaN passes "lb > ub", so a continuous variable's NaN bound got past
+    # both checks and failed only inside the first LP
+    bounds = [np.zeros(2), np.ones(2)]
+    bounds[side][0] = np.nan
+    with pytest.raises(ValueError, match="bounds must not be NaN"):
+        PlayerProgram(name="p", c=np.ones(2), C=np.zeros((0, 2)), A=np.zeros((0, 2)), b=np.zeros(0),
+                      integers=(1,), lb=bounds[0], ub=bounds[1])
+    with pytest.raises(DocumentError) as info:
+        instance_from_document(_with_a_nan_bound(side))
+    assert info.value.path == "players[0]" and "bounds must not be NaN" in str(info.value)
+
+
 def test_document_error_formats_path():
     err = DocumentError("players[0].c", "expected a number")
     assert str(err) == "players[0].c: expected a number"
@@ -131,6 +155,14 @@ def test_load_rejects_bad_json(tmp_path):
     with pytest.raises(DocumentError) as info:
         load_instance(path)
     assert "invalid JSON" in str(info.value)
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(DocumentError) as info:
+        load_instance(path)
+    assert info.value.path == "." and "not UTF-8 text" in str(info.value)
 
 
 def test_instance_freeze_after_finalize():

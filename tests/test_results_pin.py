@@ -16,7 +16,7 @@ tests/test_results_pin.py``, and lists the moved games.  With
 (``bench/workloads.py``) to stdout instead and leaves the pin alone, so
 the windows at shifts 1 and 2 can be compared before and after such a
 change.  The test run checks that cut-and-play never branches: after
-every round of every game, each player's region is one polyhedron.
+every refinement of every game, the player's region is one polyhedron.
 """
 
 import argparse
@@ -26,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from rbgames import SolverOptions, cut_and_play, random_knapsack_game
+
+from oracles import RoundSpy
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 PIN = Path(__file__).with_name("results_pin.txt")
@@ -38,7 +40,7 @@ def _load_workloads():
     return module
 
 
-def workload_lines(watcher=None, shift=0):
+def workload_lines(shift=0):
     """One line per workload game of the window at ``shift``: shape, seed,
     status, rounds, ``lcp_nodes`` and the barycenters rounded to 6
     decimals."""
@@ -46,25 +48,21 @@ def workload_lines(watcher=None, shift=0):
     opts = SolverOptions(deviation_eps=workloads.DEVIATION_EPS)
     lines = []
     for case in [c for name in workloads.NAMES for c in workloads.cases(name, shift)]:
-        res = cut_and_play(random_knapsack_game(case.seed, case.players, case.items).game(), opts, watcher=watcher)
+        res = cut_and_play(random_knapsack_game(case.seed, case.players, case.items).game(), opts)
         flat = np.concatenate(res.profile.barycenters()) if res.profile is not None else np.zeros(0)
         bary = ",".join(f"{v:.6f}" for v in np.round(flat, 6) + 0.0)
         lines.append(f"{case.shape} {case.seed} {res.status.value} {res.stats.iterations} {res.stats.lcp_nodes} {bary}")
     return lines
 
 
-def test_workload_results_match_the_pin():
-    pieces = set()
-
-    def watcher(outer, iteration):
-        pieces.update(len(state.pieces) for state in outer.states)
-
-    lines = workload_lines(watcher)
+def test_workload_results_match_the_pin(monkeypatch):
+    spy = RoundSpy(monkeypatch)
+    lines = workload_lines()
     pinned = PIN.read_text().splitlines()
     moved = [f"pinned {want}\n   got {got}" for want, got in zip(pinned, lines) if want != got]
     assert not moved, "\n".join(moved)
     assert len(lines) == len(pinned) == 315
-    assert pieces == {1}
+    assert {len(pieces) for _, pieces in spy.refined} == {1}
 
 
 if __name__ == "__main__":
