@@ -74,7 +74,7 @@ def _report(results, names, out):
                     print(f"    {w:.6g} * [{pvec}]", file=out)
     stats = head.stats
     print(
-        f"iterations: {stats.iterations}  cuts: {stats.cuts}  lcp nodes: {stats.lcp_nodes}"
+        f"iterations: {stats.iterations}  cuts: {stats.cuts}  lemke pivots: {stats.lcp_nodes}"
         f"  warm rounds: {stats.warm_rounds}  cold restarts: {stats.cold_restarts}  wall ms: {stats.wall_ms:.1f}",
         file=out,
     )

@@ -28,18 +28,14 @@ def knapsack_rows(A, b, binary):
     it touches is binary, it touches at least two, its coefficients are
     positive and their sum exceeds its right-hand side, so that it has
     a cover.  It is used rounded to those integers: sums of raw floats
-    could miscount a cover by one ulp.
+    could miscount a cover by one ulp.  One array pass tests every row.
     """
-    out = []
-    for i in range(A.shape[0]):
-        if not (_is_integral(A[i]) and _is_integral(b[i : i + 1])):
-            continue
-        a, bi = np.round(A[i]), float(np.round(b[i]))
-        sup = np.nonzero(a)[0]
-        if sup.size < 2 or not np.all(binary[sup]) or np.any(a[sup] < 0) or a[sup].sum() <= bi:
-            continue
-        out.append((a, sup, bi))
-    return out
+    a, bi = A.round(), b.round()
+    nz = a != 0.0
+    ok = (abs(A - a).max(axis=1, initial=0.0) <= 1e-9) & (abs(b - bi) <= 1e-9) & (a.sum(axis=1) > bi)
+    # two nonzeros or more, none negative, none off the binary variables
+    ok &= (nz.sum(axis=1) >= 2) & (a.min(axis=1, initial=0.0) >= 0.0) & ~(nz @ ~binary)
+    return [(a[i], nz[i].nonzero()[0], float(bi[i])) for i in ok.nonzero()[0].tolist()]
 
 
 def cover_cuts(rows, sigma):

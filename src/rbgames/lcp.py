@@ -1,9 +1,9 @@
 """Linear complementarity:  0 <= z  perp  M z + q >= 0.
 
 One path: Lemke's method with a covering vector and a lexicographic
-ratio test, started from a complementary basis.  The cold start is the
-identity basis with the all-ones covering vector.  On a feasible LCP
-whose M is copositive-plus, that method ends at a solution (Lemke 1965;
+ratio test, started from a complementary basis.  From the identity
+basis, with any positive covering vector, that method ends at a
+solution on a feasible LCP whose M is copositive-plus (Lemke 1965;
 Cottle, Pang & Stone, *The Linear Complementarity Problem*, 1992,
 ch. 4).  Every Nash LCP of ``game.build_nash_lcp`` is one: its
 off-diagonal blocks are skew, so z'Mz = v'Pv for its strategy block P,
@@ -11,27 +11,51 @@ which is entrywise positive.  On other LCPs it may end on a secondary
 ray, which proves nothing.  A ray and the pivot cap both give
 NoSolution.
 
+Lemke runs on the row-scaled LCP (D^{-1} M D^{-1}, D^{-1} q) with
+covering vector 1, where D = diag(d) and d = 1 + |M| 1, each row's L1
+norm plus one; PATH scales an LCP before it pivots in the same spirit
+(Dirkse & Ferris 1995).  That LCP is never formed: with w' = D^{-1} w
+and z' = D z its system is D^{-1} times  w - M z - z0 d = q,  so the
+solver pivots on (M, q) with covering vector d.  A basic variable's
+scaled value is its value over its scale s, d_j for w_j and 1/d_j for
+z_j; the ratios of a ratio test differ from the scaled ones by the
+entering variable's scale alone, and the lexicographic order of the
+rows of [x | B^{-1}] does not see the positive column scale D, so both
+pick the scaled system's rows, up to where the tolerances fall.  M is
+copositive-plus if and only if D^{-1} M D^{-1} is, so the cold
+guarantee and the lexicographic argument hold as they are.  The rows
+of the stacked Nash LCP differ widely: a stationarity row holds entries
+near alpha in every column, a box row two entries of +-1; the scale
+evens them out.
+
+Both starts enter z0 along -s, s_r being the scale of the variable
+basic in row r, in the row of the lexicographic minimum of
+[x | B^{-1}] / s_r (``_lowest``).  That leaves every row of
+[x | B^{-1}] lexicographically positive, and the lexicographic ratio
+test keeps them so, so no basis repeats and the path is finite.  The
+cold start is the identity, where s = d: z0 enters in the last row of
+the least q_r / d_r.
+
 A warm start (``solve_lcp``'s ``start``) solves an LCP whose (M, q)
 borders a solved one: the old (M, q) is its leading principal block.
 It starts from the old solution's basis B with the new rows' w basic,
 whose inverse is the old one bordered, [[B^{-1}, 0], [-X B^{-1}, I]]
 with X the new rows of B's columns; nothing is factored.  That basis
 is complementary and fails only where the new rows' w is negative.
-Its covering vector is B 1, so z0's column is -1 at the start, as the
-identity's is in the cold start: z0 enters in the row of the
-lexicographic minimum of [x | B^{-1}], which leaves every row of
-[x | B^{-1}] lexicographically positive.  The lexicographic ratio test
-keeps them so, so no basis repeats and the path is finite: this is the
-lexicographic argument of the cold start, read from another starting
-basis (van den Elzen & Talman 1991 start Lemke from a point in the
-same way).  B 1 is not positive once B holds a z (below), so a warm
+Its covering vector is B s, the scaled system's own warm rule (its
+basis B' = D^{-1} B diag(s) with covering vector B' 1) read back, so
+z0's direction is -s at the start, as on the identity, and the
+lexicographic argument of the cold start goes through, read from
+another starting basis (van den Elzen & Talman 1991 start Lemke from a
+point in the same way).  B s is not positive once B holds a z (below), so a warm
 path may end on a ray that proves nothing, and its length has no
 useful bound: a warm attempt gets at most n pivots, and its caller
 restarts cold when it ends on a ray or at that budget.  No other
-covering vector mends this.  When M is copositive, no complementary basis B with a basic z admits a d > 0
-with t = B^{-1} d > 0: the point h whose basic variables are t, and
-whose others are 0, solves w^h - M z^h = d and is complementary, so
-z^h'M z^h = z^h'(w^h - d) = -z^h'd < 0 with z^h >= 0 nonzero.  So B 1
+covering vector mends this.  When M is copositive, no complementary
+basis B with a basic z admits a c > 0 with t = B^{-1} c > 0: the point
+h whose basic variables are t, and whose others are 0, solves
+w^h - M z^h = c and is complementary, so
+z^h'M z^h = z^h'(w^h - c) = -z^h'c < 0 with z^h >= 0 nonzero.  So B s
 is never positive on a warm basis that holds a z, and no covering
 vector carries the copositive-plus guarantee to a warm start.
 
@@ -152,25 +176,28 @@ class _Basis:
     """A basis of Lemke's system  w - M z - z0 d = q, and its inverse.
 
     Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  Row r of
-    the system holds the basic variable ``basic[r]``.  A cold basis holds
-    w_r in row r, so B is the identity, and its covering vector ``cover``
-    d is all ones; ``bordered`` gives a warm one.  The inverse is explicit
-    and kept by columns: row i of ``invT`` is column ``order[i]`` of
-    B^{-1}, and ``slot`` is the inverse permutation.  A basic w_j's column
-    of B^{-1} is the unit vector at its row, so row r of B^{-1} is nonzero
-    only on the k nonbasic w's and on a w basic in row r.  The columns of
-    the nonbasic w's are kept in rows [0, k) of ``invT``.  The basic
-    values ``x`` = B^{-1} q sit just above them, as row 0 of ``blk`` =
-    [x; invT], so the rows a pivot rewrites are the one block
-    ``blk[:k + 1]``.  ``basic`` and ``slot`` are lists: the pivot path
-    reads them one entry at a time.
+    the system holds the basic variable ``basic[r]``, and ``scale`` s_r
+    is that variable's scale at the start: d_j for w_j, 1/d_j for z_j,
+    with d = 1 + |M| 1.  The covering vector ``cover`` is B s at the
+    start, so z0's direction is -s there.  A cold basis holds w_r in row
+    r, so B is the identity and s = d is the covering vector; ``bordered``
+    gives a warm one.  The inverse is explicit and kept by columns: row i
+    of ``invT`` is column ``order[i]`` of B^{-1}, and ``slot`` is the
+    inverse permutation.  A basic w_j's column of B^{-1} is the unit
+    vector at its row, so row r of B^{-1} is nonzero only on the k
+    nonbasic w's and on a w basic in row r.  The columns of the nonbasic
+    w's are kept in rows [0, k) of ``invT``.  The basic values ``x`` =
+    B^{-1} q sit just above them, as row 0 of ``blk`` = [x; invT], so the
+    rows a pivot rewrites are the one block ``blk[:k + 1]``.  ``basic``
+    and ``slot`` are lists: the pivot path reads them one entry at a
+    time.
     """
 
     def __init__(self, problem):
         self.M, self.q = problem.M, problem.q
         n = self.n = problem.order
         self.negMT = -np.ascontiguousarray(self.M.T)  # row j: z_j's column
-        self.cover = np.ones(n)
+        self.cover = self.scale = _row_scale(self.M)
         self.blk = np.eye(n + 1, n, -1)
         self.blk[0] = self.q
         self.x, self.invT = self.blk[0], self.blk[1:]
@@ -189,8 +216,10 @@ class _Basis:
         its inverse [[B^{-1}, 0], [-X B^{-1}, I]].  A basic w's column of
         B^{-1} is a unit vector at a row where X is 0, so only the k
         nonbasic w's rows of ``invT`` gain entries.  The basic values are
-        x and the new rows' w at the old point, q_new - X x, and the
-        covering vector is B 1, so that z0's direction is -1.
+        x and the new rows' w at the old point, q_new - X x.  The scale
+        is read from ``problem``'s d: s_r = d_j where w_j is basic in row
+        r, 1/d_j where z_j is, and d_j on the new rows, which hold w_j.
+        The covering vector is B s, so that z0's direction is -s.
         """
         n, m, k = self.n, problem.order, self.k
         out = _Basis.__new__(_Basis)
@@ -211,10 +240,15 @@ class _Basis:
         out.order = np.concatenate([self.order, np.arange(n, m)])
         out.slot = self.slot + list(range(n, m))
         out.k, out.z0 = k, -1
-        # B 1: the unit columns of the basic w's, -M's columns of the basic z's
-        out.cover = -problem.M[:, zs].sum(axis=1)
-        out.cover[basic[~is_z]] += 1.0
-        out.cover[n:] += 1.0
+        # s, with basic % n the index j of each basic w_j or z_j (z0 is
+        # nonbasic), and B s: the basic w's unit columns times d_j, -M's
+        # columns of the basic z's over d_j
+        d, ws = _row_scale(problem.M), basic[~is_z]
+        out.scale = d.copy()
+        out.scale[:n] = np.where(is_z, 1.0 / d[basic % n], d[basic % n])
+        out.cover = -problem.M[:, zs] @ (1.0 / d[zs])
+        out.cover[ws] += d[ws]
+        out.cover[n:] += d[n:]
         return out
 
     def direction(self, var):
@@ -278,9 +312,12 @@ class _Basis:
 def solve_lcp(problem, deadline=None, start=None):
     """Solve the LCP by lexicographic Lemke; LCPSolution or NoSolution.
 
-    Cold from the identity basis, or warm from ``start``, the solution
-    of an LCP whose (M, q) is the leading principal block of this one's
-    (see the module docstring).  ``nodes`` counts Lemke pivots.
+    Lemke runs on the row-scaled LCP without forming it: covering
+    vector d = 1 + |M| 1 cold from the identity basis, or B s warm from
+    ``start``, the solution of an LCP whose (M, q) is the leading
+    principal block of this one's (see the module docstring).  Both
+    starts enter z0 along -s by one rule, ``_lowest``.  ``nodes`` counts
+    Lemke pivots.
     NoSolution comes from a secondary ray or the pivot cap, 200 + 30 n
     pivots cold and n warm, and its ``reason`` says which.  Raises
     BudgetExhausted, carrying the pivots spent, once the
@@ -288,19 +325,13 @@ def solve_lcp(problem, deadline=None, start=None):
     NumericalFailure when the end point misses the residual tolerance.
     """
     n, var = problem.order, 2 * problem.order
-    if start is None:
-        basis = _Basis(problem)
-        # z0 enters and w leaves from the last row holding min q, which
-        # leaves every row of [x | B^{-1}] lexicographically positive
-        r = n - 1 - int(np.argmin(problem.q[::-1]))
-        d = basis.direction(var)
-        cap = 200 + 30 * n
-    else:
-        basis = start.basis.bordered(problem)
-        r, d = _lowest(basis), -np.ones(n)
-        cap = n
+    basis = _Basis(problem) if start is None else start.basis.bordered(problem)
+    cap = 200 + 30 * n if start is None else n
     if np.all(basis.x >= 0.0):
         return _solution(problem, basis, 0)
+    # z0 enters along -s, in the row that leaves every row of [x | B^{-1}]
+    # lexicographically positive
+    r, d = _lowest(basis), -basis.scale
     for pivots in range(1, cap + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
@@ -319,13 +350,19 @@ def solve_lcp(problem, deadline=None, start=None):
     return NoSolution(nodes=cap, reason="pivot cap")
 
 
+def _row_scale(M):
+    """The diagonal of D: each row's L1 norm in M, plus one."""
+    return 1.0 + np.abs(M).sum(axis=1)
+
+
 def _lowest(basis):
-    """Row of the lexicographic minimum of [x | B^{-1}], where z0 enters
-    a warm basis: the least x, ties broken by ``_lexmin``."""
-    x = basis.x
+    """Row of the lexicographic minimum of [x | B^{-1}] / s_r, where z0
+    enters: the least x_r / s_r, ties broken by ``_lexmin``."""
+    s = basis.scale
+    x = basis.x / s
     least = float(x.min())
     tied = (x <= least + _TIE_TOL * (1.0 + abs(least))).nonzero()[0]
-    return int(tied[0]) if tied.size == 1 else _lexmin(basis, tied, np.ones(tied.size))
+    return int(tied[0]) if tied.size == 1 else _lexmin(basis, tied, s[tied])
 
 
 def _leaving(basis, d):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NumericalFailure
 
-_PIVOT_TOL = 1e-11
+_PIVOT_TOL = 1e-11  # the ratio test scales it by max(1, the column's largest entry)
 _PRICE_TOL = 1e-9  # least reduced cost that makes a column eligible
 _REFRESH_EVERY = 64
 
@@ -254,9 +254,12 @@ class _Simplex:
             t_basic = np.inf
             r = -1
             if m:
-                pos = g > _PIVOT_TOL
+                # a pivot must pass the tolerance relative to the
+                # column's largest entry, as in Lemke's ratio test
+                tol = _PIVOT_TOL * max(1.0, float(np.abs(g).max()))
+                pos = g > tol
                 bound = np.where(pos, self.lb[self.basis], self.ub[self.basis])
-                lim = np.divide(self.x[self.basis] - bound, g, out=np.full(m, np.inf), where=pos | (g < -_PIVOT_TOL))
+                lim = np.divide(self.x[self.basis] - bound, g, out=np.full(m, np.inf), where=pos | (g < -tol))
                 lim[np.isnan(lim)] = np.inf
                 np.maximum(lim, 0.0, out=lim)
                 t_basic = lim.min()

@@ -357,21 +357,25 @@ def support_enumeration_loop(game, tol=1e-9):
     return out
 
 
-def lemke_row_loop(M, q, max_iter):
+def lemke_row_loop(M, q, max_iter, cover):
     """Lexicographic Lemke on a full tableau, one Python row at a time.
 
-    The textbook form of the solver's pivoting: tableau [I | -M | -1 | q],
-    whose first n columns hold the basis inverse, with the solver's
-    tie rules and tolerances.  Returns ("solution", z, pivots), ("ray",
-    None, pivots) or ("cap", None, max_iter).
+    The textbook form of the solver's pivoting: tableau [I | -M | -d | q]
+    for the covering vector d = ``cover``, whose first n columns hold the
+    basis inverse, with the solver's tie rules and tolerances.  z0 enters
+    in the row of the least q_i / d_i, the last such row on a tie, which
+    is the lexicographic minimum of [q | I] / d_i.  Returns ("solution",
+    z, pivots), ("ray", None, pivots) or ("cap", None, max_iter).
     """
     n = len(q)
     if np.all(q >= 0.0):
         return "solution", np.zeros(n), 0
-    T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q.reshape(-1, 1)])
+    T = np.hstack([np.eye(n), -M, -np.reshape(cover, (-1, 1)), q.reshape(-1, 1)])
     basis = list(range(n))
     entering = 2 * n
-    r = z0_row = max(i for i in range(n) if q[i] == q.min())
+    start = [q[i] / cover[i] for i in range(n)]
+    least = min(start)
+    r = z0_row = max(i for i in range(n) if start[i] <= least + 1e-9 * (1.0 + abs(least)))
     for pivots in range(1, max_iter + 1):
         T[r] /= T[r, entering]
         for i in range(n):
@@ -494,7 +498,8 @@ class BasisReference:
     """``lcp._Basis`` as it was before its values and directions moved
     into 2n buffers; the reference ``lemke_reference`` pivots on.
 
-    A basis of Lemke's system  w - M z - z0 1 = q, and its inverse.
+    A basis of Lemke's system  w - M z - z0 d = q, for the covering
+    vector d = ``cover``, and its inverse.
 
     Variables are numbered w_j = j, z_j = n + j and z0 = 2n.  A basic w_j
     is the unit column e_j, so B is the identity outside one square block:
@@ -508,8 +513,8 @@ class BasisReference:
     that grow by 32 rows when full.
     """
 
-    def __init__(self, problem):
-        self.M, self.q = problem.M, problem.q
+    def __init__(self, problem, cover):
+        self.M, self.q, self.cover = problem.M, problem.q, cover
         n = self.n = problem.order
         self.k = 0
         self.rows = np.zeros(n, dtype=np.int64)  # R, in the order of Y's rows
@@ -533,7 +538,7 @@ class BasisReference:
             a = np.zeros(n)
             a[var] = 1.0
             return a
-        return -self.M[:, var - n] if var < 2 * n else -np.ones(n)
+        return -self.M[:, var - n] if var < 2 * n else -self.cover
 
     def solve(self, a):
         """B^{-1} a as (on C, on every w), refined once against B."""
@@ -634,21 +639,26 @@ def rank1_reference(A, u, v):
         A[lo : lo + block] -= np.outer(u[lo : lo + block], v)
 
 
-def lemke_reference(problem):
-    """The solver's Lemke loop on ``BasisReference`` and ``leaving_reference``.
+def lemke_reference(problem, cover):
+    """The solver's Lemke loop on ``BasisReference`` and ``leaving_reference``,
+    with covering vector ``cover``.
 
     The rank-1 updated block inverse of the solver, as it was before its
     values and directions moved into 2n buffers: two arrays per vector,
     ``np.concatenate`` in every ratio test and ``np.outer`` in every
-    update.  Returns (z, pivots, basic), z None when Lemke ends on a ray
-    or at its cap of 200 + 30 n pivots, and basic the sorted variables of
-    the final basis (None with z).
+    update.  z0 enters in the last row of the least q_i / d_i.  Returns
+    (z, pivots, basic), z None when Lemke ends on a ray or at its cap of
+    200 + 30 n pivots, and basic the sorted variables of the final basis
+    (None with z).
     """
     n = problem.order
     if np.all(problem.q >= 0.0):
         return np.zeros(n), 0, np.arange(n)
-    basis = BasisReference(problem)
-    var, slot, row = 2 * n, -1, n - 1 - int(np.argmin(problem.q[::-1]))
+    basis = BasisReference(problem, cover)
+    start = problem.q / cover
+    least = start.min()
+    row = int(np.nonzero(start <= least + 1e-9 * (1.0 + abs(least)))[0][-1])
+    var, slot = 2 * n, -1
     a = basis.column(var)
     dc, dw = np.zeros(0), a.copy()
     cap = 200 + 30 * n
@@ -856,3 +866,38 @@ class RoundSpy:
 
         monkeypatch.setattr(cutplay, "build_nash_lcp", built)
         monkeypatch.setattr(cutplay, "refine_region", refined)
+
+
+def murty_in_scale(n, c=0.01):
+    """(M, q) whose row-scaled LCP (D^{-1} M D^{-1}, D^{-1} q), with
+    D = diag(1 + |M| 1), is c times Murty's M = I + 2 (strict lower
+    triangle) with q = -1, on which Lemke with covering vector 1 takes
+    2^n pivots (Murty 1978).
+
+    Row i of M = c D Mm D has L1 norm c d_i (d_i + 2 sum_{j<i} d_j), so
+    d_i = 1 + that norm is the lesser root of a quadratic, solved row by
+    row; it is real while c stays small against 1 / n.
+    """
+    d = np.zeros(n)
+    for i in range(n):
+        a = 1.0 - 2.0 * c * d[:i].sum()
+        d[i] = (a - np.sqrt(a * a - 4.0 * c)) / (2.0 * c)
+    murty = np.eye(n) + 2.0 * np.tril(np.ones((n, n)), -1)
+    return c * d[:, None] * murty * d[None, :], -d
+
+
+def knapsack_rows_loop(A, b, binary):
+    """``cuts.knapsack_rows`` as a loop over the rows, one row's tests at
+    a time: integral data to 1e-9, at least two nonzeros, all of them on
+    binary variables and positive, and a coefficient sum above the
+    right-hand side."""
+    out = []
+    for i in range(A.shape[0]):
+        if not (np.all(np.abs(A[i] - np.round(A[i])) <= 1e-9) and abs(b[i] - np.round(b[i])) <= 1e-9):
+            continue
+        a, bi = np.round(A[i]), float(np.round(b[i]))
+        sup = np.nonzero(a)[0]
+        if sup.size < 2 or not np.all(binary[sup]) or np.any(a[sup] < 0) or a[sup].sum() <= bi:
+            continue
+        out.append((a, sup, bi))
+    return out

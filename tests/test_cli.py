@@ -115,14 +115,15 @@ def test_the_report_says_why_no_equilibrium_was_found(tmp_path, capsys):
 
 
 def test_the_stats_line_counts_warm_rounds_and_cold_restarts(tmp_path, capsys):
-    # 2x3 seed 7 starts four of its five rounds warm, and two of those
-    # restart cold; the result document keeps its key set
+    # 2x8 seed 11 starts two of its three rounds warm, and one of those
+    # restarts cold; the line counts Lemke pivots, and the result
+    # document keeps its key set
     path, dest = tmp_path / "game.json", tmp_path / "result.json"
-    save_instance(random_knapsack_game(7, 2, 3), path)
+    save_instance(random_knapsack_game(11, 2, 8), path)
     code = main(["--instance", str(path), "--tolerance", "3e-4", "--output", str(dest)])
     out = capsys.readouterr().out
     assert code == 0
-    assert re.search(r"iterations: 5 {2}cuts: \d+ {2}lcp nodes: 105 {2}warm rounds: 4 {2}cold restarts: 2 {2}wall ms: ", out)
+    assert re.search(r"iterations: 3 {2}cuts: \d+ {2}lemke pivots: 125 {2}warm rounds: 2 {2}cold restarts: 1 {2}wall ms: ", out)
     assert set(json.loads(dest.read_text())["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
 
 

@@ -34,7 +34,7 @@ from rbgames.enumeration import degenerate_bimatrix
 from rbgames.generators import canonical_knapsack_game, cyclic_matching_game, infeasible_game, nondegenerate_seeds
 from rbgames.poly import hull_contains, convex_hull
 
-from oracles import RoundSpy, separation_oracle_reference
+from oracles import RoundSpy, murty_in_scale, separation_oracle_reference
 
 _KNOWN = [
     (np.array([0.0, 1.0, 1.0, 0.0]), (-2.0, -3.0)),
@@ -98,9 +98,9 @@ def test_time_limit_is_respected():
 
 
 def test_time_limit_holds_while_lemke_pivots():
-    # twelve players: the first round's LCP has order 492 and takes about
-    # 5 s (2-core host), so the limit falls while Lemke pivots in it
-    game = random_knapsack_game(0, 12, 10).game()
+    # fourteen players: the first round's LCP has order 574 and takes
+    # about 5 s (2-core host), so the limit falls while Lemke pivots in it
+    game = random_knapsack_game(0, 14, 10).game()
     start = time.monotonic()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=1.0))
     assert result.status is EqStatus.TIME_LIMIT
@@ -119,11 +119,10 @@ def test_small_ladder_games_end_in_an_equilibrium(seed):
 
 
 def test_ten_players_end_in_an_equilibrium():
-    # 10x10 seed 0: four rounds, their LCPs of order up to 421 solved in
-    # 33,355 pivots in all (about 7 s on a 2-core host): 32,103 in four
-    # cold solves, each under Lemke's pivot cap, and 1,252 in the three
-    # warm attempts, each of which used up its budget of one pivot per
-    # index and restarted cold
+    # 10x10 seed 0: nine rounds, their LCPs of order up to 433 solved in
+    # 29,471 pivots in all (about 5 s on a 2-core host): 28,402 in three
+    # cold solves, each under Lemke's pivot cap, and 1,069 in the eight
+    # warm attempts, two of which ended on a ray and restarted cold
     game = random_knapsack_game(0, 10, 10).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=120.0))
     assert result.status in (EqStatus.PNE, EqStatus.MNE)
@@ -149,16 +148,16 @@ def _recording_solve_lcp(monkeypatch):
 
 
 def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
-    # Lemke's 43rd deadline check across the run sleeps past the limit,
+    # Lemke's 35th deadline check across the run sleeps past the limit,
     # so the deadline falls while it pivots in the last of the game's
-    # three rounds, after 37 pivots in the first, 3 in the second and 2
-    # in the third (45 in all without the limit)
+    # three rounds, after 29 pivots in the first, 3 in the second and 2
+    # in the third (37 in all without the limit)
     nodes = _recording_solve_lcp(monkeypatch)
     checks = [0]
 
     def monotonic():
         checks[0] += 1
-        if checks[0] == 43:
+        if checks[0] == 35:
             time.sleep(1.0)
         return time.monotonic()
 
@@ -168,13 +167,13 @@ def test_lcp_nodes_count_on_the_time_limit_path(monkeypatch):
     assert result.status is EqStatus.TIME_LIMIT
     assert len(nodes["raised"]) == 1 and nodes["raised"][0] > 0
     assert result.stats.reason == "deadline"
-    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 42
+    assert result.stats.lcp_nodes == nodes["returned"] + nodes["raised"][0] == 34
     assert result.stats.iterations == 3 and result.stats.warm_rounds == 2
 
 
 def test_a_deadline_in_a_warm_attempt_ends_time_limit_with_its_pivots_counted(monkeypatch):
-    # 3x5 seed 3 solves its first round cold in 103 pivots and its second
-    # warm in 27; the warm attempt's 10th deadline check sleeps past the
+    # 3x5 seed 3 solves its first round cold in 79 pivots and its second
+    # warm in 15; the warm attempt's 10th deadline check sleeps past the
     # limit, so the run ends TimeLimit within the slack of a deadline
     # check, counting the warm attempt's 9 pivots and the warm round
     real = cutplay_module.solve_lcp
@@ -204,16 +203,16 @@ def test_a_deadline_in_a_warm_attempt_ends_time_limit_with_its_pivots_counted(mo
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4, time_limit=0.9))
     assert time.monotonic() - start <= 0.9 + 0.5
     assert result.status is EqStatus.TIME_LIMIT and result.stats.reason == "deadline"
-    assert calls == [[False, 103, None], [True, 10, 9]]
-    assert result.stats.lcp_nodes == 103 + 9
+    assert calls == [[False, 79, None], [True, 10, 9]]
+    assert result.stats.lcp_nodes == 79 + 9
     assert result.stats.warm_rounds == 1 and result.stats.cold_restarts == 0
 
 
 def test_a_warm_attempt_that_ends_on_a_ray_restarts_cold(monkeypatch):
-    # corpus game 2x3 seed 7: the warm attempts of its third and fourth
-    # rounds end on rays, which prove nothing, so each round restarts
-    # cold on the same LCP and solves it; the game ends PNE with a clean
-    # deviation check, and every attempt's pivots count
+    # stall game 2x8 seed 11 (the window at shift 2): the warm attempt of
+    # its third round ends on a ray, which proves nothing, so the round
+    # restarts cold on the same LCP and solves it; the game ends MNE with
+    # a clean deviation check, and every attempt's pivots count
     real = cutplay_module.solve_lcp
     calls = []
 
@@ -223,33 +222,33 @@ def test_a_warm_attempt_that_ends_on_a_ray_restarts_cold(monkeypatch):
         return out
 
     monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
-    game = random_knapsack_game(7, 2, 3).game()
+    game = random_knapsack_game(11, 2, 8).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
-    assert result.status is EqStatus.PNE
+    assert result.status is EqStatus.MNE
     assert deviation_check(game, result.profile, eps=3e-4) == []
     assert [(warm, reason) for _, warm, reason, _ in calls] == [
-        (False, None), (True, None), (True, "ray"), (False, None), (True, "ray"), (False, None), (True, None)]
-    for t in (2, 4):
-        assert calls[t + 1][0] is calls[t][0] and 0 < calls[t][3] < calls[t][0].order
-    assert result.stats.iterations == 5 and result.stats.warm_rounds == 4 and result.stats.cold_restarts == 2
-    assert result.stats.lcp_nodes == sum(nodes for *_, nodes in calls) == 105
+        (False, None), (True, None), (True, "ray"), (False, None)]
+    assert calls[3][0] is calls[2][0] and 0 < calls[2][3] < calls[2][0].order
+    assert result.stats.iterations == 3 and result.stats.warm_rounds == 2 and result.stats.cold_restarts == 1
+    assert result.stats.lcp_nodes == sum(nodes for *_, nodes in calls) == 125
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):
-    # the 30th ratio test of the run finds no blocking row: a ray
+    # the 20th ratio test of the run, in the cold first round, finds no
+    # blocking row: a ray
     nodes = _recording_solve_lcp(monkeypatch)
     real = lcp_module._leaving
     tests = [0]
 
-    def ray_on_the_30th(*args):
+    def ray_on_the_20th(*args):
         tests[0] += 1
-        return -1 if tests[0] == 30 else real(*args)
+        return -1 if tests[0] == 20 else real(*args)
 
-    monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_30th)
+    monkeypatch.setattr(lcp_module, "_leaving", ray_on_the_20th)
     game = random_knapsack_game(2, 2, 4).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.NUMERICAL_FAILURE
-    assert result.stats.lcp_nodes == nodes["returned"] == 30
+    assert result.stats.lcp_nodes == nodes["returned"] == 20
     assert result.stats.reason == "ray"
 
 
@@ -278,7 +277,7 @@ def _pivot_cap(monkeypatch):
     # every round solves an LCP on which Lemke takes 2^9 pivots, past
     # its cap of 200 + 30 * 9
     real = cutplay_module.solve_lcp
-    capped = LCP(M=np.eye(9) + 2.0 * np.tril(np.ones((9, 9)), -1), q=-np.ones(9))
+    capped = LCP(*murty_in_scale(9))
     monkeypatch.setattr(cutplay_module, "solve_lcp",
                         lambda problem, deadline=None, start=None: real(capped, deadline))
 

@@ -6,6 +6,8 @@ from rbgames import lattice_points, seeded_rng
 from rbgames.cuts import cover_cuts, gomory_cuts, knapsack_rows
 from rbgames.generators import canonical_knapsack_game, random_knapsack_game
 
+from oracles import knapsack_rows_loop
+
 _CUT_EPS = 1e-7
 
 
@@ -56,6 +58,44 @@ def test_cover_cut_rounds_a_nearly_integral_row():
     [(pi, pi0)] = cover_cuts(knapsack_rows(A, b, binary), np.array([1.0, 0.0, 0.9, 1.0, 1.0, 0.0]))
     assert np.array_equal(pi, [1, 0, 1, 1, 1, 0]) and pi0 == 3.0
     assert np.all(feasible @ pi <= pi0)
+
+
+def test_knapsack_rows_match_the_row_loop():
+    # random row sets mixing every kind of row: eligible knapsacks and
+    # rows with non-integral data, a negative coefficient, a single
+    # variable, a non-binary variable, no cover, a nearly integral entry
+    # or a non-integral right-hand side; the one array pass keeps the rows
+    # the loop keeps, in order, with the same rounded data
+    rng = seeded_rng(41)
+    kinds = {"kept": 0, "dropped": 0}
+    for _ in range(300):
+        m, n = int(rng.integers(0, 9)), int(rng.integers(1, 7))
+        A = rng.integers(0, 6, size=(m, n)).astype(float) * (rng.random((m, n)) < 0.7)
+        b = rng.integers(0, 2 * n, size=m).astype(float)
+        for i in range(m):
+            kind = int(rng.integers(12))
+            j = int(rng.integers(n))
+            if kind == 0:
+                A[i, j] += 0.5
+            elif kind == 1:
+                A[i, j] = -float(rng.integers(1, 4))
+            elif kind == 2:
+                A[i] = 0.0
+                A[i, j] = 3.0
+            elif kind == 3:
+                b[i] = A[i].sum() + float(rng.integers(0, 3))
+            elif kind == 4:
+                A[i, j] += 1e-10 * rng.choice([-1.0, 1.0])
+            elif kind == 5:
+                b[i] += 0.5
+        binary = rng.random(n) < 0.9
+        got, want = knapsack_rows(A, b, binary), knapsack_rows_loop(A, b, binary)
+        assert len(got) == len(want)
+        for (a, sup, bi), (a_ref, sup_ref, bi_ref) in zip(got, want):
+            assert a.tobytes() == a_ref.tobytes() and np.array_equal(sup, sup_ref) and bi == bi_ref
+        kinds["kept"] += len(want)
+        kinds["dropped"] += m - len(want)
+    assert kinds["kept"] >= 200 and kinds["dropped"] >= 500, kinds
 
 
 def test_gomory_cut_separates_the_fractional_vertex():

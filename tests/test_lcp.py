@@ -24,7 +24,7 @@ from rbgames.generators import nondegenerate_seeds, random_knapsack_game
 from rbgames.errors import BudgetExhausted
 
 from oracles import (brute_force_lcp, encode_region_reference, leaving_full_block_reference, lemke_reference,
-                     lemke_row_loop, nash_lcp_reference)
+                     lemke_row_loop, murty_in_scale, nash_lcp_reference)
 
 _RES_TOL = 1e-7
 
@@ -151,11 +151,12 @@ def test_positive_definite_instances_and_method_agreement():
 
 
 def test_lemke_respects_its_pivot_cap():
-    # on M = I + 2 (strict lower triangle), q = -1 this Lemke takes 2^n
-    # pivots; n = 9 needs 512, past the cap of 200 + 30 n = 470
+    # on an LCP whose row-scaled form is Murty's M = I + 2 (strict lower
+    # triangle), q = -1, this Lemke takes 2^n pivots; n = 9 needs 512,
+    # past the cap of 200 + 30 n = 470
     for n in range(2, 10):
-        M = np.eye(n) + 2.0 * np.tril(np.ones((n, n)), -1)
-        problem = LCP(M=M, q=-np.ones(n))
+        M, q = murty_in_scale(n)
+        problem = LCP(M=M, q=q)
         out = solve_lcp(problem)
         if n < 9:
             assert isinstance(out, LCPSolution) and out.nodes == 2 ** n, n
@@ -175,7 +176,7 @@ def test_vectorized_lemke_matches_the_row_loop_reference():
         else:
             M = np.round(rng.normal(size=(n, n)) * 2, 1)
         q = np.round(rng.normal(size=n) * 3, 1)
-        kind, z_ref, pivots = lemke_row_loop(M, q, 200 + 30 * n)
+        kind, z_ref, pivots = lemke_row_loop(M, q, 200 + 30 * n, cover=1.0 + np.abs(M).sum(axis=1))
         out = solve_lcp(LCP(M=M, q=q))
         outcomes.add(kind)
         assert out.nodes == pivots, trial
@@ -185,6 +186,31 @@ def test_vectorized_lemke_matches_the_row_loop_reference():
         else:
             assert isinstance(out, NoSolution), trial
     assert outcomes == {"solution", "ray"}
+
+
+def test_lemke_runs_the_row_scaled_lcp_with_covering_vector_one(reference_nash_lcps):
+    # on the Nash LCPs and on 250 random copositive-plus LCPs, Lemke takes
+    # the pivots that the row loop takes with covering vector 1 on the
+    # explicitly formed (D^{-1} M D^{-1}, D^{-1} q), D = diag(1 + |M| 1),
+    # and its z is D^{-1} times the row loop's, as z' = D z there
+    rng = seeded_rng(67)
+    problems = list(reference_nash_lcps)
+    for _ in range(250):
+        n = int(rng.integers(2, 25))
+        problems.append(LCP(M=_copositive_plus(rng, n), q=np.round(rng.normal(size=n) * 3, 1)))
+    ends = {"solution": 0, "ray": 0}
+    for trial, problem in enumerate(problems):
+        n, d = problem.order, 1.0 + np.abs(problem.M).sum(axis=1)
+        kind, z_ref, pivots = lemke_row_loop(problem.M / np.outer(d, d), problem.q / d, 200 + 30 * n, np.ones(n))
+        out = solve_lcp(problem)
+        ends[kind] += 1
+        assert out.nodes == pivots, trial
+        if kind == "solution":
+            assert isinstance(out, LCPSolution), trial
+            assert np.allclose(out.z, z_ref / d, rtol=1e-9, atol=1e-9), trial
+        else:
+            assert isinstance(out, NoSolution), trial
+    assert ends["solution"] >= 200 and ends["ray"] >= 5, ends
 
 
 def test_a_warm_start_solves_a_bordered_lcp_or_stops_within_its_order():
@@ -343,7 +369,7 @@ def test_lemke_matches_the_reference_on_nash_lcps(monkeypatch, reference_nash_lc
     monkeypatch.setattr(lcp_module, "_solution", recorded)
     for problem in reference_nash_lcps:
         out = solve_lcp(problem)
-        z, pivots, basic = lemke_reference(problem)
+        z, pivots, basic = lemke_reference(problem, 1.0 + np.abs(problem.M).sum(axis=1))
         assert out.nodes == pivots
         assert isinstance(out, LCPSolution) and z is not None
         if pivots:
@@ -355,14 +381,19 @@ def test_the_tie_break_matches_the_full_block_reference(monkeypatch, reference_n
     # every ratio test of the Nash LCPs and of 400 degenerate LCPs, whose
     # integer q repeats its entries, picks the row that the full n-row
     # lexicographic block picks; both kinds of deciding column occur: a
-    # basic w's unit column and a nonbasic w's column of invT
+    # basic w's unit column and a nonbasic w's column of invT.  Each
+    # degenerate M is c0 I plus a skew circulant, monotone with equal row
+    # norms, so the row scaling is uniform and keeps q's ties
     rng = seeded_rng(29)
     degenerate = []
     for _ in range(400):
         n = int(rng.integers(3, 13))
-        B = rng.integers(-2, 3, size=(n, int(rng.integers(0, n + 1)))).astype(float)
-        S = rng.integers(-2, 3, size=(n, n)).astype(float)
-        degenerate.append(LCP(M=B @ B.T + S - S.T, q=rng.integers(-2, 2, size=n).astype(float)))
+        c = np.zeros(n)
+        c[1:] = rng.integers(-2, 3, size=n - 1)
+        c[1:] -= c[1:][::-1].copy()
+        c[0] = rng.integers(0, 3)
+        M = np.array([np.roll(c, i) for i in range(n)])
+        degenerate.append(LCP(M=M, q=rng.integers(-2, 2, size=n).astype(float)))
     real = lcp_module._leaving
     decided = {"unit": 0, "nonbasic": 0}
 
@@ -380,16 +411,17 @@ def test_the_tie_break_matches_the_full_block_reference(monkeypatch, reference_n
 
 
 def test_a_warm_start_enters_z0_at_the_lexicographic_minimum(monkeypatch):
-    # every warm start of 200 corpus games and the ladder shapes at seed
-    # 0: z0 enters in the row of the least row of [x | B^{-1}], read over
-    # the full block, and after that pivot every row of [x | B^{-1}] is
-    # lexicographically positive, so no basis of the path repeats.  Some
-    # starts tie in x and are broken on B^{-1}
+    # every start, cold and warm, of 200 corpus games and the ladder
+    # shapes at seed 0: z0 enters in the row r of the least row of
+    # [x | B^{-1}] / s_r, read over the full block, and after that pivot
+    # along -s every row of [x | B^{-1}] is lexicographically positive,
+    # so no basis of the path repeats.  Some starts tie in x / s and are
+    # broken on B^{-1}
     real = lcp_module._lowest
-    seen = {"starts": 0, "ties": 0}
+    seen = {"starts": 0, "ties": 0, "warm": 0}
 
     def checked(basis):
-        block = np.column_stack([basis.x, basis.invT[basis.slot].T])
+        block = np.column_stack([basis.x, basis.invT[basis.slot].T]) / basis.scale[:, None]
         keep = np.arange(basis.n)
         for col in block.T:
             least = col[keep].min()
@@ -399,10 +431,13 @@ def test_a_warm_start_enters_z0_at_the_lexicographic_minimum(monkeypatch):
         r = real(basis)
         assert r == keep[0]
         seen["starts"] += 1
-        seen["ties"] += int(np.count_nonzero(block[:, 0] <= block[r, 0] + 1e-9 * (1.0 + abs(block[r, 0]))) > 1)
+        warm = not np.array_equal(basis.cover, basis.scale)
+        tied = np.count_nonzero(block[:, 0] <= block[r, 0] + 1e-9 * (1.0 + abs(block[r, 0]))) > 1
+        seen["warm"] += int(warm)
+        seen["ties"] += int(warm and tied)
         after = copy.deepcopy(basis)
         after.x, after.invT = after.blk[0], after.blk[1:]  # views again, as a copy drops them
-        after.pivot(2 * after.n, -np.ones(after.n), r)
+        after.pivot(2 * after.n, -after.scale, r)
         for row in np.column_stack([after.x, after.invT[after.slot].T]):
             lead = row[np.abs(row) > 1e-9]
             assert lead.size and lead[0] > 0.0
@@ -413,7 +448,7 @@ def test_a_warm_start_enters_z0_at_the_lexicographic_minimum(monkeypatch):
     games += [random_knapsack_game(0, p, m) for p, m in ((2, 6), (2, 10), (3, 3), (3, 5), (4, 4))]
     for game in games:
         cut_and_play(game.game(), SolverOptions(deviation_eps=3e-4))
-    assert seen["starts"] >= 150 and seen["ties"] >= 3, seen
+    assert seen["warm"] >= 150 and seen["starts"] >= 350 and seen["ties"] >= 3, seen
 
 
 def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
@@ -424,7 +459,7 @@ def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
     # stay B^{-1} q, the nonbasic w's fill the first k rows of invT, and
     # each basic w_j keeps the exact unit column that lets a pivot leave
     # its row alone.  A warm basis holds at its start too, where z0's
-    # direction, B^{-1} times its column -B 1, is -1
+    # direction, B^{-1} times its column -B s, is -s
     checks = {"warm": 0, "cold": 0, "start": 0}
     real_refine, real_bordered = lcp_module._Basis.refine, lcp_module._Basis.bordered
 
@@ -445,13 +480,13 @@ def test_the_kept_inverse_inverts_the_basis_at_every_refinement(monkeypatch):
         checks[kind] += 1
 
     def checked_refine(basis):
-        check(basis, "cold" if np.all(basis.cover == 1.0) else "warm")
+        check(basis, "cold" if np.array_equal(basis.cover, basis.scale) else "warm")
         real_refine(basis)
 
     def checked_bordered(basis, problem):
         out = real_bordered(basis, problem)
         check(out, "start")
-        assert np.abs(out.direction(2 * out.n) + 1.0).max() <= 1e-9
+        assert np.allclose(out.direction(2 * out.n), -out.scale, rtol=1e-9, atol=1e-9)
         return out
 
     monkeypatch.setattr(lcp_module._Basis, "refine", checked_refine)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbgames import LinearProgram, LPStatus, solve_lp, seeded_rng
+from rbgames import LinearProgram, LPStatus, solve_lp, seeded_rng, support_from_points
 
 import rbgames.lp as lp_module
 
@@ -205,3 +205,38 @@ def test_vectorized_pivot_out_matches_the_column_loop(monkeypatch):
             assert a.row_duals.tobytes() == b.row_duals.tobytes(), trial
             assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes(), trial
 
+
+
+# an oracle LP of random_knapsack_game(1, 2, 40), cut down to 60 of its
+# 624 points and 39 of its 40 coordinates: one 0/1 point per hex word,
+# first coordinate first, and sigma, whose "f" entries are the fractions
+_ORACLE_POINTS = """
+73cc4e58ad 53ce4e5023 72ce0a582f 72de0e58af 73ce0e58af 73ce4e588b 32ca0e588f 62ca8e488e 738e0e008f 628e4e188f
+13c64c188f 32c64e188f 12ce4e588f 72c64e488f 720e4c588e 52424c5887 52084c1887 53cc4c188f 708c4e588f 73044e488f
+71464c480d 71444c000f 318e4c480f 218e4c580d 32ce4e5885 73ce4e588f 61cf0658a3 72c70e58ab 71cf4e58ab 524f0a588b
+42cf0c588b 73c780488b 734b0b188b 13470e4889 534f0a088b 334706488a 33cf0e588b 73cf0e588b 23554258ab 12494648ab
+13494a50aa 13414e582a 124d4658aa 32494458ab 734d44582b 73594458ab 73d94a50ab 63c54a582b 634f4e58ab 63c942582b
+734348502a 73434650ab 734d4058aa 63834050aa 73cb4058aa 43c74058aa 538f4e58ab 238b4a58ab 03cf4a58ab 33c94848aa
+"""
+_ORACLE_SIGMA = "11100111100111f0f0011100101100010f01f11"
+_ORACLE_FRACTIONS = [0.3724194880264734, 0.8490916597853257, 0.27931461601973934, 0.04232039636667879]
+
+
+def test_a_degenerate_oracle_lp_keeps_its_basis_nonsingular():
+    # the L1-distance LP of the separation oracle over these 0/1 points:
+    # a pivot tolerance of 1e-11 that ignores the entering column's scale
+    # admitted a pivot on rounding noise, and the basis went singular at
+    # the next refresh; relative to the column's largest entry, the LP
+    # ends Optimal at the distance that HiGHS finds, and its cut is as
+    # deep as that distance
+    P = np.array([[float(c) for c in format(int(w, 16), "039b")] for w in _ORACLE_POINTS.split()])
+    sigma = np.array([float(c) if c != "f" else np.nan for c in _ORACLE_SIGMA])
+    sigma[np.isnan(sigma)] = _ORACLE_FRACTIONS
+    K, m = P.shape
+    rows = np.vstack([np.hstack([P.T, np.eye(m), -np.eye(m)]), np.concatenate([np.ones(K), np.zeros(2 * m)])])
+    n = K + 2 * m
+    _, want, _ = scipy_lp(np.concatenate([np.zeros(K), np.ones(2 * m)]), rows, np.append(sigma, 1.0),
+                          np.zeros(n), np.full(n, np.inf), eq=np.ones(m + 1, dtype=bool))
+    support, pi = support_from_points(P, sigma)
+    assert support is None and want > 0.1
+    assert abs(float(pi @ sigma - (P @ pi).max()) - want) <= 1e-7
