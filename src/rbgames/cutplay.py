@@ -22,9 +22,9 @@ A round only adds cut rows, so each round's Nash LCP is the last
 round's, on the same boxes, bordered by the new rows
 (``build_nash_lcp``), and Lemke starts from the last round's final
 basis (``lcp.solve_lcp``'s ``start``).  That warm path carries no
-guarantee: a warm attempt that ends on a ray or uses up its budget of
-one pivot per index restarts the round cold from the identity, the
-path that copositive-plus M guarantees.
+guarantee, so ``solve_lcp`` itself falls back to the cold path, which
+copositive-plus M guarantees, and says so in its answer's
+``restarted``.
 
 No solve runs whose answer is already known: there is no start-of-solve
 probe, so an enumerated player's run solves no integer program at all;
@@ -45,14 +45,14 @@ from .errors import BudgetExhausted, InfeasibleGame, NumericalFailure, Unsupport
 from .game import (EqStatus, EquilibriumResult, PlayerStrategy,
                    SolveStats, StrategyProfile, build_nash_lcp,
                    deviation_check, profile_payoffs, support_from_points)
-from .ip import _INT_TOL, _PRUNE_TOL, best_response, solve_ip
+from .ip import best_response, solve_ip
 from .lcp import NoSolution, solve_lcp
 from .lp import LPStatus
-from .numerics import DEVIATION_EPS, FEAS_TOL
+from .numerics import DEVIATION_EPS, FEAS_TOL, INT_TOL, PRUNE_TOL
 
 _ORACLE_CAP = 1 << 16
 _MAX_ROUNDS = 100
-_DEPTH_MARGIN = 1e-8  # how far a cut's depth may fall below the LP's distance: _PRUNE_TOL and rounding
+_DEPTH_MARGIN = 1e-8  # how far a cut's depth may fall below the LP's distance: PRUNE_TOL and rounding
 
 
 class Algorithm:
@@ -205,7 +205,7 @@ def separation_oracle(state, sigma):
 
     snapped = sigma.copy()
     snapped[ints] = np.round(snapped[ints])
-    integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
+    integral = np.max(np.abs(sigma - snapped), initial=0.0) <= INT_TOL
     if integral and state.relaxation.contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped)]), pure=True)
 
@@ -220,7 +220,7 @@ def separation_oracle(state, sigma):
             return Member(PlayerStrategy(sigma, support))
         known = float(np.max(points @ pi))
         best = best_response(p, -pi, state.lattice, state.deadline)
-        if -best.value <= known + _PRUNE_TOL:
+        if -best.value <= known + PRUNE_TOL:
             break
         points = state.points = np.vstack([points, best.x])
     pi0 = max(known, -best.value)
@@ -269,6 +269,7 @@ def cut_and_play(game, opts=None):
     try:
         return _rounds(game, opts, deadline, stats, finish)
     except BudgetExhausted as exc:
+        stats.lcp_nodes += exc.nodes
         status, reason = _exhausted(deadline, exc)
         return finish(status, reason=reason)
     except InfeasibleGame as exc:
@@ -286,7 +287,10 @@ def _rounds(game, opts, deadline, stats, finish):
             return finish(EqStatus.TIME_LIMIT, reason="deadline")
         last = build_nash_lcp(game, [s.region() for s in states], last)
         problem, index_map = last
-        sol = _lemke(problem, sol, deadline, stats)
+        stats.warm_rounds += sol is not None
+        sol = solve_lcp(problem, deadline=deadline, start=sol)
+        stats.lcp_nodes += sol.nodes
+        stats.cold_restarts += sol.restarted
         if isinstance(sol, NoSolution):
             # each round's game has an equilibrium, so its LCP a solution
             return finish(EqStatus.NUMERICAL_FAILURE, reason=sol.reason)
@@ -303,27 +307,6 @@ def _rounds(game, opts, deadline, stats, finish):
                 refine_region(state, action)
 
     return finish(EqStatus.NUMERICAL_FAILURE, reason="round cap")
-
-
-def _lemke(problem, start, deadline, stats):
-    """Solve one round's LCP, warm from ``start``, the last round's
-    solution (None in a game's first round).  A warm attempt that
-    ends on a ray or at its budget proves nothing, so the round restarts
-    cold, on the path whose end copositive-plus M guarantees.  Every
-    pivot counts in ``stats.lcp_nodes``, a deadline's included."""
-    if start is not None:
-        stats.warm_rounds += 1
-    while True:
-        try:
-            sol = solve_lcp(problem, deadline=deadline, start=start)
-        except BudgetExhausted as exc:
-            stats.lcp_nodes += exc.nodes
-            raise
-        stats.lcp_nodes += sol.nodes
-        if start is None or not isinstance(sol, NoSolution):
-            return sol
-        stats.cold_restarts += 1
-        start = None
 
 
 def _certify(game, states, members, opts, deadline, finish):

@@ -97,8 +97,9 @@ class SolveStats:
     "enumeration found no equilibrium".  ``lcp_nodes`` counts Lemke
     pivots, those of failed warm attempts included; ``warm_rounds``
     counts the rounds whose Lemke started from the last round's basis,
-    and ``cold_restarts`` those of them that fell back to the cold
-    start."""
+    and ``cold_restarts`` those of them whose ``lcp.solve_lcp`` answer
+    says ``restarted``: the warm attempt failed and Lemke fell back to
+    the cold start."""
 
     iterations: int = 0
     cuts: int = 0
@@ -265,7 +266,8 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
 
     Player i is reported iff its current payoff exceeds its best
     response (``ip.best_response``) by more than eps.  ``lattices`` may
-    give, per player, its enumerated integer points or None.  Raises
+    give, per player, its enumerated integer points or None; a list of
+    another length raises ValueError.  Raises
     InfeasibleGame when a player has no feasible strategy at all, and
     UnsupportedGame naming a player whose best response is unbounded.
     """
@@ -273,7 +275,9 @@ def deviation_check(game, profile, eps=DEVIATION_EPS, deadline=None, lattices=No
         points = profile.barycenters()
     else:
         points = [np.asarray(x, dtype=float) for x in profile]
-    lattices = lattices or [None] * game.n_players
+    lattices = [None] * game.n_players if lattices is None else lattices
+    if len(lattices) != game.n_players:
+        raise ValueError("one lattice (or None) per player required")
     out = []
     for i, (p, pts) in enumerate(zip(game.players, lattices)):
         opp = opponents_vector(game, points, i)

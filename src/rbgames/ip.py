@@ -20,11 +20,9 @@ import numpy as np
 
 from .errors import BudgetExhausted
 from .lp import LinearProgram, LPResult, LPStatus, solve_lp
-from .numerics import FEAS_TOL, SparseMatrix
+from .numerics import FEAS_TOL, INT_TOL, PRUNE_TOL, SparseMatrix
 from .poly import Polyhedron
 
-_INT_TOL = 1e-6  # a value this close to an integer counts as integral
-_PRUNE_TOL = 1e-9
 _NODE_LIMIT = 200000  # branch-and-bound nodes before BudgetExhausted
 _EXHAUSTED = "branch-and-bound budget exhausted"
 
@@ -129,7 +127,7 @@ def solve_ip(program, cost=None, deadline=None):
     """Minimize ``cost`` (None: the player's ``c``) by branch and bound.
 
     Most-fractional branching with lowest-index ties, best-bound node
-    selection; the optimum is proved to within ``_PRUNE_TOL``.  Returns
+    selection; the optimum is proved to within ``PRUNE_TOL``.  Returns
     an LPResult (Optimal, Infeasible or Unbounded); raises
     BudgetExhausted when ``_NODE_LIMIT`` nodes are used up or the
     ``time.monotonic()`` value ``deadline`` passes, also inside a node
@@ -153,17 +151,17 @@ def solve_ip(program, cost=None, deadline=None):
 
     while heap:
         bound, _, (lo, hi), x = heapq.heappop(heap)
-        if bound >= best_val - _PRUNE_TOL:
+        if bound >= best_val - PRUNE_TOL:
             continue
         frac = np.abs(x[ints] - np.round(x[ints])) if ints.size else np.zeros(0)
-        if not ints.size or frac.max() <= _INT_TOL:
+        if not ints.size or frac.max() <= INT_TOL:
             cand = x.copy()
             if ints.size:
                 cand[ints] = np.round(cand[ints])
                 np.clip(cand, program.lb, program.ub, out=cand)
             if bool(np.all(A @ cand <= b + FEAS_TOL)):
                 val = float(cost @ cand)
-                if val < best_val - _PRUNE_TOL:
+                if val < best_val - PRUNE_TOL:
                     best_val, best_x = val, cand
                 continue
             # rounding broke a row; split on the most perturbed integer
@@ -190,7 +188,7 @@ def solve_ip(program, cost=None, deadline=None):
                 continue
             if child.status is LPStatus.UNBOUNDED:
                 return LPResult(LPStatus.UNBOUNDED)
-            if child.value < best_val - _PRUNE_TOL:
+            if child.value < best_val - PRUNE_TOL:
                 counter += 1
                 heapq.heappush(heap, (child.value, counter, (child_lo, child_hi), child.x))
 

@@ -8,8 +8,8 @@ Cottle, Pang & Stone, *The Linear Complementarity Problem*, 1992,
 ch. 4).  Every Nash LCP of ``game.build_nash_lcp`` is one: its
 off-diagonal blocks are skew, so z'Mz = v'Pv for its strategy block P,
 which is entrywise positive.  On other LCPs it may end on a secondary
-ray, which proves nothing.  A ray and the pivot cap both give
-NoSolution.
+ray, which proves nothing.  A ray and the pivot cap of the cold path
+both give NoSolution.
 
 Lemke runs on the row-scaled LCP (D^{-1} M D^{-1}, D^{-1} q) with
 covering vector 1, where D = diag(d) and d = 1 + |M| 1, each row's L1
@@ -34,7 +34,9 @@ basic in row r, in the row of the lexicographic minimum of
 [x | B^{-1}] lexicographically positive, and the lexicographic ratio
 test keeps them so, so no basis repeats and the path is finite.  The
 cold start is the identity, where s = d: z0 enters in the last row of
-the least q_r / d_r.
+the least q_r / d_r.  The identity is the basis of the order-0 LCP,
+``_Basis()``, bordered by the whole LCP, so ``_Basis.bordered`` builds
+both starts.
 
 A warm start (``solve_lcp``'s ``start``) solves an LCP whose (M, q)
 borders a solved one: the old (M, q) is its leading principal block.
@@ -49,7 +51,7 @@ lexicographic argument of the cold start goes through, read from
 another starting basis (van den Elzen & Talman 1991 start Lemke from a
 point in the same way).  B s is not positive once B holds a z (below), so a warm
 path may end on a ray that proves nothing, and its length has no
-useful bound: a warm attempt gets at most n pivots, and its caller
+useful bound: a warm attempt gets at most n pivots, and ``solve_lcp``
 restarts cold when it ends on a ray or at that budget.  No other
 covering vector mends this.  When M is copositive, no complementary
 basis B with a basic z admits a c > 0 with t = B^{-1} c > 0: the point
@@ -119,12 +121,14 @@ class LCP:
 @dataclass(eq=False)
 class LCPSolution:
     """``basis`` is Lemke's final basis, from which ``solve_lcp`` can
-    start on an LCP that borders this one."""
+    start on an LCP that borders this one; ``restarted`` says that a
+    warm attempt failed and the cold path found it."""
 
     z: np.ndarray
     w: np.ndarray
     nodes: int = 0
     basis: object = None
+    restarted: bool = False
 
     def residuals(self):
         """(min z, min w, z.w) for quick invariant checks."""
@@ -135,11 +139,13 @@ class LCPSolution:
 
 @dataclass(eq=False)
 class NoSolution:
-    """Lemke ended after ``nodes`` pivots; ``reason`` is "ray" or
-    "pivot cap"."""
+    """Lemke's cold path ended after ``nodes`` pivots in all; ``reason``
+    is "ray" or "pivot cap", and ``restarted`` says that a warm attempt
+    came first."""
 
     nodes: int
     reason: str
+    restarted: bool = False
 
 
 def solve_lcp_with_fixings(problem, fixings, deadline=None):
@@ -179,33 +185,29 @@ class _Basis:
     the system holds the basic variable ``basic[r]``, and ``scale`` s_r
     is that variable's scale at the start: d_j for w_j, 1/d_j for z_j,
     with d = 1 + |M| 1.  The covering vector ``cover`` is B s at the
-    start, so z0's direction is -s there.  A cold basis holds w_r in row
-    r, so B is the identity and s = d is the covering vector; ``bordered``
-    gives a warm one.  The inverse is explicit and kept by columns: row i
-    of ``invT`` is column ``order[i]`` of B^{-1}, and ``slot`` is the
-    inverse permutation.  A basic w_j's column of B^{-1} is the unit
-    vector at its row, so row r of B^{-1} is nonzero only on the k
-    nonbasic w's and on a w basic in row r.  The columns of the nonbasic
-    w's are kept in rows [0, k) of ``invT``.  The basic values ``x`` =
-    B^{-1} q sit just above them, as row 0 of ``blk`` = [x; invT], so the
-    rows a pivot rewrites are the one block ``blk[:k + 1]``.  ``basic``
-    and ``slot`` are lists: the pivot path reads them one entry at a
-    time.
+    start, so z0's direction is -s there.  ``bordered`` is the one
+    constructor of a start: from ``_Basis()``, the empty basis of the
+    order-0 LCP, it gives the cold one, which holds w_r in row r, so B
+    is the identity and s = d is the covering vector; from a solved
+    LCP's final basis, a warm one.  The inverse is explicit and kept by
+    columns: row i of ``invT`` is column ``order[i]`` of B^{-1}, and
+    ``slot`` is the inverse permutation.  A basic w_j's column of B^{-1}
+    is the unit vector at its row, so row r of B^{-1} is nonzero only on
+    the k nonbasic w's and on a w basic in row r.  The columns of the
+    nonbasic w's are kept in rows [0, k) of ``invT``.  The basic values
+    ``x`` = B^{-1} q sit just above them, as row 0 of ``blk`` =
+    [x; invT], so the rows a pivot rewrites are the one block
+    ``blk[:k + 1]``.  ``basic`` and ``slot`` are lists: the pivot path
+    reads them one entry at a time.
     """
 
-    def __init__(self, problem):
-        self.M, self.q = problem.M, problem.q
-        n = self.n = problem.order
-        self.negMT = -np.ascontiguousarray(self.M.T)  # row j: z_j's column
-        self.cover = self.scale = _row_scale(self.M)
-        self.blk = np.eye(n + 1, n, -1)
-        self.blk[0] = self.q
+    def __init__(self):
+        """The basis of the order-0 LCP, holding what ``bordered`` reads."""
+        self.n = self.k = 0
+        self.blk = np.zeros((1, 0))
         self.x, self.invT = self.blk[0], self.blk[1:]
-        self.basic = list(range(n))
-        self.order = np.arange(n)
-        self.slot = list(range(n))
-        self.k = 0
-        self.z0 = -1  # the row of z0 while it is basic
+        self.basic, self.slot = [], []
+        self.order = np.arange(0)
 
     def bordered(self, problem):
         """This final basis, z0 nonbasic, carried to ``problem``, whose
@@ -219,13 +221,15 @@ class _Basis:
         x and the new rows' w at the old point, q_new - X x.  The scale
         is read from ``problem``'s d: s_r = d_j where w_j is basic in row
         r, 1/d_j where z_j is, and d_j on the new rows, which hold w_j.
-        The covering vector is B s, so that z0's direction is -s.
+        The covering vector is B s, so that z0's direction is -s.  From
+        the empty basis all rows are new: blk = [q; I] and s = B s = d,
+        the cold start.
         """
         n, m, k = self.n, problem.order, self.k
         out = _Basis.__new__(_Basis)
         out.M, out.q, out.n = problem.M, problem.q, m
         out.negMT = -np.ascontiguousarray(problem.M.T)
-        basic = np.array(self.basic)
+        basic = np.array(self.basic, dtype=np.int64)
         is_z = basic >= n
         zs = basic[is_z] - n
         X = np.zeros((m - n, n))
@@ -234,16 +238,18 @@ class _Basis:
         out.blk[: n + 1, :n] = self.blk
         out.blk[0, n:] = problem.q[n:] - X @ self.x
         out.blk[1 : k + 1, n:] = -(self.invT[:k] @ X.T)
-        out.blk[n + 1 :, n:] = np.eye(m - n)
+        np.fill_diagonal(out.blk[n + 1 :, n:], 1.0)
         out.x, out.invT = out.blk[0], out.blk[1:]
         out.basic = [j + m - n if j >= n else j for j in self.basic] + list(range(n, m))
-        out.order = np.concatenate([self.order, np.arange(n, m)])
+        out.order = np.arange(m)
+        out.order[:n] = self.order
         out.slot = self.slot + list(range(n, m))
-        out.k, out.z0 = k, -1
-        # s, with basic % n the index j of each basic w_j or z_j (z0 is
-        # nonbasic), and B s: the basic w's unit columns times d_j, -M's
-        # columns of the basic z's over d_j
-        d, ws = _row_scale(problem.M), basic[~is_z]
+        out.k, out.z0 = k, -1  # z0: its row while it is basic
+        # d, the diagonal of D: each row's L1 norm in M, plus one; s, with
+        # basic % n the index j of each basic w_j or z_j (z0 is nonbasic);
+        # and B s: the basic w's unit columns times d_j, -M's columns of
+        # the basic z's over d_j
+        d, ws = 1.0 + np.abs(problem.M).sum(axis=1), basic[~is_z]
         out.scale = d.copy()
         out.scale[:n] = np.where(is_z, 1.0 / d[basic % n], d[basic % n])
         out.cover = -problem.M[:, zs] @ (1.0 / d[zs])
@@ -313,32 +319,47 @@ def solve_lcp(problem, deadline=None, start=None):
     """Solve the LCP by lexicographic Lemke; LCPSolution or NoSolution.
 
     Lemke runs on the row-scaled LCP without forming it: covering
-    vector d = 1 + |M| 1 cold from the identity basis, or B s warm from
-    ``start``, the solution of an LCP whose (M, q) is the leading
-    principal block of this one's (see the module docstring).  Both
-    starts enter z0 along -s by one rule, ``_lowest``.  ``nodes`` counts
-    Lemke pivots.
-    NoSolution comes from a secondary ray or the pivot cap, 200 + 30 n
-    pivots cold and n warm, and its ``reason`` says which.  Raises
-    BudgetExhausted, carrying the pivots spent, once the
-    ``time.monotonic()`` value ``deadline`` has passed, and
+    vector d = 1 + |M| 1 cold from the empty basis bordered, which is
+    the identity, or B s warm from ``start``, the solution of an LCP
+    whose (M, q) is the leading principal block of this one's (see the
+    module docstring).  Both starts enter z0 along -s by one rule,
+    ``_lowest``.  A warm attempt gets n pivots; when it ends on a ray or
+    at that budget it proves nothing, and Lemke restarts cold, with
+    ``restarted`` set on the answer.  So NoSolution comes only from the
+    cold path: a secondary ray or its pivot cap, 200 + 30 n, and its
+    ``reason`` says which.  ``nodes`` counts the Lemke pivots of both
+    attempts.  Raises BudgetExhausted, carrying the pivots spent, once
+    the ``time.monotonic()`` value ``deadline`` has passed, and
     NumericalFailure when the end point misses the residual tolerance.
     """
+    n, spent = problem.order, 0
+    if start is not None:
+        out = _attempt(problem, start.basis.bordered(problem), n, deadline)
+        if isinstance(out, LCPSolution):
+            return out
+        spent = out.nodes
+    out = _attempt(problem, _Basis().bordered(problem), 200 + 30 * n, deadline, spent)
+    out.restarted = start is not None
+    return out
+
+
+def _attempt(problem, basis, cap, deadline, spent=0):
+    """Lemke's path from ``basis``, at most ``cap`` pivots; LCPSolution
+    or NoSolution.  Its ``nodes``, and a BudgetExhausted's, count the
+    ``spent`` pivots of an earlier attempt too."""
     n, var = problem.order, 2 * problem.order
-    basis = _Basis(problem) if start is None else start.basis.bordered(problem)
-    cap = 200 + 30 * n if start is None else n
     if np.all(basis.x >= 0.0):
-        return _solution(problem, basis, 0)
+        return _solution(problem, basis, spent)
     # z0 enters along -s, in the row that leaves every row of [x | B^{-1}]
     # lexicographically positive
     r, d = _lowest(basis), -basis.scale
     for pivots in range(1, cap + 1):
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted("Lemke ran past the deadline", nodes=pivots - 1)
+            raise BudgetExhausted("Lemke ran past the deadline", nodes=spent + pivots - 1)
         leaving = basis.pivot(var, d, r)
         if leaving == 2 * n:
             basis.refine()
-            return _solution(problem, basis, pivots)
+            return _solution(problem, basis, spent + pivots)
         if pivots % _REFINE_EVERY == 0:
             basis.refine()
         # the complement of the leaving variable enters
@@ -346,13 +367,8 @@ def solve_lcp(problem, deadline=None, start=None):
         d = basis.direction(var)
         r = _leaving(basis, d)
         if r < 0:
-            return NoSolution(nodes=pivots, reason="ray")
-    return NoSolution(nodes=cap, reason="pivot cap")
-
-
-def _row_scale(M):
-    """The diagonal of D: each row's L1 norm in M, plus one."""
-    return 1.0 + np.abs(M).sum(axis=1)
+            return NoSolution(nodes=spent + pivots, reason="ray")
+    return NoSolution(nodes=spent + cap, reason="pivot cap")
 
 
 def _lowest(basis):

@@ -5,9 +5,15 @@ Solves  min c.x  subject to  A x <= b  (with equality on the rows that
 row gets a slack variable, bounded below by 0 on a <= row and fixed at 0
 on an equality row; a row that the start point misses gets a phase-1
 artificial, and variable bounds are handled directly by the ratio test
-instead of being expanded into rows.  Dantzig pricing runs first; after
-a pivot budget the solver falls back to Bland's rule, and if that also
-stalls it raises NumericalFailure rather than returning a wrong answer.
+instead of being expanded into rows.  Phase 1 minimizes the sum of the
+artificials; phase 2 fixes each of them at 0.  One still basic then
+leaves at the first, degenerate, pivot whose entering column has a
+nonzero in its row.  On a redundant row none has, so it stays basic at
+0, and its zero reduced cost makes that row's dual 0: a valid dual, as
+a fixed column adds no dual constraint.  Dantzig pricing runs first;
+after a pivot budget the solver falls back to Bland's rule, and if that
+also stalls it raises NumericalFailure rather than returning a wrong
+answer.
 
 The solver keeps an explicit inverse of the m x m basis B (the revised
 simplex of Dantzig & Orchard-Hays, 1954), as ``lcp._Basis`` does for
@@ -306,27 +312,6 @@ class _Simplex:
         col[r] = 0.0
         Binv -= np.multiply.outer(col, Binv[r])
 
-    def pivot_out(self, r, forbidden):
-        """Degenerate pivot to remove basis[r]; returns False if no column works.
-
-        The entering column is the first nonbasic, movable column outside
-        the index array ``forbidden`` with the largest |B^{-1}[r] a_j|.
-        """
-        mag = np.abs(self.row(r))
-        mag[(self.status == _BASIC) | (self.ub <= self.lb)] = 0.0
-        mag[forbidden] = 0.0
-        best = int(np.argmax(mag))
-        if not mag[best] > _PIVOT_TOL * 10:
-            return False
-        leave = int(self.basis[r])
-        self.status[leave] = _AT_LB
-        self.x[leave] = self.lb[leave]
-        self.status[best] = _BASIC
-        self.basis[r] = best
-        self.pivot(r, self.column(best))
-        self.fresh = False
-        return True
-
 
 def solve_lp(lp, deadline=None):
     """Solve a LinearProgram.
@@ -379,9 +364,7 @@ def solve_lp(lp, deadline=None):
             sx.refresh()
         if float(np.sum(sx.x[art])) > feas_tol:
             return LPResult(LPStatus.INFEASIBLE, iterations=sx.pivots)
-        for r in np.nonzero(sx.basis >= n + m)[0]:
-            sx.pivot_out(r, art)
-        # freeze artificials at zero for phase 2
+        # freeze the artificials at zero for phase 2, the basic ones too
         if sx.x[art].any():
             sx.fresh = False
         sx.lb[art] = 0.0

@@ -300,6 +300,8 @@ def result_to_document(results, player_names):
             "iterations": head.stats.iterations,
             "cuts": head.stats.cuts,
             "lcpNodes": head.stats.lcp_nodes,
+            "warmRounds": head.stats.warm_rounds,
+            "coldRestarts": head.stats.cold_restarts,
             "wallTimeMs": float(head.stats.wall_ms),
             "reason": head.stats.reason,
         },

@@ -13,6 +13,8 @@ import numpy as np
 FEAS_TOL = 1e-7  # constraint violation allowed when testing membership
 COMPLEMENTARITY_TOL = 1e-7  # per-pair slack allowed in z'(Mz+q)
 ZERO_TOL = 1e-9  # magnitude below which a weight is treated as exactly zero
+INT_TOL = 1e-6  # a value this close to an integer counts as integral
+PRUNE_TOL = 1e-9  # an objective within this of the best known one is no better
 DEVIATION_EPS = 3e-4  # default payoff gain that counts as a profitable deviation
 
 

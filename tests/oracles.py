@@ -11,12 +11,11 @@ from scipy.optimize import linprog
 import rbgames.cutplay as cutplay
 from rbgames import (LCP, LinearProgram, LPStatus, PlayerStrategy, cover_cuts, full_enumeration, knapsack_rows,
                      opponents_vector, parametrized_objective, payoff, solve_lp)
-from rbgames.cutplay import _INT_TOL, Cuts, Member
+from rbgames.cutplay import Cuts, Member
 from rbgames.enumeration import PROFILE_CAP
 from rbgames.errors import NumericalFailure
 from rbgames.game import _ALPHA_MARGIN
-from rbgames.lp import _AT_LB, _BASIC, _PIVOT_TOL
-from rbgames.numerics import FEAS_TOL, ZERO_TOL
+from rbgames.numerics import FEAS_TOL, INT_TOL, ZERO_TOL
 
 
 def scipy_lp(c, A, b, lb, ub, eq=None):
@@ -409,37 +408,6 @@ def lemke_row_loop(M, q, max_iter, cover):
     return "cap", None, max_iter
 
 
-def pivot_out_reference(sx, r, forbidden):
-    """``lp._Simplex.pivot_out`` as a loop over the columns.
-
-    The entering column is the first nonbasic, movable column outside
-    ``forbidden`` whose tableau entry |B^{-1}[r] a_j| beats every earlier
-    one and 10 times the pivot tolerance.  Returns False when there is
-    none.
-    """
-    forbidden = set(np.asarray(forbidden).tolist())
-    row = sx.row(r)
-    best, best_mag = -1, _PIVOT_TOL * 10
-    for j in range(sx.N):
-        if j in forbidden or sx.status[j] == _BASIC:
-            continue
-        if sx.ub[j] <= sx.lb[j]:
-            continue
-        mag = abs(row[j])
-        if mag > best_mag:
-            best, best_mag = j, mag
-    if best < 0:
-        return False
-    leave = int(sx.basis[r])
-    sx.status[leave] = _AT_LB
-    sx.x[leave] = sx.lb[leave]
-    sx.status[best] = _BASIC
-    sx.basis[r] = best
-    sx.pivot(r, sx.column(best))
-    sx.fresh = False
-    return True
-
-
 def branch_and_bound_cold(program, opponents, node_limit=200000):
     """``solve_ip`` with every node LP solved cold by ``solve_lp``.
 
@@ -821,7 +789,7 @@ def separation_oracle_reference(state, sigma):
 
     snapped = sigma.copy()
     snapped[ints] = np.round(snapped[ints])
-    integral = np.max(np.abs(sigma - snapped), initial=0.0) <= _INT_TOL
+    integral = np.max(np.abs(sigma - snapped), initial=0.0) <= INT_TOL
     if integral and p.relaxation().contains(snapped):
         return Member(PlayerStrategy(snapped, [(1.0, snapped.copy())]), pure=True)
 

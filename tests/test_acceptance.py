@@ -298,7 +298,7 @@ def test_criterion_6_degenerate_handling():
     doc = result_to_document(r, [p.name for p in game.players])
     ok = ok and doc["status"] == "TimeLimit"
     ok = ok and all(p["x"] is None and p["payoff"] is None for p in doc["players"])
-    ok = ok and set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    ok = ok and set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "warmRounds", "coldRestarts", "wallTimeMs", "reason"}
     ok = ok and doc["stats"]["reason"] == "deadline"
     json.dumps(doc)  # must serialize cleanly
     notes.append(r.status.value)

@@ -110,21 +110,23 @@ def test_the_report_says_why_no_equilibrium_was_found(tmp_path, capsys):
     # the result document stores the same reason
     doc = json.loads(dest.read_text())
     assert set(doc) == {"status", "players", "equilibria", "stats"}
-    assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    assert set(doc["stats"]) == {"iterations", "cuts", "lcpNodes", "warmRounds", "coldRestarts", "wallTimeMs", "reason"}
     assert doc["stats"]["reason"] == "player stuck: region emptied by its own rows"
 
 
 def test_the_stats_line_counts_warm_rounds_and_cold_restarts(tmp_path, capsys):
     # 2x8 seed 11 starts two of its three rounds warm, and one of those
     # restarts cold; the line counts Lemke pivots, and the result
-    # document keeps its key set
+    # document holds the same counts
     path, dest = tmp_path / "game.json", tmp_path / "result.json"
     save_instance(random_knapsack_game(11, 2, 8), path)
     code = main(["--instance", str(path), "--tolerance", "3e-4", "--output", str(dest)])
     out = capsys.readouterr().out
     assert code == 0
     assert re.search(r"iterations: 3 {2}cuts: \d+ {2}lemke pivots: 125 {2}warm rounds: 2 {2}cold restarts: 1 {2}wall ms: ", out)
-    assert set(json.loads(dest.read_text())["stats"]) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    stats = json.loads(dest.read_text())["stats"]
+    assert set(stats) == {"iterations", "cuts", "lcpNodes", "warmRounds", "coldRestarts", "wallTimeMs", "reason"}
+    assert (stats["iterations"], stats["lcpNodes"], stats["warmRounds"], stats["coldRestarts"]) == (3, 125, 2, 1)
 
 
 def test_missing_file_exits_one(capsys):

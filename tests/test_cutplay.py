@@ -210,27 +210,56 @@ def test_a_deadline_in_a_warm_attempt_ends_time_limit_with_its_pivots_counted(mo
 
 def test_a_warm_attempt_that_ends_on_a_ray_restarts_cold(monkeypatch):
     # stall game 2x8 seed 11 (the window at shift 2): the warm attempt of
-    # its third round ends on a ray, which proves nothing, so the round
-    # restarts cold on the same LCP and solves it; the game ends MNE with
-    # a clean deviation check, and every attempt's pivots count
-    real = cutplay_module.solve_lcp
-    calls = []
+    # its third round ends on a ray, which proves nothing, so solve_lcp
+    # restarts cold on the same LCP, solves it and says so; the game ends
+    # MNE with a clean deviation check, and every attempt's pivots count
+    real, real_attempt = cutplay_module.solve_lcp, lcp_module._attempt
+    calls, attempts = [], []
 
     def recorded(problem, deadline=None, start=None):
         out = real(problem, deadline, start)
-        calls.append((problem, start is not None, getattr(out, "reason", None), out.nodes))
+        calls.append((start is not None, out.restarted, out.nodes))
+        return out
+
+    def attempt(problem, basis, cap, deadline, spent=0):
+        out = real_attempt(problem, basis, cap, deadline, spent)
+        attempts.append((problem.order, cap, getattr(out, "reason", None), out.nodes - spent))
         return out
 
     monkeypatch.setattr(cutplay_module, "solve_lcp", recorded)
+    monkeypatch.setattr(lcp_module, "_attempt", attempt)
     game = random_knapsack_game(11, 2, 8).game()
     result = cut_and_play(game, SolverOptions(deviation_eps=3e-4))
     assert result.status is EqStatus.MNE
     assert deviation_check(game, result.profile, eps=3e-4) == []
-    assert [(warm, reason) for _, warm, reason, _ in calls] == [
-        (False, None), (True, None), (True, "ray"), (False, None)]
-    assert calls[3][0] is calls[2][0] and 0 < calls[2][3] < calls[2][0].order
+    assert [(warm, restarted) for warm, restarted, _ in calls] == [(False, False), (True, False), (True, True)]
+    # the third round: a warm ray within the order, then the cold path
+    assert [(cap, reason) for _, cap, reason, _ in attempts[2:]] == [(70, "ray"), (200 + 30 * 70, None)]
+    assert attempts[2][0] == attempts[3][0] == 70 and 0 < attempts[2][3] < 70
+    assert calls[2][2] == attempts[2][3] + attempts[3][3]
     assert result.stats.iterations == 3 and result.stats.warm_rounds == 2 and result.stats.cold_restarts == 1
     assert result.stats.lcp_nodes == sum(nodes for *_, nodes in calls) == 125
+
+
+def test_a_deadline_in_a_cold_restart_ends_time_limit_with_the_warm_pivots_counted(monkeypatch):
+    # the same game, with the clock past the limit when its third round
+    # restarts cold: that restart's first deadline check raises, carrying
+    # the 12 pivots of the warm attempt that ended on a ray, and the run
+    # counts them after the 47 + 17 of its first two rounds
+    real_attempt = lcp_module._attempt
+
+    def attempt(problem, basis, cap, deadline, spent=0):
+        if spent:
+            time.sleep(0.6)
+        return real_attempt(problem, basis, cap, deadline, spent)
+
+    monkeypatch.setattr(lcp_module, "_attempt", attempt)
+    nodes = _recording_solve_lcp(monkeypatch)
+    result = cut_and_play(random_knapsack_game(11, 2, 8).game(), SolverOptions(deviation_eps=3e-4, time_limit=0.5))
+    assert result.status is EqStatus.TIME_LIMIT and result.stats.reason == "deadline"
+    assert nodes == {"returned": 47 + 17, "raised": [12]}
+    assert result.stats.lcp_nodes == 47 + 17 + 12
+    assert result.stats.iterations == 3 and result.stats.warm_rounds == 2 and result.stats.cold_restarts == 0
 
 
 def test_lcp_nodes_count_on_the_node_limit_path(monkeypatch):

@@ -98,6 +98,18 @@ def test_deviation_check_with_an_empty_lattice_raises():
         deviation_check(game, [np.zeros(2), np.zeros(2)], lattices=[np.zeros((0, 2)), None])
 
 
+def test_deviation_check_needs_one_lattice_entry_per_player():
+    # both players gain 1.0 at the all-zero profile; a lattice list that
+    # is one short would silently skip player 1
+    game = random_knapsack_game(3, 2, 2).game()
+    zero = [np.zeros(2), np.zeros(2)]
+    assert _gains(deviation_check(game, zero)) == {0: 1.0, 1: 1.0}
+    assert _gains(deviation_check(game, zero, lattices=[None, None])) == {0: 1.0, 1: 1.0}
+    for lattices in ([None], [None, None, None], []):
+        with pytest.raises(ValueError, match="one lattice"):
+            deviation_check(game, zero, lattices=lattices)
+
+
 def _gains(devs):
     return {d.player: d.improvement for d in devs}
 

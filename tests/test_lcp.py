@@ -1,5 +1,6 @@
 import copy
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,11 +214,13 @@ def test_lemke_runs_the_row_scaled_lcp_with_covering_vector_one(reference_nash_l
     assert ends["solution"] >= 200 and ends["ray"] >= 5, ends
 
 
-def test_a_warm_start_solves_a_bordered_lcp_or_stops_within_its_order():
+def test_a_warm_start_solves_a_bordered_lcp_or_restarts_cold():
     # 400 copositive-plus LCPs of order m = n + k, each started warm from
-    # the cold solution of its leading block of order n: a warm attempt
-    # ends at a solution, or on a ray or at its budget of m pivots, which
-    # prove nothing, and the cold start then decides
+    # the cold solution of its leading block of order n.  The warm
+    # attempt alone ends at a solution within m pivots, or on a ray or at
+    # its budget of m pivots, which prove nothing; solve_lcp then
+    # restarts cold, gives the cold solve's answer and counts the pivots
+    # of both attempts
     rng = seeded_rng(71)
     ends = {"solution": 0, "ray": 0, "pivot cap": 0}
     for trial in range(400):
@@ -227,18 +230,56 @@ def test_a_warm_start_solves_a_bordered_lcp_or_stops_within_its_order():
         if not isinstance(small, LCPSolution):
             continue
         problem = LCP(M=M, q=q)
+        warm = lcp_module._attempt(problem, small.basis.bordered(problem), n + k, None)
         out = solve_lcp(problem, start=small)
-        if isinstance(out, LCPSolution):
+        if isinstance(warm, LCPSolution):
             ends["solution"] += 1
             scale = 1.0 + np.abs(out.z).max() * np.abs(out.w).max()
             assert out.z.min() >= 0.0 and out.w.min() >= -1e-9 * scale, trial
             assert abs(out.z @ out.w) <= 1e-9 * scale * (n + k), trial
             assert np.allclose(out.w, M @ out.z + q, atol=1e-9), trial
-            assert out.nodes <= n + k
+            assert not out.restarted and out.nodes == warm.nodes <= n + k, trial
+            assert out.z.tobytes() == warm.z.tobytes(), trial
         else:
-            ends[out.reason] += 1
-            assert out.nodes == n + k if out.reason == "pivot cap" else out.nodes < n + k, trial
+            ends[warm.reason] += 1
+            assert warm.nodes == n + k if warm.reason == "pivot cap" else warm.nodes < n + k, trial
+            cold = solve_lcp(problem)
+            assert out.restarted and type(out) is type(cold), trial
+            assert out.nodes == warm.nodes + cold.nodes, trial
+            if isinstance(cold, LCPSolution):
+                assert out.z.tobytes() == cold.z.tobytes(), trial
+            else:
+                assert out.reason == cold.reason, trial
     assert ends["solution"] >= 300 and ends["ray"] >= 2 and ends["pivot cap"] >= 2, ends
+
+
+def test_a_deadline_in_the_cold_restart_carries_the_warm_pivots(monkeypatch):
+    # the first bordered LCP of the set above whose warm attempt fails:
+    # the clock passes the deadline at the cold restart's first check,
+    # so BudgetExhausted carries the warm attempt's pivots, and nothing
+    # else
+    rng = seeded_rng(71)
+    while True:
+        n, k = int(rng.integers(3, 16)), int(rng.integers(1, 4))
+        M, q = _copositive_plus(rng, n + k), np.round(rng.normal(size=n + k) * 2, 1)
+        small = solve_lcp(LCP(M=M[:n, :n], q=q[:n]))
+        problem = LCP(M=M, q=q)
+        if isinstance(small, LCPSolution):
+            warm = lcp_module._attempt(problem, small.basis.bordered(problem), n + k, None)
+            if isinstance(warm, NoSolution):
+                break
+    checks = [0]
+
+    def monotonic():
+        checks[0] += 1
+        return float(checks[0])
+
+    # one deadline check per warm pivot, then the cold one past it
+    monkeypatch.setattr(lcp_module, "time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExhausted) as info:
+        solve_lcp(problem, deadline=warm.nodes + 0.5, start=small)
+    assert warm.nodes > 0 and info.value.nodes == warm.nodes
+    assert checks[0] == warm.nodes + 1
 
 
 def test_lemke_honors_the_deadline():

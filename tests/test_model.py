@@ -210,7 +210,7 @@ def test_result_document_shape(tmp_path):
             else:
                 assert "support" not in pdoc
     stats = doc["stats"]
-    assert set(stats) == {"iterations", "cuts", "lcpNodes", "wallTimeMs", "reason"}
+    assert set(stats) == {"iterations", "cuts", "lcpNodes", "warmRounds", "coldRestarts", "wallTimeMs", "reason"}
     assert stats["reason"] is None
     out = tmp_path / "result.json"
     save_result(results, names, out)
